@@ -5,8 +5,9 @@ along for diagnostics but never take part in equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Union
 
 from .units import Unit, parse_unit
@@ -180,6 +181,10 @@ class WorldDefinition(Node):
 
     name = "World"
 
+    @property
+    def all_attributes(self) -> tuple[AttributeDeclaration, ...]:
+        return self.attributes
+
 
 @dataclass(frozen=True)
 class PatchDefinition(Node):
@@ -188,6 +193,10 @@ class PatchDefinition(Node):
     attributes: tuple[AttributeDeclaration, ...]
 
     name = "Patch"
+
+    @property
+    def all_attributes(self) -> tuple[AttributeDeclaration, ...]:
+        return self.attributes
 
 
 @dataclass(frozen=True)
@@ -198,7 +207,7 @@ class StageDefinition(Node):
     species: str
     attributes: tuple[AttributeDeclaration, ...]
 
-    @property
+    @cached_property
     def all_attributes(self) -> tuple[AttributeDeclaration, ...]:
         implicit = (
             AttributeDeclaration("x", POSITION_UNIT),
@@ -342,19 +351,34 @@ class Model(Node):
 # --- traversal -------------------------------------------------------------
 
 
+# Fields holding one subexpression each, in evaluation order.  Arithmetics
+# and Apply hold theirs as the tuple ``args``; other nodes hold none.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    UniformDist: ("low", "high"),
+    NormalDist: ("mean", "sigma"),
+    GammaDist: ("shape", "scale"),
+    LogLogisticDist: ("scale_param", "shape_param"),
+    EnUnit: ("expr",),
+    DeUnit: ("expr",),
+}
+
+
 def children(e: Expression) -> tuple[Expression, ...]:
     """Immediate subexpressions of ``e``."""
-    match e:
-        case Arithmetics(args=args) | Apply(args=args):
-            return args
-        case UniformDist(low=a, high=b) | NormalDist(mean=a, sigma=b):
-            return (a, b)
-        case GammaDist(shape=a, scale=b) | LogLogisticDist(scale_param=a, shape_param=b):
-            return (a, b)
-        case EnUnit(expr=inner) | DeUnit(expr=inner):
-            return (inner,)
-        case _:
-            return ()
+    if isinstance(e, (Arithmetics, Apply)):
+        return e.args
+    names = _CHILD_FIELDS.get(type(e))
+    return tuple([getattr(e, name) for name in names]) if names else ()
+
+
+def map_children(e: Expression, f) -> Expression:
+    """``e`` with each immediate subexpression ``c`` replaced by ``f(c)``."""
+    if isinstance(e, (Arithmetics, Apply)):
+        return replace(e, args=tuple(f(a) for a in e.args))
+    names = _CHILD_FIELDS.get(type(e))
+    if not names:
+        return e
+    return replace(e, **{name: f(getattr(e, name)) for name in names})
 
 
 def walk_expression(e: Expression) -> Iterator[Expression]:
@@ -381,9 +405,7 @@ def action_expressions(action: ActionDefinition) -> Iterator[Expression]:
 
 def size_of_agent(agent: AgentDefinition) -> int:
     """Number of memory slots one instance occupies."""
-    if isinstance(agent, StageDefinition):
-        return 2 + len(agent.attributes)
-    return len(agent.attributes)
+    return len(agent.all_attributes)
 
 
 def placeholders_of(action: ActionDefinition) -> set[str]:

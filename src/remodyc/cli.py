@@ -178,12 +178,6 @@ def _open_run_dir(path: str) -> tuple[Path, ast.Model]:
     return run_dir, model
 
 
-def _declarations(agent) -> tuple:
-    if isinstance(agent, ast.StageDefinition):
-        return agent.all_attributes
-    return agent.attributes
-
-
 def _replay(args) -> int:
     run_dir, model = _open_run_dir(args.run_dir)
     backend = FileBackend(run_dir)
@@ -195,7 +189,7 @@ def _replay(args) -> int:
     print("address,stage,attribute,value")
     for base in sorted(frame.animats):
         kind, _ = frame.animats[base]
-        for slot, declaration in enumerate(_declarations(agents[kind])):
+        for slot, declaration in enumerate(agents[kind].all_attributes):
             value = frame.values[base + slot] / declaration.unit.scale
             rendered = format_number(value)
             label = declaration.unit.label or ""

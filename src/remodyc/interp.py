@@ -1,16 +1,21 @@
 """Synchronous simulation engine.
 
-Every tick runs all tasks in declaration order over all performers, with
-reads served from the last committed frame and writes held back, then
-commits once.  Lifecycle events (die, become, spawn) are recorded while
-evaluating and applied between the last task and the commit, so results
-never depend on iteration order within a tick.
+The model is resolved once, when the engine is built: each task's action
+is instantiated with its bindings, and attribute slots, block sizes and
+the configured populations are looked up.  Every tick then runs all tasks
+in declaration order over all performers, with reads served from the last
+committed frame and writes held back, then commits once.  Lifecycle
+events (die, become, spawn) are recorded while evaluating and applied
+between the last task and the commit, so results never depend on
+iteration order within a tick.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable
 
 from . import ast, rng
 from .memory import MemoryImage, StorageBackend, TraceFrame
@@ -74,11 +79,11 @@ class SimulationConfig:
                     f"{extent} / {self.patch_size}"
                 )
 
-    @property
+    @cached_property
     def patches_x(self) -> int:
         return round(self.world_width / self.patch_size)
 
-    @property
+    @cached_property
     def patches_y(self) -> int:
         return round(self.world_height / self.patch_size)
 
@@ -153,40 +158,11 @@ def _parse_quantity(value: str, expected, lineno: int) -> float:
 
 
 def substitute(e: ast.Expression, bindings: dict[str, ast.Expression]) -> ast.Expression:
-    """Replace every placeholder reference with its bound expression."""
-    match e:
-        case ast.PlaceholderRef(identifier=name):
-            return bindings[name]
-        case ast.Arithmetics(op=op, args=args):
-            return dataclasses.replace(
-                e, args=tuple(substitute(a, bindings) for a in args)
-            )
-        case ast.Apply(args=args):
-            return dataclasses.replace(
-                e, args=tuple(substitute(a, bindings) for a in args)
-            )
-        case ast.UniformDist(low=low, high=high):
-            return dataclasses.replace(
-                e, low=substitute(low, bindings), high=substitute(high, bindings)
-            )
-        case ast.NormalDist(mean=mean, sigma=sigma):
-            return dataclasses.replace(
-                e, mean=substitute(mean, bindings), sigma=substitute(sigma, bindings)
-            )
-        case ast.GammaDist(shape=shape, scale=scale):
-            return dataclasses.replace(
-                e, shape=substitute(shape, bindings), scale=substitute(scale, bindings)
-            )
-        case ast.LogLogisticDist(scale_param=scale, shape_param=shape):
-            return dataclasses.replace(
-                e,
-                scale_param=substitute(scale, bindings),
-                shape_param=substitute(shape, bindings),
-            )
-        case ast.EnUnit(expr=inner) | ast.DeUnit(expr=inner):
-            return dataclasses.replace(e, expr=substitute(inner, bindings))
-        case _:
-            return e
+    """Replace every placeholder reference with its bound expression; the
+    bound expressions themselves are not substituted again."""
+    if isinstance(e, ast.PlaceholderRef):
+        return bindings[e.identifier]
+    return ast.map_children(e, lambda child: substitute(child, bindings))
 
 
 def instantiate_task(
@@ -235,6 +211,16 @@ def instantiate_task(
 
 _IN_PROGRESS = object()
 
+# Samplers by distribution node, fed the node's children in order.  They
+# are looked up by name on ``rng`` so that a wrapper installed there sees
+# every draw.
+_SAMPLERS = {
+    ast.UniformDist: "sample_uniform",
+    ast.NormalDist: "sample_normal",
+    ast.GammaDist: "sample_gamma",
+    ast.LogLogisticDist: "sample_loglogistic",
+}
+
 
 @dataclass
 class _Activation:
@@ -258,16 +244,25 @@ class Engine:
         self.slots: dict[str, dict[str, int]] = {}
         self.sizes: dict[str, int] = {}
         for agent in model.agents:
-            declarations = (
-                agent.all_attributes
-                if isinstance(agent, ast.StageDefinition)
-                else agent.attributes
-            )
             self.slots[agent.name] = {
                 declaration.identifier: slot
-                for slot, declaration in enumerate(declarations)
+                for slot, declaration in enumerate(agent.all_attributes)
             }
             self.sizes[agent.name] = ast.size_of_agent(agent)
+        self.plan: list[tuple[str, ast.ActionDefinition, dict[str, ast.UtilityDefinition]]] = []
+        for task in model.tasks:
+            action = model.action_named(task.action)
+            # A checked action has placeholders only where its task binds them.
+            if task.bindings:
+                action = instantiate_task(action, dict(task.bindings))
+            utilities = {u.identifier: u for u in action.utilities}
+            self.plan.append((task.agent, action, utilities))
+        stages = {stage.name: stage for stage in model.stages}
+        self.populations: list[tuple[int, ast.StageDefinition]] = []
+        for count, name in config.populations:
+            if name not in stages:
+                raise ConfigError(f"populate names unknown stage {name!r}")
+            self.populations.append((count, stages[name]))
         self.world_base: int | None = None
         self.patch_bases: list[int] = []
 
@@ -276,34 +271,33 @@ class Engine:
     def setup(self) -> TraceFrame:
         world = self.model.world
         if world is not None:
-            self.world_base = self.image.allocate("World", self.sizes["World"])
-            self._write_initializers(world, self.world_base)
+            self.world_base = self._create(world, {})
         patch = self.model.patch
         if patch is not None:
             for _ in range(self.config.patches_x * self.config.patches_y):
-                base = self.image.allocate("Patch", self.sizes["Patch"])
-                self.patch_bases.append(base)
-                self._write_initializers(patch, base)
-        for count, stage_name in self.config.populations:
-            stage = self.model.agent_named(stage_name)
+                self.patch_bases.append(self._create(patch, {}))
+        for count, stage in self.populations:
             for _ in range(count):
-                base = self.image.allocate(stage.name, self.sizes[stage.name])
                 self.rng_state, x = rng.sample_uniform(
                     self.rng_state, 0.0, self.config.world_width
                 )
                 self.rng_state, y = rng.sample_uniform(
                     self.rng_state, 0.0, self.config.world_height
                 )
-                self.image.write(base, x)
-                self.image.write(base + 1, y)
-                self._write_initializers(stage, base, from_slot=2)
+                self._create(stage, {"x": x, "y": y})
         return self._commit()
 
-    def _write_initializers(self, agent, base: int, from_slot: int = 0) -> None:
-        for slot, declaration in enumerate(agent.attributes, start=from_slot):
-            if declaration.initial is not None:
-                value = declaration.initial.value * declaration.initial.unit.scale
-                self.image.write(base + slot, value)
+    def _create(self, agent: ast.AgentDefinition, inherited: dict[str, float]) -> int:
+        """Allocate a block for a new ``agent`` and write each declaration's
+        value: the inherited one if given, else its scaled initial value."""
+        base = self.image.allocate(agent.name, self.sizes[agent.name])
+        for slot, declaration in enumerate(agent.all_attributes):
+            if declaration.identifier in inherited:
+                self.image.write(base + slot, inherited[declaration.identifier])
+            elif declaration.initial is not None:
+                initial = declaration.initial
+                self.image.write(base + slot, initial.value * initial.unit.scale)
+        return base
 
     def _commit(self) -> TraceFrame:
         frame = self.image.store(self.backend, self.rng_state)
@@ -325,18 +319,12 @@ class Engine:
 
     def step(self) -> TraceFrame:
         events: list[tuple] = []
-        for task in self.model.tasks:
-            action = self.model.action_named(task.action)
-            instantiated = instantiate_task(action, dict(task.bindings))
-            utilities = {u.identifier: u for u in instantiated.utilities}
-            performers = sorted(
-                base
-                for base, (kind, _) in self.image.animats.items()
-                if kind == task.agent
-            )
-            for base in performers:
-                frame = _Activation(base, task.agent, utilities)
-                self._perform(instantiated, frame, events)
+        performers: dict[str, list[int]] = {}
+        for base in sorted(self.image.animats):
+            performers.setdefault(self.image.animats[base][0], []).append(base)
+        for kind, action, utilities in self.plan:
+            for base in performers.get(kind, ()):
+                self._perform(action, _Activation(base, kind, utilities), events)
         self._apply_events(events)
         return self._commit()
 
@@ -362,7 +350,7 @@ class Engine:
         for definition in action.definitions:
             value = self.evaluate(definition.expression, frame)
             variable = definition.variable
-            address = self._target_address(variable, frame)
+            address = self._attribute_address(variable, frame)
             if definition.decorator is ast.Decorator.ASSIGN:
                 self.image.write(address, value)
             elif definition.decorator is ast.Decorator.DELTA:
@@ -383,7 +371,7 @@ class Engine:
                 events.append(("become", frame.base, frame.kind, target))
             case ast.Spawn(stage=stage, count=count):
                 value = self.evaluate(count, frame)
-                if math.isnan(value) or value < 0:
+                if not math.isfinite(value) or value < 0:
                     self._abort(f"spawn count {value} out of range", frame, directive.pos)
                 events.append(("spawn", frame.base, frame.kind, stage, math.floor(value)))
 
@@ -406,35 +394,22 @@ class Engine:
                 case ("die", base):
                     self.image.kill(base)
                 case ("become", base, kind, target):
-                    self._become(base, kind, target)
+                    inherited = self._pending(base, kind, self.slots[kind])
+                    self._create(self.model.agent_named(target), inherited)
+                    self.image.kill(base)
                 case ("spawn", base, kind, stage, count):
                     for _ in range(count):
-                        self._spawn(base, kind, stage)
+                        position = self._pending(base, kind, ("x", "y"))
+                        self._create(self.model.agent_named(stage), position)
 
-    def _pending(self, address: int) -> float:
-        return self.image.next[address] + self.image.delta[address]
-
-    def _become(self, base: int, kind: str, target: str) -> None:
-        stage = self.model.agent_named(target)
-        new_base = self.image.allocate(stage.name, self.sizes[stage.name])
-        source_slots = self.slots[kind]
-        for slot, declaration in enumerate(stage.all_attributes):
-            if declaration.identifier in source_slots:
-                value = self._pending(base + source_slots[declaration.identifier])
-            elif declaration.initial is not None:
-                value = declaration.initial.value * declaration.initial.unit.scale
-            else:
-                value = 0.0
-            self.image.write(new_base + slot, value)
-        self.image.kill(base)
-
-    def _spawn(self, base: int, kind: str, target: str) -> None:
-        stage = self.model.agent_named(target)
-        new_base = self.image.allocate(stage.name, self.sizes[stage.name])
-        parent_slots = self.slots[kind]
-        self.image.write(new_base, self._pending(base + parent_slots["x"]))
-        self.image.write(new_base + 1, self._pending(base + parent_slots["y"]))
-        self._write_initializers(stage, new_base, from_slot=2)
+    def _pending(self, base: int, kind: str, names: Iterable[str]) -> dict[str, float]:
+        """The values the ``kind`` block at ``base`` will commit for ``names``."""
+        slots = self.slots[kind]
+        image = self.image
+        return {
+            name: image.next[base + slots[name]] + image.delta[base + slots[name]]
+            for name in names
+        }
 
     # -- evaluation ----------------------------------------------------
 
@@ -452,45 +427,21 @@ class Engine:
                 return self._arithmetic(op, args, frame, e.pos)
             case ast.Apply(function=function, args=args):
                 return self._call(function, args, frame, e.pos)
-            case ast.UniformDist(low=low, high=high):
-                a = self.evaluate(low, frame)
-                b = self.evaluate(high, frame)
-                try:
-                    self.rng_state, value = rng.sample_uniform(self.rng_state, a, b)
-                except ValueError as err:
-                    self._abort(str(err), frame, e.pos)
-                return value
-            case ast.NormalDist(mean=mean, sigma=sigma):
-                a = self.evaluate(mean, frame)
-                b = self.evaluate(sigma, frame)
-                try:
-                    self.rng_state, value = rng.sample_normal(self.rng_state, a, b)
-                except ValueError as err:
-                    self._abort(str(err), frame, e.pos)
-                return value
-            case ast.GammaDist(shape=shape, scale=scale):
-                a = self.evaluate(shape, frame)
-                b = self.evaluate(scale, frame)
-                try:
-                    self.rng_state, value = rng.sample_gamma(self.rng_state, a, b)
-                except ValueError as err:
-                    self._abort(str(err), frame, e.pos)
-                return value
-            case ast.LogLogisticDist(scale_param=scale, shape_param=shape):
-                a = self.evaluate(scale, frame)
-                b = self.evaluate(shape, frame)
-                try:
-                    self.rng_state, value = rng.sample_loglogistic(self.rng_state, a, b)
-                except ValueError as err:
-                    self._abort(str(err), frame, e.pos)
-                return value
             case ast.EnUnit(expr=inner, unit=unit):
                 return self.evaluate(inner, frame) * unit.scale
             case ast.DeUnit(expr=inner, unit=unit):
                 return self.evaluate(inner, frame) / unit.scale
             case ast.Direction(attribute=attribute):
                 return self._direction(attribute, frame)
-        raise RuntimeAbort(f"cannot evaluate {type(e).__name__}")
+        sampler = _SAMPLERS.get(type(e))
+        if sampler is None:
+            raise RuntimeAbort(f"cannot evaluate {type(e).__name__}")
+        args = [self.evaluate(child, frame) for child in ast.children(e)]
+        try:
+            self.rng_state, value = getattr(rng, sampler)(self.rng_state, *args)
+        except ValueError as err:
+            self._abort(str(err), frame, e.pos)
+        return value
 
     def _utility(self, name: str, frame: _Activation, pos) -> float:
         cached = frame.cache.get(name)
@@ -566,9 +517,6 @@ class Engine:
         x = self.image.read(frame.base + self.slots[frame.kind]["x"])
         y = self.image.read(frame.base + self.slots[frame.kind]["y"])
         return self._patch_base_at(x, y) + self.slots["Patch"][e.identifier]
-
-    def _target_address(self, variable: ast.AttributeVariable, frame: _Activation) -> int:
-        return self._attribute_address(variable, frame)
 
     def _patch_index(self, position: float, extent: int) -> int:
         index = math.floor(position / self.config.patch_size)

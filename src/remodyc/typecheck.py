@@ -74,10 +74,7 @@ class Scope:
 
     def attribute_unit(self, qualifier: str | None, identifier: str, pos) -> Unit:
         agent = self._qualified_agent(qualifier, pos)
-        declarations = (
-            agent.all_attributes if isinstance(agent, ast.StageDefinition) else agent.attributes
-        )
-        for declaration in declarations:
+        for declaration in agent.all_attributes:
             if declaration.identifier == identifier:
                 return declaration.unit
         raise TypeCheckError(f"{agent.name} has no attribute {identifier!r}", pos)

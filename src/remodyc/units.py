@@ -152,11 +152,6 @@ def same_dimension(a: Unit, b: Unit) -> bool:
     return a.dimension == b.dimension
 
 
-def to_si(value: float, u: Unit) -> float:
-    """Convert a value expressed in ``u`` to its SI representation."""
-    return value * u.scale
-
-
 def format_unit(u: Unit) -> str:
     """Canonical SI rendering, e.g. ``[m.s^-1]``; dimensionless is ``[]``."""
     parts = []

@@ -1,6 +1,6 @@
 """Structural helpers on the syntax tree."""
 from remodyc import ast
-from remodyc.parser import parse_model
+from remodyc.parser import parse_expression, parse_model
 from remodyc.units import parse_unit
 
 
@@ -23,6 +23,36 @@ def test_stage_implicit_attributes_are_prepended():
     names = [a.identifier for a in EGG.all_attributes]
     assert names == ["x", "y", "age"]
     assert EGG.all_attributes[0].unit == parse_unit("m")
+
+
+def test_world_and_patch_declare_only_their_attributes():
+    world = ast.WorldDefinition((ast.AttributeDeclaration("t", parse_unit("s")),))
+    assert world.all_attributes == world.attributes
+    assert ast.PatchDefinition(()).all_attributes == ()
+
+
+def test_map_children_replaces_exactly_the_children():
+    marker = ast.Literal(7.0, parse_unit("kg"))
+    for text in (
+        "-(my age)",
+        "my age ^ 2",
+        "min(1, 2)",
+        "uniform 0 to 1",
+        "normal(0, 1)",
+        "gamma(2, 3)",
+        "loglogistic(2, 3)",
+        "2 as [m]",
+        "(my age) in [day]",
+    ):
+        e = parse_expression(text)
+        mapped = ast.map_children(e, lambda child: marker)
+        assert type(mapped) is type(e), text
+        assert ast.children(mapped) == (marker,) * len(ast.children(e)), text
+        assert ast.map_children(mapped, lambda child: child) == mapped, text
+    for text in ("3 [kg]", "my age", "delta time", "direction neighbor's grass"):
+        e = parse_expression(text)
+        assert ast.children(e) == ()
+        assert ast.map_children(e, lambda child: marker) is e
 
 
 def test_placeholders_of_move_action():

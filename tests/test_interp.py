@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from remodyc import rng
+from remodyc import cli, rng
 from remodyc.ast import Placeholder
 from remodyc.interp import (
     ConfigError,
@@ -165,6 +165,10 @@ class TestSetup:
         assert frame.values[egg + 2] == 0.0
         assert frame.rng_state == state
         assert backend.frame_count() == 1
+
+    def test_unknown_populate_stage_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="'Nope'"):
+            build(AGE_MODEL, BASIC_CONFIG + "populate 1 Nope\n")
 
     def test_population_order_feeds_one_stream(self):
         engine, _ = build(
@@ -363,6 +367,29 @@ class TestLifecycle:
             engine.step()
         assert err.value.tick == 2
         assert backend.frame_count() == 1
+
+    @pytest.mark.parametrize(
+        "count",
+        ["exp(700) * exp(700)", "exp(700) * exp(700) - exp(700) * exp(700)"],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_spawn_count_aborts(self, tmp_path, capsys, count):
+        model = (
+            "Egg is G with\n    age [day].\n"
+            f"to litter is\n    my spawn Egg' = {count}.\n"
+            "Egg litter.\n"
+        )
+        engine, backend = build(model, BASIC_CONFIG)
+        engine.setup()
+        with pytest.raises(RuntimeAbort, match="spawn count") as err:
+            engine.step()
+        assert err.value.tick == 2
+        assert backend.frame_count() == 1
+        (tmp_path / "litter.rmd").write_text(model)
+        (tmp_path / "run.cfg").write_text(BASIC_CONFIG)
+        args = ["run", tmp_path / "litter.rmd", tmp_path / "run.cfg", "--out", tmp_path / "run"]
+        assert cli.main([str(a) for a in args]) == 3
+        assert "spawn count" in capsys.readouterr().err
 
 
 class TestEvaluation:

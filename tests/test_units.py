@@ -19,7 +19,6 @@ from remodyc.units import (
     pow_unit,
     same_dimension,
     sqrt_unit,
-    to_si,
 )
 
 M = SIBaseUnit.M
@@ -53,7 +52,7 @@ SI_FACTORS = {
 def test_named_units_cover_the_table_exactly():
     assert set(NAMED_UNITS) == set(SI_FACTORS)
     for name, factor in SI_FACTORS.items():
-        assert to_si(1.0, parse_unit(name)) == factor, name
+        assert parse_unit(name).scale == factor, name
 
 
 def test_parse_simple_names():
@@ -191,12 +190,6 @@ def test_same_dimension():
     assert not same_dimension(parse_unit("km"), parse_unit("h"))
     assert not same_dimension(parse_unit("degreeC"), parse_unit("K"))
     assert same_dimension(parse_unit("km/h"), parse_unit("m/s"))
-
-
-def test_to_si():
-    assert to_si(10.0, parse_unit("km")) == 10000.0
-    assert to_si(1.0, parse_unit("day")) == 86400.0
-    assert abs(to_si(0.5, parse_unit("km/day")) - 500.0 / 86400.0) < 1e-15
 
 
 def test_format_unit():
