@@ -5,7 +5,7 @@ along for diagnostics but never take part in equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
@@ -369,16 +369,6 @@ def children(e: Expression) -> tuple[Expression, ...]:
         return e.args
     names = _CHILD_FIELDS.get(type(e))
     return tuple([getattr(e, name) for name in names]) if names else ()
-
-
-def map_children(e: Expression, f) -> Expression:
-    """``e`` with each immediate subexpression ``c`` replaced by ``f(c)``."""
-    if isinstance(e, (Arithmetics, Apply)):
-        return replace(e, args=tuple(f(a) for a in e.args))
-    names = _CHILD_FIELDS.get(type(e))
-    if not names:
-        return e
-    return replace(e, **{name: f(getattr(e, name)) for name in names})
 
 
 def walk_expression(e: Expression) -> Iterator[Expression]:

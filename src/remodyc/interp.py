@@ -1,21 +1,26 @@
 """Synchronous simulation engine.
 
-The model is resolved once, when the engine is built: each task's action
-is instantiated with its bindings, and attribute slots, block sizes and
-the configured populations are looked up.  Every tick then runs all tasks
-in declaration order over all performers, with reads served from the last
-committed frame and writes held back, then commits once.  Lifecycle
-events (die, become, spawn) are recorded while evaluating and applied
-between the last task and the commit, so results never depend on
+The model is compiled once, when the engine is built, into a plan of one
+``perform(base, events)`` closure per task, built from one closure per
+expression node (Feeley and Lapalme, "Using closures for code
+generation", 1987).  Literals and ``delta time`` are folded to SI
+constants, attribute references resolved to slot offsets, bound
+placeholders compiled in place, and every name checked: a model that
+does not resolve raises ``ConfigError`` here.  Every tick then runs all
+tasks in declaration order over all performers, with reads served from
+the last committed frame and writes held back, then commits once.
+Lifecycle events (die, become, spawn) are recorded while evaluating and
+applied between the last task and the commit, so results never depend on
 iteration order within a tick.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+import operator
+import weakref
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import ast, rng
 from .memory import MemoryImage, StorageBackend, TraceFrame
@@ -157,63 +162,11 @@ def _parse_quantity(value: str, expected, lineno: int) -> float:
     return magnitude * unit.scale
 
 
-def substitute(e: ast.Expression, bindings: dict[str, ast.Expression]) -> ast.Expression:
-    """Replace every placeholder reference with its bound expression; the
-    bound expressions themselves are not substituted again."""
-    if isinstance(e, ast.PlaceholderRef):
-        return bindings[e.identifier]
-    return ast.map_children(e, lambda child: substitute(child, bindings))
-
-
-def instantiate_task(
-    action: ast.ActionDefinition, bindings: dict[str, ast.Expression]
-) -> ast.ActionDefinition:
-    """One syntactic pass: placeholders in expressions and in definition
-    targets are replaced by the task's bound expressions."""
-
-    def target(variable):
-        if isinstance(variable, ast.Placeholder):
-            return bindings[variable.identifier]
-        return variable
-
-    definitions = tuple(
-        dataclasses.replace(
-            d, variable=target(d.variable), expression=substitute(d.expression, bindings)
-        )
-        for d in action.definitions
-    )
-    utilities = tuple(
-        dataclasses.replace(u, expression=substitute(u.expression, bindings))
-        for u in action.utilities
-    )
-
-    def guarded(comparison):
-        if comparison is None:
-            return None
-        return dataclasses.replace(
-            comparison,
-            left=substitute(comparison.left, bindings),
-            right=substitute(comparison.right, bindings),
-        )
-
-    lifecycle = []
-    for directive in action.lifecycle:
-        directive = dataclasses.replace(directive, guard=guarded(directive.guard))
-        if isinstance(directive, ast.Spawn):
-            directive = dataclasses.replace(
-                directive, count=substitute(directive.count, bindings)
-            )
-        lifecycle.append(directive)
-    return dataclasses.replace(
-        action, definitions=definitions, utilities=utilities, lifecycle=tuple(lifecycle)
-    )
-
-
 _IN_PROGRESS = object()
 
 # Samplers by distribution node, fed the node's children in order.  They
-# are looked up by name on ``rng`` so that a wrapper installed there sees
-# every draw.
+# are looked up by name on ``rng`` at every draw so that a wrapper
+# installed there sees every draw.
 _SAMPLERS = {
     ast.UniformDist: "sample_uniform",
     ast.NormalDist: "sample_normal",
@@ -222,14 +175,42 @@ _SAMPLERS = {
 }
 
 
-@dataclass
-class _Activation:
-    """One action evaluation: performer identity plus utility cache."""
+def _divide(left: float, right: float) -> float:
+    if right == 0.0:
+        raise ZeroDivisionError("division by zero")
+    return left / right
 
-    base: int
-    kind: str
-    utilities: dict[str, ast.UtilityDefinition]
-    cache: dict[str, float] = field(default_factory=dict)
+
+# Operators, builtin functions and relations by name and operand count.
+_CALLS = {
+    ("-", 1): operator.neg,
+    ("+", 2): operator.add,
+    ("-", 2): operator.sub,
+    ("*", 2): operator.mul,
+    ("/", 2): _divide,
+    ("^", 2): math.pow,
+    ("cos", 1): math.cos,
+    ("sin", 1): math.sin,
+    ("tan", 1): math.tan,
+    ("exp", 1): math.exp,
+    ("ln", 1): math.log,
+    ("log", 1): math.log10,
+    ("sqrt", 1): math.sqrt,
+    ("abs", 1): abs,
+    ("floor", 1): lambda value: float(math.floor(value)),
+    ("ceiling", 1): lambda value: float(math.ceil(value)),
+    ("min", 2): min,
+    ("max", 2): max,
+    ("<", 2): operator.lt,
+    ("<=", 2): operator.le,
+    (">", 2): operator.gt,
+    (">=", 2): operator.ge,
+}
+
+
+def _lift(x):
+    """``x`` as a closure; ``x`` is a closure already or a constant."""
+    return x if callable(x) else lambda b, m: x
 
 
 class Engine:
@@ -241,6 +222,9 @@ class Engine:
         self.backend = backend
         self.image = MemoryImage()
         self.rng_state = rng.seed_state(config.seed)
+        self.world_base: int | None = None
+        # Filled in place, so compiled closures may hold on to the list.
+        self.patch_bases: list[int] = []
         self.slots: dict[str, dict[str, int]] = {}
         self.sizes: dict[str, int] = {}
         for agent in model.agents:
@@ -249,22 +233,16 @@ class Engine:
                 for slot, declaration in enumerate(agent.all_attributes)
             }
             self.sizes[agent.name] = ast.size_of_agent(agent)
-        self.plan: list[tuple[str, ast.ActionDefinition, dict[str, ast.UtilityDefinition]]] = []
-        for task in model.tasks:
-            action = model.action_named(task.action)
-            # A checked action has placeholders only where its task binds them.
-            if task.bindings:
-                action = instantiate_task(action, dict(task.bindings))
-            utilities = {u.identifier: u for u in action.utilities}
-            self.plan.append((task.agent, action, utilities))
-        stages = {stage.name: stage for stage in model.stages}
+        self.stages = {stage.name: stage for stage in model.stages}
+        # One (kind, perform) per task, in declaration order.
+        self.plan: list[tuple[str, Callable[[int, list], None]]] = [
+            (task.agent, _Compiler(self, task).perform()) for task in model.tasks
+        ]
         self.populations: list[tuple[int, ast.StageDefinition]] = []
         for count, name in config.populations:
-            if name not in stages:
+            if name not in self.stages:
                 raise ConfigError(f"populate names unknown stage {name!r}")
-            self.populations.append((count, stages[name]))
-        self.world_base: int | None = None
-        self.patch_bases: list[int] = []
+            self.populations.append((count, self.stages[name]))
 
     # -- setup ---------------------------------------------------------
 
@@ -308,7 +286,7 @@ class Engine:
         """Continue a stored run from the state after ``tick``."""
         self.rng_state = self.image.load(self.backend, tick)
         self.world_base = None
-        self.patch_bases = []
+        self.patch_bases.clear()
         for base, (kind, _) in sorted(self.image.animats.items()):
             if kind == "World":
                 self.world_base = base
@@ -322,9 +300,9 @@ class Engine:
         performers: dict[str, list[int]] = {}
         for base in sorted(self.image.animats):
             performers.setdefault(self.image.animats[base][0], []).append(base)
-        for kind, action, utilities in self.plan:
+        for kind, perform in self.plan:
             for base in performers.get(kind, ()):
-                self._perform(action, _Activation(base, kind, utilities), events)
+                perform(base, events)
         self._apply_events(events)
         return self._commit()
 
@@ -346,61 +324,17 @@ class Engine:
                 counts[kind] += 1
         return [(tick, name, count) for name, count in counts.items()]
 
-    def _perform(self, action, frame: _Activation, events: list) -> None:
-        for definition in action.definitions:
-            value = self.evaluate(definition.expression, frame)
-            variable = definition.variable
-            address = self._attribute_address(variable, frame)
-            if definition.decorator is ast.Decorator.ASSIGN:
-                self.image.write(address, value)
-            elif definition.decorator is ast.Decorator.DELTA:
-                self.image.write_delta(address, value)
-            else:
-                self.image.write_delta(address, value * self.config.delta_time)
-        for directive in action.lifecycle:
-            self._lifecycle(directive, frame, events)
-
-    def _lifecycle(self, directive, frame: _Activation, events: list) -> None:
-        guard = directive.guard
-        if guard is not None and not self._holds(guard, frame):
-            return
-        match directive:
-            case ast.Die():
-                events.append(("die", frame.base))
-            case ast.StageTransition(target=target):
-                events.append(("become", frame.base, frame.kind, target))
-            case ast.Spawn(stage=stage, count=count):
-                value = self.evaluate(count, frame)
-                if not math.isfinite(value) or value < 0:
-                    self._abort(f"spawn count {value} out of range", frame, directive.pos)
-                events.append(("spawn", frame.base, frame.kind, stage, math.floor(value)))
-
-    def _holds(self, guard: ast.Comparison, frame: _Activation) -> bool:
-        left = self.evaluate(guard.left, frame)
-        right = self.evaluate(guard.right, frame)
-        match guard.relop:
-            case "<":
-                return left < right
-            case "<=":
-                return left <= right
-            case ">":
-                return left > right
-            case _:
-                return left >= right
-
     def _apply_events(self, events: list) -> None:
         for event in events:
             match event:
                 case ("die", base):
                     self.image.kill(base)
                 case ("become", base, kind, target):
-                    inherited = self._pending(base, kind, self.slots[kind])
-                    self._create(self.model.agent_named(target), inherited)
+                    self._create(target, self._pending(base, kind, self.slots[kind]))
                     self.image.kill(base)
                 case ("spawn", base, kind, stage, count):
                     for _ in range(count):
-                        position = self._pending(base, kind, ("x", "y"))
-                        self._create(self.model.agent_named(stage), position)
+                        self._create(stage, self._pending(base, kind, ("x", "y")))
 
     def _pending(self, base: int, kind: str, names: Iterable[str]) -> dict[str, float]:
         """The values the ``kind`` block at ``base`` will commit for ``names``."""
@@ -411,149 +345,303 @@ class Engine:
             for name in names
         }
 
-    # -- evaluation ----------------------------------------------------
 
-    def evaluate(self, e: ast.Expression, frame: _Activation) -> float:
+def _config_error(message: str, pos) -> ConfigError:
+    return ConfigError(f"line {pos.line}: {message}" if pos else message)
+
+
+class _Compiler:
+    """Compiles one task's action, performed by agents of ``kind``.
+
+    An activation is the pair ``(b, m)``: the performer's base address and
+    its list of utility values, indexed like the action's utilities and
+    ``None`` until first read.  An expression compiles to a float when it
+    is constant and else to a closure ``f(b, m) -> float``.  Closures read
+    ``image.vals``, ``image.next`` and ``image.delta`` when they run,
+    because every commit replaces those dicts.
+    """
+
+    def __init__(self, engine: Engine, task: ast.TaskDefinition):
+        self.engine = engine
+        # Closures reach the engine, which holds them, only through this
+        # proxy and never hold the compiler, so that a dropped engine is
+        # freed, image and all, without waiting for the cycle collector.
+        self.live = weakref.proxy(engine)
+        self.kind = kind = task.agent
+        self.action = engine.model.action_named(task.action)
+        if kind not in engine.slots:
+            raise _config_error(f"task names unknown agent {kind!r}", task.pos)
+        if self.action is None:
+            raise _config_error(f"task names unknown action {task.action!r}", task.pos)
+        image = engine.image
+
+        def fail(message: str, pos) -> None:
+            raise RuntimeAbort(message, tick=image.ticks + 1, stage=kind, pos=pos)
+
+        self.fail = fail
+        self.index = {u.identifier: i for i, u in enumerate(self.action.utilities)}
+        # One cell per utility, to hold its compiled expression.
+        self.cells: list[list] = [[] for _ in self.action.utilities]
+        self.targets = dict(task.bindings)
+        # Each bound expression is compiled once, with no placeholder bound
+        # inside it: substitution is a single pass.
+        self.bindings: dict = {}
+        self.bindings = {name: self.expression(e) for name, e in task.bindings}
+
+    def perform(self) -> Callable[[int, list], None]:
+        """The task as one closure ``perform(base, events)``."""
+        action = self.action
+        for cell, utility in zip(self.cells, action.utilities):
+            cell.append(_lift(self.expression(utility.expression)))
+        writes = tuple(self.definition(d) for d in action.definitions)
+        directives = tuple(self.directive(d) for d in action.lifecycle)
+        blank = [None] * len(action.utilities)
+
+        def perform(base, events):
+            memo = blank.copy()
+            for write in writes:
+                write(base, memo)
+            for directive in directives:
+                directive(base, memo, events)
+
+        return perform
+
+    def definition(self, definition: ast.AttributeDefinition):
+        value, pos = self.expression(definition.expression), definition.pos
+        if definition.decorator is ast.Decorator.DIFFERENTIAL:
+            value = self.combine(operator.mul, [value, self.engine.config.delta_time], pos)
+        value, address = _lift(value), self.address(definition.variable, pos)
+        image, fail, name = self.engine.image, self.fail, definition.variable.identifier
+        store = image.write if definition.decorator is ast.Decorator.ASSIGN else image.write_delta
+
+        def write(b, m):
+            v = value(b, m)
+            a = address(b)
+            store(a, v)
+            committed = image.next[a] + image.delta[a]
+            if not math.isfinite(committed):
+                fail(f"non-finite value {committed} for {name!r}", pos)
+
+        return write
+
+    def directive(self, directive: ast.LifecycleDirective):
+        holds, kind, pos = _lift(self.guard(directive.guard)), self.kind, directive.pos
+        if kind not in self.engine.stages:
+            raise _config_error("lifecycle directives need a stage performer", pos)
+        match directive:
+            case ast.Die():
+                event = lambda b, m: ("die", b)
+            case ast.StageTransition(target=target):
+                stage = self.stage(target, pos)
+                event = lambda b, m: ("become", b, kind, stage)
+            case ast.Spawn(stage=name, count=count):
+                stage, count, fail = self.stage(name, pos), _lift(self.expression(count)), self.fail
+
+                def event(b, m):
+                    value = count(b, m)
+                    if not math.isfinite(value) or value < 0:
+                        fail(f"spawn count {value} out of range", pos)
+                    return ("spawn", b, kind, stage, math.floor(value))
+
+        def act(b, m, events):
+            if holds(b, m):
+                events.append(event(b, m))
+
+        return act
+
+    def guard(self, guard: ast.Comparison | None):
+        if guard is None:
+            return True
+        operands = [self.expression(guard.left), self.expression(guard.right)]
+        return self.combine(_CALLS[guard.relop, 2], operands, guard.pos)
+
+    def stage(self, name: str, pos) -> ast.StageDefinition:
+        if name not in self.engine.stages:
+            raise _config_error(f"unknown stage {name!r}", pos)
+        return self.engine.stages[name]
+
+    def expression(self, e: ast.Expression):
         match e:
             case ast.Literal(value=value, unit=unit):
                 return value * unit.scale
             case ast.DeltaTime():
-                return self.config.delta_time
+                return self.engine.config.delta_time
             case ast.AttributeVariable():
-                return self.image.read(self._attribute_address(e, frame))
+                return self.read(e)
             case ast.UtilityVariable(identifier=name):
-                return self._utility(name, frame, e.pos)
-            case ast.Arithmetics(op=op, args=args):
-                return self._arithmetic(op, args, frame, e.pos)
-            case ast.Apply(function=function, args=args):
-                return self._call(function, args, frame, e.pos)
-            case ast.EnUnit(expr=inner, unit=unit):
-                return self.evaluate(inner, frame) * unit.scale
-            case ast.DeUnit(expr=inner, unit=unit):
-                return self.evaluate(inner, frame) / unit.scale
+                return self.utility(name, e.pos)
+            case ast.Arithmetics(op=name, args=args) | ast.Apply(function=name, args=args):
+                call = _CALLS.get((name, len(args)))
+                if call is None:
+                    raise _config_error(f"no {name!r} of {len(args)} operand(s)", e.pos)
+                prefix = f"{name}: " if isinstance(e, ast.Apply) else ""
+                return self.combine(call, [self.expression(a) for a in args], e.pos, prefix)
+            case ast.EnUnit(expr=inner, unit=unit) | ast.DeUnit(expr=inner, unit=unit):
+                inner = self.expression(inner)
+                if unit.scale == 1.0:  # x * 1.0 and x / 1.0 are x exactly
+                    return inner
+                call = operator.mul if isinstance(e, ast.EnUnit) else operator.truediv
+                return self.combine(call, [inner, unit.scale], e.pos)
             case ast.Direction(attribute=attribute):
-                return self._direction(attribute, frame)
-        sampler = _SAMPLERS.get(type(e))
-        if sampler is None:
-            raise RuntimeAbort(f"cannot evaluate {type(e).__name__}")
-        args = [self.evaluate(child, frame) for child in ast.children(e)]
+                return self.direction(attribute, e.pos)
+            case ast.PlaceholderRef(identifier=name):
+                if name not in self.bindings:
+                    raise _config_error(f"placeholder {name!r} is not bound", e.pos)
+                return self.bindings[name]
+        engine, sampler = self.live, _SAMPLERS[type(e)]
+
+        def sample(first: float, second: float) -> float:
+            engine.rng_state, value = getattr(rng, sampler)(engine.rng_state, first, second)
+            return value
+
+        # Lifted operands are never folded: every activation draws.
+        operands = [_lift(self.expression(child)) for child in ast.children(e)]
+        return self.combine(sample, operands, e.pos)
+
+    def combine(self, call, operands: list, pos, prefix: str = ""):
+        """``call`` of one or two compiled operands, evaluated left to
+        right; a ``ValueError``, ``OverflowError`` or ``ZeroDivisionError``
+        from ``call`` aborts.  Folded to a constant when every operand is
+        one and ``call`` does not fail on them."""
+        fail, f = self.fail, _lift(operands[0])
+        failures = (ValueError, OverflowError, ZeroDivisionError)
+        if len(operands) == 1:
+
+            def combined(b, m):
+                value = f(b, m)
+                try:
+                    return call(value)
+                except failures as err:
+                    fail(prefix + str(err), pos)
+
+        elif not callable(operands[1]):
+            c = operands[1]
+
+            def combined(b, m):
+                left = f(b, m)
+                try:
+                    return call(left, c)
+                except failures as err:
+                    fail(prefix + str(err), pos)
+
+        else:
+            g = _lift(operands[1])
+
+            def combined(b, m):
+                left = f(b, m)
+                right = g(b, m)
+                try:
+                    return call(left, right)
+                except failures as err:
+                    fail(prefix + str(err), pos)
+
+        if any(callable(x) for x in operands):
+            return combined
         try:
-            self.rng_state, value = getattr(rng, sampler)(self.rng_state, *args)
-        except ValueError as err:
-            self._abort(str(err), frame, e.pos)
-        return value
+            return combined(None, None)
+        except RuntimeAbort:
+            return combined
 
-    def _utility(self, name: str, frame: _Activation, pos) -> float:
-        cached = frame.cache.get(name)
-        if cached is _IN_PROGRESS:
-            self._abort(f"utility {name!r} depends on itself", frame, pos)
-        if cached is not None:
-            return cached
-        frame.cache[name] = _IN_PROGRESS
-        value = self.evaluate(frame.utilities[name].expression, frame)
-        frame.cache[name] = value
-        return value
+    def utility(self, name: str, pos):
+        if name not in self.index:
+            raise _config_error(f"unknown utility {name!r}", pos)
+        index, cell, fail = self.index[name], self.cells[self.index[name]], self.fail
 
-    def _arithmetic(self, op, args, frame: _Activation, pos) -> float:
-        if len(args) == 1:
-            return -self.evaluate(args[0], frame)
-        left = self.evaluate(args[0], frame)
-        right = self.evaluate(args[1], frame)
-        try:
-            match op:
-                case "+":
-                    return left + right
-                case "-":
-                    return left - right
-                case "*":
-                    return left * right
-                case "/":
-                    if right == 0.0:
-                        self._abort("division by zero", frame, pos)
-                    return left / right
-                case _:
-                    return math.pow(left, right)
-        except (ValueError, OverflowError, ZeroDivisionError) as err:
-            self._abort(str(err) or "arithmetic failure", frame, pos)
+        def utility(b, m):
+            value = m[index]
+            if value is None:
+                m[index] = _IN_PROGRESS
+                value = m[index] = cell[0](b, m)
+            elif value is _IN_PROGRESS:
+                fail(f"utility {name!r} depends on itself", pos)
+            return value
 
-    def _call(self, function, args, frame: _Activation, pos) -> float:
-        values = [self.evaluate(a, frame) for a in args]
-        try:
-            match function:
-                case "cos":
-                    return math.cos(values[0])
-                case "sin":
-                    return math.sin(values[0])
-                case "tan":
-                    return math.tan(values[0])
-                case "exp":
-                    return math.exp(values[0])
-                case "ln":
-                    return math.log(values[0])
-                case "log":
-                    return math.log10(values[0])
-                case "sqrt":
-                    return math.sqrt(values[0])
-                case "abs":
-                    return abs(values[0])
-                case "floor":
-                    return float(math.floor(values[0]))
-                case "ceiling":
-                    return float(math.ceil(values[0]))
-                case "min":
-                    return min(values)
-                case _:
-                    return max(values)
-        except (ValueError, OverflowError) as err:
-            self._abort(f"{function}: {err}", frame, pos)
+        return utility
 
-    def _attribute_address(self, e: ast.AttributeVariable, frame: _Activation) -> int:
-        if e.agent is None:
-            return frame.base + self.slots[frame.kind][e.identifier]
-        if e.agent == "world":
-            return self.world_base + self.slots["World"][e.identifier]
-        if frame.kind == "Patch":
-            return frame.base + self.slots["Patch"][e.identifier]
-        x = self.image.read(frame.base + self.slots[frame.kind]["x"])
-        y = self.image.read(frame.base + self.slots[frame.kind]["y"])
-        return self._patch_base_at(x, y) + self.slots["Patch"][e.identifier]
+    def slot(self, kind: str, name: str, pos) -> int:
+        slots = self.engine.slots.get(kind)
+        if slots is None:
+            raise _config_error(f"the model declares no {kind}", pos)
+        if name not in slots:
+            raise _config_error(f"{kind} has no attribute {name!r}", pos)
+        return slots[name]
 
-    def _patch_index(self, position: float, extent: int) -> int:
-        index = math.floor(position / self.config.patch_size)
-        return min(max(index, 0), extent - 1)
+    def address(self, variable, pos):
+        """Closure from the performer's base to the address ``variable``
+        names."""
+        if isinstance(variable, ast.Placeholder):
+            variable = self.targets.get(variable.identifier)
+            if not isinstance(variable, ast.AttributeVariable):
+                raise _config_error("a placeholder target is not bound to an attribute", pos)
+        if variable.agent == "world":
+            slot, engine = self.slot("World", variable.identifier, pos), self.live
+            return lambda b: engine.world_base + slot
+        if variable.agent is None or self.kind == "Patch":
+            slot = self.slot(self.kind, variable.identifier, pos)
+            return lambda b: b + slot
+        slot = self.slot("Patch", variable.identifier, pos)
+        cell, patch_bases = self.cell(pos), self.engine.patch_bases
+        columns = self.engine.config.patches_x
 
-    def _patch_base_at(self, x: float, y: float) -> int:
-        px = self._patch_index(x, self.config.patches_x)
-        py = self._patch_index(y, self.config.patches_y)
-        return self.patch_bases[py * self.config.patches_x + px]
+        def here(b):
+            _, _, column, row = cell(b)
+            return patch_bases[row * columns + column] + slot
 
-    def _direction(self, attribute: str, frame: _Activation) -> float:
-        x = self.image.read(frame.base + self.slots[frame.kind]["x"])
-        y = self.image.read(frame.base + self.slots[frame.kind]["y"])
-        px = self._patch_index(x, self.config.patches_x)
-        py = self._patch_index(y, self.config.patches_y)
-        slot = self.slots["Patch"][attribute]
-        best = None
-        best_value = -math.inf
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                cx, cy = px + dx, py + dy
-                if not (0 <= cx < self.config.patches_x and 0 <= cy < self.config.patches_y):
-                    continue
-                value = self.image.read(
-                    self.patch_bases[cy * self.config.patches_x + cx] + slot
-                )
-                if value > best_value:
-                    best_value = value
-                    best = (cx, cy)
-        if best == (px, py):
-            return 0.0
-        edge = self.config.patch_size
-        center_x = (best[0] + 0.5) * edge
-        center_y = (best[1] + 0.5) * edge
-        return math.atan2(center_y - y, center_x - x)
+        return here
 
-    def _abort(self, message: str, frame: _Activation, pos) -> None:
-        raise RuntimeAbort(
-            message, tick=self.image.ticks + 1, stage=frame.kind, pos=pos
-        )
+    def read(self, variable: ast.AttributeVariable):
+        image = self.engine.image
+        if variable.agent is not None:
+            address = self.address(variable, variable.pos)
+            return lambda b, m: image.read(address(b))
+        slot = self.slot(self.kind, variable.identifier, variable.pos)
+
+        def read(b, m):
+            try:
+                return image.vals[b + slot]
+            except KeyError:
+                return image.read(b + slot)  # raises AddressError
+
+        return read
+
+    def cell(self, pos):
+        """Closure from the performer's base to its committed position and
+        the column and row of the patch under it, clipped to the grid."""
+        if self.engine.model.patch is None:
+            raise _config_error("the model declares no Patch", pos)
+        xs, ys = self.slot(self.kind, "x", pos), self.slot(self.kind, "y", pos)
+        image, config = self.engine.image, self.engine.config
+        edge, last_x, last_y = config.patch_size, config.patches_x - 1, config.patches_y - 1
+
+        def cell(b):
+            x, y = image.read(b + xs), image.read(b + ys)
+            px = min(max(math.floor(x / edge), 0), last_x)
+            py = min(max(math.floor(y / edge), 0), last_y)
+            return x, y, px, py
+
+        return cell
+
+    def direction(self, attribute: str, pos):
+        """Heading to the centre of the richest patch around the performer,
+        0 when its own patch is strictly richest; ties go to the first in
+        row-major scan order."""
+        slot, cell = self.slot("Patch", attribute, pos), self.cell(pos)
+        image, patch_bases, config = self.engine.image, self.engine.patch_bases, self.engine.config
+        columns, rows, edge = config.patches_x, config.patches_y, config.patch_size
+
+        def direction(b, m):
+            x, y, px, py = cell(b)
+            best, best_value = None, -math.inf
+            for cy in (py - 1, py, py + 1):
+                for cx in (px - 1, px, px + 1):
+                    if 0 <= cx < columns and 0 <= cy < rows:
+                        value = image.read(patch_bases[cy * columns + cx] + slot)
+                        if value > best_value:
+                            best, best_value = (cx, cy), value
+            if best == (px, py):
+                return 0.0
+            center_x = (best[0] + 0.5) * edge
+            center_y = (best[1] + 0.5) * edge
+            return math.atan2(center_y - y, center_x - x)
+
+        return direction

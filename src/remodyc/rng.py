@@ -95,7 +95,10 @@ def sample_loglogistic(state: int, scale: float, shape: float) -> tuple[int, flo
     state, u = next_unit(state)
     if u == 0.0:
         u = 2.0**-53
-    return state, scale * (u / (1.0 - u)) ** (1.0 / shape)
+    try:
+        return state, scale * (u / (1.0 - u)) ** (1.0 / shape)
+    except OverflowError:
+        raise OverflowError(f"loglogistic draw overflows: shape {shape} is too small") from None
 
 
 def format_state(state: int) -> str:

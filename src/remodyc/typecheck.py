@@ -9,6 +9,7 @@ inferred from its binding.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from . import ast
@@ -443,6 +444,13 @@ def check_model(
                         declaration.pos,
                         expected=declaration.unit,
                         actual=initial.unit,
+                    )
+                )
+            if initial is not None and not math.isfinite(initial.value * initial.unit.scale):
+                diagnostics.append(
+                    TypeCheckError(
+                        f"initializer of {declaration.identifier!r} is not finite",
+                        declaration.pos,
                     )
                 )
 

@@ -31,28 +31,24 @@ def test_world_and_patch_declare_only_their_attributes():
     assert ast.PatchDefinition(()).all_attributes == ()
 
 
-def test_map_children_replaces_exactly_the_children():
-    marker = ast.Literal(7.0, parse_unit("kg"))
-    for text in (
-        "-(my age)",
-        "my age ^ 2",
-        "min(1, 2)",
-        "uniform 0 to 1",
-        "normal(0, 1)",
-        "gamma(2, 3)",
-        "loglogistic(2, 3)",
-        "2 as [m]",
-        "(my age) in [day]",
+def test_children_are_the_operands_in_evaluation_order():
+    for text, operands in (
+        ("-(my age)", ["my age"]),
+        ("my age ^ 2", ["my age", "2"]),
+        ("min(1, my age)", ["1", "my age"]),
+        ("uniform 0 to 1", ["0", "1"]),
+        ("normal(0, 1)", ["0", "1"]),
+        ("gamma(2, 3)", ["2", "3"]),
+        ("loglogistic(2, 3)", ["2", "3"]),
+        ("2 as [m]", ["2"]),
+        ("(my age) in [day]", ["my age"]),
+        ("3 [kg]", []),
+        ("my age", []),
+        ("delta time", []),
+        ("direction neighbor's grass", []),
     ):
-        e = parse_expression(text)
-        mapped = ast.map_children(e, lambda child: marker)
-        assert type(mapped) is type(e), text
-        assert ast.children(mapped) == (marker,) * len(ast.children(e)), text
-        assert ast.map_children(mapped, lambda child: child) == mapped, text
-    for text in ("3 [kg]", "my age", "delta time", "direction neighbor's grass"):
-        e = parse_expression(text)
-        assert ast.children(e) == ()
-        assert ast.map_children(e, lambda child: marker) is e
+        expected = tuple(parse_expression(operand) for operand in operands)
+        assert ast.children(parse_expression(text)) == expected, text
 
 
 def test_placeholders_of_move_action():

@@ -1,4 +1,9 @@
 """The command line: exit codes, run directories, replay output."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from remodyc.cli import main
@@ -149,6 +154,32 @@ class TestRun:
         meta = (out / "meta.txt").read_text()
         assert "abort=division by zero" in meta
         assert "tick 2" in meta
+
+
+    def test_loglogistic_overflow_aborts_keeping_frames(self, tree, capsys):
+        bad = tree / "overflow.rmd"
+        bad.write_text(
+            "Egg is G with\n    w [].\n"
+            "to f is\n    my w' = loglogistic(1, 0.001).\n"
+            "Egg f.\n"
+        )
+        out = tree / "aborted"
+        assert invoke("run", bad, tree / "run.cfg", "--out", out) == 3
+        assert "loglogistic draw overflows" in capsys.readouterr().err
+        assert (out / "rng.csv").read_text().count("\n") > 1
+        assert "abort=loglogistic draw overflows" in (out / "meta.txt").read_text()
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "remodyc", "check", str(root / "models" / "eggs.rmd")],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestReplay:

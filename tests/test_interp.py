@@ -10,8 +10,7 @@ from remodyc.interp import (
     Engine,
     RuntimeAbort,
     SimulationConfig,
-    _Activation,
-    instantiate_task,
+    _Compiler,
     parse_config,
 )
 from remodyc.memory import InMemoryBackend
@@ -99,48 +98,76 @@ class TestParseConfig:
             SimulationConfig(delta_time=1.0, steps=1, seed=0, patch_size=300.0)
 
 
+class TestResolution:
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (
+                "Egg is G with\n    age [day].\n"
+                "to f is\n    my age' = my size.\nEgg f.\n",
+                "line 4: Egg has no attribute 'size'",
+            ),
+            (
+                "Egg is G with\n    age [day].\n"
+                "to f is\n    my age' = here's grass * 1 [day/kg].\nEgg f.\n",
+                "line 4: the model declares no Patch",
+            ),
+            (
+                "Egg is G with\n    age [day].\n"
+                "to f is\n    my age' = world's clock.\nEgg f.\n",
+                "line 4: the model declares no World",
+            ),
+        ],
+        ids=["unknown-attribute", "here-without-patch", "world-without-world"],
+    )
+    def test_unchecked_model_fails_when_built(self, model, message):
+        with pytest.raises(ConfigError, match=message):
+            build(model, BASIC_CONFIG)
+
+
 class TestInstantiate:
     def test_substitutes_everywhere(self):
-        model = parse_model(
+        engine, backend = build(
             "Egg is G with\n    age [day].\n"
             "to f is\n    my delta age' = r * delta time\n"
             "    my spawn Egg' = the litter when my age >= the limit\n"
             "where\n    r = the rate.\n"
+            "Egg f\nwhere\n    the rate -> 2\n    the litter -> 3\n"
+            "    the limit -> 1 [day].\n",
+            BASIC_CONFIG,
         )
-        action = instantiate_task(
-            model.actions[0],
-            {
-                "rate": parse_expression("2"),
-                "litter": parse_expression("3"),
-                "limit": parse_expression("1 [day]"),
-            },
-        )
-        assert action.utilities[0].expression == parse_expression("2")
-        assert action.lifecycle[0].count == parse_expression("3")
-        assert action.lifecycle[0].guard.right == parse_expression("1 [day]")
+        engine.run()
+        second = backend.load_frame(2)
+        assert second.values[3] == 2 * DAY  # the Egg block: x, y, age
+        # The guard sees the committed age: 0 days, then 2 days.
+        eggs = [len(backend.load_frame(t).animats) for t in (1, 2, 3)]
+        assert eggs == [1, 1, 4]
 
     def test_single_pass(self):
-        model = parse_model(
-            "Egg is G with\n    age [day].\nto f is\n    my age' = the a.\n"
-        )
-        action = instantiate_task(
-            model.actions[0], {"a": parse_expression("the a")}
-        )
-        assert action.definitions[0].expression == parse_expression("the a")
+        # A bound expression's own placeholders are not bound again.
+        with pytest.raises(ConfigError, match="placeholder 'a' is not bound"):
+            build(
+                "Egg is G with\n    age [day].\nto f is\n    my age' = the a.\n"
+                "Egg f\nwhere\n    the a -> the a.\n",
+                BASIC_CONFIG,
+            )
 
     def test_placeholder_target(self):
         import dataclasses
 
         model = parse_model(
             "Egg is G with\n    age [day].\nto f is\n    my age' = 1 [day].\n"
+            "Egg f\nwhere\n    the tgt -> my age.\n"
         )
         action = model.actions[0]
         definition = dataclasses.replace(
             action.definitions[0], variable=Placeholder("tgt")
         )
         action = dataclasses.replace(action, definitions=(definition,))
-        bound = instantiate_task(action, {"tgt": parse_expression("my age")})
-        assert bound.definitions[0].variable == parse_expression("my age")
+        model = dataclasses.replace(model, actions=(action,))
+        backend = InMemoryBackend()
+        Engine(model, parse_config(BASIC_CONFIG), backend).run()
+        assert backend.load_frame(2).values[3] == DAY
 
 
 class TestSetup:
@@ -434,6 +461,42 @@ class TestEvaluation:
         assert err.value.pos is not None
         assert backend.frame_count() == 1
 
+    def test_loglogistic_overflow_aborts_keeping_frames(self):
+        engine, backend = build(
+            "Egg is G with\n    w [].\n"
+            "to f is\n    my w' = loglogistic(1, 0.001).\n"
+            "Egg f.\n",
+            BASIC_CONFIG + "populate 7 Egg\n",
+        )
+        engine.setup()
+        with pytest.raises(RuntimeAbort, match="loglogistic draw overflows") as err:
+            engine.step()
+        assert (err.value.tick, err.value.stage, err.value.pos.line) == (2, "Egg", 4)
+        assert backend.frame_count() == 1
+
+    @pytest.mark.parametrize("decorator", ["", "delta ", "d/dt "])
+    def test_non_finite_write_aborts_keeping_frames(self, tmp_path, capsys, decorator):
+        rate = " [day^-1]" if decorator == "d/dt " else ""
+        model = (
+            "Egg is G with\n    w [] = 1 [].\n"
+            f"to grow is\n    my {decorator}w' = my w * 1e200{rate}.\n"
+            "Egg grow.\n"
+        )
+        engine, backend = build(model, BASIC_CONFIG)
+        with pytest.raises(RuntimeAbort, match="non-finite value inf for 'w'") as err:
+            engine.run()
+        assert (err.value.tick, err.value.stage, err.value.pos.line) == (3, "Egg", 4)
+        assert backend.frame_count() == 2
+        (tmp_path / "grow.rmd").write_text(model)
+        (tmp_path / "run.cfg").write_text(BASIC_CONFIG)
+        out = tmp_path / "run"
+        args = ["run", tmp_path / "grow.rmd", tmp_path / "run.cfg", "--out", out]
+        assert cli.main([str(a) for a in args]) == 3
+        assert "non-finite value inf for 'w' (tick 3, Egg, line 4)" in capsys.readouterr().err
+        frames = (out / "frames.csv").read_text()
+        assert "inf" not in frames
+        assert {line.split(",")[0] for line in frames.splitlines()[1:]} == {"1", "2"}
+
     def test_math_domain_errors_abort(self):
         engine, _ = build(
             "Egg is G with\n    age [day].\n"
@@ -494,7 +557,9 @@ class TestDirection:
         return engine, walker
 
     def heading(self, engine, walker):
-        return engine._direction("grass", _Activation(walker, "Walker", {}))
+        compiler = _Compiler(engine, engine.model.tasks[0])
+        direction = compiler.expression(parse_expression("direction neighbor's grass"))
+        return direction(walker, [])
 
     def patch_value(self, engine, px, py, value):
         engine.image.vals[engine.patch_bases[py * 3 + px]] = value

@@ -273,6 +273,11 @@ class TestCheckModel:
         (err,) = check_model(parse_model(source))
         assert "initializer" in err.message
 
+    def test_initializer_finite(self):
+        source = AGENTS.replace("energy [kg] = 1 [kg]", "energy [kg] = 1e400 [kg]")
+        (err,) = check_model(parse_model(source))
+        assert "is not finite" in err.message
+
     def test_spawn_count_dimensionless(self):
         source = AGENTS + "to f is\n    my spawn Adult' = 1 [kg].\nAdult f."
         (err,) = check_model(parse_model(source))
