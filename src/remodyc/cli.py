@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import TRACE_FORMAT_VERSION, ast
@@ -205,13 +206,7 @@ def _chart(args) -> int:
     if not isinstance(stage, ast.StageDefinition):
         raise _Failure(1, f"unknown stage {args.stage!r}")
     backend = FileBackend(run_dir)
-    counts: dict[int, int] = {}
-    with open(run_dir / "animats.csv") as handle:
-        next(handle)
-        for line in handle:
-            tick, _, kind, _ = line.rstrip("\n").split(",")
-            if kind == args.stage:
-                counts[int(tick)] = counts.get(int(tick), 0) + 1
+    counts = Counter(tick for tick, _, kind, _ in backend.animat_rows() if kind == args.stage)
     print("tick,count")
     for tick in range(1, backend.frame_count() + 1):
         print(f"{tick},{counts.get(tick, 0)}")

@@ -29,6 +29,9 @@ from .units import parse_unit, same_dimension
 SECONDS = parse_unit("s")
 METERS = parse_unit("m")
 _DEFAULT_EDGE = 1000.0
+# The most blocks one frame may hold, World and Patches included; a spawn or
+# populate past it aborts instead of allocating without end.
+MAX_ANIMATS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -248,9 +251,17 @@ class Engine:
 
     def setup(self) -> TraceFrame:
         world = self.model.world
+        patch = self.model.patch
+        blocks = (world is not None) + sum(count for count, _ in self.populations)
+        if patch is not None:
+            blocks += self.config.patches_x * self.config.patches_y
+        if blocks > MAX_ANIMATS:
+            raise RuntimeAbort(
+                f"setup needs {blocks} animats, over the ceiling of {MAX_ANIMATS}",
+                tick=1,
+            )
         if world is not None:
             self.world_base = self._create(world, {})
-        patch = self.model.patch
         if patch is not None:
             for _ in range(self.config.patches_x * self.config.patches_y):
                 self.patch_bases.append(self._create(patch, {}))
@@ -332,7 +343,14 @@ class Engine:
                 case ("become", base, kind, target):
                     self._create(target, self._pending(base, kind, self.slots[kind]))
                     self.image.kill(base)
-                case ("spawn", base, kind, stage, count):
+                case ("spawn", base, kind, stage, count, pos):
+                    blocks = self.image.live + count
+                    if blocks > MAX_ANIMATS:
+                        raise RuntimeAbort(
+                            f"spawn of {count} would hold {blocks} animats, "
+                            f"over the ceiling of {MAX_ANIMATS}",
+                            tick=self.image.ticks + 1, stage=kind, pos=pos,
+                        )
                     for _ in range(count):
                         self._create(stage, self._pending(base, kind, ("x", "y")))
 
@@ -441,7 +459,7 @@ class _Compiler:
                     value = count(b, m)
                     if not math.isfinite(value) or value < 0:
                         fail(f"spawn count {value} out of range", pos)
-                    return ("spawn", b, kind, stage, math.floor(value))
+                    return ("spawn", b, kind, stage, math.floor(value), pos)
 
         def act(b, m, events):
             if holds(b, m):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from remodyc import interp
 from remodyc.cli import main
 
 MODEL = """\
@@ -170,6 +171,22 @@ class TestRun:
         assert "abort=loglogistic draw overflows" in (out / "meta.txt").read_text()
 
 
+    def test_animat_ceiling_aborts_keeping_frames(self, tree, capsys, monkeypatch):
+        monkeypatch.setattr(interp, "MAX_ANIMATS", 7)
+        litter = tree / "litter.rmd"
+        litter.write_text(
+            "Egg is G with\n    age [day].\n"
+            "to f is\n    my spawn Egg' = 2.\n"
+            "Egg f.\n"
+        )
+        out = tree / "aborted"
+        assert invoke("run", litter, tree / "run.cfg", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "over the ceiling of 7 (tick 3, Egg, line 4)" in err
+        assert len((out / "rng.csv").read_text().splitlines()) == 3
+        assert "abort=spawn of 2" in (out / "meta.txt").read_text()
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
@@ -226,6 +243,29 @@ class TestChart:
         assert invoke("chart", out, "Egg") == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["tick,count", "1,2", "2,2", "3,2", "4,0"]
+
+    def test_torn_tail_is_left_out_and_left_alone(self, tree, capsys):
+        out = tree / "run1"
+        invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out)
+        invoke("replay", out, 4)
+        capsys.readouterr()
+        # Tick 5 rows without their rng.csv row, then a torn line.
+        with open(out / "frames.csv", "a") as handle:
+            handle.write("5,1,2\n5,2,2\n5,99,")
+        with open(out / "animats.csv", "a") as handle:
+            handle.write("5,1,Patch,1\n5,2,Patch,2\n5,9,Egg,3\n5,12,E")
+        trace = {name: (out / name).read_bytes() for name in ("frames.csv", "animats.csv")}
+        assert invoke("chart", out, "Egg") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "tick,count", "1,2", "2,2", "3,2", "4,0"
+        ]
+        assert invoke("replay", out, 4) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "address,stage,attribute,value", "1,Patch,grass,2 kg", "2,Patch,grass,2 kg"
+        ]
+        assert invoke("replay", out, 5) == 1
+        assert "no frame 5 (have 4)" in capsys.readouterr().err
+        assert trace == {name: (out / name).read_bytes() for name in trace}
 
     def test_unknown_stage(self, tree, capsys):
         out = tree / "run1"

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from remodyc import cli, rng
+from remodyc import cli, interp, rng
 from remodyc.ast import Placeholder
 from remodyc.interp import (
     ConfigError,
@@ -417,6 +417,30 @@ class TestLifecycle:
         args = ["run", tmp_path / "litter.rmd", tmp_path / "run.cfg", "--out", tmp_path / "run"]
         assert cli.main([str(a) for a in args]) == 3
         assert "spawn count" in capsys.readouterr().err
+
+
+    def test_animat_ceiling_bounds_spawn_and_populate(self, monkeypatch):
+        monkeypatch.setattr(interp, "MAX_ANIMATS", 12)
+        model = (
+            "Egg is G with\n    age [day].\n"
+            "to litter is\n    my spawn Egg' = 3.\n"
+            "Egg litter.\n"
+        )
+        engine, backend = build(model, BASIC_CONFIG)
+        engine.setup()
+        engine.step()
+        assert len(backend.load_frame(2).animats) == 4
+        with pytest.raises(RuntimeAbort, match="spawn of 3 would hold 13 animats") as err:
+            engine.step()
+        assert (err.value.tick, err.value.stage, err.value.pos.line) == (3, "Egg", 4)
+        assert backend.frame_count() == 2
+        assert len(engine.image.animats) == 10
+        engine, backend = build(model, BASIC_CONFIG + "populate 12 Egg\n")
+        with pytest.raises(RuntimeAbort, match="setup needs 13 animats") as err:
+            engine.setup()
+        assert err.value.tick == 1
+        assert backend.frame_count() == 0
+        assert engine.image.animats == {}
 
 
 class TestEvaluation:

@@ -1,7 +1,12 @@
 """Memory image semantics and trace storage."""
+import io
+import math
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from remodyc import memory
 from remodyc.memory import (
     AddressError,
     FileBackend,
@@ -9,6 +14,8 @@ from remodyc.memory import (
     MemoryImage,
     TraceFrame,
 )
+
+TRACE_FILES = ("frames.csv", "animats.csv", "rng.csv")
 
 
 def image_with_block(stage="Egg", size=3):
@@ -223,6 +230,164 @@ class TestFileBackend:
         backend, _, _ = self.fill(tmp_path)
         with pytest.raises(ValueError):
             backend.load_frame(3)
+
+    @staticmethod
+    def contents(path):
+        return {name: (path / name).read_bytes() for name in TRACE_FILES}
+
+    def test_uncommitted_rows_are_ignored_then_cut(self, tmp_path):
+        clean = tmp_path / "clean"
+        _, image, base = self.fill(clean)
+        image.write(base, 7.0)
+        image.apply_frame(image.store(FileBackend(clean), 3), 3)
+
+        crashed = tmp_path / "crashed"
+        _, image, base = self.fill(crashed)
+        # A crash after tick 3's frames.csv and animats.csv rows, before
+        # its rng.csv row: address 4 is not part of the real tick 3.
+        with open(crashed / "frames.csv", "a") as handle:
+            handle.write("3,1,7\n3,2,0.5\n3,3,0\n3,4,99.0\n")
+        with open(crashed / "animats.csv", "a") as handle:
+            handle.write("3,1,Egg,1\n3,4,Egg,2\n")
+        before = self.contents(crashed)
+        reopened = FileBackend(crashed)
+        assert reopened.frame_count() == 2
+        assert reopened.load_frame(2).values == {base: 86400.0, base + 1: 0.5, base + 2: 0.0}
+        with pytest.raises(ValueError, match="no frame 3"):
+            reopened.load_frame(3)
+        assert self.contents(crashed) == before
+        image.write(base, 7.0)
+        image.apply_frame(image.store(reopened, 3), 3)
+        assert reopened.load_frame(3).values == {base: 7.0, base + 1: 0.5, base + 2: 0.0}
+        assert reopened.load_frame(3).animats == {base: ("Egg", 1)}
+        assert self.contents(crashed) == self.contents(clean)
+
+    @pytest.mark.parametrize("name", TRACE_FILES)
+    @pytest.mark.parametrize("torn", ["3,1,8", "1"])
+    def test_torn_last_line_is_ignored_then_cut(self, tmp_path, name, torn):
+        clean = tmp_path / "clean"
+        _, image, base = self.fill(clean)
+        image.write(base, 7.0)
+        image.apply_frame(image.store(FileBackend(clean), 3), 3)
+
+        run = tmp_path / "torn"
+        backend, image, base = self.fill(run)
+        expected = [backend.load_frame(tick) for tick in (1, 2)]
+        with open(run / name, "a") as handle:
+            handle.write(torn)
+        reopened = FileBackend(run)
+        assert reopened.frame_count() == 2
+        assert [reopened.load_frame(tick) for tick in (1, 2)] == expected
+        image.write(base, 7.0)
+        image.apply_frame(image.store(reopened, 3), 3)
+        assert self.contents(run) == self.contents(clean)
+
+    def test_reopen_reads_only_the_end_of_rng_csv(self, tmp_path, monkeypatch):
+        self.fill(tmp_path)
+        with open(tmp_path / "rng.csv", "a") as handle:
+            for tick in range(3, 5000):
+                handle.write(f"{tick},{tick:016x}\n")
+        read = count_reads(monkeypatch)
+        assert FileBackend(tmp_path).frame_count() == 4999
+        assert list(read) == ["rng.csv"]
+        assert 0 < read["rng.csv"] < 1024
+
+
+READ_BUFFER = 8192
+
+
+class _CountingFile(io.FileIO):
+    """A raw file that adds the bytes it reads to ``counter[name]``."""
+
+    def __init__(self, path, counter):
+        super().__init__(path, "r")
+        self.key = Path(path).name
+        self.counter = counter
+
+    def readinto(self, buffer):
+        count = super().readinto(buffer)
+        self.counter[self.key] = self.counter.get(self.key, 0) + (count or 0)
+        return count
+
+
+def count_reads(monkeypatch) -> dict[str, int]:
+    """Make ``remodyc.memory`` open files read-only, through
+    ``_CountingFile`` and a ``READ_BUFFER`` buffer; returns the bytes read
+    by file name."""
+    counter: dict[str, int] = {}
+
+    def counting_open(path, mode="r"):
+        assert mode == "rb", f"opened {path} with mode {mode!r}"
+        return io.BufferedReader(_CountingFile(path, counter), READ_BUFFER)
+
+    monkeypatch.setattr(memory, "open", counting_open, raising=False)
+    return counter
+
+
+def rows_per_tick(tick: int) -> int:
+    """Zero, one or many rows, with empty ticks at 10 and 100 so that
+    the search crosses a digit width next to an empty tick."""
+    if tick in (10, 100) or tick % 7 == 0:
+        return 0
+    if tick % 5 == 0 or tick in (9, 99, 101):
+        return 1
+    return 2 + (tick * 37) % 61
+
+
+def synthetic_frame(tick: int) -> TraceFrame:
+    count = rows_per_tick(tick)
+    values = {1 + 3 * i + tick % 3: tick + i / 8 for i in range(count)}
+    animats = {address: ("Egg" if i % 2 else "Adult", i + 1) for i, address in enumerate(values)}
+    return TraceFrame(values, animats, (tick * 0x9E3779B97F4A7C15) % 2**64)
+
+
+def scan_frame(path, tick: int) -> TraceFrame:
+    """The naive reader: every row of every file, kept when its tick matches."""
+
+    def rows(name):
+        lines = (path / name).read_text().splitlines()[1:]
+        return [line.split(",") for line in lines if int(line.split(",")[0]) == tick]
+
+    values = {int(a): float(v) for _, a, v in rows("frames.csv")}
+    animats = {int(b): (s, int(i)) for _, b, s, i in rows("animats.csv")}
+    (state,) = [int(h, 16) for _, h in rows("rng.csv")]
+    return TraceFrame(values, animats, state)
+
+
+@pytest.mark.parametrize("scan_bytes", [1, 64, memory._SCAN_BYTES])
+def test_load_frame_search_matches_full_scan(tmp_path, monkeypatch, scan_bytes):
+    monkeypatch.setattr(memory, "_SCAN_BYTES", scan_bytes)
+    disk, in_memory = FileBackend(tmp_path), InMemoryBackend()
+    for tick in range(1, 121):
+        disk.append_frame(synthetic_frame(tick))
+        in_memory.append_frame(synthetic_frame(tick))
+    assert (tmp_path / "frames.csv").stat().st_size > 4 * memory._SCAN_BYTES
+    reopened = FileBackend(tmp_path)
+    assert reopened.frame_count() == 120
+    for tick in range(1, 121):
+        frame = reopened.load_frame(tick)
+        assert frame == scan_frame(tmp_path, tick) == in_memory.load_frame(tick)
+        assert len(frame.values) == len(frame.animats) == rows_per_tick(tick)
+    assert reopened.load_frame(10).values == reopened.load_frame(100).values == {}
+
+
+def test_load_frame_reads_the_frame_not_the_file(tmp_path, monkeypatch):
+    backend = FileBackend(tmp_path)
+    for tick in range(1, 401):
+        values = {address: tick + address / 8 for address in range(1, 201)}
+        backend.append_frame(TraceFrame(values, {1: ("Egg", 1)}, tick))
+    size = (tmp_path / "frames.csv").stat().st_size
+    frame_bytes = len("".join(f"400,{a},{400 + a / 8}\n" for a in range(1, 201)))
+    # One buffer per halving of the file down to the forward read, plus
+    # the header, the forward read and the frame's own rows.
+    bound = frame_bytes + READ_BUFFER * (math.log2(size / memory._SCAN_BYTES) + 4)
+    assert size > 4 * bound
+    read = count_reads(monkeypatch)
+    reopened = FileBackend(tmp_path)
+    for tick in (1, 2, 199, 200, 201, 399, 400):
+        read.clear()
+        assert reopened.load_frame(tick).values[200] == tick + 25
+        assert read["frames.csv"] < bound
 
 
 @st.composite
