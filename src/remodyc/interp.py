@@ -1,17 +1,14 @@
 """Synchronous simulation engine.
 
-The model is compiled once, when the engine is built, into a plan of one
-``perform(base, events)`` closure per task, built from one closure per
-expression node (Feeley and Lapalme, "Using closures for code
-generation", 1987).  Literals and ``delta time`` are folded to SI
-constants, attribute references resolved to slot offsets, bound
-placeholders compiled in place, and every name checked: a model that
-does not resolve raises ``ConfigError`` here.  Every tick then runs all
-tasks in declaration order over all performers, with reads served from
-the last committed frame and writes held back, then commits once.
-Lifecycle events (die, become, spawn) are recorded while evaluating and
-applied between the last task and the commit, so results never depend on
-iteration order within a tick.
+Building an engine compiles the model: every name is resolved (one that
+does not resolve raises ``ConfigError``), constants are folded to SI
+values, and each task becomes the Python source of one function that
+performs it for all its performers; the source of all tasks is compiled
+once, as one module.  Every tick runs the tasks in declaration order,
+with reads served from the last committed frame and writes held back,
+then commits once.  Lifecycle events (die, become, spawn) are recorded
+while evaluating and applied between the last task and the commit, so
+results never depend on iteration order within a tick.
 """
 from __future__ import annotations
 
@@ -23,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from . import ast, rng
-from .memory import MemoryImage, StorageBackend, TraceFrame
+from .memory import AddressError, MemoryImage, StorageBackend, TraceFrame
 from .units import parse_unit, same_dimension
 
 SECONDS = parse_unit("s")
@@ -165,17 +162,17 @@ def _parse_quantity(value: str, expected, lineno: int) -> float:
     return magnitude * unit.scale
 
 
-_IN_PROGRESS = object()
-
-# Samplers by distribution node, fed the node's children in order.  They
-# are looked up by name on ``rng`` at every draw so that a wrapper
-# installed there sees every draw.
+# Samplers by distribution node, fed the node's children in order; called
+# as attributes of ``rng``, so that a wrapper installed there sees every draw.
 _SAMPLERS = {
     ast.UniformDist: "sample_uniform",
     ast.NormalDist: "sample_normal",
     ast.GammaDist: "sample_gamma",
     ast.LogLogisticDist: "sample_loglogistic",
 }
+
+# What an operator, builtin or sampler raises on bad operands; it aborts.
+_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 
 
 def _divide(left: float, right: float) -> float:
@@ -184,36 +181,33 @@ def _divide(left: float, right: float) -> float:
     return left / right
 
 
-# Operators, builtin functions and relations by name and operand count.
+# Operators, builtin functions and relations by name and operand count: the
+# function that folds constants, then the text of an operation that cannot
+# fail or the name under which generated code calls a function that can.
 _CALLS = {
-    ("-", 1): operator.neg,
-    ("+", 2): operator.add,
-    ("-", 2): operator.sub,
-    ("*", 2): operator.mul,
-    ("/", 2): _divide,
-    ("^", 2): math.pow,
-    ("cos", 1): math.cos,
-    ("sin", 1): math.sin,
-    ("tan", 1): math.tan,
-    ("exp", 1): math.exp,
-    ("ln", 1): math.log,
-    ("log", 1): math.log10,
-    ("sqrt", 1): math.sqrt,
-    ("abs", 1): abs,
-    ("floor", 1): lambda value: float(math.floor(value)),
-    ("ceiling", 1): lambda value: float(math.ceil(value)),
-    ("min", 2): min,
-    ("max", 2): max,
-    ("<", 2): operator.lt,
-    ("<=", 2): operator.le,
-    (">", 2): operator.gt,
-    (">=", 2): operator.ge,
+    ("-", 1): (operator.neg, "(-{0})"),
+    ("+", 2): (operator.add, "({0} + {1})"),
+    ("-", 2): (operator.sub, "({0} - {1})"),
+    ("*", 2): (operator.mul, "({0} * {1})"),
+    ("/", 2): (_divide, "divide"),
+    ("^", 2): (math.pow, "pow"),
+    ("cos", 1): (math.cos, "cos"),
+    ("sin", 1): (math.sin, "sin"),
+    ("tan", 1): (math.tan, "tan"),
+    ("exp", 1): (math.exp, "exp"),
+    ("ln", 1): (math.log, "ln"),
+    ("log", 1): (math.log10, "log10"),
+    ("sqrt", 1): (math.sqrt, "sqrt"),
+    ("abs", 1): (abs, "abs({0})"),
+    ("floor", 1): (lambda value: float(math.floor(value)), "floor"),
+    ("ceiling", 1): (lambda value: float(math.ceil(value)), "ceiling"),
+    ("min", 2): (min, "min({0}, {1})"),
+    ("max", 2): (max, "max({0}, {1})"),
+    ("<", 2): (operator.lt, "({0} < {1})"),
+    ("<=", 2): (operator.le, "({0} <= {1})"),
+    (">", 2): (operator.gt, "({0} > {1})"),
+    (">=", 2): (operator.ge, "({0} >= {1})"),
 }
-
-
-def _lift(x):
-    """``x`` as a closure; ``x`` is a closure already or a constant."""
-    return x if callable(x) else lambda b, m: x
 
 
 class Engine:
@@ -226,7 +220,7 @@ class Engine:
         self.image = MemoryImage()
         self.rng_state = rng.seed_state(config.seed)
         self.world_base: int | None = None
-        # Filled in place, so compiled closures may hold on to the list.
+        # Filled in place, so that compiled tasks may hold on to the list.
         self.patch_bases: list[int] = []
         self.slots: dict[str, dict[str, int]] = {}
         self.sizes: dict[str, int] = {}
@@ -237,10 +231,7 @@ class Engine:
             }
             self.sizes[agent.name] = ast.size_of_agent(agent)
         self.stages = {stage.name: stage for stage in model.stages}
-        # One (kind, perform) per task, in declaration order.
-        self.plan: list[tuple[str, Callable[[int, list], None]]] = [
-            (task.agent, _Compiler(self, task).perform()) for task in model.tasks
-        ]
+        self.plan, self.sites = _compile(self)  # (kind, run) per task, in order
         self.populations: list[tuple[int, ast.StageDefinition]] = []
         for count, name in config.populations:
             if name not in self.stages:
@@ -311,9 +302,16 @@ class Engine:
         performers: dict[str, list[int]] = {}
         for base in sorted(self.image.animats):
             performers.setdefault(self.image.animats[base][0], []).append(base)
-        for kind, perform in self.plan:
-            for base in performers.get(kind, ()):
-                perform(base, events)
+        try:
+            for kind, run in self.plan:
+                run(performers.get(kind, ()), events)
+        except KeyError as err:  # only a committed read raises it
+            raise AddressError(f"read from unallocated address {err.args[0]}") from None
+        except _FAILURES as err:  # the failing line of a task names its abort site
+            site = self.sites.get(err.__traceback__.tb_next.tb_lineno)
+            if site is None:
+                raise
+            raise RuntimeAbort(site[0].format(err), self.image.ticks + 1, site[1], site[2])
         self._apply_events(events)
         return self._commit()
 
@@ -368,115 +366,144 @@ def _config_error(message: str, pos) -> ConfigError:
     return ConfigError(f"line {pos.line}: {message}" if pos else message)
 
 
+def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tuple]]:
+    """Each task as a function ``task_<i>(bases, events)`` of one module
+    compiled once, and by line, the abort site of a call that can fail.  The
+    namespace reaches the engine only by a weak proxy and keeps no function:
+    a dropped engine is freed, image and all, without the cycle collector."""
+    image, config, patches, inf = engine.image, engine.config, engine.patch_bases, math.inf
+
+    def fail(site: tuple, value=None):
+        message, stage, pos = site  # ``{}`` in the message stands for ``value``
+        raise RuntimeAbort(message.format(value), tick=image.ticks + 1, stage=stage, pos=pos)
+
+    def store(address: int, value: float, site: tuple, assign: bool) -> None:
+        """The next value (``assign``) or a delta; what it commits is finite."""
+        if address not in image.next:
+            image.write(address, value)  # raises AddressError
+        if assign:
+            image.next[address] = value
+        else:
+            image.delta[address] += value
+        if not -inf < image.next[address] + image.delta[address] < inf:
+            fail(site, image.next[address] + image.delta[address])
+
+    def count(value: float, site: tuple) -> int:
+        if not 0.0 <= value < inf:
+            fail(site, value)
+        return math.floor(value)
+
+    columns, rows, edge = config.patches_x, config.patches_y, config.patch_size
+
+    def heading(x: float, y: float, slot: int) -> float:
+        """Heading from ``(x, y)`` to the centre of the richest patch around the
+        one under it, 0 if that one is strictly richest; ties go to the first."""
+        px = min(max(math.floor(x / edge), 0), columns - 1)
+        py = min(max(math.floor(y / edge), 0), rows - 1)
+        vals, best, best_value = image.vals, None, -inf
+        for cy in (py - 1, py, py + 1):
+            for cx in (px - 1, px, px + 1):
+                if 0 <= cx < columns and 0 <= cy < rows:
+                    if vals[patches[cy * columns + cx] + slot] > best_value:
+                        best, best_value = (cx, cy), vals[patches[cy * columns + cx] + slot]
+        if best == (px, py):
+            return 0.0
+        return math.atan2((best[1] + 0.5) * edge - y, (best[0] + 0.5) * edge - x)
+
+    namespace = {
+        "image": image, "engine": weakref.proxy(engine), "patches": patches, "rng": rng,
+        "math": math, "fail": fail, "store": store, "count": count, "heading": heading,
+    }
+    namespace.update((name, call) for call, name in _CALLS.values() if "{" not in name)
+    tasks = list(enumerate(engine.model.tasks))
+    lines = [line for i, task in tasks for line in _Compiler(engine, task, namespace, i).lines]
+    exec(compile("\n".join(lines), "<remodyc tasks>", "exec", dont_inherit=True), namespace)
+    # A line that calls a function that can fail ends in ``# <its abort site>``.
+    ends = (line.partition("  # ")[2] for line in lines)
+    sites = {n: namespace[site] for n, site in enumerate(ends, 1) if site}
+    return [(task.agent, namespace.pop(f"task_{i}")) for i, task in tasks], sites
+
+
 class _Compiler:
-    """Compiles one task's action, performed by agents of ``kind``.
+    """One task's action, performed by agents of ``kind``, as the lines of a
+    function, statement by statement in evaluation order.  Expressions are
+    resolved first, to a float if constant, else to a tuple tree of slots,
+    utilities, functions and samplers; a name that does not resolve raises
+    ``ConfigError``.  Their text inlines reads and operations that cannot
+    fail, and puts each call that can on a line of its own.  A utility is a
+    local computed at first use; where that use is conditional (a spawn
+    count behind a guard), later uses test it for ``None``."""
 
-    An activation is the pair ``(b, m)``: the performer's base address and
-    its list of utility values, indexed like the action's utilities and
-    ``None`` until first read.  An expression compiles to a float when it
-    is constant and else to a closure ``f(b, m) -> float``.  Closures read
-    ``image.vals``, ``image.next`` and ``image.delta`` when they run,
-    because every commit replaces those dicts.
-    """
-
-    def __init__(self, engine: Engine, task: ast.TaskDefinition):
-        self.engine = engine
-        # Closures reach the engine, which holds them, only through this
-        # proxy and never hold the compiler, so that a dropped engine is
-        # freed, image and all, without waiting for the cycle collector.
-        self.live = weakref.proxy(engine)
+    def __init__(self, engine: Engine, task: ast.TaskDefinition, namespace: dict, i: int):
+        self.engine, self.namespace = engine, namespace
         self.kind = kind = task.agent
-        self.action = engine.model.action_named(task.action)
+        action = engine.model.action_named(task.action)
         if kind not in engine.slots:
             raise _config_error(f"task names unknown agent {kind!r}", task.pos)
-        if self.action is None:
+        if action is None:
             raise _config_error(f"task names unknown action {task.action!r}", task.pos)
-        image = engine.image
-
-        def fail(message: str, pos) -> None:
-            raise RuntimeAbort(message, tick=image.ticks + 1, stage=kind, pos=pos)
-
-        self.fail = fail
-        self.index = {u.identifier: i for i, u in enumerate(self.action.utilities)}
-        # One cell per utility, to hold its compiled expression.
-        self.cells: list[list] = [[] for _ in self.action.utilities]
+        self.index = {u.identifier: i for i, u in enumerate(action.utilities)}
         self.targets = dict(task.bindings)
-        # Each bound expression is compiled once, with no placeholder bound
+        # Each bound expression is resolved once, with no placeholder bound
         # inside it: substitution is a single pass.
         self.bindings: dict = {}
         self.bindings = {name: self.expression(e) for name, e in task.bindings}
+        self.utilities = [self.expression(u.expression) for u in action.utilities]
+        self.lines: list[str] = []
+        self.depth, self.temps = 2, 0
+        # The text of what this scope computed: the patch, utilities by index.
+        self.known: dict = {}
+        self.maybe, self.computing = set(), set()  # utilities perhaps computed, being computed
+        for definition in action.definitions:
+            self.definition(definition)
+        for directive in action.lifecycle:
+            self.directive(directive)
+        # Utilities perhaps computed start as None; ``pass`` keeps a body.
+        first = "".join(f"u{u} = " for u in sorted(self.maybe)) + "None" if self.maybe else "pass"
+        head = [f"def task_{i}(bases, events):", "    vals = image.vals", "    for b in bases:"]
+        self.lines[:0] = head + ["        " + first]
 
-    def perform(self) -> Callable[[int, list], None]:
-        """The task as one closure ``perform(base, events)``."""
-        action = self.action
-        for cell, utility in zip(self.cells, action.utilities):
-            cell.append(_lift(self.expression(utility.expression)))
-        writes = tuple(self.definition(d) for d in action.definitions)
-        directives = tuple(self.directive(d) for d in action.lifecycle)
-        blank = [None] * len(action.utilities)
-
-        def perform(base, events):
-            memo = blank.copy()
-            for write in writes:
-                write(base, memo)
-            for directive in directives:
-                directive(base, memo, events)
-
-        return perform
-
-    def definition(self, definition: ast.AttributeDefinition):
+    def definition(self, definition: ast.AttributeDefinition) -> None:
         value, pos = self.expression(definition.expression), definition.pos
         if definition.decorator is ast.Decorator.DIFFERENTIAL:
-            value = self.combine(operator.mul, [value, self.engine.config.delta_time], pos)
-        value, address = _lift(value), self.address(definition.variable, pos)
-        image, fail, name = self.engine.image, self.fail, definition.variable.identifier
-        store = image.write if definition.decorator is ast.Decorator.ASSIGN else image.write_delta
+            value = self.call(("*", 2), [value, self.engine.config.delta_time], pos)
+        address, text = self.address(definition.variable, pos), self.value(value)
+        assign = definition.decorator is ast.Decorator.ASSIGN
+        site = (f"non-finite value {{}} for {definition.variable.identifier!r}", self.kind, pos)
+        self.emit(f"store({self.place(address)}, {text}, {self.bind(site)}, {assign})")
 
-        def write(b, m):
-            v = value(b, m)
-            a = address(b)
-            store(a, v)
-            committed = image.next[a] + image.delta[a]
-            if not math.isfinite(committed):
-                fail(f"non-finite value {committed} for {name!r}", pos)
-
-        return write
-
-    def directive(self, directive: ast.LifecycleDirective):
-        holds, kind, pos = _lift(self.guard(directive.guard)), self.kind, directive.pos
+    def directive(self, directive: ast.LifecycleDirective) -> None:
+        guard, pos, kind = directive.guard, directive.pos, self.kind
+        if guard is not None:
+            operands = [self.expression(guard.left), self.expression(guard.right)]
+            guard = self.call((guard.relop, 2), operands, guard.pos)
         if kind not in self.engine.stages:
             raise _config_error("lifecycle directives need a stage performer", pos)
         match directive:
             case ast.Die():
-                event = lambda b, m: ("die", b)
-            case ast.StageTransition(target=target):
-                stage = self.stage(target, pos)
-                event = lambda b, m: ("become", b, kind, stage)
-            case ast.Spawn(stage=name, count=count):
-                stage, count, fail = self.stage(name, pos), _lift(self.expression(count)), self.fail
+                event, number = "'die', b", None
+            case ast.StageTransition(target=name):
+                event, number = f"'become', b, {kind!r}, {self.stage(name, pos)}", None
+            case ast.Spawn(stage=name, count=number):
+                event = f"'spawn', b, {kind!r}, {self.stage(name, pos)}"
+                number = self.expression(number)
 
-                def event(b, m):
-                    value = count(b, m)
-                    if not math.isfinite(value) or value < 0:
-                        fail(f"spawn count {value} out of range", pos)
-                    return ("spawn", b, kind, stage, math.floor(value), pos)
+        def act():  # a spawn count is evaluated when the guard holds
+            fields = event
+            if number is not None:
+                site = self.bind(("spawn count {} out of range", kind, pos))
+                fields += f", count({self.value(number)}, {site}), {self.bind(pos)}"
+            self.emit(f"events.append(({fields}))")
 
-        def act(b, m, events):
-            if holds(b, m):
-                events.append(event(b, m))
+        if guard is None or guard is True:
+            act()
+        else:
+            self.block(f"if {self.value(guard)}:", act)
 
-        return act
-
-    def guard(self, guard: ast.Comparison | None):
-        if guard is None:
-            return True
-        operands = [self.expression(guard.left), self.expression(guard.right)]
-        return self.combine(_CALLS[guard.relop, 2], operands, guard.pos)
-
-    def stage(self, name: str, pos) -> ast.StageDefinition:
+    def stage(self, name: str, pos) -> str:
         if name not in self.engine.stages:
             raise _config_error(f"unknown stage {name!r}", pos)
-        return self.engine.stages[name]
+        return self.bind(self.engine.stages[name])
 
     def expression(self, e: ast.Expression):
         match e:
@@ -485,96 +512,42 @@ class _Compiler:
             case ast.DeltaTime():
                 return self.engine.config.delta_time
             case ast.AttributeVariable():
-                return self.read(e)
+                return ("read", self.address(e, e.pos))
             case ast.UtilityVariable(identifier=name):
-                return self.utility(name, e.pos)
+                if name not in self.index:
+                    raise _config_error(f"unknown utility {name!r}", e.pos)
+                return ("utility", self.index[name], name, e.pos)
             case ast.Arithmetics(op=name, args=args) | ast.Apply(function=name, args=args):
-                call = _CALLS.get((name, len(args)))
-                if call is None:
+                if (name, len(args)) not in _CALLS:
                     raise _config_error(f"no {name!r} of {len(args)} operand(s)", e.pos)
                 prefix = f"{name}: " if isinstance(e, ast.Apply) else ""
-                return self.combine(call, [self.expression(a) for a in args], e.pos, prefix)
+                operands = [self.expression(a) for a in args]
+                return self.call((name, len(args)), operands, e.pos, prefix)
             case ast.EnUnit(expr=inner, unit=unit) | ast.DeUnit(expr=inner, unit=unit):
                 inner = self.expression(inner)
                 if unit.scale == 1.0:  # x * 1.0 and x / 1.0 are x exactly
                     return inner
-                call = operator.mul if isinstance(e, ast.EnUnit) else operator.truediv
-                return self.combine(call, [inner, unit.scale], e.pos)
+                name = "*" if isinstance(e, ast.EnUnit) else "/"
+                return self.call((name, 2), [inner, unit.scale], e.pos)
             case ast.Direction(attribute=attribute):
-                return self.direction(attribute, e.pos)
+                return ("direction", self.slot("Patch", attribute, e.pos), *self.position(e.pos))
             case ast.PlaceholderRef(identifier=name):
                 if name not in self.bindings:
                     raise _config_error(f"placeholder {name!r} is not bound", e.pos)
                 return self.bindings[name]
-        engine, sampler = self.live, _SAMPLERS[type(e)]
+        # Never folded: every activation draws.
+        operands = [self.expression(child) for child in ast.children(e)]
+        return ("draw", _SAMPLERS[type(e)], operands, e.pos)
 
-        def sample(first: float, second: float) -> float:
-            engine.rng_state, value = getattr(rng, sampler)(engine.rng_state, first, second)
-            return value
-
-        # Lifted operands are never folded: every activation draws.
-        operands = [_lift(self.expression(child)) for child in ast.children(e)]
-        return self.combine(sample, operands, e.pos)
-
-    def combine(self, call, operands: list, pos, prefix: str = ""):
-        """``call`` of one or two compiled operands, evaluated left to
-        right; a ``ValueError``, ``OverflowError`` or ``ZeroDivisionError``
-        from ``call`` aborts.  Folded to a constant when every operand is
-        one and ``call`` does not fail on them."""
-        fail, f = self.fail, _lift(operands[0])
-        failures = (ValueError, OverflowError, ZeroDivisionError)
-        if len(operands) == 1:
-
-            def combined(b, m):
-                value = f(b, m)
-                try:
-                    return call(value)
-                except failures as err:
-                    fail(prefix + str(err), pos)
-
-        elif not callable(operands[1]):
-            c = operands[1]
-
-            def combined(b, m):
-                left = f(b, m)
-                try:
-                    return call(left, c)
-                except failures as err:
-                    fail(prefix + str(err), pos)
-
-        else:
-            g = _lift(operands[1])
-
-            def combined(b, m):
-                left = f(b, m)
-                right = g(b, m)
-                try:
-                    return call(left, right)
-                except failures as err:
-                    fail(prefix + str(err), pos)
-
-        if any(callable(x) for x in operands):
-            return combined
-        try:
-            return combined(None, None)
-        except RuntimeAbort:
-            return combined
-
-    def utility(self, name: str, pos):
-        if name not in self.index:
-            raise _config_error(f"unknown utility {name!r}", pos)
-        index, cell, fail = self.index[name], self.cells[self.index[name]], self.fail
-
-        def utility(b, m):
-            value = m[index]
-            if value is None:
-                m[index] = _IN_PROGRESS
-                value = m[index] = cell[0](b, m)
-            elif value is _IN_PROGRESS:
-                fail(f"utility {name!r} depends on itself", pos)
-            return value
-
-        return utility
+    def call(self, key, operands: list, pos, prefix: str = ""):
+        """``_CALLS[key]`` of the operands, folded if all are constants it
+        does not fail on."""
+        if not any(isinstance(x, tuple) for x in operands):
+            try:
+                return _CALLS[key][0](*operands)
+            except _FAILURES:
+                pass
+        return ("call", key, operands, pos, prefix)
 
     def slot(self, kind: str, name: str, pos) -> int:
         slots = self.engine.slots.get(kind)
@@ -585,81 +558,108 @@ class _Compiler:
         return slots[name]
 
     def address(self, variable, pos):
-        """Closure from the performer's base to the address ``variable``
-        names."""
+        """``("my" | "world", slot)`` or ``("here", slot, x slot, y slot)``."""
         if isinstance(variable, ast.Placeholder):
             variable = self.targets.get(variable.identifier)
             if not isinstance(variable, ast.AttributeVariable):
                 raise _config_error("a placeholder target is not bound to an attribute", pos)
         if variable.agent == "world":
-            slot, engine = self.slot("World", variable.identifier, pos), self.live
-            return lambda b: engine.world_base + slot
+            return ("world", self.slot("World", variable.identifier, pos))
         if variable.agent is None or self.kind == "Patch":
-            slot = self.slot(self.kind, variable.identifier, pos)
-            return lambda b: b + slot
-        slot = self.slot("Patch", variable.identifier, pos)
-        cell, patch_bases = self.cell(pos), self.engine.patch_bases
-        columns = self.engine.config.patches_x
+            return ("my", self.slot(self.kind, variable.identifier, pos))
+        return ("here", self.slot("Patch", variable.identifier, pos), *self.position(pos))
 
-        def here(b):
-            _, _, column, row = cell(b)
-            return patch_bases[row * columns + column] + slot
-
-        return here
-
-    def read(self, variable: ast.AttributeVariable):
-        image = self.engine.image
-        if variable.agent is not None:
-            address = self.address(variable, variable.pos)
-            return lambda b, m: image.read(address(b))
-        slot = self.slot(self.kind, variable.identifier, variable.pos)
-
-        def read(b, m):
-            try:
-                return image.vals[b + slot]
-            except KeyError:
-                return image.read(b + slot)  # raises AddressError
-
-        return read
-
-    def cell(self, pos):
-        """Closure from the performer's base to its committed position and
-        the column and row of the patch under it, clipped to the grid."""
+    def position(self, pos) -> tuple[int, int]:
+        """The performer's position slots, which find the patch under it."""
         if self.engine.model.patch is None:
             raise _config_error("the model declares no Patch", pos)
-        xs, ys = self.slot(self.kind, "x", pos), self.slot(self.kind, "y", pos)
-        image, config = self.engine.image, self.engine.config
-        edge, last_x, last_y = config.patch_size, config.patches_x - 1, config.patches_y - 1
+        return self.slot(self.kind, "x", pos), self.slot(self.kind, "y", pos)
 
-        def cell(b):
-            x, y = image.read(b + xs), image.read(b + ys)
-            px = min(max(math.floor(x / edge), 0), last_x)
-            py = min(max(math.floor(y / edge), 0), last_y)
-            return x, y, px, py
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
 
-        return cell
+    def let(self, text: str) -> str:
+        self.temps += 1
+        self.emit(f"t{self.temps} = {text}")
+        return f"t{self.temps}"
 
-    def direction(self, attribute: str, pos):
-        """Heading to the centre of the richest patch around the performer,
-        0 when its own patch is strictly richest; ties go to the first in
-        row-major scan order."""
-        slot, cell = self.slot("Patch", attribute, pos), self.cell(pos)
-        image, patch_bases, config = self.engine.image, self.engine.patch_bases, self.engine.config
-        columns, rows, edge = config.patches_x, config.patches_y, config.patch_size
+    def bind(self, value) -> str:
+        """A name for a stage, position, abort site or non-finite constant."""
+        self.namespace[name := f"c{len(self.namespace)}"] = value
+        return name
 
-        def direction(b, m):
-            x, y, px, py = cell(b)
-            best, best_value = None, -math.inf
-            for cy in (py - 1, py, py + 1):
-                for cx in (px - 1, px, px + 1):
-                    if 0 <= cx < columns and 0 <= cy < rows:
-                        value = image.read(patch_bases[cy * columns + cx] + slot)
-                        if value > best_value:
-                            best, best_value = (cx, cy), value
-            if best == (px, py):
-                return 0.0
-            center_x = (best[0] + 0.5) * edge
-            center_y = (best[1] + 0.5) * edge
-            return math.atan2(center_y - y, center_x - x)
+    def block(self, header: str, body: Callable[[], None]) -> None:
+        """``header`` over what ``body`` emits; a utility computed there is
+        perhaps computed after it, and nothing else is known."""
+        self.emit(header)
+        known, self.depth = dict(self.known), self.depth + 1
+        body()
+        self.maybe.update(i for i in self.known if isinstance(i, int) and i not in known)
+        self.known, self.depth = known, self.depth - 1
 
-        return direction
+    def value(self, x) -> str:
+        """Text of the value of ``x``, once the statements that compute its
+        parts are emitted.  Reads are inlined: they cannot change in a step."""
+        if type(x) is not tuple:  # a constant: a literal, or a name if not finite
+            return repr(x) if math.isfinite(x) else self.bind(x)
+        match x:
+            case ("read", address):
+                return f"vals[{self.place(address)}]"
+            case ("utility", index, name, pos):
+                return self.utility(index, name, pos)
+            case ("direction", slot, xs, ys):
+                return self.let(f"heading(vals[b + {xs}], vals[b + {ys}], {slot})")
+            case ("draw", sampler, operands, pos):
+                text = ", ".join(self.value(o) for o in operands)
+                target, prefix = "engine.rng_state, ", ""
+                call = f"rng.{sampler}(engine.rng_state, {text})"
+            case ("call", key, operands, pos, prefix):
+                texts = [self.value(o) for o in operands]
+                form = _CALLS[key][1]
+                if key == ("/", 2) and not isinstance(operands[1], tuple) and operands[1] != 0:
+                    form = "({0} / {1})"  # a division that cannot fail
+                if "{" in form:
+                    return form.format(*texts)
+                target, call = "", f"{form}({', '.join(texts)})"
+        # A call that can fail, on a line of its own that names its abort
+        # site: ``Engine.step`` aborts with ``prefix`` and the failure's text.
+        self.temps += 1
+        site = self.bind((prefix + "{}", self.kind, pos))
+        self.emit(f"{target}t{self.temps} = {call}  # {site}")
+        return f"t{self.temps}"
+
+    def utility(self, index: int, name: str, pos) -> str:
+        if index in self.computing:
+            site = (f"utility {name!r} depends on itself", self.kind, pos)
+            self.emit(f"fail({self.bind(site)})")
+            return "None"
+        if index in self.maybe and index not in self.known:
+            self.maybe.discard(index)  # back in ``maybe`` once the block is done
+            self.block(f"if u{index} is None:", lambda: self.utility(index, name, pos))
+            self.known[index] = f"u{index}"
+        elif index not in self.known:
+            self.computing.add(index)
+            text = self.value(self.utilities[index])
+            self.computing.discard(index)
+            # A name or a literal needs no local, unless a later use may test it.
+            if self.depth > 2 or not (text.isidentifier() or text[-1].isdigit()):
+                self.emit(f"u{index} = {text}")
+                text = f"u{index}"
+            self.known[index] = text
+        return self.known[index]
+
+    def place(self, address) -> str:
+        """Text of the address; for ``here``, emits first, once per scope,
+        the base of the patch under the performer's committed position."""
+        match address:
+            case ("my", slot):
+                return f"b + {slot}"
+            case ("world", slot):
+                return f"engine.world_base + {slot}"
+            case ("here", slot, xs, ys):
+                if "patch" not in self.known:
+                    c = self.engine.config
+                    px, py = (f"min(max(math.floor(vals[b + {s}] / {c.patch_size!r}), 0), {n - 1})"
+                              for s, n in ((xs, c.patches_x), (ys, c.patches_y)))
+                    self.known["patch"] = self.let(f"patches[{px} + {c.patches_x} * {py}]")
+                return f"{self.known['patch']} + {slot}"

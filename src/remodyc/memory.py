@@ -185,18 +185,17 @@ class FileBackend(StorageBackend):
             self._cut_uncommitted()
             self._reopened = False
         tick = self._count + 1
-        with open(self._values_path, "a") as handle:
-            for address in sorted(frame.values):
-                handle.write(f"{tick},{address},{format_number(frame.values[address])}\n")
-            handle.flush()
-        with open(self._animats_path, "a") as handle:
-            for base in sorted(frame.animats):
-                stage, index = frame.animats[base]
-                handle.write(f"{tick},{base},{stage},{index}\n")
-            handle.flush()
-        with open(self._rng_path, "a") as handle:
-            handle.write(f"{tick},{format_state(frame.rng_state)}\n")
-            handle.flush()
+        values, animats = frame.values, frame.animats
+        rows = (
+            [f"{tick},{a},{format_number(values[a])}\n" for a in sorted(values)],
+            [f"{tick},{b},{animats[b][0]},{animats[b][1]}\n" for b in sorted(animats)],
+            [f"{tick},{format_state(frame.rng_state)}\n"],
+        )
+        # One write per file, the rng.csv row, which commits the tick, last.
+        for path, lines in zip((self._values_path, self._animats_path, self._rng_path), rows):
+            with open(path, "a") as handle:
+                handle.write("".join(lines))
+                handle.flush()
         self._count = tick
 
     def load_frame(self, tick: int) -> TraceFrame:
@@ -302,6 +301,18 @@ class MemoryImage:
         return frame
 
     def apply_frame(self, frame: TraceFrame, tick: int) -> None:
+        """Make ``frame`` the committed state after ``tick``.
+
+        A frame holds no block sizes, so they are inferred: a live block
+        reaches up to the next live base, the highest one up to the highest
+        stored address, and the next allocation starts just after it.  So
+        a dead block between two live ones counts in the size of the live
+        block below it, and the addresses of dead blocks above the highest
+        live one go to the next allocation.  Neither changes a value: a
+        block is read and written through its own slots, and the extra
+        addresses hold nothing to store.  Likewise each stage's next
+        instance index follows the highest live one.
+        """
         self.vals = dict(frame.values)
         self.next = dict(frame.values)
         self.delta = {address: 0.0 for address in frame.values}

@@ -7,7 +7,7 @@ the first problem, including duplicate names within one scope.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ast
 from .units import Unit, UnitParseError, format_unit, parse_unit
@@ -32,8 +32,7 @@ class SourceError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -132,12 +131,15 @@ def _is_ident_char(text: str, i: int) -> bool:
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
+        # ``advance`` stops at the end-of-input token and ``peek`` looks at
+        # most one token ahead, so one more copy of it keeps peeks in range.
+        self.tokens.append(self.tokens[-1])
         self.index = 0
 
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.index + ahead]
 
     def advance(self) -> Token:
         token = self.tokens[self.index]
@@ -515,7 +517,7 @@ def _precedence(e: ast.Expression) -> int:
 
 def format_number(value: float) -> str:
     """Shortest round-trip decimal; integral values drop the '.0'."""
-    text = repr(float(value))
+    text = repr(value)
     return text[:-2] if text.endswith(".0") else text
 
 

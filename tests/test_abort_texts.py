@@ -1,0 +1,238 @@
+"""Abort and ``ConfigError`` texts pinned to recorded values.
+
+Every runtime abort the compiled model can raise is listed here with the
+exact text ``remodyc run`` prints for it (``RuntimeAbort.render()``) and
+the number of frames the backend holds afterwards.  Every name the
+engine cannot resolve is listed with the exact ``ConfigError`` text.
+They were recorded before the compiler was rewritten to generate Python
+source and must not move under a change of how tasks are compiled.
+"""
+from __future__ import annotations
+
+import pytest
+
+from remodyc.interp import ConfigError, Engine, RuntimeAbort, parse_config
+from remodyc.memory import InMemoryBackend
+from remodyc.parser import parse_model
+
+CONFIG = """\
+delta_time = 1 day
+steps = 4
+seed = 11
+world_width = 2 km
+world_height = 2 km
+patch_size = 1 km
+populate 2 Egg
+"""
+
+
+def egg(attribute: str, body: str, where: str = "") -> str:
+    """One Egg stage with one attribute and one task ``f``; the task's
+    first line is line 4."""
+    tail = f"\nwhere\n    {where}.\n" if where else ".\n"
+    return f"Egg is G with\n    {attribute}.\nto f is\n    {body}{tail}Egg f.\n"
+
+
+def build(model: str) -> tuple[Engine, InMemoryBackend]:
+    backend = InMemoryBackend()
+    return Engine(parse_model(model), parse_config(CONFIG), backend), backend
+
+
+# model, the text ``render()`` gives, frames committed before the abort
+ABORTS = {
+    "division-by-zero": (
+        egg("age [day]", "my age' = (1 [day] * 1 [day]) / my age"),
+        "division by zero (tick 2, Egg, line 4)",
+        1,
+    ),
+    "ln-domain": (
+        egg("w []", "my w' = ln(my w)"),
+        "ln: math domain error (tick 2, Egg, line 4)",
+        1,
+    ),
+    "sqrt-domain": (
+        egg("w []", "my w' = sqrt(my w - 1)"),
+        "sqrt: math domain error (tick 2, Egg, line 4)",
+        1,
+    ),
+    "exp-overflow": (
+        egg("w [] = 1 []", "my w' = exp(my w * 1000)"),
+        "exp: math range error (tick 2, Egg, line 4)",
+        1,
+    ),
+    "pow-overflow": (
+        egg("w []", "my w' = (my w + 10) ^ 400"),
+        "math range error (tick 2, Egg, line 4)",
+        1,
+    ),
+    "floor-of-inf": (
+        egg("w [] = 1 []", "my w' = floor(my w * 1e200 * 1e200)"),
+        "floor: cannot convert float infinity to integer (tick 2, Egg, line 4)",
+        1,
+    ),
+    "ceiling-of-nan": (
+        egg("w [] = 1 []", "my w' = ceiling(my w * 1e200 * 1e200 - my w * 1e200 * 1e200)"),
+        "ceiling: cannot convert float NaN to integer (tick 2, Egg, line 4)",
+        1,
+    ),
+    "uniform-inverted": (
+        egg("age [day]", "my delta age' = uniform 1 [day] to 0 [day]"),
+        "uniform bounds must satisfy low <= high (tick 2, Egg, line 4)",
+        1,
+    ),
+    "normal-negative-sigma": (
+        egg("w []", "my w' = normal(my w, my w - 1)"),
+        "normal sigma must be non-negative (tick 2, Egg, line 4)",
+        1,
+    ),
+    "gamma-zero-shape": (
+        egg("w []", "my w' = gamma(my w, 1)"),
+        "gamma shape must be positive (tick 2, Egg, line 4)",
+        1,
+    ),
+    "loglogistic-overflow": (
+        egg("w []", "my w' = loglogistic(1, 0.001)"),
+        "loglogistic draw overflows: shape 0.001 is too small (tick 3, Egg, line 4)",
+        2,
+    ),
+    "constant-fold-failure": (
+        egg("age [day]", "my delta age' = ln(0 - 1) * delta time"),
+        "ln: math domain error (tick 2, Egg, line 4)",
+        1,
+    ),
+    "spawn-negative": (
+        egg("age [day]", "my spawn Egg' = -1"),
+        "spawn count -1.0 out of range (tick 2, Egg, line 4)",
+        1,
+    ),
+    "spawn-nan": (
+        egg("age [day]", "my spawn Egg' = exp(700) * exp(700) - exp(700) * exp(700)"),
+        "spawn count nan out of range (tick 2, Egg, line 4)",
+        1,
+    ),
+    "spawn-inf-in-utility": (
+        egg("w [] = 1 []", "my spawn Egg' = n when my w > 0", "n = my w * 1e200 * 1e200"),
+        "spawn count inf out of range (tick 2, Egg, line 4)",
+        1,
+    ),
+    "non-finite-assign": (
+        egg("w [] = 1 []", "my w' = my w * 1e200"),
+        "non-finite value inf for 'w' (tick 3, Egg, line 4)",
+        2,
+    ),
+    "non-finite-delta": (
+        egg("w [] = 1 []", "my delta w' = my w * 1e200"),
+        "non-finite value inf for 'w' (tick 3, Egg, line 4)",
+        2,
+    ),
+    "non-finite-differential": (
+        egg("w [] = 1 []", "my d/dt w' = my w * 1e200 [day^-1]"),
+        "non-finite value inf for 'w' (tick 3, Egg, line 4)",
+        2,
+    ),
+    "utility-cycle": (
+        egg("age [day]", "my age' = twist", "twist = tangle + 1 [day]\n    tangle = twist"),
+        "utility 'twist' depends on itself (tick 2, Egg, line 7)",
+        1,
+    ),
+    "utility-self-reference": (
+        egg("age [day]", "my age' = twist", "twist = twist + 1 [day]"),
+        "utility 'twist' depends on itself (tick 2, Egg, line 6)",
+        1,
+    ),
+    "utility-cycle-in-guarded-count": (
+        egg(
+            "w [] = 1 []",
+            "my spawn Egg' = n when my w > 0",
+            "n = m + 1\n    m = n",
+        ),
+        "utility 'n' depends on itself (tick 2, Egg, line 7)",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("model, message, frames", ABORTS.values(), ids=ABORTS)
+def test_abort_text_and_frames_kept(model, message, frames):
+    engine, backend = build(model)
+    with pytest.raises(RuntimeAbort) as err:
+        engine.run()
+    assert err.value.render() == message
+    assert backend.frame_count() == frames
+
+
+# model, the ``ConfigError`` text ``Engine()`` raises
+UNRESOLVED = {
+    "unknown-attribute": (
+        egg("age [day]", "my age' = my size"),
+        "line 4: Egg has no attribute 'size'",
+    ),
+    "here-without-patch": (
+        egg("age [day]", "my age' = here's grass * 1 [day/kg]"),
+        "line 4: the model declares no Patch",
+    ),
+    "world-without-world": (
+        egg("age [day]", "my age' = world's clock"),
+        "line 4: the model declares no World",
+    ),
+    "unknown-world-attribute": (
+        "World with\n    t [].\n" + egg("age [day]", "world's u' = 1"),
+        "line 6: World has no attribute 'u'",
+    ),
+    "unknown-patch-attribute": (
+        "Patch with\n    grass [kg].\n" + egg("age [day]", "my age' = here's hay"),
+        "line 6: Patch has no attribute 'hay'",
+    ),
+    "here-from-world": (
+        "World with\n    t [].\nPatch with\n    grass [kg].\n"
+        "to f is\n    my t' = here's grass.\nWorld f.\n",
+        "line 6: World has no attribute 'x'",
+    ),
+    "unknown-utility": (
+        egg("age [day]", "my age' = later"),
+        "line 4: unknown utility 'later'",
+    ),
+    "unknown-function": (
+        egg("w []", "my w' = cosh(my w)"),
+        "line 4: no 'cosh' of 1 operand(s)",
+    ),
+    "unknown-stage": (
+        egg("age [day]", "my become Larva when my age > 1 [day]"),
+        "line 4: unknown stage 'Larva'",
+    ),
+    "unknown-spawn-stage": (
+        egg("age [day]", "my spawn Larva' = 1"),
+        "line 4: unknown stage 'Larva'",
+    ),
+    "lifecycle-on-patch": (
+        "Patch with\n    grass [kg].\nto f is\n    my die when my grass < 1 [kg].\nPatch f.\n",
+        "line 4: lifecycle directives need a stage performer",
+    ),
+    "unbound-placeholder": (
+        egg("age [day]", "my age' = the limit"),
+        "line 4: placeholder 'limit' is not bound",
+    ),
+    "unknown-agent": (
+        egg("age [day]", "my age' = 1 [day]").replace("Egg f.", "Larva f."),
+        "line 5: task names unknown agent 'Larva'",
+    ),
+    "unknown-action": (
+        egg("age [day]", "my age' = 1 [day]").replace("Egg f.", "Egg g."),
+        "line 5: task names unknown action 'g'",
+    ),
+}
+
+
+@pytest.mark.parametrize("model, message", UNRESOLVED.values(), ids=UNRESOLVED)
+def test_unresolved_name_text(model, message):
+    with pytest.raises(ConfigError) as err:
+        build(model)
+    assert str(err.value) == message
+
+
+def test_unknown_populate_stage_text():
+    model = parse_model(egg("age [day]", "my age' = 1 [day]"))
+    config = parse_config(CONFIG + "populate 1 Larva\n")
+    with pytest.raises(ConfigError) as err:
+        Engine(model, config, InMemoryBackend())
+    assert str(err.value) == "populate names unknown stage 'Larva'"

@@ -104,6 +104,38 @@ populate 6 Larva
 populate 4 Imago
 """
 
+# Utilities first used in a spawn count behind a guard and used again
+# after it, so that whether they are computed yet depends on the guard.
+CONDITIONAL_MODEL = """\
+Egg is Bug with
+    age [day] = 0 [day].
+
+Old is Bug with
+    age [day] = 0 [day].
+
+to live is
+    my delta age' = delta time
+    my spawn Egg' = floor(2 * luck) when my age > 2 [day]
+    my die when luck < 0.35
+    my spawn Egg' = floor(luck + extra) when my age > 5 [day]
+    my become Old when extra > 1.9
+where
+    luck = uniform 0 to 1
+    extra = luck * 2.
+
+Egg live.
+"""
+
+CONDITIONAL_CONFIG = """\
+delta_time = 1 day
+steps = 10
+seed = 17
+world_width = 2 km
+world_height = 2 km
+patch_size = 1 km
+populate 4 Egg
+"""
+
 GOLDEN = {
     "age": {
         "frames.csv": "eb91f95de53eb53de9270da7c0e7319f33873e548c6aa7e8a9934c68ec3c0da5",
@@ -129,6 +161,11 @@ GOLDEN = {
         "frames.csv": "88583b000e4a0bebad86f6ae5996e34a6f5945d7805795ee202bc1d1322e847e",
         "animats.csv": "c545eefeaabfc0dca7683413c842b023e5f7a33d464a26e962285d82f65da5c5",
         "rng.csv": "21b5998e1e9dc74c79c420d3294b94fdd34a9b13bf7874fd372a5f62f0e6b60a",
+    },
+    "conditional": {
+        "frames.csv": "207cafe2c144b7dd77ea487c8ac5b768a484c05c273f4fdaeef25a84da6c64c6",
+        "animats.csv": "ed25a08049f6a2762c25bb1aea6b13d97e866ec537bcbca40824e75b2ba31f8d",
+        "rng.csv": "225adfbafa6be9fae5efbfe09526ad3ed852ea285457c195d9e70344edcc2ff4",
     },
     "coverage": {
         "frames.csv": "485584450343c4aebfe3c3fe613906d531b8514567a012efd5feb176f84654ef",
@@ -188,3 +225,12 @@ def test_coverage_model_trace_digests(tmp_path):
     out = tmp_path / "run"
     digests = _run(tmp_path / "coverage.rmd", tmp_path / "coverage.cfg", out)
     assert digests == GOLDEN["coverage"]
+
+
+def test_conditional_utility_trace_digests(tmp_path):
+    (tmp_path / "conditional.rmd").write_text(CONDITIONAL_MODEL)
+    (tmp_path / "conditional.cfg").write_text(CONDITIONAL_CONFIG)
+    out = tmp_path / "run"
+    digests = _run(tmp_path / "conditional.rmd", tmp_path / "conditional.cfg", out)
+    assert {"Egg", "Old"} <= {line.split(",")[2] for line in (out / "animats.csv").read_text().splitlines()[1:]}
+    assert digests == GOLDEN["conditional"]

@@ -1,5 +1,8 @@
 """Engine semantics: setup, stepping, lifecycle, evaluation."""
+import gc
 import math
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +13,10 @@ from remodyc.interp import (
     Engine,
     RuntimeAbort,
     SimulationConfig,
-    _Compiler,
     parse_config,
 )
 from remodyc.memory import InMemoryBackend
-from remodyc.parser import parse_expression, parse_model
+from remodyc.parser import parse_model
 
 DAY = 86400.0
 
@@ -561,6 +563,46 @@ class TestEvaluation:
         assert backend.load_frame(3).values[egg + 2] == 0.75
 
 
+class TestCompiledTasks:
+    """What the compiled tasks owe the rest of the program."""
+
+    def test_sampler_replaced_after_build_sees_every_draw(self, monkeypatch):
+        engine, _ = build(
+            "Egg is G with\n    age [day].\n"
+            "to wiggle is\n"
+            "    my delta age' = (u + u) * delta time + (uniform 0 [day] to 1 [day])\n"
+            "where\n    u = uniform 0 to 1.\n"
+            "Egg wiggle.\n",
+            BASIC_CONFIG + "populate 2 Egg\n",
+        )
+        engine.setup()
+        calls = []
+        original = rng.sample_uniform
+
+        def counted(state, low, high):
+            calls.append((low, high))
+            return original(state, low, high)
+
+        monkeypatch.setattr(rng, "sample_uniform", counted)
+        before = engine.rng_state
+        engine.step()
+        assert len(calls) == rng.draws_between(before, engine.rng_state) == 6
+        assert calls.count((0.0, 1.0)) == 3
+
+    def test_dropped_engine_is_freed_without_the_cycle_collector(self):
+        models = Path(__file__).resolve().parent.parent / "models"
+        config = (models / "eggs.cfg").read_text().replace("steps = 200", "steps = 12")
+        gc.disable()
+        try:
+            engine, _ = build((models / "eggs.rmd").read_text(), config)
+            engine.run()
+            dropped = weakref.ref(engine), weakref.ref(engine.image)
+            del engine
+            assert [ref() for ref in dropped] == [None, None]
+        finally:
+            gc.enable()
+
+
 class TestDirection:
     def grid_engine(self):
         engine, _ = build(
@@ -581,9 +623,9 @@ class TestDirection:
         return engine, walker
 
     def heading(self, engine, walker):
-        compiler = _Compiler(engine, engine.model.tasks[0])
-        direction = compiler.expression(parse_expression("direction neighbor's grass"))
-        return direction(walker, [])
+        """The heading the walker commits in one step: ``x``, ``y`` and
+        ``heading`` are its three slots."""
+        return engine.step().values[walker + 2]
 
     def patch_value(self, engine, px, py, value):
         engine.image.vals[engine.patch_bases[py * 3 + px]] = value
