@@ -147,17 +147,20 @@ def _run(args) -> int:
         backend = FileBackend(run_dir)
 
     engine = Engine(model, config, backend)
+    # Each tick's census rows go out as that tick commits, so an aborted
+    # run still shows every tick it kept.
+    print("tick,stage,count", flush=True)
     try:
-        rows = engine.run()
+        for rows in engine.census():
+            for tick, stage, count in rows:
+                print(f"{tick},{stage},{count}")
+            sys.stdout.flush()
     except RuntimeAbort as abort:
         if meta_path is not None:
             with open(meta_path, "a") as handle:
                 handle.write(f"abort={abort.render()}\n")
         print(f"aborted: {abort.render()}", file=sys.stderr)
         return 3
-    print("tick,stage,count")
-    for tick, stage, count in rows:
-        print(f"{tick},{stage},{count}")
     return 0
 
 

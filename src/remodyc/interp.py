@@ -17,7 +17,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import ast, rng
 from .memory import AddressError, MemoryImage, StorageBackend, TraceFrame
@@ -223,13 +223,16 @@ class Engine:
         # Filled in place, so that compiled tasks may hold on to the list.
         self.patch_bases: list[int] = []
         self.slots: dict[str, dict[str, int]] = {}
-        self.sizes: dict[str, int] = {}
+        # By agent, slot by slot: each declaration's name and scaled initial
+        # value, None if it declares none.
+        self.initials: dict[str, tuple[tuple[str, float | None], ...]] = {}
         for agent in model.agents:
-            self.slots[agent.name] = {
-                declaration.identifier: slot
-                for slot, declaration in enumerate(agent.all_attributes)
-            }
-            self.sizes[agent.name] = ast.size_of_agent(agent)
+            declarations = agent.all_attributes
+            self.slots[agent.name] = {d.identifier: slot for slot, d in enumerate(declarations)}
+            self.initials[agent.name] = tuple(
+                (d.identifier, None if d.initial is None else d.initial.value * d.initial.unit.scale)
+                for d in declarations
+            )
         self.stages = {stage.name: stage for stage in model.stages}
         self.plan, self.sites = _compile(self)  # (kind, run) per task, in order
         self.populations: list[tuple[int, ast.StageDefinition]] = []
@@ -270,13 +273,12 @@ class Engine:
     def _create(self, agent: ast.AgentDefinition, inherited: dict[str, float]) -> int:
         """Allocate a block for a new ``agent`` and write each declaration's
         value: the inherited one if given, else its scaled initial value."""
-        base = self.image.allocate(agent.name, self.sizes[agent.name])
-        for slot, declaration in enumerate(agent.all_attributes):
-            if declaration.identifier in inherited:
-                self.image.write(base + slot, inherited[declaration.identifier])
-            elif declaration.initial is not None:
-                initial = declaration.initial
-                self.image.write(base + slot, initial.value * initial.unit.scale)
+        initials = self.initials[agent.name]
+        base = self.image.allocate(agent.name, len(initials))
+        for slot, (name, initial) in enumerate(initials):
+            value = inherited.get(name, initial)
+            if value is not None:
+                self.image.write(base + slot, value)
         return base
 
     def _commit(self) -> TraceFrame:
@@ -287,21 +289,15 @@ class Engine:
     def resume(self, tick: int) -> None:
         """Continue a stored run from the state after ``tick``."""
         self.rng_state = self.image.load(self.backend, tick)
-        self.world_base = None
-        self.patch_bases.clear()
-        for base, (kind, _) in sorted(self.image.animats.items()):
-            if kind == "World":
-                self.world_base = base
-            elif kind == "Patch":
-                self.patch_bases.append(base)
+        performers = self.image.performers
+        self.world_base = performers["World"][0] if "World" in performers else None
+        self.patch_bases[:] = performers.get("Patch", ())
 
     # -- stepping ------------------------------------------------------
 
     def step(self) -> TraceFrame:
         events: list[tuple] = []
-        performers: dict[str, list[int]] = {}
-        for base in sorted(self.image.animats):
-            performers.setdefault(self.image.animats[base][0], []).append(base)
+        performers = self.image.performers
         try:
             for kind, run in self.plan:
                 run(performers.get(kind, ()), events)
@@ -318,13 +314,14 @@ class Engine:
     def run(self) -> list[tuple[int, str, int]]:
         """Full run: initial frame plus ``steps`` ticks; returns
         (tick, stage, count) rows for every declared stage."""
-        rows: list[tuple[int, str, int]] = []
-        frame = self.setup()
-        rows.extend(self._census(frame, 1))
+        return [row for rows in self.census() for row in rows]
+
+    def census(self) -> Iterator[list[tuple[int, str, int]]]:
+        """The full run as it goes: yields each tick's (tick, stage, count)
+        rows, one per declared stage, as soon as that tick commits."""
+        yield self._census(self.setup(), 1)
         for tick in range(2, self.config.steps + 2):
-            frame = self.step()
-            rows.extend(self._census(frame, tick))
-        return rows
+            yield self._census(self.step(), tick)
 
     def _census(self, frame: TraceFrame, tick: int) -> list[tuple[int, str, int]]:
         counts = {stage.name: 0 for stage in self.model.stages}
@@ -354,12 +351,8 @@ class Engine:
 
     def _pending(self, base: int, kind: str, names: Iterable[str]) -> dict[str, float]:
         """The values the ``kind`` block at ``base`` will commit for ``names``."""
-        slots = self.slots[kind]
-        image = self.image
-        return {
-            name: image.next[base + slots[name]] + image.delta[base + slots[name]]
-            for name in names
-        }
+        slots, pending = self.slots[kind], self.image.next
+        return {name: pending[base + slots[name]] for name in names}
 
 
 def _config_error(message: str, pos) -> ConfigError:
@@ -377,42 +370,81 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
         message, stage, pos = site  # ``{}`` in the message stands for ``value``
         raise RuntimeAbort(message.format(value), tick=image.ticks + 1, stage=stage, pos=pos)
 
-    def store(address: int, value: float, site: tuple, assign: bool) -> None:
-        """The next value (``assign``) or a delta; what it commits is finite."""
-        if address not in image.next:
-            image.write(address, value)  # raises AddressError
-        if assign:
-            image.next[address] = value
-        else:
-            image.delta[address] += value
-        if not -inf < image.next[address] + image.delta[address] < inf:
-            fail(site, image.next[address] + image.delta[address])
+    # ``MemoryImage.write`` and ``write_delta`` inlined, each with the check
+    # that what the address will commit is finite.  The image empties
+    # ``assigned`` and ``delta`` in place, so they are bound once.
+    assigned, delta = image.assigned, image.delta
 
-    def count(value: float, site: tuple) -> int:
+    def assign(address: int, value: float, site: tuple) -> None:
+        pending = image.next
+        if address not in pending:
+            image.write(address, value)  # raises AddressError
+        assigned[address] = value = value + 0.0
+        if address in delta:
+            value += delta[address]
+        pending[address] = value
+        if not -inf < value < inf:
+            fail(site, value)
+
+    def add(address: int, value: float, site: tuple) -> None:
+        pending = image.next
+        if address not in pending:
+            image.write_delta(address, value)  # raises AddressError
+        if address in delta:
+            value = delta[address] = delta[address] + value
+            value += assigned[address] if address in assigned else image.vals[address]
+        else:  # the first increment: ``pending`` holds the base
+            delta[address] = value
+            value += pending[address]
+        pending[address] = value
+        if not -inf < value < inf:
+            fail(site, value)
+
+    def spawn(events: list, base: int, kind: str, stage, value: float, site: tuple, pos) -> None:
+        """Records a spawn of the whole number of animats in ``value``, if
+        that is not none; a negative or non-finite ``value`` aborts."""
         if not 0.0 <= value < inf:
             fail(site, value)
-        return math.floor(value)
+        if value >= 1.0:
+            events.append(("spawn", base, kind, stage, math.floor(value), pos))
 
     columns, rows, edge = config.patches_x, config.patches_y, config.patch_size
+    floor, atan2 = math.floor, math.atan2
+    # By (slot, cell), the centre of the richest cell around it, or () if that
+    # is the cell itself; found at first use in the committed values
+    # ``centres_in`` holds, and emptied when a new frame is committed.
+    centres: dict[int, tuple] = {}
+    centres_in = [None]
 
     def heading(x: float, y: float, slot: int) -> float:
         """Heading from ``(x, y)`` to the centre of the richest patch around the
         one under it, 0 if that one is strictly richest; ties go to the first."""
-        px = min(max(math.floor(x / edge), 0), columns - 1)
-        py = min(max(math.floor(y / edge), 0), rows - 1)
-        vals, best, best_value = image.vals, None, -inf
-        for cy in (py - 1, py, py + 1):
-            for cx in (px - 1, px, px + 1):
-                if 0 <= cx < columns and 0 <= cy < rows:
-                    if vals[patches[cy * columns + cx] + slot] > best_value:
-                        best, best_value = (cx, cy), vals[patches[cy * columns + cx] + slot]
-        if best == (px, py):
+        px, py = floor(x / edge), floor(y / edge)
+        px = 0 if px < 0 else px if px < columns else columns - 1
+        py = 0 if py < 0 else py if py < rows else rows - 1
+        vals = image.vals
+        if centres_in[0] is not vals:
+            centres.clear()
+            centres_in[0] = vals
+        key = (slot * rows + py) * columns + px
+        centre = centres.get(key)
+        if centre is None:
+            best, best_value = None, -inf
+            for cy in (py - 1, py, py + 1):
+                for cx in (px - 1, px, px + 1):
+                    if 0 <= cx < columns and 0 <= cy < rows:
+                        if vals[patches[cy * columns + cx] + slot] > best_value:
+                            best, best_value = (cx, cy), vals[patches[cy * columns + cx] + slot]
+            centre = () if best == (px, py) else ((best[0] + 0.5) * edge, (best[1] + 0.5) * edge)
+            centres[key] = centre
+        if not centre:
             return 0.0
-        return math.atan2((best[1] + 0.5) * edge - y, (best[0] + 0.5) * edge - x)
+        return atan2(centre[1] - y, centre[0] - x)
 
     namespace = {
         "image": image, "engine": weakref.proxy(engine), "patches": patches, "rng": rng,
-        "math": math, "fail": fail, "store": store, "count": count, "heading": heading,
+        "math": math, "fail": fail, "assign": assign, "add": add, "spawn": spawn,
+        "heading": heading,
     }
     namespace.update((name, call) for call, name in _CALLS.values() if "{" not in name)
     tasks = list(enumerate(engine.model.tasks))
@@ -458,19 +490,22 @@ class _Compiler:
             self.definition(definition)
         for directive in action.lifecycle:
             self.directive(directive)
-        # Utilities perhaps computed start as None; ``pass`` keeps a body.
-        first = "".join(f"u{u} = " for u in sorted(self.maybe)) + "None" if self.maybe else "pass"
+        # Utilities perhaps computed start as None; an empty loop gets ``pass``.
+        if self.maybe:
+            self.lines.insert(0, "        " + "".join(f"u{u} = " for u in sorted(self.maybe)) + "None")
+        elif not self.lines:
+            self.lines.append("        pass")
         head = [f"def task_{i}(bases, events):", "    vals = image.vals", "    for b in bases:"]
-        self.lines[:0] = head + ["        " + first]
+        self.lines[:0] = head
 
     def definition(self, definition: ast.AttributeDefinition) -> None:
         value, pos = self.expression(definition.expression), definition.pos
         if definition.decorator is ast.Decorator.DIFFERENTIAL:
             value = self.call(("*", 2), [value, self.engine.config.delta_time], pos)
         address, text = self.address(definition.variable, pos), self.value(value)
-        assign = definition.decorator is ast.Decorator.ASSIGN
+        helper = "assign" if definition.decorator is ast.Decorator.ASSIGN else "add"
         site = (f"non-finite value {{}} for {definition.variable.identifier!r}", self.kind, pos)
-        self.emit(f"store({self.place(address)}, {text}, {self.bind(site)}, {assign})")
+        self.emit(f"{helper}({self.place(address)}, {text}, {self.bind(site)})")
 
     def directive(self, directive: ast.LifecycleDirective) -> None:
         guard, pos, kind = directive.guard, directive.pos, self.kind
@@ -485,15 +520,15 @@ class _Compiler:
             case ast.StageTransition(target=name):
                 event, number = f"'become', b, {kind!r}, {self.stage(name, pos)}", None
             case ast.Spawn(stage=name, count=number):
-                event = f"'spawn', b, {kind!r}, {self.stage(name, pos)}"
+                event = f"b, {kind!r}, {self.stage(name, pos)}"
                 number = self.expression(number)
 
         def act():  # a spawn count is evaluated when the guard holds
-            fields = event
-            if number is not None:
-                site = self.bind(("spawn count {} out of range", kind, pos))
-                fields += f", count({self.value(number)}, {site}), {self.bind(pos)}"
-            self.emit(f"events.append(({fields}))")
+            if number is None:
+                self.emit(f"events.append(({event}))")
+                return
+            site = self.bind(("spawn count {} out of range", kind, pos))
+            self.emit(f"spawn(events, {event}, {self.value(number)}, {site}, {self.bind(pos)})")
 
         if guard is None or guard is True:
             act()

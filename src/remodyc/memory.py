@@ -1,10 +1,14 @@
 """Simulation memory: flat float store, synchronous commit, full trace.
 
 Reads see the last committed frame while writes accumulate in pending
-stores (``next`` for assignments, ``delta`` for increments), so update
-order inside a tick cannot leak into results.  ``store`` folds pending
-state into a frame and appends it to a backend; ``load`` rebuilds the
-image from any stored frame, which is all replay needs.
+stores (``assigned`` for assignments, ``delta`` for increments, ``next``
+for what each address will commit), so update order inside a tick cannot
+leak into results.  ``store`` hands ``next`` on as a frame and appends it
+to a backend.  A commit costs what changed: that dict becomes the
+committed values as it is, and block sizes, performer lists and instance
+indices are updated from the blocks allocated and killed during the tick.
+``load`` rebuilds the image from any stored frame, inferring all of that
+from the frame, which is all replay needs.
 
 On disk a frame is committed once its ``rng.csv`` row is complete, and
 that row is written last.  Every trace file keeps its rows sorted by
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import abc
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -54,7 +59,7 @@ class InMemoryBackend(StorageBackend):
 
     def append_frame(self, frame: TraceFrame) -> None:
         self.frames.append(
-            TraceFrame(dict(frame.values), dict(frame.animats), frame.rng_state)
+            TraceFrame(frame.values.copy(), frame.animats.copy(), frame.rng_state)
         )
 
     def load_frame(self, tick: int) -> TraceFrame:
@@ -225,50 +230,86 @@ class FileBackend(StorageBackend):
 
 
 class MemoryImage:
-    """The working image: committed values plus the tick's pending writes."""
+    """The working image: committed values plus the tick's pending writes.
+
+    ``vals`` is the committed frame's own values dict, which the image
+    never writes: the frame was returned to a caller, or, for
+    ``InMemoryBackend``, it is the stored frame.  ``next`` is its one copy,
+    and every write keeps in it what the address will commit: its value
+    assigned this tick, if any, else its committed one, plus its delta.
+    ``assigned`` and ``delta`` hold only the addresses written this tick,
+    the slots of new blocks being assigned 0.0; they are emptied in place,
+    so compiled code may hold on to them.  Besides the values the image
+    keeps each block's size, the bases in order, each kind's bases in order
+    (its performers) and each stage's last instance index.
+
+    ``store`` hands ``next``, less the killed blocks, on as the frame's
+    values.  ``apply_frame`` then commits the frame one of two ways: the
+    frame ``store`` just returned takes the commit path, which updates the
+    kept state from the blocks killed since the last commit (new blocks
+    were entered as they were allocated); any other frame takes the load
+    path, which infers all of it from the frame.  Both give the same image.
+    Between ``store`` and ``apply_frame`` the image is mid commit: if the
+    backend fails to append, ``load`` a stored frame to go on.
+    """
 
     def __init__(self):
         self.vals: dict[int, float] = {}
         self.next: dict[int, float] = {}
+        self.assigned: dict[int, float] = {}
         self.delta: dict[int, float] = {}
-        self.deads: set[int] = set()
+        self.killed: set[int] = set()  # bases killed since the last commit
         self.animats: dict[int, tuple[str, int]] = {}
         self.sizes: dict[int, int] = {}
+        self.bases: list[int] = []  # every base in ``animats``, ascending
+        self.performers: dict[str, list[int]] = {}  # by kind, ascending
         self.stage_indices: dict[str, int] = {}
         self.next_free = 1
         self.ticks = 0
         # Blocks the next frame will hold: allocated and not killed.
         self.live = 0
+        self._stored: TraceFrame | None = None
 
     def read(self, address: int) -> float:
         try:
             return self.vals[address]
         except KeyError:
+            if address in self.next:
+                return 0.0  # allocated since the last commit, so still zero
             raise AddressError(f"read from unallocated address {address}") from None
 
     def write(self, address: int, value: float) -> None:
         if address not in self.next:
             raise AddressError(f"write to unallocated address {address}")
-        self.next[address] = value
+        # ``+ 0.0`` keeps -0.0 out of assigned bases, and no committed value
+        # is -0.0: so base + delta does not depend on the sign of a zero
+        # delta, and deltas need not start from 0.0.
+        self.assigned[address] = value = value + 0.0
+        self.next[address] = value + self.delta[address] if address in self.delta else value
 
     def write_delta(self, address: int, value: float) -> None:
-        if address not in self.delta:
+        if address not in self.next:
             raise AddressError(f"write to unallocated address {address}")
-        self.delta[address] += value
+        if address in self.delta:
+            value += self.delta[address]
+        increment = self.delta[address] = value
+        base = self.assigned[address] if address in self.assigned else self.vals[address]
+        self.next[address] = base + increment
 
     def allocate(self, stage: str, size: int) -> int:
         """Zeroed contiguous block; returns its base address.  A block
         always takes at least one slot so bases stay distinct."""
-        base = self.next_free
-        for address in range(base, base + max(size, 1)):
-            self.vals[address] = 0.0
-            self.next[address] = 0.0
-            self.delta[address] = 0.0
+        base, size = self.next_free, max(size, 1)
+        zeros = dict.fromkeys(range(base, base + size), 0.0)
+        self.assigned.update(zeros)
+        self.next.update(zeros)
         index = self.stage_indices.get(stage, 0) + 1
         self.stage_indices[stage] = index
         self.animats[base] = (stage, index)
-        self.sizes[base] = max(size, 1)
-        self.next_free = base + max(size, 1)
+        self.sizes[base] = size
+        self.bases.append(base)
+        self.performers.setdefault(stage, []).append(base)
+        self.next_free = base + size
         self.live += 1
         return base
 
@@ -277,57 +318,110 @@ class MemoryImage:
         frame boundary drops them."""
         if base not in self.animats:
             raise AddressError(f"kill of unallocated base {base}")
-        if base in self.deads:
+        if base in self.killed:
             return
-        self.deads.update(range(base, base + self.sizes[base]))
+        self.killed.add(base)
         self.live -= 1
 
     def store(self, backend: StorageBackend, rng_state: int) -> TraceFrame:
+        """Append the frame the pending writes make: ``next`` on every
+        address of a block not killed."""
         if self.ticks != backend.frame_count():
             raise ValueError(
                 f"image at tick {self.ticks} cannot append frame "
                 f"{backend.frame_count() + 1}"
             )
-        values = {
-            address: self.next[address] + self.delta[address]
-            for address in self.next
-            if address not in self.deads
-        }
-        animats = {
-            base: entry for base, entry in self.animats.items() if base not in self.deads
-        }
+        values, sizes = self.next, self.sizes
+        animats = self.animats.copy()
+        for base in self.killed:
+            del animats[base]
+            # A kept size may cover the gap a dead block left: no values there.
+            for address in range(base, base + sizes[base]):
+                values.pop(address, None)
         frame = TraceFrame(values, animats, rng_state)
         backend.append_frame(frame)
+        self._stored = frame
         return frame
 
     def apply_frame(self, frame: TraceFrame, tick: int) -> None:
         """Make ``frame`` the committed state after ``tick``.
 
-        A frame holds no block sizes, so they are inferred: a live block
-        reaches up to the next live base, the highest one up to the highest
-        stored address, and the next allocation starts just after it.  So
-        a dead block between two live ones counts in the size of the live
-        block below it, and the addresses of dead blocks above the highest
-        live one go to the next allocation.  Neither changes a value: a
-        block is read and written through its own slots, and the extra
-        addresses hold nothing to store.  Likewise each stage's next
-        instance index follows the highest live one.
+        Sizes follow one rule on both paths: a live block reaches up to the
+        next live base, the highest one up to the highest stored address,
+        and the next allocation starts just after it.  So a dead block
+        between two live ones counts in the size of the live block below
+        it, and the addresses of dead blocks above the highest live one go
+        to the next allocation.  Neither changes a value: a block is read
+        and written through its own slots, and the extra addresses hold
+        nothing to store.  Likewise each stage's next instance index
+        follows its highest live one, so an index may name another animat
+        once the one that held it has died.
+
+        The frame ``store`` just returned takes the commit path, which
+        besides copying the values into ``next`` costs O(blocks killed):
+        sizes, bases, performers and indices were kept up to date by
+        ``allocate``, and each killed block passes its size to the live
+        block below it.  Any other frame takes the load path, which infers
+        them all from the frame.
         """
-        self.vals = dict(frame.values)
-        self.next = dict(frame.values)
-        self.delta = {address: 0.0 for address in frame.values}
-        self.deads = set()
-        self.animats = dict(frame.animats)
-        self.live = len(self.animats)
+        self.vals = frame.values
+        # ``copy`` clones even a table with holes; ``dict()`` would rehash it.
+        self.next = frame.values.copy()
+        self.assigned.clear()
+        self.delta.clear()
         self.ticks = tick
+        if frame is self._stored:
+            self._commit_kills()
+        else:
+            self._infer(frame)
+        self.killed = set()
+        self._stored = None
+
+    def _commit_kills(self) -> None:
+        bases, sizes, animats, values = self.bases, self.sizes, self.animats, self.vals
+        top_died = False
+        # From the top down, so a block's successor is always live.
+        for base in sorted(self.killed, reverse=True):
+            i = bisect_left(bases, base)
+            del bases[i]
+            size = sizes.pop(base)
+            kind = animats.pop(base)[0]
+            kept = self.performers[kind]
+            del kept[bisect_left(kept, base)]
+            if not kept:
+                del self.performers[kind]
+                self.stage_indices.pop(kind, None)
+            else:
+                self.stage_indices[kind] = animats[kept[-1]][1]
+            if i == len(bases):
+                top_died = True
+            elif i:
+                sizes[bases[i - 1]] += size
+        if not bases:
+            self.next_free = 1
+        elif top_died:
+            # The new highest block ends at its highest stored address.
+            top = bases[-1]
+            end = top + sizes[top]
+            while end - 1 not in values:
+                end -= 1
+            sizes[top] = end - top
+            self.next_free = end
+
+    def _infer(self, frame: TraceFrame) -> None:
+        self.animats = dict(frame.animats)
+        self.bases = sorted(self.animats)
+        self.live = len(self.bases)
         self.next_free = max(frame.values, default=0) + 1
-        bases = sorted(self.animats)
         self.sizes = {
             base: following - base
-            for base, following in zip(bases, bases[1:] + [self.next_free])
+            for base, following in zip(self.bases, self.bases[1:] + [self.next_free])
         }
+        self.performers = {}
         self.stage_indices = {}
-        for stage, index in self.animats.values():
+        for base in self.bases:
+            stage, index = self.animats[base]
+            self.performers.setdefault(stage, []).append(base)
             if index > self.stage_indices.get(stage, 0):
                 self.stage_indices[stage] = index
 

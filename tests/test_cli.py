@@ -157,6 +157,25 @@ class TestRun:
         assert "tick 2" in meta
 
 
+    def test_census_streams_the_ticks_an_abort_keeps(self, tree, capsys):
+        bad = tree / "late.rmd"
+        bad.write_text(
+            "Egg is G with\n    age [day] = 0 [day]\n    w [].\n"
+            "to age is\n    my delta age' = delta time.\n"
+            "to f is\n    my w' = 1 [day] / (my age - 3 [day]).\n"
+            "Egg age.\nEgg f.\n"
+        )
+        config = tree / "long.cfg"
+        config.write_text(CONFIG.replace("steps = 3", "steps = 6"))
+        out = tree / "aborted"
+        assert invoke("run", bad, config, "--out", out) == 3
+        captured = capsys.readouterr()
+        assert "division by zero (tick 5, Egg, line 7)" in captured.err
+        assert captured.out.splitlines() == [
+            "tick,stage,count", "1,Egg,2", "2,Egg,2", "3,Egg,2", "4,Egg,2",
+        ]
+        assert (out / "rng.csv").read_text().splitlines()[-1].startswith("4,")
+
     def test_loglogistic_overflow_aborts_keeping_frames(self, tree, capsys):
         bad = tree / "overflow.rmd"
         bad.write_text(
