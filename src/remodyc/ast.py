@@ -393,11 +393,6 @@ def action_expressions(action: ActionDefinition) -> Iterator[Expression]:
             yield guard.right
 
 
-def size_of_agent(agent: AgentDefinition) -> int:
-    """Number of memory slots one instance occupies."""
-    return len(agent.all_attributes)
-
-
 def placeholders_of(action: ActionDefinition) -> set[str]:
     """Placeholder names a task must bind, wherever they are reachable."""
     names = set()

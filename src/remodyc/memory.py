@@ -10,11 +10,14 @@ indices are updated from the blocks allocated and killed during the tick.
 ``load`` rebuilds the image from any stored frame, inferring all of that
 from the frame, which is all replay needs.
 
-On disk a frame is committed once its ``rng.csv`` row is complete, and
-that row is written last.  Every trace file keeps its rows sorted by
-tick, so loading a frame is a binary search over byte offsets: it reads
-O(log n) lines plus the frame's own rows, and never rows past the last
-committed tick or a torn last line.
+On disk an append writes each of the three trace files once, as bytes
+built in one pass over the frame, and flushes it before returning; a
+value's text is the one ``parser.format_number`` gives.  A frame is
+committed once its ``rng.csv`` row is complete, and that row is written
+last.  Every trace file keeps its rows sorted by tick, so loading a frame
+is a binary search over byte offsets: it reads O(log n) lines plus the
+frame's own rows, and never rows past the last committed tick or a torn
+last line.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-from .parser import format_number
 from .rng import format_state, parse_state
 
 
@@ -143,17 +145,26 @@ def _last_tick(path: Path) -> int:
             size *= 4
 
 
+def _tick_text(tick: int, rows: list[str]) -> str:
+    """The lines of ``rows``, each led by ``tick,``; nothing for no rows."""
+    return f"{tick}," + f"\n{tick},".join(rows) + "\n" if rows else ""
+
+
 class FileBackend(StorageBackend):
     """Three growing CSVs; every append hits the disk before returning,
     so an aborted run keeps all frames completed so far.
 
-    ``frames.csv`` and ``animats.csv`` rows of a tick are written first,
-    its ``rng.csv`` row last: that row is the commit record.  Reopening a
-    run directory counts the committed frames from the last complete
-    ``rng.csv`` row and reads nothing else.  Rows past the last committed
-    tick, left by a crash mid-append, are never loaded, and the first
-    append after reopening cuts them off.  A load reads O(log n) lines
-    plus the frame's own rows; opening and loading write nothing.
+    An append opens each file once, in binary append mode, writes all of
+    the tick's rows to it in one ``write`` and flushes it; no handle is
+    kept between appends.  A value is written as ``format_number`` gives
+    it.  ``frames.csv`` and ``animats.csv`` rows of a tick are written
+    first, its ``rng.csv`` row last: that row is the commit record.
+    Reopening a run directory counts the committed frames from the last
+    complete ``rng.csv`` row and reads nothing else.  Rows past the last
+    committed tick, left by a crash or a failed append, are never loaded,
+    and the next append, after reopening or after the failure, cuts them
+    off.  A load reads O(log n) lines plus the frame's own rows; opening
+    and loading write nothing.
     """
 
     def __init__(self, run_dir):
@@ -161,8 +172,9 @@ class FileBackend(StorageBackend):
         self._values_path = self.run_dir / "frames.csv"
         self._animats_path = self.run_dir / "animats.csv"
         self._rng_path = self.run_dir / "rng.csv"
-        self._reopened = self._rng_path.exists()
-        if self._reopened:
+        # A reopened run may end in rows past its last committed tick.
+        self._cut_pending = self._rng_path.exists()
+        if self._cut_pending:
             self._count = _last_tick(self._rng_path)
         else:
             self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -186,21 +198,34 @@ class FileBackend(StorageBackend):
                     handle.truncate(end)
 
     def append_frame(self, frame: TraceFrame) -> None:
-        if self._reopened:
+        if self._cut_pending:
             self._cut_uncommitted()
-            self._reopened = False
+        # Until the rng.csv row is written, the rows below are uncommitted:
+        # if this append fails, the next one cuts them off first.
+        self._cut_pending = True
         tick = self._count + 1
         values, animats = frame.values, frame.animats
-        rows = (
-            [f"{tick},{a},{format_number(values[a])}\n" for a in sorted(values)],
-            [f"{tick},{b},{animats[b][0]},{animats[b][1]}\n" for b in sorted(animats)],
-            [f"{tick},{format_state(frame.rng_state)}\n"],
+        # A value is its row's last field, and a finite float's repr ends
+        # in ".0" only when the float is integral: so one replace drops
+        # the ".0" of every integral value, as ``format_number`` does.
+        value_text = _tick_text(
+            tick, [f"{a},{values[a]!r}" for a in sorted(values)]
+        ).replace(".0\n", "\n")
+        animat_text = _tick_text(
+            tick, [f"{b},{animats[b][0]},{animats[b][1]}" for b in sorted(animats)]
         )
-        # One write per file, the rng.csv row, which commits the tick, last.
-        for path, lines in zip((self._values_path, self._animats_path, self._rng_path), rows):
-            with open(path, "a") as handle:
-                handle.write("".join(lines))
+        rng_text = f"{tick},{format_state(frame.rng_state)}\n"
+        # One binary write per file, the rng.csv row, which commits the
+        # tick, last.
+        for path, text in (
+            (self._values_path, value_text),
+            (self._animats_path, animat_text),
+            (self._rng_path, rng_text),
+        ):
+            with open(path, "ab") as handle:
+                handle.write(text.encode())
                 handle.flush()
+        self._cut_pending = False
         self._count = tick
 
     def load_frame(self, tick: int) -> TraceFrame:

@@ -12,11 +12,12 @@ EGG = ast.StageDefinition(
 
 
 def test_size_of_agent_counts_implicit_position():
-    assert ast.size_of_agent(EGG) == 3
-    assert ast.size_of_agent(ast.StageDefinition("S", "X", ())) == 2
+    # An instance takes one memory slot per attribute, its implicit x/y too.
+    assert len(EGG.all_attributes) == 3
+    assert len(ast.StageDefinition("S", "X", ()).all_attributes) == 2
     world = ast.WorldDefinition((ast.AttributeDeclaration("t", parse_unit("s")),))
-    assert ast.size_of_agent(world) == 1
-    assert ast.size_of_agent(ast.PatchDefinition(())) == 0
+    assert len(world.all_attributes) == 1
+    assert len(ast.PatchDefinition(()).all_attributes) == 0
 
 
 def test_stage_implicit_attributes_are_prepended():

@@ -1,12 +1,15 @@
 """Memory image semantics and trace storage."""
+import errno
 import io
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from remodyc import memory
+from remodyc.interp import Engine, parse_config
 from remodyc.memory import (
     AddressError,
     FileBackend,
@@ -14,8 +17,10 @@ from remodyc.memory import (
     MemoryImage,
     TraceFrame,
 )
+from remodyc.parser import format_number, parse_model
 
 TRACE_FILES = ("frames.csv", "animats.csv", "rng.csv")
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def image_with_block(stage="Egg", size=3):
@@ -320,6 +325,60 @@ class TestFileBackend:
         assert list(read) == ["rng.csv"]
         assert 0 < read["rng.csv"] < 1024
 
+    def test_exact_value_text(self, tmp_path):
+        values = [-0.0, 0.0, 1e16, 9999999999999998.0, 1e-05, 5e-324, -3.0, 1e22, 0.5]
+        backend = FileBackend(tmp_path)
+        backend.append_frame(TraceFrame(dict(enumerate(values, 1)), {1: ("Egg", 1)}, 7))
+        assert (tmp_path / "frames.csv").read_text() == (
+            "tick,address,value\n"
+            "1,1,-0\n1,2,0\n1,3,1e+16\n1,4,9999999999999998\n1,5,1e-05\n"
+            "1,6,5e-324\n1,7,-3\n1,8,1e+22\n1,9,0.5\n"
+        )
+
+    def test_empty_frame_appends_only_its_rng_row(self, tmp_path):
+        backend, _, _ = self.fill(tmp_path)
+        before = self.contents(tmp_path)
+        backend.append_frame(TraceFrame({}, {}, 0xAB))
+        after = self.contents(tmp_path)
+        assert after["frames.csv"] == before["frames.csv"]
+        assert after["animats.csv"] == before["animats.csv"]
+        assert after["rng.csv"] == before["rng.csv"] + b"3,00000000000000ab\n"
+        assert FileBackend(tmp_path).load_frame(3) == TraceFrame({}, {}, 0xAB)
+
+    def test_failed_append_then_retry_matches_an_uninterrupted_run(self, tmp_path, monkeypatch):
+        def eggs(run_dir):
+            model = parse_model((MODELS / "eggs.rmd").read_text())
+            config = parse_config((MODELS / "eggs.cfg").read_text())
+            engine = Engine(model, config, FileBackend(run_dir))
+            engine.setup()
+            return engine
+
+        clean = eggs(tmp_path / "clean")
+        for _ in range(5):
+            clean.step()
+
+        engine = eggs(tmp_path / "failed")
+        for _ in range(3):
+            engine.step()
+        real_open = open
+
+        def disk_full_for_animats(path, *args, **kwargs):
+            if Path(path).name == "animats.csv":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(path, *args, **kwargs)
+
+        # Tick 5's frames.csv rows are written, its animats.csv rows fail.
+        monkeypatch.setattr(memory, "open", disk_full_for_animats, raising=False)
+        with pytest.raises(OSError):
+            engine.step()
+        monkeypatch.undo()
+        assert engine.backend.frame_count() == 4
+        # What the ``MemoryImage`` docstring says to do after a failed append.
+        engine.resume(4)
+        engine.step()
+        engine.step()
+        assert self.contents(tmp_path / "failed") == self.contents(tmp_path / "clean")
+
 
 READ_BUFFER = 8192
 
@@ -464,3 +523,20 @@ def test_delta_order_is_irrelevant(ops):
     assert set(original.values) == set(reversed_frame.values)
     for address, value in original.values.items():
         assert value == pytest.approx(reversed_frame.values[address], rel=1e-9, abs=1e-9)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+@example([-0.0, 0.0, 1e16, 9999999999999998.0, 1e-05, 5e-324, -3.0, 1e22])
+def test_appended_values_read_as_format_number_gives_them(floats):
+    values = dict(enumerate(floats, 1))
+    with tempfile.TemporaryDirectory() as run_dir:
+        backend = FileBackend(run_dir)
+        backend.append_frame(TraceFrame(values, {}, 0))
+        rows = (Path(run_dir) / "frames.csv").read_text().splitlines()[1:]
+        assert rows == [f"1,{a},{format_number(v)}" for a, v in values.items()]
+        loaded = FileBackend(run_dir).load_frame(1).values
+    assert loaded == values
+    # ``==`` does not tell -0.0 from 0.0.
+    assert [math.copysign(1.0, v) for v in loaded.values()] == [
+        math.copysign(1.0, v) for v in values.values()
+    ]
