@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import ast, rng
 from .memory import AddressError, MemoryImage, StorageBackend, TraceFrame
-from .units import parse_unit, same_dimension
+from .units import UnitError, parse_unit, same_dimension
 
 SECONDS = parse_unit("s")
 METERS = parse_unit("m")
@@ -67,6 +67,9 @@ class SimulationConfig:
     populations: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
+        for name in _QUANTITY_KEYS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.delta_time <= 0:
             raise ConfigError("delta_time must be positive")
         if self.steps < 1:
@@ -110,8 +113,8 @@ def parse_config(text: str) -> SimulationConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("populate"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "populate":
             if len(parts) != 3:
                 raise ConfigError(f"line {lineno}: expected 'populate <count> <stage>'")
             try:
@@ -151,15 +154,20 @@ def _parse_quantity(value: str, expected, lineno: int) -> float:
         magnitude = float(parts[0])
     except ValueError:
         raise ConfigError(f"line {lineno}: bad number {parts[0]!r}") from None
-    if len(parts) == 1:
-        return magnitude
-    try:
-        unit = parse_unit(parts[1])
-    except Exception:
-        raise ConfigError(f"line {lineno}: bad unit {parts[1]!r}") from None
-    if not same_dimension(unit, expected):
-        raise ConfigError(f"line {lineno}: {parts[1]!r} has the wrong dimension")
-    return magnitude * unit.scale
+    scale = 1.0
+    if len(parts) == 2:
+        try:
+            unit = parse_unit(parts[1])
+        except UnitError:
+            raise ConfigError(f"line {lineno}: bad unit {parts[1]!r}") from None
+        if not same_dimension(unit, expected):
+            raise ConfigError(f"line {lineno}: {parts[1]!r} has the wrong dimension")
+        scale = unit.scale
+    # Scaled first: a finite magnitude may overflow in SI (``1e308 day``).
+    quantity = magnitude * scale
+    if not math.isfinite(quantity):
+        raise ConfigError(f"line {lineno}: {value!r} is not a finite quantity")
+    return quantity
 
 
 # Samplers by distribution node, fed the node's children in order; called

@@ -3,6 +3,11 @@
 Statements are separated by juxtaposition, a ``.`` ends each definition,
 and ``#`` starts a line comment.  The parser raises ``SourceError`` at
 the first problem, including duplicate names within one scope.
+
+Tokens: ``[unit text]`` on one line | ``d/dt`` and ``'s`` not followed by
+a letter, digit or ``_`` | ASCII word | number (``2``, ``0.5``, ``1e-3``) |
+``->`` ``<=`` ``>=`` | one of ``.='()^+-*/<>,``; blanks (space, tab, CR),
+newlines and comments only separate them.
 """
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import re
 from typing import NamedTuple
 
 from . import ast
-from .units import Unit, UnitParseError, format_unit, parse_unit
+from .units import DIMENSIONLESS, Unit, UnitError, UnitParseError, format_unit, parse_unit
 
 KEYWORDS = frozenset(
     """to is with where my the delta when spawn die become world here
@@ -43,89 +48,56 @@ class Token(NamedTuple):
         return ast.SourcePos(self.line, self.column)
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+# One match per token, blanks before it included.  A comment goes with the
+# newline that ends it, or with ``eof`` at the end of the text, so that
+# ``eof`` then sits at the column of the ``#``.  ``(?!\w)``: not followed by
+# a letter, digit or underscore of any script.  The last group matches any
+# other character, so ``finditer`` never skips one.
+_TOKEN_RE = re.compile(
+    r"""[ \t\r]*(?:
+      (?P<newline>(?:\#[^\n]*)?\n)
+    | (?P<op>d/dt(?!\w)|'s(?!\w)|->|<=|>=|[.='()^+\-*/<>,])
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+    | \[(?P<unit>[^\]\n]*)\]
+    | (?P<eof>(?:\#[^\n]*)?\Z)
+    | (?P<bad>.)
+    )""",
+    re.VERBOSE,
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
-    n = len(text)
-
-    def emit(kind: str, value: str):
-        tokens.append(Token(kind, value, line, column))
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    append = tokens.append
+    # ``tuple.__new__`` builds a Token without its Python-level constructor.
+    new = tuple.__new__
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
             line += 1
-            column = 1
+            line_start = match.end()
             continue
-        if c in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "[":
-            end = text.find("]", i)
-            newline = text.find("\n", i)
-            if end == -1 or (newline != -1 and newline < end):
-                raise SourceError("unterminated unit bracket", line, column)
-            emit("unit", text[i + 1 : end])
-            column += end - i + 1
-            i = end + 1
-            continue
-        match = _IDENT_RE.match(text, i)
-        if match:
-            word = match.group()
-            if word == "d" and text[i : i + 4] == "d/dt" and not _is_ident_char(text, i + 4):
-                emit("d/dt", "d/dt")
-                i += 4
-                column += 4
-                continue
-            emit("kw" if word in KEYWORDS else "ident", word)
-            i = match.end()
-            column += len(word)
-            continue
-        match = _NUMBER_RE.match(text, i)
-        if match:
-            emit("number", match.group())
-            column += match.end() - i
-            i = match.end()
-            continue
-        if c == "'":
-            if text[i : i + 2] == "'s" and not _is_ident_char(text, i + 2):
-                emit("'s", "'s")
-                i += 2
-                column += 2
-            else:
-                emit("'", "'")
-                i += 1
-                column += 1
-            continue
-        if text[i : i + 2] in ("->", "<=", ">="):
-            emit(text[i : i + 2], text[i : i + 2])
-            i += 2
-            column += 2
-            continue
-        if c in ".='()^+-*/<>,":
-            emit(c, c)
-            i += 1
-            column += 1
-            continue
-        raise SourceError(f"unexpected character {c!r}", line, column)
-
-    tokens.append(Token("eof", "", line, column))
+        start, end = match.span(kind)
+        value = text[start:end]
+        column = start - line_start + 1
+        if kind == "word":
+            append(new(Token, ("kw" if value in KEYWORDS else "ident", value, line, column)))
+        elif kind == "op":
+            append(new(Token, (value, value, line, column)))
+        elif kind == "number":
+            append(new(Token, ("number", value, line, column)))
+        elif kind == "unit":
+            append(new(Token, ("unit", value, line, column - 1)))
+        elif kind == "eof":
+            append(new(Token, ("eof", "", line, column)))
+            break
+        elif value == "[":
+            raise SourceError("unterminated unit bracket", line, column)
+        else:
+            raise SourceError(f"unexpected character {value!r}", line, column)
     return tokens
-
-
-def _is_ident_char(text: str, i: int) -> bool:
-    return i < len(text) and (text[i].isalnum() or text[i] == "_")
 
 
 class _Parser:
@@ -148,23 +120,26 @@ class _Parser:
         return token
 
     def at(self, kind: str, value: str | None = None, ahead: int = 0) -> bool:
-        token = self.peek(ahead)
+        token = self.tokens[self.index + ahead]
         return token.kind == kind and (value is None or token.value == value)
 
     def expect(self, kind: str, value: str | None = None) -> Token:
-        token = self.peek()
-        if not self.at(kind, value):
+        token = self.tokens[self.index]
+        if token.kind != kind or (value is not None and token.value != value):
             want = value if value is not None else kind
             raise self.fail(f"expected {want!r}, found {self._describe(token)}")
-        return self.advance()
+        if kind != "eof":
+            self.index += 1
+        return token
 
     def expect_ident(self, what: str = "an identifier") -> Token:
-        token = self.peek()
-        if token.kind in ("kw", "d/dt"):
-            raise self.fail(f"reserved word {token.value!r} cannot be used as {what}")
+        token = self.tokens[self.index]
         if token.kind != "ident":
+            if token.kind in ("kw", "d/dt"):
+                raise self.fail(f"reserved word {token.value!r} cannot be used as {what}")
             raise self.fail(f"expected {what}, found {self._describe(token)}")
-        return self.advance()
+        self.index += 1
+        return token
 
     def fail(self, message: str, token: Token | None = None) -> SourceError:
         token = token or self.peek()
@@ -247,6 +222,8 @@ class _Parser:
             return parse_unit(token.value)
         except UnitParseError as err:
             raise SourceError(err.message, token.line, token.column + 1 + err.offset)
+        except UnitError as err:
+            raise SourceError(str(err), token.line, token.column)
 
     def number_literal(self) -> ast.Literal:
         token = self.expect("number")
@@ -373,8 +350,8 @@ class _Parser:
 
     def cast(self) -> ast.Expression:
         e = self.additive()
-        while self.peek().kind == "kw" and self.peek().value in ("as", "in"):
-            token = self.advance()
+        while (token := self.tokens[self.index]).kind == "kw" and token.value in ("as", "in"):
+            self.index += 1
             unit = self.unit()
             cls = ast.EnUnit if token.value == "as" else ast.DeUnit
             e = cls(e, unit, pos=token.pos)
@@ -382,51 +359,53 @@ class _Parser:
 
     def additive(self) -> ast.Expression:
         e = self.multiplicative()
-        while self.peek().kind in ("+", "-"):
-            token = self.advance()
+        while (token := self.tokens[self.index]).kind in ("+", "-"):
+            self.index += 1
             e = ast.Arithmetics(token.kind, (e, self.multiplicative()), pos=token.pos)
         return e
 
     def multiplicative(self) -> ast.Expression:
         e = self.unary()
-        while self.peek().kind in ("*", "/"):
-            token = self.advance()
+        while (token := self.tokens[self.index]).kind in ("*", "/"):
+            self.index += 1
             e = ast.Arithmetics(token.kind, (e, self.unary()), pos=token.pos)
         return e
 
     def unary(self) -> ast.Expression:
-        if self.at("-"):
-            token = self.advance()
+        token = self.tokens[self.index]
+        if token.kind == "-":
+            self.index += 1
             return ast.Arithmetics("-", (self.unary(),), pos=token.pos)
         return self.power()
 
     def power(self) -> ast.Expression:
         e = self.primary()
-        if self.at("^"):
-            token = self.advance()
+        token = self.tokens[self.index]
+        if token.kind == "^":
+            self.index += 1
             return ast.Arithmetics("^", (e, self.unary()), pos=token.pos)
         return e
 
     def primary(self) -> ast.Expression:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.kind == "number":
-            self.advance()
-            unit = self.unit() if self.at("unit") else Unit(())
+            self.index += 1
+            unit = self.unit() if self.at("unit") else DIMENSIONLESS
             return ast.Literal(float(token.value), unit, pos=token.pos)
         if token.kind == "(":
-            self.advance()
+            self.index += 1
             e = self.expression()
             self.expect(")")
             return e
         if token.kind == "kw":
             return self.keyword_primary(token)
         if token.kind == "ident":
-            self.advance()
+            self.index += 1
             if self.at("("):
-                self.advance()
+                self.index += 1
                 args = [self.expression()]
                 while self.at(","):
-                    self.advance()
+                    self.index += 1
                     args.append(self.expression())
                 self.expect(")")
                 return ast.Apply(token.value, tuple(args), pos=token.pos)

@@ -13,6 +13,7 @@ kelvin is a dimension error rather than a silent misconversion.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -189,6 +190,7 @@ _INT_RE = re.compile(r"-?[0-9]+")
 _WS_RE = re.compile(r"[ \t]*")
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_unit(text: str) -> Unit:
     """Parse the text that appeared between unit brackets.
 
@@ -196,6 +198,9 @@ def parse_unit(text: str) -> Unit:
     ``factor := NAME ("^" INT)?``.  A ``/`` puts every later factor in
     the denominator, so ``kg.m/s^2`` is kg·m·s^-2 and ``m/s.s`` is
     m·s^-2.  Empty text is the dimensionless unit.
+
+    Results are memoised by text (a ``Unit`` is immutable); a rejected
+    text is parsed, and raises, again on every call.
     """
     pos = _WS_RE.match(text).end()
     if pos == len(text):
@@ -251,4 +256,7 @@ def parse_unit(text: str) -> Unit:
         pos = _WS_RE.match(text, pos + 1).end()
         pos = factor(pos, sign)
 
+    if denominator == 0.0:
+        # Factors small enough to underflow: no float scale represents them.
+        raise UnitError(f"unit scale of {text!r} is out of range")
     return _canonical(pairs, numerator / denominator, "".join(spelling))

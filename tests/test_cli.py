@@ -124,6 +124,28 @@ class TestRun:
         assert capsys.readouterr().out.startswith("tick,stage,count")
         assert not (tree / "run1").exists()
 
+    @pytest.mark.parametrize(
+        "setting, line",
+        [
+            ("world_width = inf km", 4),
+            ("world_width = nan km", 4),
+            ("delta_time = nan day", 1),
+            ("delta_time = 1e308 day", 1),
+        ],
+    )
+    def test_non_finite_quantity_exits_1(self, tree, capsys, setting, line):
+        key = setting.split()[0]
+        lines = [setting if text.startswith(key) else text for text in CONFIG.splitlines()]
+        bad = tree / "bad.cfg"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tree / "run1"
+        assert invoke("run", tree / "model.rmd", bad, "--out", out) == 1
+        value = setting.partition("= ")[2]
+        assert capsys.readouterr().err == (
+            f"{bad}: line {line}: {value!r} is not a finite quantity\n"
+        )
+        assert not out.exists()
+
     def test_out_required_for_file_backend(self, tree):
         assert invoke("run", tree / "model.rmd", tree / "run.cfg") == 2
 

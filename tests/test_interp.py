@@ -93,11 +93,48 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "world_width = inf km",
+            "world_width = nan km",
+            "world_width = -inf",
+            "delta_time = nan day",
+            "delta_time = 1e308 day",
+        ],
+    )
+    def test_non_finite_quantities_are_rejected(self, setting):
+        key = setting.split()[0]
+        lines = [line for line in BASIC_CONFIG.splitlines() if not line.startswith(key)]
+        text = "\n".join(lines + [setting]) + "\n"
+        value = setting.partition("= ")[2]
+        message = f"line {len(lines) + 1}: {value!r} is not a finite quantity"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+
+    def test_key_starting_with_populate_is_unknown(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("delta_time = 1 day\nsteps = 1\nseed = 0\npopulated = 5\n")
+        assert str(err.value) == "line 4: unknown setting 'populated'"
+
+    @pytest.mark.parametrize("unit", ["fortnight", "mm^32.mm^32/mm^32.mm^32.mm^32.mm^32"])
+    def test_unparseable_unit_is_a_bad_unit(self, unit):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"delta_time = 1 {unit}\nsteps = 1\nseed = 0\n")
+        assert str(err.value) == f"line 1: bad unit {unit!r}"
+
     def test_validation_direct(self):
         with pytest.raises(ConfigError):
             SimulationConfig(delta_time=0.0, steps=1, seed=0)
         with pytest.raises(ConfigError):
             SimulationConfig(delta_time=1.0, steps=1, seed=0, patch_size=300.0)
+
+    def test_validation_direct_rejects_non_finite(self):
+        with pytest.raises(ConfigError, match="world_width must be finite"):
+            SimulationConfig(delta_time=1.0, steps=1, seed=0, world_width=math.inf)
+        with pytest.raises(ConfigError, match="delta_time must be finite"):
+            SimulationConfig(delta_time=math.nan, steps=1, seed=0)
 
 
 class TestResolution:

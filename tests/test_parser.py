@@ -9,6 +9,7 @@ from remodyc.parser import (
     parse_expression,
     parse_model,
     pretty_print,
+    tokenize,
 )
 from remodyc.units import parse_unit
 
@@ -205,6 +206,66 @@ def test_literal_units():
     assert e == ast.Literal(10.0, parse_unit("km"))
     e = parse_expression("0.5")
     assert e.unit.dimension == ()
+
+
+# Source text -> every token as (kind, value, line, column), or the
+# (line, column, message) of the SourceError it raises.  A tab and a carriage
+# return count one column each; a comment that ends the text leaves ``eof``
+# at the column of its ``#``.
+LEXER_CASES = {
+    "d/dt": [("d/dt", "d/dt", 1, 1), ("eof", "", 1, 5)],
+    "d/dtx": [
+        ("ident", "d", 1, 1), ("/", "/", 1, 2), ("ident", "dtx", 1, 3), ("eof", "", 1, 6),
+    ],
+    "d/dt_": [
+        ("ident", "d", 1, 1), ("/", "/", 1, 2), ("ident", "dt_", 1, 3), ("eof", "", 1, 6),
+    ],
+    "d/dt\u00e9": (1, 5, "unexpected character '\u00e9'"),
+    "d/dt x": [("d/dt", "d/dt", 1, 1), ("ident", "x", 1, 6), ("eof", "", 1, 7)],
+    "'s": [("'s", "'s", 1, 1), ("eof", "", 1, 3)],
+    "'s\u00e9": (1, 3, "unexpected character '\u00e9'"),
+    "'": [("'", "'", 1, 1), ("eof", "", 1, 2)],
+    "my a'": [("kw", "my", 1, 1), ("ident", "a", 1, 4), ("'", "'", 1, 5), ("eof", "", 1, 6)],
+    "a->b": [("ident", "a", 1, 1), ("->", "->", 1, 2), ("ident", "b", 1, 4), ("eof", "", 1, 5)],
+    "a<=b>=c": [
+        ("ident", "a", 1, 1), ("<=", "<=", 1, 2), ("ident", "b", 1, 4),
+        (">=", ">=", 1, 5), ("ident", "c", 1, 7), ("eof", "", 1, 8),
+    ],
+    "a\r\n\tb [km]\r\n": [
+        ("ident", "a", 1, 1), ("ident", "b", 2, 2), ("unit", "km", 2, 4), ("eof", "", 3, 1),
+    ],
+    "2.5e-3 [ m ]": [("number", "2.5e-3", 1, 1), ("unit", " m ", 1, 8), ("eof", "", 1, 13)],
+    "a # note": [("ident", "a", 1, 1), ("eof", "", 1, 3)],
+    "a # note\n": [("ident", "a", 1, 1), ("eof", "", 2, 1)],
+    "\t# only\r": [("eof", "", 1, 2)],
+    "": [("eof", "", 1, 1)],
+    "a [km\n]": (1, 3, "unterminated unit bracket"),
+    "a [km": (1, 3, "unterminated unit bracket"),
+    "x\u00e9": (1, 2, "unexpected character '\u00e9'"),
+}
+
+
+@pytest.mark.parametrize("text", list(LEXER_CASES))
+def test_lexer_table(text):
+    expected = LEXER_CASES[text]
+    if isinstance(expected, list):
+        assert [tuple(token) for token in tokenize(text)] == expected
+        return
+    with pytest.raises(SourceError) as err:
+        tokenize(text)
+    assert (err.value.line, err.value.column, err.value.message) == expected
+
+
+def test_unit_out_of_range_is_a_source_error():
+    # Past the exponent bound, and factors whose scale underflows to zero.
+    with pytest.raises(SourceError) as err:
+        parse_model("Adult is G with\n    age [m^40].\n")
+    assert (err.value.line, err.value.column) == (2, 9)
+    assert "exceeds" in err.value.message
+    tiny = ".".join(["mm^32"] * 4)
+    with pytest.raises(SourceError) as err:
+        parse_expression(f"1 [{tiny}/{tiny}]")
+    assert (err.value.line, err.value.column) == (1, 3)
 
 
 def test_error_positions():

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from remodyc.parser import format_expression, parse_expression, parse_model, pretty_print
 from remodyc.units import (
     DIMENSIONLESS,
     DimensionOverflowError,
@@ -127,6 +128,38 @@ def test_parse_trailing_garbage():
         parse_unit("m s")
     with pytest.raises(UnitParseError):
         parse_unit("km/")
+
+
+def test_memo_raises_the_same_offset_again():
+    for _ in range(2):
+        with pytest.raises(UnitParseError) as err:
+            parse_unit("km/fortnight")
+        assert err.value.offset == 3
+
+
+def test_memo_returns_a_unit_equal_to_a_fresh_parse():
+    for text in ("km/day", "kg.m/s^2", " m ", ""):
+        cached = parse_unit(text)
+        assert parse_unit(text) is cached
+        fresh = parse_unit.__wrapped__(text)
+        assert cached == fresh
+        assert cached.scale == fresh.scale
+        assert cached.label == fresh.label
+    assert parse_unit("km/day").label == "km/day"
+    assert parse_unit("").label == ""
+
+
+def test_unitless_literal_prints_without_brackets():
+    assert format_expression(parse_expression("0.5")) == "0.5"
+    assert format_expression(parse_expression("0.5 []")) == "0.5"
+    model = parse_model("to f is\n    my a' = 0.5 * 2 [km].\n")
+    assert "my a' = 0.5 * 2 [km]" in pretty_print(model)
+
+
+def test_underflowing_scale_is_a_unit_error():
+    tiny = ".".join(["mm^32"] * 4)
+    with pytest.raises(UnitError):
+        parse_unit(f"{tiny}/{tiny}")
 
 
 def test_parse_exponent_overflow():
