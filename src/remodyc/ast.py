@@ -1,20 +1,21 @@
 """Syntax tree for models: agent kinds, actions, tasks and expressions.
 
 Nodes are frozen dataclasses compared structurally; source positions ride
-along for diagnostics but never take part in equality.
+along for diagnostics but never take part in equality.  An expression node
+holds its subexpressions, and only those, in the tuple ``args``, in
+evaluation order; a node without ``args`` is a leaf.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .units import Unit, parse_unit
 
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
     """1-based line and column of a token in model source."""
 
     line: int
@@ -87,51 +88,36 @@ class Apply(Node):
 
 
 @dataclass(frozen=True)
-class UniformDist(Node):
-    """``uniform <low> to <high>``."""
+class Draw(Node):
+    """A draw from ``distribution`` with its two parameters in source order:
+    ``uniform <low> to <high>``, ``normal(<mean>, <sigma>)``,
+    ``gamma(<shape>, <scale>)`` or ``loglogistic(<scale>, <shape>)``; a
+    gamma or loglogistic shape is dimensionless."""
 
-    low: Expression
-    high: Expression
+    distribution: str
+    args: tuple[Expression, ...]
 
-
-@dataclass(frozen=True)
-class NormalDist(Node):
-    """``normal(<mean>, <sigma>)``."""
-
-    mean: Expression
-    sigma: Expression
-
-
-@dataclass(frozen=True)
-class GammaDist(Node):
-    """``gamma(<shape>, <scale>)``; shape is dimensionless."""
-
-    shape: Expression
-    scale: Expression
+    def __post_init__(self):
+        if self.distribution not in ("uniform", "normal", "gamma", "loglogistic"):
+            raise ValueError(f"bad distribution {self.distribution!r}")
+        if len(self.args) != 2:
+            raise ValueError(f"bad arity for {self.distribution!r}")
 
 
 @dataclass(frozen=True)
-class LogLogisticDist(Node):
-    """``loglogistic(<scale>, <shape>)``; shape is dimensionless."""
+class Cast(Node):
+    """``e as [u]`` stamps a dimensionless value with a unit; ``e in [u]``
+    strips a value to a dimensionless count of ``u``."""
 
-    scale_param: Expression
-    shape_param: Expression
-
-
-@dataclass(frozen=True)
-class EnUnit(Node):
-    """``e as [u]``: stamp a dimensionless value with a unit."""
-
-    expr: Expression
+    op: str
+    args: tuple[Expression, ...]
     unit: Unit
 
-
-@dataclass(frozen=True)
-class DeUnit(Node):
-    """``e in [u]``: strip a value to a dimensionless count of ``u``."""
-
-    expr: Expression
-    unit: Unit
+    def __post_init__(self):
+        if self.op not in ("as", "in"):
+            raise ValueError(f"bad cast {self.op!r}")
+        if len(self.args) != 1:
+            raise ValueError(f"bad arity for {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -149,12 +135,8 @@ Expression = Union[
     DeltaTime,
     Arithmetics,
     Apply,
-    UniformDist,
-    NormalDist,
-    GammaDist,
-    LogLogisticDist,
-    EnUnit,
-    DeUnit,
+    Draw,
+    Cast,
     Direction,
 ]
 
@@ -351,24 +333,9 @@ class Model(Node):
 # --- traversal -------------------------------------------------------------
 
 
-# Fields holding one subexpression each, in evaluation order.  Arithmetics
-# and Apply hold theirs as the tuple ``args``; other nodes hold none.
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
-    UniformDist: ("low", "high"),
-    NormalDist: ("mean", "sigma"),
-    GammaDist: ("shape", "scale"),
-    LogLogisticDist: ("scale_param", "shape_param"),
-    EnUnit: ("expr",),
-    DeUnit: ("expr",),
-}
-
-
 def children(e: Expression) -> tuple[Expression, ...]:
     """Immediate subexpressions of ``e``."""
-    if isinstance(e, (Arithmetics, Apply)):
-        return e.args
-    names = _CHILD_FIELDS.get(type(e))
-    return tuple([getattr(e, name) for name in names]) if names else ()
+    return getattr(e, "args", ())
 
 
 def walk_expression(e: Expression) -> Iterator[Expression]:

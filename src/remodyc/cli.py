@@ -75,9 +75,11 @@ def _read_text(path: str) -> str:
         raise _Failure(2, f"cannot read {path}: {err.strerror}")
 
 
-def _parse_model_file(path: str) -> ast.Model:
+def _parse_model_file(path: str) -> tuple[str, ast.Model]:
+    """The text of the model file at ``path`` and the model it holds."""
+    text = _read_text(path)
     try:
-        return parse_model(_read_text(path))
+        return text, parse_model(text)
     except SourceError as err:
         raise _Failure(1, f"{path}:{err}")
 
@@ -98,7 +100,7 @@ def _diagnose(model: ast.Model, path: str, config=None) -> None:
 
 
 def _check(args) -> int:
-    model = _parse_model_file(args.model)
+    _, model = _parse_model_file(args.model)
     config = _parse_config_file(args.config) if args.config else None
     _diagnose(model, args.model, config)
     return 0
@@ -120,11 +122,7 @@ def _meta_lines(config) -> list[str]:
 
 
 def _run(args) -> int:
-    model_text = _read_text(args.model)
-    try:
-        model = parse_model(model_text)
-    except SourceError as err:
-        raise _Failure(1, f"{args.model}:{err}")
+    model_text, model = _parse_model_file(args.model)
     config = _parse_config_file(args.config)
     _diagnose(model, args.model, config)
 
@@ -178,7 +176,7 @@ def _open_run_dir(path: str) -> tuple[Path, ast.Model]:
             f"trace version {meta.get('version')!r} is not supported "
             f"(expected {TRACE_FORMAT_VERSION})",
         )
-    model = _parse_model_file(str(run_dir / "model.rmd"))
+    _, model = _parse_model_file(str(run_dir / "model.rmd"))
     return run_dir, model
 
 
@@ -217,11 +215,7 @@ def _chart(args) -> int:
 
 
 def _fmt(args) -> int:
-    text = _read_text(args.model)
-    try:
-        model = parse_model(text)
-    except SourceError as err:
-        raise _Failure(1, f"{args.model}:{err}")
+    text, model = _parse_model_file(args.model)
     canonical = pretty_print(model)
     if canonical != text:
         try:

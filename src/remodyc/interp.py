@@ -170,15 +170,6 @@ def _parse_quantity(value: str, expected, lineno: int) -> float:
     return quantity
 
 
-# Samplers by distribution node, fed the node's children in order; called
-# as attributes of ``rng``, so that a wrapper installed there sees every draw.
-_SAMPLERS = {
-    ast.UniformDist: "sample_uniform",
-    ast.NormalDist: "sample_normal",
-    ast.GammaDist: "sample_gamma",
-    ast.LogLogisticDist: "sample_loglogistic",
-}
-
 # What an operator, builtin or sampler raises on bad operands; it aborts.
 _FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 
@@ -566,21 +557,22 @@ class _Compiler:
                 prefix = f"{name}: " if isinstance(e, ast.Apply) else ""
                 operands = [self.expression(a) for a in args]
                 return self.call((name, len(args)), operands, e.pos, prefix)
-            case ast.EnUnit(expr=inner, unit=unit) | ast.DeUnit(expr=inner, unit=unit):
+            case ast.Cast(op=op, args=(inner,), unit=unit):
                 inner = self.expression(inner)
                 if unit.scale == 1.0:  # x * 1.0 and x / 1.0 are x exactly
                     return inner
-                name = "*" if isinstance(e, ast.EnUnit) else "/"
-                return self.call((name, 2), [inner, unit.scale], e.pos)
+                return self.call(("*" if op == "as" else "/", 2), [inner, unit.scale], e.pos)
             case ast.Direction(attribute=attribute):
                 return ("direction", self.slot("Patch", attribute, e.pos), *self.position(e.pos))
             case ast.PlaceholderRef(identifier=name):
                 if name not in self.bindings:
                     raise _config_error(f"placeholder {name!r} is not bound", e.pos)
                 return self.bindings[name]
-        # Never folded: every activation draws.
-        operands = [self.expression(child) for child in ast.children(e)]
-        return ("draw", _SAMPLERS[type(e)], operands, e.pos)
+        # A draw, never folded: every activation draws.  The sampler
+        # ``rng.sample_<distribution>`` is called as an attribute of ``rng``,
+        # so that a wrapper installed there sees every draw.
+        operands = [self.expression(a) for a in e.args]
+        return ("draw", f"sample_{e.distribution}", operands, e.pos)
 
     def call(self, key, operands: list, pos, prefix: str = ""):
         """``_CALLS[key]`` of the operands, folded if all are constants it

@@ -22,10 +22,6 @@ KEYWORDS = frozenset(
     neighbor uniform normal gamma loglogistic direction as in""".split()
 )
 
-BUILTIN_FUNCTIONS = frozenset(
-    "cos sin tan exp ln log sqrt abs floor ceiling min max".split()
-)
-
 
 class SourceError(Exception):
     """A syntax problem at a known position in model source."""
@@ -345,16 +341,14 @@ class _Parser:
             token = self.advance()
             low = self.cast()
             self.expect("kw", "to")
-            return ast.UniformDist(low, self.cast(), pos=token.pos)
+            return ast.Draw("uniform", (low, self.cast()), pos=token.pos)
         return self.cast()
 
     def cast(self) -> ast.Expression:
         e = self.additive()
         while (token := self.tokens[self.index]).kind == "kw" and token.value in ("as", "in"):
             self.index += 1
-            unit = self.unit()
-            cls = ast.EnUnit if token.value == "as" else ast.DeUnit
-            e = cls(e, unit, pos=token.pos)
+            e = ast.Cast(token.value, (e,), self.unit(), pos=token.pos)
         return e
 
     def additive(self) -> ast.Expression:
@@ -443,12 +437,7 @@ class _Parser:
             self.expect(",")
             second = self.expression()
             self.expect(")")
-            cls = {
-                "normal": ast.NormalDist,
-                "gamma": ast.GammaDist,
-                "loglogistic": ast.LogLogisticDist,
-            }[token.value]
-            return cls(first, second, pos=token.pos)
+            return ast.Draw(token.value, (first, second), pos=token.pos)
         raise self.fail(f"expected an expression, found {self._describe(token)}")
 
 
@@ -478,9 +467,9 @@ _PREC_PRIMARY = 6
 
 def _precedence(e: ast.Expression) -> int:
     match e:
-        case ast.UniformDist():
+        case ast.Draw(distribution="uniform"):
             return _PREC_UNIFORM
-        case ast.EnUnit() | ast.DeUnit():
+        case ast.Cast():
             return _PREC_CAST
         case ast.Arithmetics(op="^"):
             return _PREC_POWER
@@ -540,20 +529,12 @@ def _render_bare(e: ast.Expression) -> str:
         case ast.Arithmetics(op=op, args=(left, right)):
             own = _PREC_ADD if op in ("+", "-") else _PREC_MUL
             return f"{_render(left, own)} {op} {_render(right, own + 1)}"
-        case ast.Apply(function=function, args=args):
-            return f"{function}({', '.join(_render(a, 0) for a in args)})"
-        case ast.UniformDist(low=low, high=high):
+        case ast.Draw(distribution="uniform", args=(low, high)):
             return f"uniform {_render(low, _PREC_CAST)} to {_render(high, _PREC_CAST)}"
-        case ast.NormalDist(mean=a, sigma=b):
-            return f"normal({_render(a, 0)}, {_render(b, 0)})"
-        case ast.GammaDist(shape=a, scale=b):
-            return f"gamma({_render(a, 0)}, {_render(b, 0)})"
-        case ast.LogLogisticDist(scale_param=a, shape_param=b):
-            return f"loglogistic({_render(a, 0)}, {_render(b, 0)})"
-        case ast.EnUnit(expr=inner, unit=unit):
-            return f"{_render(inner, _PREC_CAST)} as [{_unit_text(unit)}]"
-        case ast.DeUnit(expr=inner, unit=unit):
-            return f"{_render(inner, _PREC_CAST)} in [{_unit_text(unit)}]"
+        case ast.Apply(function=name, args=args) | ast.Draw(distribution=name, args=args):
+            return f"{name}({', '.join(_render(a, 0) for a in args)})"
+        case ast.Cast(op=op, args=(inner,), unit=unit):
+            return f"{_render(inner, _PREC_CAST)} {op} [{_unit_text(unit)}]"
         case ast.Direction(attribute=name):
             return f"direction neighbor's {name}"
     raise ValueError(f"cannot print {e!r}")

@@ -12,7 +12,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from . import ast
+from . import ast, interp
+from .parser import format_number
 from .units import (
     DIMENSIONLESS,
     DimensionOverflowError,
@@ -196,37 +197,24 @@ def infer_type(e: ast.Expression, scope: Scope) -> Unit:
                 raise TypeCheckError(str(err), e.pos)
         case ast.Apply(function=function, args=args):
             return _apply_type(e, function, args, scope)
-        case ast.UniformDist(low=low, high=high):
-            low_unit = infer_type(low, scope)
-            high_unit = infer_type(high, scope)
-            _require_same_dimension("'uniform'", low_unit, high_unit, e.pos)
-            return low_unit
-        case ast.NormalDist(mean=mean, sigma=sigma):
-            mean_unit = infer_type(mean, scope)
-            sigma_unit = infer_type(sigma, scope)
-            _require_same_dimension("'normal'", mean_unit, sigma_unit, e.pos)
-            return mean_unit
-        case ast.GammaDist(shape=shape, scale=scale):
+        case ast.Draw(distribution="uniform" | "normal" as name, args=(first, second)):
+            first_unit = infer_type(first, scope)
+            second_unit = infer_type(second, scope)
+            _require_same_dimension(f"'{name}'", first_unit, second_unit, e.pos)
+            return first_unit
+        case ast.Draw(distribution=name, args=args):
+            # gamma(shape, scale), loglogistic(scale, shape): the shape first
+            shape, scale = args if name == "gamma" else args[::-1]
             shape_unit = infer_type(shape, scope)
             if not shape_unit.dimensionless:
                 raise TypeCheckError(
-                    "gamma shape must be dimensionless",
+                    f"{name} shape must be dimensionless",
                     e.pos,
                     expected=DIMENSIONLESS,
                     actual=shape_unit,
                 )
             return infer_type(scale, scope)
-        case ast.LogLogisticDist(scale_param=scale, shape_param=shape):
-            shape_unit = infer_type(shape, scope)
-            if not shape_unit.dimensionless:
-                raise TypeCheckError(
-                    "loglogistic shape must be dimensionless",
-                    e.pos,
-                    expected=DIMENSIONLESS,
-                    actual=shape_unit,
-                )
-            return infer_type(scale, scope)
-        case ast.EnUnit(expr=inner, unit=unit):
+        case ast.Cast(op="as", args=(inner,), unit=unit):
             inner_unit = infer_type(inner, scope)
             if not inner_unit.dimensionless:
                 raise TypeCheckError(
@@ -236,7 +224,7 @@ def infer_type(e: ast.Expression, scope: Scope) -> Unit:
                     actual=inner_unit,
                 )
             return unit
-        case ast.DeUnit(expr=inner, unit=unit):
+        case ast.Cast(op="in", args=(inner,), unit=unit):
             inner_unit = infer_type(inner, scope)
             _require_same_dimension("'in'", unit, inner_unit, e.pos)
             return DIMENSIONLESS
@@ -454,13 +442,15 @@ def check_model(
                     )
                 )
 
+    cyclic: set[int] = set()  # ids of the actions whose utilities form a cycle
     for action in model.actions:
-        cyclic = _utility_cycle(action)
-        if cyclic is not None:
+        through = _utility_cycle(action)
+        if through is not None:
+            cyclic.add(id(action))
             diagnostics.append(
                 TypeCheckError(
                     f"utility definitions of action {action.name!r} form a cycle "
-                    f"through {cyclic!r}",
+                    f"through {through!r}",
                     action.pos,
                 )
             )
@@ -476,7 +466,7 @@ def check_model(
         if action is None:
             diagnostics.append(TypeCheckError(f"unknown action {task.action!r}", task.pos))
             continue
-        if _utility_cycle(action) is not None:
+        if id(action) in cyclic:
             continue
 
         required = ast.placeholders_of(action)
@@ -540,6 +530,15 @@ def check_model(
             )
 
     if config is not None:
+        if model.patch is not None and config.patches_x * config.patches_y > interp.MAX_ANIMATS:
+            columns = format_number(config.world_width / config.patch_size)
+            rows = format_number(config.world_height / config.patch_size)
+            diagnostics.append(
+                TypeCheckError(
+                    f"the world is {columns} by {rows} patches, over the ceiling "
+                    f"of {interp.MAX_ANIMATS} animats"
+                )
+            )
         for count, stage in config.populations:
             target = model.agent_named(stage)
             if not isinstance(target, ast.StageDefinition):

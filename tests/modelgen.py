@@ -159,13 +159,13 @@ class _Generator:
                 return ast.Apply(rng.choice(UNARY_FUNCTIONS), (sub(),))
             return ast.Apply(rng.choice(("min", "max")), (sub(), sub()))
         if roll == 6:
-            cls = rng.choice((ast.EnUnit, ast.DeUnit))
-            return cls(sub(), parse_unit(rng.choice(UNIT_SPELLINGS)))
+            op = rng.choice(("as", "in"))
+            return ast.Cast(op, (sub(),), parse_unit(rng.choice(UNIT_SPELLINGS)))
         if roll == 7:
-            return ast.UniformDist(sub(), sub())
+            return ast.Draw("uniform", (sub(), sub()))
         if roll == 8:
-            cls = rng.choice((ast.NormalDist, ast.GammaDist, ast.LogLogisticDist))
-            return cls(sub(), sub())
+            distribution = rng.choice(("normal", "gamma", "loglogistic"))
+            return ast.Draw(distribution, (sub(), sub()))
         return ast.Direction(rng.choice(PATCH_ATTRS))
 
     def terminal(self, utilities, placeholders: bool) -> ast.Expression:

@@ -14,6 +14,7 @@ import pytest
 from remodyc.interp import ConfigError, Engine, RuntimeAbort, parse_config
 from remodyc.memory import InMemoryBackend
 from remodyc.parser import parse_model
+from remodyc.typecheck import check_model
 
 CONFIG = """\
 delta_time = 1 day
@@ -236,3 +237,27 @@ def test_unknown_populate_stage_text():
     with pytest.raises(ConfigError) as err:
         Engine(model, config, InMemoryBackend())
     assert str(err.value) == "populate names unknown stage 'Larva'"
+
+
+# extent and patch settings, the diagnostic ``check_model`` gives: a Patch
+# grid over the animat ceiling is refused before a run, not aborted in it.
+GRIDS = {
+    "just-past": (
+        "world_width = 1001 m\nworld_height = 1000 m\npatch_size = 1 m",
+        "the world is 1001 by 1000 patches, over the ceiling of 1000000 animats",
+    ),
+    "tiny-patches": (
+        "world_width = 2 km\nworld_height = 2 km\npatch_size = 1e-300 km",
+        "the world is 1.9999999999999998e+300 by 1.9999999999999998e+300 patches, "
+        "over the ceiling of 1000000 animats",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid, message", GRIDS.values(), ids=GRIDS)
+def test_patch_grid_over_the_ceiling_text(grid, message):
+    model = parse_model("Patch with\n    grass [kg].\n" + egg("age [day]", "my age' = 1 [day]"))
+    config = parse_config(
+        CONFIG.replace("world_width = 2 km\nworld_height = 2 km\npatch_size = 1 km", grid)
+    )
+    assert [d.render("m.rmd") for d in check_model(model, config)] == [f"m.rmd: error: {message}"]

@@ -1,4 +1,10 @@
 """Structural helpers on the syntax tree."""
+import dataclasses
+import re
+import typing
+
+import pytest
+
 from remodyc import ast
 from remodyc.parser import parse_expression, parse_model
 from remodyc.units import parse_unit
@@ -50,6 +56,36 @@ def test_children_are_the_operands_in_evaluation_order():
     ):
         expected = tuple(parse_expression(operand) for operand in operands)
         assert ast.children(parse_expression(text)) == expected, text
+
+
+def test_expressions_hold_subexpressions_only_in_args():
+    members = typing.get_args(ast.Expression)
+    names = {"Expression"} | {member.__name__ for member in members}
+    for member in members:
+        for f in dataclasses.fields(member):
+            if f.name == "args":
+                assert f.type == "tuple[Expression, ...]", member.__name__
+            elif f.name != "pos":
+                assert not names & set(re.findall(r"\w+", f.type)), (member.__name__, f.name)
+
+
+ONE = ast.Literal(1.0, parse_unit(""))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ast.Draw("poisson", (ONE, ONE)),
+        lambda: ast.Draw("uniform", (ONE,)),
+        lambda: ast.Draw("normal", (ONE, ONE, ONE)),
+        lambda: ast.Cast("to", (ONE,), parse_unit("m")),
+        lambda: ast.Cast("as", (), parse_unit("m")),
+        lambda: ast.Cast("in", (ONE, ONE), parse_unit("m")),
+    ],
+)
+def test_draw_and_cast_reject_bad_shapes(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_placeholders_of_move_action():

@@ -227,6 +227,21 @@ class TestRun:
         assert len((out / "rng.csv").read_text().splitlines()) == 3
         assert "abort=spawn of 2" in (out / "meta.txt").read_text()
 
+    def test_patch_grid_over_the_ceiling_exits_1(self, tree, capsys):
+        tiny = tree / "tiny.cfg"
+        tiny.write_text(CONFIG.replace("patch_size = 1 km", "patch_size = 1e-300 km"))
+        assert invoke("check", tree / "model.rmd", "--config", tiny) == 1
+        assert "patches, over the ceiling of 1000000 animats" in capsys.readouterr().err
+        out = tree / "run1"
+        assert invoke("run", tree / "model.rmd", tiny, "--out", out) == 1
+        assert "patches, over the ceiling of 1000000 animats" in capsys.readouterr().err
+        assert not out.exists()
+        # Without a Patch the grid is never built, and the model runs.
+        plain = tree / "plain.rmd"
+        plain.write_text(MODEL.split("\n\n", 1)[1])
+        assert invoke("run", plain, tiny, "--out", out) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "4,Egg,0"
+
 
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parent.parent
