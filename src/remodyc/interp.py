@@ -228,10 +228,7 @@ class Engine:
         for agent in model.agents:
             declarations = agent.all_attributes
             self.slots[agent.name] = {d.identifier: slot for slot, d in enumerate(declarations)}
-            self.initials[agent.name] = tuple(
-                (d.identifier, None if d.initial is None else d.initial.value * d.initial.unit.scale)
-                for d in declarations
-            )
+            self.initials[agent.name] = tuple((d.identifier, _initial(d)) for d in declarations)
         self.stages = {stage.name: stage for stage in model.stages}
         self.plan, self.sites = _compile(self)  # (kind, run) per task, in order
         self.populations: list[tuple[int, ast.StageDefinition]] = []
@@ -243,16 +240,10 @@ class Engine:
     # -- setup ---------------------------------------------------------
 
     def setup(self) -> TraceFrame:
-        world = self.model.world
-        patch = self.model.patch
-        blocks = (world is not None) + sum(count for count, _ in self.populations)
-        if patch is not None:
-            blocks += self.config.patches_x * self.config.patches_y
-        if blocks > MAX_ANIMATS:
-            raise RuntimeAbort(
-                f"setup needs {blocks} animats, over the ceiling of {MAX_ANIMATS}",
-                tick=1,
-            )
+        world, patch = self.model.world, self.model.patch
+        if (blocks := setup_blocks(self.model, self.config)) > MAX_ANIMATS:
+            message = f"setup needs {blocks} animats, over the ceiling of {MAX_ANIMATS}"
+            raise RuntimeAbort(message, tick=1)
         if world is not None:
             self.world_base = self._create(world, {})
         if patch is not None:
@@ -318,16 +309,15 @@ class Engine:
     def census(self) -> Iterator[list[tuple[int, str, int]]]:
         """The full run as it goes: yields each tick's (tick, stage, count)
         rows, one per declared stage, as soon as that tick commits."""
-        yield self._census(self.setup(), 1)
+        self.setup()
+        yield self._census(1)
         for tick in range(2, self.config.steps + 2):
-            yield self._census(self.step(), tick)
+            self.step()
+            yield self._census(tick)
 
-    def _census(self, frame: TraceFrame, tick: int) -> list[tuple[int, str, int]]:
-        counts = {stage.name: 0 for stage in self.model.stages}
-        for kind, _ in frame.animats.values():
-            if kind in counts:
-                counts[kind] += 1
-        return [(tick, name, count) for name, count in counts.items()]
+    def _census(self, tick: int) -> list[tuple[int, str, int]]:
+        performers = self.image.performers
+        return [(tick, s.name, len(performers.get(s.name, ()))) for s in self.model.stages]
 
     def _apply_events(self, events: list) -> None:
         for event in events:
@@ -358,52 +348,41 @@ def _config_error(message: str, pos) -> ConfigError:
     return ConfigError(f"line {pos.line}: {message}" if pos else message)
 
 
+def _initial(declaration: ast.AttributeDeclaration) -> float | None:
+    """The scaled initial value of a declaration, None if it has none."""
+    if declaration.initial is None:
+        return None
+    value = declaration.initial.value * declaration.initial.unit.scale
+    if not math.isfinite(value):
+        message = f"initializer of {declaration.identifier!r} is not finite"
+        raise _config_error(message, declaration.pos)
+    return value
+
+
+def setup_blocks(model: ast.Model, config: SimulationConfig) -> int:
+    """The blocks ``Engine.setup`` allocates: the World, the Patch grid and
+    every population."""
+    blocks = (model.world is not None) + sum(count for count, _ in config.populations)
+    if model.patch is not None:
+        blocks += config.patches_x * config.patches_y
+    return blocks
+
+
 def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tuple]]:
     """Each task as a function ``task_<i>(bases, events)`` of one module
-    compiled once, and by line, the abort site of a call that can fail.  The
-    namespace reaches the engine only by a weak proxy and keeps no function:
-    a dropped engine is freed, image and all, without the cycle collector."""
+    compiled once, and by line, the abort site of a line that can fail.  A
+    task writes only by the image's ``write`` and ``write_delta``, and fails
+    only by raising on a line that names its abort site, which ``Engine.step``
+    turns into a ``RuntimeAbort``.  The namespace reaches the engine only by
+    a weak proxy and keeps no task function: a dropped engine is freed,
+    image and all, without the cycle collector."""
     image, config, patches, inf = engine.image, engine.config, engine.patch_bases, math.inf
 
-    def fail(site: tuple, value=None):
-        message, stage, pos = site  # ``{}`` in the message stands for ``value``
-        raise RuntimeAbort(message.format(value), tick=image.ticks + 1, stage=stage, pos=pos)
-
-    # ``MemoryImage.write`` and ``write_delta`` inlined, each with the check
-    # that what the address will commit is finite.  The image empties
-    # ``assigned`` and ``delta`` in place, so they are bound once.
-    assigned, delta = image.assigned, image.delta
-
-    def assign(address: int, value: float, site: tuple) -> None:
-        pending = image.next
-        if address not in pending:
-            image.write(address, value)  # raises AddressError
-        assigned[address] = value = value + 0.0
-        if address in delta:
-            value += delta[address]
-        pending[address] = value
-        if not -inf < value < inf:
-            fail(site, value)
-
-    def add(address: int, value: float, site: tuple) -> None:
-        pending = image.next
-        if address not in pending:
-            image.write_delta(address, value)  # raises AddressError
-        if address in delta:
-            value = delta[address] = delta[address] + value
-            value += assigned[address] if address in assigned else image.vals[address]
-        else:  # the first increment: ``pending`` holds the base
-            delta[address] = value
-            value += pending[address]
-        pending[address] = value
-        if not -inf < value < inf:
-            fail(site, value)
-
-    def spawn(events: list, base: int, kind: str, stage, value: float, site: tuple, pos) -> None:
+    def spawn(events: list, base: int, kind: str, stage, value: float, pos) -> None:
         """Records a spawn of the whole number of animats in ``value``, if
-        that is not none; a negative or non-finite ``value`` aborts."""
+        that is not none; a negative or non-finite ``value`` raises."""
         if not 0.0 <= value < inf:
-            fail(site, value)
+            raise ValueError(value)
         if value >= 1.0:
             events.append(("spawn", base, kind, stage, math.floor(value), pos))
 
@@ -442,14 +421,14 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
 
     namespace = {
         "image": image, "engine": weakref.proxy(engine), "patches": patches, "rng": rng,
-        "math": math, "fail": fail, "assign": assign, "add": add, "spawn": spawn,
-        "heading": heading,
+        "math": math, "write": image.write, "write_delta": image.write_delta,
+        "spawn": spawn, "heading": heading,
     }
     namespace.update((name, call) for call, name in _CALLS.values() if "{" not in name)
     tasks = list(enumerate(engine.model.tasks))
     lines = [line for i, task in tasks for line in _Compiler(engine, task, namespace, i).lines]
     exec(compile("\n".join(lines), "<remodyc tasks>", "exec", dont_inherit=True), namespace)
-    # A line that calls a function that can fail ends in ``# <its abort site>``.
+    # A line that can fail ends in ``# <its abort site>``.
     ends = (line.partition("  # ")[2] for line in lines)
     sites = {n: namespace[site] for n, site in enumerate(ends, 1) if site}
     return [(task.agent, namespace.pop(f"task_{i}")) for i, task in tasks], sites
@@ -502,9 +481,9 @@ class _Compiler:
         if definition.decorator is ast.Decorator.DIFFERENTIAL:
             value = self.call(("*", 2), [value, self.engine.config.delta_time], pos)
         address, text = self.address(definition.variable, pos), self.value(value)
-        helper = "assign" if definition.decorator is ast.Decorator.ASSIGN else "add"
+        helper = "write" if definition.decorator is ast.Decorator.ASSIGN else "write_delta"
         site = (f"non-finite value {{}} for {definition.variable.identifier!r}", self.kind, pos)
-        self.emit(f"{helper}({self.place(address)}, {text}, {self.bind(site)})")
+        self.emit(f"{helper}({self.place(address)}, {text})  # {self.bind(site)}")
 
     def directive(self, directive: ast.LifecycleDirective) -> None:
         guard, pos, kind = directive.guard, directive.pos, self.kind
@@ -527,7 +506,7 @@ class _Compiler:
                 self.emit(f"events.append(({event}))")
                 return
             site = self.bind(("spawn count {} out of range", kind, pos))
-            self.emit(f"spawn(events, {event}, {self.value(number)}, {site}, {self.bind(pos)})")
+            self.emit(f"spawn(events, {event}, {self.value(number)}, {self.bind(pos)})  # {site}")
 
         if guard is None or guard is True:
             act()
@@ -666,7 +645,7 @@ class _Compiler:
     def utility(self, index: int, name: str, pos) -> str:
         if index in self.computing:
             site = (f"utility {name!r} depends on itself", self.kind, pos)
-            self.emit(f"fail({self.bind(site)})")
+            self.emit(f"raise ValueError  # {self.bind(site)}")
             return "None"
         if index in self.maybe and index not in self.known:
             self.maybe.discard(index)  # back in ``maybe`` once the block is done

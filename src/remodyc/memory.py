@@ -3,10 +3,13 @@
 Reads see the last committed frame while writes accumulate in pending
 stores (``assigned`` for assignments, ``delta`` for increments, ``next``
 for what each address will commit), so update order inside a tick cannot
-leak into results.  ``store`` hands ``next`` on as a frame and appends it
-to a backend.  A commit costs what changed: that dict becomes the
-committed values as it is, and block sizes, performer lists and instance
-indices are updated from the blocks allocated and killed during the tick.
+leak into results.  ``MemoryImage.write`` and ``write_delta`` apply that
+rule for every write, the compiled tasks' too, and refuse one that would
+commit an infinity or a NaN: no frame holds either.  ``store`` hands
+``next`` on as a frame and appends it to a backend.  A commit costs what
+changed: that dict becomes the committed values as it is, and block
+sizes, performer lists and instance indices are updated from the blocks
+allocated and killed during the tick.
 ``load`` rebuilds the image from any stored frame, inferring all of that
 from the frame, which is all replay needs.
 
@@ -25,6 +28,7 @@ import abc
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -264,7 +268,9 @@ class MemoryImage:
     assigned this tick, if any, else its committed one, plus its delta.
     ``assigned`` and ``delta`` hold only the addresses written this tick,
     the slots of new blocks being assigned 0.0; they are emptied in place,
-    so compiled code may hold on to them.  Besides the values the image
+    so compiled code may hold on to them.  A write whose address would
+    commit an infinity or a NaN raises ``ValueError``, whose text is that
+    value, and changes nothing.  Besides the values the image
     keeps each block's size, the bases in order, each kind's bases in order
     (its performers) and each stage's last instance index.
 
@@ -304,22 +310,33 @@ class MemoryImage:
             raise AddressError(f"read from unallocated address {address}") from None
 
     def write(self, address: int, value: float) -> None:
-        if address not in self.next:
+        pending = self.next
+        if address not in pending:
             raise AddressError(f"write to unallocated address {address}")
         # ``+ 0.0`` keeps -0.0 out of assigned bases, and no committed value
         # is -0.0: so base + delta does not depend on the sign of a zero
         # delta, and deltas need not start from 0.0.
-        self.assigned[address] = value = value + 0.0
-        self.next[address] = value + self.delta[address] if address in self.delta else value
+        value += 0.0
+        committed = value + self.delta[address] if address in self.delta else value
+        if not -inf < committed < inf:
+            raise ValueError(committed)
+        self.assigned[address] = value
+        pending[address] = committed
 
     def write_delta(self, address: int, value: float) -> None:
-        if address not in self.next:
+        pending, delta = self.next, self.delta
+        if address not in pending:
             raise AddressError(f"write to unallocated address {address}")
-        if address in self.delta:
-            value += self.delta[address]
-        increment = self.delta[address] = value
-        base = self.assigned[address] if address in self.assigned else self.vals[address]
-        self.next[address] = base + increment
+        if address in delta:
+            value += delta[address]
+            base = self.assigned[address] if address in self.assigned else self.vals[address]
+            committed = base + value
+        else:  # the first increment: ``next`` holds the base
+            committed = pending[address] + value
+        if not -inf < committed < inf:
+            raise ValueError(committed)
+        delta[address] = value
+        pending[address] = committed
 
     def allocate(self, stage: str, size: int) -> int:
         """Zeroed contiguous block; returns its base address.  A block

@@ -539,6 +539,9 @@ def check_model(
                     f"of {interp.MAX_ANIMATS} animats"
                 )
             )
+        elif (blocks := interp.setup_blocks(model, config)) > interp.MAX_ANIMATS:
+            message = f"setup needs {blocks} animats, over the ceiling of {interp.MAX_ANIMATS}"
+            diagnostics.append(TypeCheckError(message))
         for count, stage in config.populations:
             target = model.agent_named(stage)
             if not isinstance(target, ast.StageDefinition):

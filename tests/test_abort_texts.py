@@ -239,6 +239,30 @@ def test_unknown_populate_stage_text():
     assert str(err.value) == "populate names unknown stage 'Larva'"
 
 
+def test_non_finite_initializer_text():
+    """``Engine()`` refuses what ``check_model`` refuses, with its text."""
+    model = parse_model(egg("energy [kg] = 1e400 [kg]", "my energy' = 1 [kg]"))
+    with pytest.raises(ConfigError) as err:
+        Engine(model, parse_config(CONFIG), InMemoryBackend())
+    assert str(err.value) == "line 2: initializer of 'energy' is not finite"
+    [diagnostic] = check_model(model)
+    assert f"line {diagnostic.pos.line}: {diagnostic.message}" == str(err.value)
+
+
+def test_setup_over_the_ceiling_text():
+    """``check_model`` counts every block ``Engine.setup`` would allocate,
+    and ``Engine.setup`` itself still aborts."""
+    model = parse_model("Patch with\n    grass [kg].\n" + egg("age [day]", "my age' = 1 [day]"))
+    config = parse_config(CONFIG.replace("populate 2 Egg", "populate 999997 Egg"))
+    message = "setup needs 1000001 animats, over the ceiling of 1000000"
+    assert [d.render("m.rmd") for d in check_model(model, config)] == [f"m.rmd: error: {message}"]
+    backend = InMemoryBackend()
+    with pytest.raises(RuntimeAbort) as err:
+        Engine(model, config, backend).setup()
+    assert err.value.render() == f"{message} (tick 1)"
+    assert backend.frame_count() == 0
+
+
 # extent and patch settings, the diagnostic ``check_model`` gives: a Patch
 # grid over the animat ceiling is refused before a run, not aborted in it.
 GRIDS = {

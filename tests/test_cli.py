@@ -242,6 +242,17 @@ class TestRun:
         assert invoke("run", plain, tiny, "--out", out) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "4,Egg,0"
 
+    def test_populations_over_the_ceiling_exit_1(self, tree, capsys):
+        crowded = tree / "crowded.cfg"
+        crowded.write_text(CONFIG.replace("populate 2 Egg", "populate 1000001 Egg"))
+        message = "setup needs 1000003 animats, over the ceiling of 1000000"
+        assert invoke("check", tree / "model.rmd", "--config", crowded) == 1
+        assert message in capsys.readouterr().err
+        out = tree / "run1"
+        assert invoke("run", tree / "model.rmd", crowded, "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parent.parent

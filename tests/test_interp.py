@@ -1,13 +1,14 @@
 """Engine semantics: setup, stepping, lifecycle, evaluation."""
 import gc
 import math
+import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
 from remodyc import cli, interp, rng
-from remodyc.ast import Placeholder
+from remodyc.ast import Decorator, Placeholder
 from remodyc.interp import (
     ConfigError,
     Engine,
@@ -15,7 +16,7 @@ from remodyc.interp import (
     SimulationConfig,
     parse_config,
 )
-from remodyc.memory import InMemoryBackend
+from remodyc.memory import InMemoryBackend, MemoryImage
 from remodyc.parser import parse_model
 
 DAY = 86400.0
@@ -625,6 +626,36 @@ class TestCompiledTasks:
         engine.step()
         assert len(calls) == rng.draws_between(before, engine.rng_state) == 6
         assert calls.count((0.0, 1.0)) == 3
+
+    def test_every_definition_writes_through_the_image(self, monkeypatch):
+        """A task applies the commit rule only by ``MemoryImage.write`` and
+        ``write_delta``, the methods criterion 03 checks against its oracle."""
+        calls = {"write": 0, "write_delta": 0}
+
+        def counted(name):
+            original = getattr(MemoryImage, name)
+
+            def wrapper(image, address, value):
+                if sys._getframe(1).f_code.co_filename == "<remodyc tasks>":
+                    calls[name] += 1
+                return original(image, address, value)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(MemoryImage, name, counted(name))
+        models = Path(__file__).resolve().parent.parent / "models"
+        engine, _ = build((models / "eggs.rmd").read_text(), (models / "eggs.cfg").read_text())
+        engine.setup()
+        expected = {"write": 0, "write_delta": 0}
+        for task in engine.model.tasks:
+            performers = len(engine.image.performers.get(task.agent, ()))
+            for definition in engine.model.action_named(task.action).definitions:
+                assign = definition.decorator is Decorator.ASSIGN
+                expected["write" if assign else "write_delta"] += performers
+        engine.step()
+        assert calls == expected
+        assert expected["write"] > 0 and expected["write_delta"] > 0
 
     def test_dropped_engine_is_freed_without_the_cycle_collector(self):
         models = Path(__file__).resolve().parent.parent / "models"

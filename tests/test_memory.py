@@ -67,6 +67,34 @@ class TestImageBasics:
         with pytest.raises(AddressError):
             image.write_delta(0, 1.0)
 
+    # writes before the last, the last write, the text of its ValueError
+    @pytest.mark.parametrize(
+        "before, last, text",
+        [
+            ([], ("write", math.inf), "inf"),
+            ([], ("write", -math.inf), "-inf"),
+            ([], ("write", math.nan), "nan"),
+            ([], ("write_delta", math.nan), "nan"),
+            ([("write_delta", 1e308)], ("write_delta", 1e308), "inf"),
+            ([("write", 1e308)], ("write_delta", 1e308), "inf"),
+            ([("write_delta", -1e308)], ("write", -1e308), "-inf"),
+        ],
+        ids=["assign-inf", "assign-minus-inf", "assign-nan", "delta-nan",
+             "delta-twice", "delta-over-assign", "assign-over-delta"],
+    )
+    def test_non_finite_commit_raises_its_value_and_changes_nothing(self, before, last, text):
+        image, base = image_with_block()
+        for method, value in before:
+            getattr(image, method)(base, value)
+        pending = (dict(image.next), dict(image.assigned), dict(image.delta))
+        method, value = last
+        with pytest.raises(ValueError) as err:
+            getattr(image, method)(base, value)
+        assert str(err.value) == text
+        assert (image.next, image.assigned, image.delta) == pending
+        with pytest.raises(AddressError):
+            getattr(image, method)(99, value)
+
     def test_writes_invisible_until_commit(self):
         image, base = image_with_block()
         image.write(base, 5.0)
