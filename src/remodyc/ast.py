@@ -211,17 +211,10 @@ class Decorator(Enum):
 
 
 @dataclass(frozen=True)
-class Placeholder(Node):
-    """A definition target left open, bound to an attribute per task."""
-
-    identifier: str
-
-
-@dataclass(frozen=True)
 class AttributeDefinition(Node):
     """One ``<target>' = <expression>`` statement."""
 
-    variable: AttributeVariable | Placeholder
+    variable: AttributeVariable
     decorator: Decorator
     expression: Expression
 
@@ -367,7 +360,4 @@ def placeholders_of(action: ActionDefinition) -> set[str]:
         for e in walk_expression(top):
             if isinstance(e, PlaceholderRef):
                 names.add(e.identifier)
-    for definition in action.definitions:
-        if isinstance(definition.variable, Placeholder):
-            names.add(definition.variable.identifier)
     return names

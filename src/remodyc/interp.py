@@ -394,12 +394,18 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
     centres: dict[int, tuple] = {}
     centres_in = [None]
 
+    def cell(x: float, y: float) -> int:
+        """Index in ``patches`` of the patch under ``(x, y)``; a position past
+        an edge, however far, is on the edge cell."""
+        qx, qy = x / edge, y / edge
+        px = 0 if qx < 0.0 else columns - 1 if qx >= columns - 1 else floor(qx)
+        py = 0 if qy < 0.0 else rows - 1 if qy >= rows - 1 else floor(qy)
+        return py * columns + px
+
     def heading(x: float, y: float, slot: int) -> float:
         """Heading from ``(x, y)`` to the centre of the richest patch around the
         one under it, 0 if that one is strictly richest; ties go to the first."""
-        px, py = floor(x / edge), floor(y / edge)
-        px = 0 if px < 0 else px if px < columns else columns - 1
-        py = 0 if py < 0 else py if py < rows else rows - 1
+        py, px = divmod(cell(x, y), columns)
         vals = image.vals
         if centres_in[0] is not vals:
             centres.clear()
@@ -421,8 +427,8 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
 
     namespace = {
         "image": image, "engine": weakref.proxy(engine), "patches": patches, "rng": rng,
-        "math": math, "write": image.write, "write_delta": image.write_delta,
-        "spawn": spawn, "heading": heading,
+        "write": image.write, "write_delta": image.write_delta,
+        "spawn": spawn, "cell": cell, "heading": heading,
     }
     namespace.update((name, call) for call, name in _CALLS.values() if "{" not in name)
     tasks = list(enumerate(engine.model.tasks))
@@ -436,13 +442,16 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
 
 class _Compiler:
     """One task's action, performed by agents of ``kind``, as the lines of a
-    function, statement by statement in evaluation order.  Expressions are
-    resolved first, to a float if constant, else to a tuple tree of slots,
-    utilities, functions and samplers; a name that does not resolve raises
-    ``ConfigError``.  Their text inlines reads and operations that cannot
-    fail, and puts each call that can on a line of its own.  A utility is a
-    local computed at first use; where that use is conditional (a spawn
-    count behind a guard), later uses test it for ``None``."""
+    function, statement by statement in evaluation order.  Every statement
+    targets an attribute.  Expressions are resolved first, to a float if
+    constant, else to a tuple tree of slots, utilities, functions and
+    samplers; the task's bindings are resolved in the performer's scope,
+    where no utility of the action is known, and a name that does not
+    resolve raises ``ConfigError``.  The text of an expression inlines reads
+    and operations that cannot fail, and puts each call that can on a line
+    of its own.  A utility is a local computed at first use; where that use
+    is conditional (a spawn count behind a guard), later uses test it for
+    ``None``."""
 
     def __init__(self, engine: Engine, task: ast.TaskDefinition, namespace: dict, i: int):
         self.engine, self.namespace = engine, namespace
@@ -452,12 +461,11 @@ class _Compiler:
             raise _config_error(f"task names unknown agent {kind!r}", task.pos)
         if action is None:
             raise _config_error(f"task names unknown action {task.action!r}", task.pos)
-        self.index = {u.identifier: i for i, u in enumerate(action.utilities)}
-        self.targets = dict(task.bindings)
-        # Each bound expression is resolved once, with no placeholder bound
-        # inside it: substitution is a single pass.
-        self.bindings: dict = {}
+        # Each bound expression is resolved once, before any placeholder or
+        # utility of the action is known: substitution is a single pass.
+        self.index, self.bindings = {}, {}
         self.bindings = {name: self.expression(e) for name, e in task.bindings}
+        self.index = {u.identifier: i for i, u in enumerate(action.utilities)}
         self.utilities = [self.expression(u.expression) for u in action.utilities]
         self.lines: list[str] = []
         self.depth, self.temps = 2, 0
@@ -571,12 +579,9 @@ class _Compiler:
             raise _config_error(f"{kind} has no attribute {name!r}", pos)
         return slots[name]
 
-    def address(self, variable, pos):
-        """``("my" | "world", slot)`` or ``("here", slot, x slot, y slot)``."""
-        if isinstance(variable, ast.Placeholder):
-            variable = self.targets.get(variable.identifier)
-            if not isinstance(variable, ast.AttributeVariable):
-                raise _config_error("a placeholder target is not bound to an attribute", pos)
+    def address(self, variable: ast.AttributeVariable, pos):
+        """The attribute ``variable`` names, as ``("my" | "world", slot)`` or
+        ``("here", slot, x slot, y slot)``."""
         if variable.agent == "world":
             return ("world", self.slot("World", variable.identifier, pos))
         if variable.agent is None or self.kind == "Patch":
@@ -672,8 +677,5 @@ class _Compiler:
                 return f"engine.world_base + {slot}"
             case ("here", slot, xs, ys):
                 if "patch" not in self.known:
-                    c = self.engine.config
-                    px, py = (f"min(max(math.floor(vals[b + {s}] / {c.patch_size!r}), 0), {n - 1})"
-                              for s, n in ((xs, c.patches_x), (ys, c.patches_y)))
-                    self.known["patch"] = self.let(f"patches[{px} + {c.patches_x} * {py}]")
+                    self.known["patch"] = self.let(f"patches[cell(vals[b + {xs}], vals[b + {ys}])]")
                 return f"{self.known['patch']} + {slot}"

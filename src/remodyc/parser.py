@@ -548,8 +548,6 @@ def _render_comparison(comparison: ast.Comparison) -> str:
 
 def _render_target(definition: ast.AttributeDefinition) -> str:
     variable = definition.variable
-    if isinstance(variable, ast.Placeholder):
-        raise ValueError("placeholder definition targets have no surface syntax")
     qualifier = "my" if variable.agent is None else f"{variable.agent}'s"
     decorator = {
         ast.Decorator.ASSIGN: "",

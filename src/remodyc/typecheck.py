@@ -8,9 +8,7 @@ inferred from its binding.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
 
 from . import ast, interp
 from .parser import format_number
@@ -63,16 +61,21 @@ class TypeCheckError(Exception):
         return text
 
 
-@dataclass
 class Scope:
     """Resolution context for one expression: performer, utilities, bindings."""
 
-    model: ast.Model | None = None
-    performer: ast.AgentDefinition | None = None
-    utilities: dict[str, ast.UtilityDefinition] = field(default_factory=dict)
-    placeholders: dict[str, Unit] = field(default_factory=dict)
-    _utility_units: dict[str, Unit] = field(default_factory=dict)
-    _inferring: set[str] = field(default_factory=set)
+    def __init__(
+        self,
+        model: ast.Model | None = None,
+        performer: ast.AgentDefinition | None = None,
+        utilities: dict[str, ast.UtilityDefinition] | None = None,
+        placeholders: dict[str, Unit] | None = None,
+    ):
+        self.model, self.performer = model, performer
+        self.utilities = utilities or {}
+        self.placeholders = placeholders or {}
+        self._utility_units: dict[str, Unit] = {}
+        self._inferring: set[str] = set()
 
     def attribute_unit(self, qualifier: str | None, identifier: str, pos) -> Unit:
         agent = self._qualified_agent(qualifier, pos)
@@ -281,8 +284,7 @@ def _apply_type(e, function: str, args, scope: Scope) -> Unit:
 def check_action(
     action: ast.ActionDefinition, scope: Scope
 ) -> list[TypeCheckError]:
-    """Check one action in an already-resolved scope; placeholder-target
-    definitions must have been replaced by bound attribute variables."""
+    """Check one action in an already-resolved scope."""
     diagnostics: list[TypeCheckError] = []
 
     def attempt(run):
@@ -312,11 +314,6 @@ def check_action(
 
 def _check_definition(definition: ast.AttributeDefinition, scope: Scope) -> None:
     variable = definition.variable
-    if isinstance(variable, ast.Placeholder):
-        raise TypeCheckError(
-            f"placeholder target {variable.identifier!r} was never bound to an attribute",
-            definition.pos,
-        )
     target = scope.attribute_unit(variable.agent, variable.identifier, variable.pos)
     value = infer_type(definition.expression, scope)
     if definition.decorator is ast.Decorator.DIFFERENTIAL:
@@ -390,30 +387,6 @@ def _references(expression: ast.Expression) -> list[ast.UtilityVariable]:
     return [
         e for e in ast.walk_expression(expression) if isinstance(e, ast.UtilityVariable)
     ]
-
-
-def _resolve_targets(
-    action: ast.ActionDefinition,
-    bindings: dict[str, ast.Expression],
-    diagnostics: list[TypeCheckError],
-) -> ast.ActionDefinition:
-    resolved = []
-    for definition in action.definitions:
-        variable = definition.variable
-        if isinstance(variable, ast.Placeholder):
-            bound = bindings.get(variable.identifier)
-            if not isinstance(bound, ast.AttributeVariable):
-                diagnostics.append(
-                    TypeCheckError(
-                        f"placeholder target {variable.identifier!r} must be bound "
-                        "to an attribute",
-                        definition.pos,
-                    )
-                )
-                continue
-            definition = dataclasses.replace(definition, variable=bound)
-        resolved.append(definition)
-    return dataclasses.replace(action, definitions=tuple(resolved))
 
 
 def check_model(
@@ -498,21 +471,18 @@ def check_model(
         if not usable:
             continue
 
-        resolved = _resolve_targets(action, dict(task.bindings), diagnostics)
         scope = Scope(
             model,
             performer,
-            utilities={u.identifier: u for u in resolved.utilities},
+            utilities={u.identifier: u for u in action.utilities},
             placeholders=placeholder_units,
         )
-        diagnostics.extend(check_action(resolved, scope))
+        diagnostics.extend(check_action(action, scope))
 
-        for definition in resolved.definitions:
+        for definition in action.definitions:
             if definition.decorator is not ast.Decorator.ASSIGN:
                 continue
             variable = definition.variable
-            if not isinstance(variable, ast.AttributeVariable):
-                continue
             kind = {None: task.agent, "world": "World", "here": "Patch"}[variable.agent]
             assign_targets.setdefault((kind, variable.identifier), []).append(
                 definition.pos

@@ -221,6 +221,12 @@ UNRESOLVED = {
         egg("age [day]", "my age' = 1 [day]").replace("Egg f.", "Egg g."),
         "line 5: task names unknown action 'g'",
     ),
+    "utility-in-binding": (
+        egg("age [day]", "my age' = the step", "hidden = 2 [day]").replace(
+            "Egg f.", "Egg f where the step -> hidden."
+        ),
+        "line 7: unknown utility 'hidden'",
+    ),
 }
 
 

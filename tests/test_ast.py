@@ -114,20 +114,6 @@ def test_placeholders_inside_guards_and_counts():
     assert ast.placeholders_of(model.actions[0]) == {"litter", "ripe"}
 
 
-def test_placeholder_definition_targets_are_included():
-    action = ast.ActionDefinition(
-        "drain",
-        definitions=(
-            ast.AttributeDefinition(
-                ast.Placeholder("sink"),
-                ast.Decorator.DELTA,
-                ast.Literal(1.0, parse_unit("")),
-            ),
-        ),
-    )
-    assert ast.placeholders_of(action) == {"sink"}
-
-
 def test_positions_do_not_affect_equality():
     a = ast.UtilityVariable("v", pos=ast.SourcePos(1, 1))
     b = ast.UtilityVariable("v", pos=ast.SourcePos(9, 9))

@@ -254,6 +254,66 @@ class TestRun:
         assert not out.exists()
 
 
+# A Patch model whose Egg moves far past an edge, then reads the patch under
+# it and adds to that patch's grass: a 10 x 10 grid of 1 mm patches.
+FAR = """\
+Patch with
+    grass [kg] = 0 [kg].
+
+Egg is Grasshopper with
+    seen [kg]
+    h [rad].
+
+to stray is
+    my x' = {x} [m]
+    {read}
+    here's delta grass' = 1 [kg].
+
+Egg stray.
+"""
+
+FAR_CONFIG = """\
+delta_time = 1 day
+steps = 4
+seed = 1
+world_width = 10 mm
+world_height = 10 mm
+patch_size = 1 mm
+populate 1 Egg
+"""
+
+
+@pytest.mark.parametrize(
+    "x, read, column",
+    [("1e308", "my seen' = here's grass", 9), ("-1e308", "my h' = direction neighbor's grass", 0)],
+    ids=["here-past-right-edge", "direction-past-left-edge"],
+)
+def test_position_past_an_edge_is_on_the_edge_cell(tree, capsys, x, read, column):
+    model, config, out = tree / "far.rmd", tree / "far.cfg", tree / "far"
+    model.write_text(FAR.format(x=x, read=read))
+    config.write_text(FAR_CONFIG)
+    assert invoke("check", model, "--config", config) == 0
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "remodyc", "run", str(model), str(config), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert invoke("replay", out, 5) == 0
+    grass = [
+        float(line.split(",")[3].split()[0])
+        for line in capsys.readouterr().out.splitlines()
+        if ",Patch,grass," in line
+    ]
+    # Tick 1 adds at the drawn position; ticks 2-4 add on the edge cell.
+    assert sum(grass) == 4
+    assert sum(grass[column::10]) >= 3
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(

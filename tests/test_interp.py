@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from remodyc import cli, interp, rng
-from remodyc.ast import Decorator, Placeholder
+from remodyc.ast import Decorator
 from remodyc.interp import (
     ConfigError,
     Engine,
@@ -191,23 +191,6 @@ class TestInstantiate:
                 "Egg f\nwhere\n    the a -> the a.\n",
                 BASIC_CONFIG,
             )
-
-    def test_placeholder_target(self):
-        import dataclasses
-
-        model = parse_model(
-            "Egg is G with\n    age [day].\nto f is\n    my age' = 1 [day].\n"
-            "Egg f\nwhere\n    the tgt -> my age.\n"
-        )
-        action = model.actions[0]
-        definition = dataclasses.replace(
-            action.definitions[0], variable=Placeholder("tgt")
-        )
-        action = dataclasses.replace(action, definitions=(definition,))
-        model = dataclasses.replace(model, actions=(action,))
-        backend = InMemoryBackend()
-        Engine(model, parse_config(BASIC_CONFIG), backend).run()
-        assert backend.load_frame(2).values[3] == DAY
 
 
 class TestSetup:

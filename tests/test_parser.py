@@ -325,6 +325,13 @@ def test_missing_statement():
         parse_model("to idle is .\n")
 
 
+def test_placeholder_is_not_a_definition_target():
+    # A statement targets an attribute; ``the <name>`` is only an expression.
+    with pytest.raises(SourceError) as err:
+        parse_model("to f is\n    the tgt' = 1 [kg].\n")
+    assert str(err.value) == "2:5: an action needs at least one statement"
+
+
 def test_apostrophe_forms():
     model = parse_model("to f is my a' = world's b + here's c.\n")
     e = model.actions[0].definitions[0].expression

@@ -370,33 +370,3 @@ class TestCheckModel:
             "Adult f.\nAdult g."
         )
         assert check_model(parse_model(source)) == []
-
-
-class TestPlaceholderTargets:
-    def build(self, binding):
-        model = parse_model(AGENTS + "to f is\n    my energy' = 1 [kg].\nAdult f.")
-        action = model.actions[0]
-        definition = action.definitions[0]
-        import dataclasses
-
-        patched = dataclasses.replace(
-            action,
-            definitions=(
-                dataclasses.replace(definition, variable=ast.Placeholder("tgt")),
-            ),
-        )
-        task = dataclasses.replace(model.tasks[0], bindings=(("tgt", binding),))
-        return dataclasses.replace(model, actions=(patched,), tasks=(task,))
-
-    def test_bound_to_attribute(self):
-        model = self.build(parse_expression("my energy"))
-        assert check_model(model) == []
-
-    def test_bound_to_attribute_of_wrong_unit(self):
-        model = self.build(parse_expression("my age"))
-        assert len(check_model(model)) == 1
-
-    def test_bound_to_non_attribute(self):
-        model = self.build(parse_expression("1 [kg]"))
-        errs = check_model(model)
-        assert any("must be bound to an attribute" in e.message for e in errs)
