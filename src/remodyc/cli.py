@@ -157,9 +157,18 @@ def _run(args) -> int:
         if meta_path is not None:
             with open(meta_path, "a") as handle:
                 handle.write(f"abort={abort.render()}\n")
+                handle.write(f"abort_at={_abort_at(abort)}\n")
         print(f"aborted: {abort.render()}", file=sys.stderr)
         return 3
     return 0
+
+
+def _abort_at(abort: RuntimeAbort) -> str:
+    """Where ``abort`` happened, as ``key=value`` fields; a field that is not
+    known is left out."""
+    fields = {"tick": abort.tick, "stage": abort.stage, "index": abort.index,
+              "base": abort.base, "attribute": abort.attribute}
+    return " ".join(f"{key}={value}" for key, value in fields.items() if value is not None)
 
 
 def _open_run_dir(path: str) -> tuple[Path, ast.Model]:

@@ -37,14 +37,21 @@ class ConfigError(Exception):
 
 class RuntimeAbort(Exception):
     """Unrecoverable evaluation failure; the trace keeps all completed
-    frames."""
+    frames.  Where a performer failed, ``base`` and ``index`` name it, and
+    ``attribute`` is what the failing definition targets (its own, the
+    World's or the patch's, as the source says), None for a lifecycle
+    directive."""
 
-    def __init__(self, message, tick=None, stage=None, pos=None):
+    def __init__(self, message, tick=None, stage=None, pos=None, *,
+                 base=None, index=None, attribute=None):
         super().__init__(message)
         self.message = message
         self.tick = tick
         self.stage = stage
         self.pos = pos
+        self.base = base
+        self.index = index
+        self.attribute = attribute
 
     def render(self) -> str:
         parts = [f"tick {self.tick}" if self.tick else None,
@@ -183,6 +190,9 @@ def _divide(left: float, right: float) -> float:
 # Operators, builtin functions and relations by name and operand count: the
 # function that folds constants, then the text of an operation that cannot
 # fail or the name under which generated code calls a function that can.
+# ``min`` and ``max`` are the builtins' own two-item rule as comparisons:
+# the first operand unless the second is strictly less (greater), which
+# keeps their ties, NaNs and signs of zero at a fraction of a call's cost.
 _CALLS = {
     ("-", 1): (operator.neg, "(-{0})"),
     ("+", 2): (operator.add, "({0} + {1})"),
@@ -200,8 +210,8 @@ _CALLS = {
     ("abs", 1): (abs, "abs({0})"),
     ("floor", 1): (lambda value: float(math.floor(value)), "floor"),
     ("ceiling", 1): (lambda value: float(math.ceil(value)), "ceiling"),
-    ("min", 2): (min, "min({0}, {1})"),
-    ("max", 2): (max, "max({0}, {1})"),
+    ("min", 2): (min, "({1} if {1} < {0} else {0})"),
+    ("max", 2): (max, "({1} if {1} > {0} else {0})"),
     ("<", 2): (operator.lt, "({0} < {1})"),
     ("<=", 2): (operator.le, "({0} <= {1})"),
     (">", 2): (operator.gt, "({0} > {1})"),
@@ -230,7 +240,9 @@ class Engine:
             self.slots[agent.name] = {d.identifier: slot for slot, d in enumerate(declarations)}
             self.initials[agent.name] = tuple((d.identifier, _initial(d)) for d in declarations)
         self.stages = {stage.name: stage for stage in model.stages}
-        self.plan, self.sites = _compile(self)  # (kind, run) per task, in order
+        # (kind, run) per task, in order; abort sites by line; the source
+        # the tasks were compiled from.
+        self.plan, self.sites, self.source = _compile(self)
         self.populations: list[tuple[int, ast.StageDefinition]] = []
         for count, name in config.populations:
             if name not in self.stages:
@@ -294,10 +306,15 @@ class Engine:
         except KeyError as err:  # only a committed read raises it
             raise AddressError(f"read from unallocated address {err.args[0]}") from None
         except _FAILURES as err:  # the failing line of a task names its abort site
-            site = self.sites.get(err.__traceback__.tb_next.tb_lineno)
+            task = err.__traceback__.tb_next
+            site = self.sites.get(task.tb_lineno)
             if site is None:
                 raise
-            raise RuntimeAbort(site[0].format(err), self.image.ticks + 1, site[1], site[2])
+            message, stage, pos, attribute = site
+            base = task.tb_frame.f_locals["b"]  # the performer
+            raise RuntimeAbort(message.format(err), self.image.ticks + 1, stage, pos,
+                               base=base, index=self.image.animats[base][1],
+                               attribute=attribute)
         self._apply_events(events)
         return self._commit()
 
@@ -334,6 +351,7 @@ class Engine:
                             f"spawn of {count} would hold {blocks} animats, "
                             f"over the ceiling of {MAX_ANIMATS}",
                             tick=self.image.ticks + 1, stage=kind, pos=pos,
+                            base=base, index=self.image.animats[base][1],
                         )
                     for _ in range(count):
                         self._create(stage, self._pending(base, kind, ("x", "y")))
@@ -368,14 +386,14 @@ def setup_blocks(model: ast.Model, config: SimulationConfig) -> int:
     return blocks
 
 
-def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tuple]]:
+def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tuple], str]:
     """Each task as a function ``task_<i>(bases, events)`` of one module
-    compiled once, and by line, the abort site of a line that can fail.  A
-    task writes only by the image's ``write`` and ``write_delta``, and fails
-    only by raising on a line that names its abort site, which ``Engine.step``
-    turns into a ``RuntimeAbort``.  The namespace reaches the engine only by
-    a weak proxy and keeps no task function: a dropped engine is freed,
-    image and all, without the cycle collector."""
+    compiled once, by line, the abort site of a line that can fail, and the
+    module's source.  A task writes only by the image's ``write`` and
+    ``write_delta``, and fails only by raising on a line that names its abort
+    site, which ``Engine.step`` turns into a ``RuntimeAbort``.  The namespace
+    reaches the engine only by a weak proxy and keeps no task function: a
+    dropped engine is freed, image and all, without the cycle collector."""
     image, config, patches, inf = engine.image, engine.config, engine.patch_bases, math.inf
 
     def spawn(events: list, base: int, kind: str, stage, value: float, pos) -> None:
@@ -433,11 +451,18 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
     namespace.update((name, call) for call, name in _CALLS.values() if "{" not in name)
     tasks = list(enumerate(engine.model.tasks))
     lines = [line for i, task in tasks for line in _Compiler(engine, task, namespace, i).lines]
-    exec(compile("\n".join(lines), "<remodyc tasks>", "exec", dont_inherit=True), namespace)
+    source = "\n".join(lines)
+    exec(compile(source, "<remodyc tasks>", "exec", dont_inherit=True), namespace)
     # A line that can fail ends in ``# <its abort site>``.
     ends = (line.partition("  # ")[2] for line in lines)
     sites = {n: namespace[site] for n, site in enumerate(ends, 1) if site}
-    return [(task.agent, namespace.pop(f"task_{i}")) for i, task in tasks], sites
+    return [(task.agent, namespace.pop(f"task_{i}")) for i, task in tasks], sites, source
+
+
+def _is_name_or_literal(text: str) -> bool:
+    """Whether generated ``text`` is a name or a number, which costs nothing
+    to repeat; any other expression ends in a bracket."""
+    return text.isidentifier() or text[-1].isdigit()
 
 
 class _Compiler:
@@ -469,6 +494,7 @@ class _Compiler:
         self.utilities = [self.expression(u.expression) for u in action.utilities]
         self.lines: list[str] = []
         self.depth, self.temps = 2, 0
+        self.target = None  # the attribute of the definition being emitted
         # The text of what this scope computed: the patch, utilities by index.
         self.known: dict = {}
         self.maybe, self.computing = set(), set()  # utilities perhaps computed, being computed
@@ -486,15 +512,17 @@ class _Compiler:
 
     def definition(self, definition: ast.AttributeDefinition) -> None:
         value, pos = self.expression(definition.expression), definition.pos
+        self.target = definition.variable.identifier
         if definition.decorator is ast.Decorator.DIFFERENTIAL:
             value = self.call(("*", 2), [value, self.engine.config.delta_time], pos)
         address, text = self.address(definition.variable, pos), self.value(value)
         helper = "write" if definition.decorator is ast.Decorator.ASSIGN else "write_delta"
-        site = (f"non-finite value {{}} for {definition.variable.identifier!r}", self.kind, pos)
-        self.emit(f"{helper}({self.place(address)}, {text})  # {self.bind(site)}")
+        site = self.site(f"non-finite value {{}} for {self.target!r}", pos)
+        self.emit(f"{helper}({self.place(address)}, {text})  # {site}")
 
     def directive(self, directive: ast.LifecycleDirective) -> None:
         guard, pos, kind = directive.guard, directive.pos, self.kind
+        self.target = None
         if guard is not None:
             operands = [self.expression(guard.left), self.expression(guard.right)]
             guard = self.call((guard.relop, 2), operands, guard.pos)
@@ -513,7 +541,7 @@ class _Compiler:
             if number is None:
                 self.emit(f"events.append(({event}))")
                 return
-            site = self.bind(("spawn count {} out of range", kind, pos))
+            site = self.site("spawn count {} out of range", pos)
             self.emit(f"spawn(events, {event}, {self.value(number)}, {self.bind(pos)})  # {site}")
 
         if guard is None or guard is True:
@@ -607,6 +635,11 @@ class _Compiler:
         self.namespace[name := f"c{len(self.namespace)}"] = value
         return name
 
+    def site(self, message: str, pos) -> str:
+        """A name for the abort site ``(message, kind, pos, target)`` of a
+        line this scope emits; ``message`` formats the failure."""
+        return self.bind((message, self.kind, pos, self.target))
+
     def block(self, header: str, body: Callable[[], None]) -> None:
         """``header`` over what ``body`` emits; a utility computed there is
         perhaps computed after it, and nothing else is known."""
@@ -638,19 +671,22 @@ class _Compiler:
                 if key == ("/", 2) and not isinstance(operands[1], tuple) and operands[1] != 0:
                     form = "({0} / {1})"  # a division that cannot fail
                 if "{" in form:
+                    # An operand the form uses twice is computed once.
+                    texts = [t if form.count(f"{{{i}}}") < 2 or _is_name_or_literal(t)
+                             else self.let(t) for i, t in enumerate(texts)]
                     return form.format(*texts)
                 target, call = "", f"{form}({', '.join(texts)})"
         # A call that can fail, on a line of its own that names its abort
         # site: ``Engine.step`` aborts with ``prefix`` and the failure's text.
         self.temps += 1
-        site = self.bind((prefix + "{}", self.kind, pos))
+        site = self.site(prefix + "{}", pos)
         self.emit(f"{target}t{self.temps} = {call}  # {site}")
         return f"t{self.temps}"
 
     def utility(self, index: int, name: str, pos) -> str:
         if index in self.computing:
-            site = (f"utility {name!r} depends on itself", self.kind, pos)
-            self.emit(f"raise ValueError  # {self.bind(site)}")
+            site = self.site(f"utility {name!r} depends on itself", pos)
+            self.emit(f"raise ValueError  # {site}")
             return "None"
         if index in self.maybe and index not in self.known:
             self.maybe.discard(index)  # back in ``maybe`` once the block is done
@@ -661,7 +697,7 @@ class _Compiler:
             text = self.value(self.utilities[index])
             self.computing.discard(index)
             # A name or a literal needs no local, unless a later use may test it.
-            if self.depth > 2 or not (text.isidentifier() or text[-1].isdigit()):
+            if self.depth > 2 or not _is_name_or_literal(text):
                 self.emit(f"u{index} = {text}")
                 text = f"u{index}"
             self.known[index] = text

@@ -162,6 +162,56 @@ def test_abort_text_and_frames_kept(model, message, frames):
     assert backend.frame_count() == frames
 
 
+# By abort, the index of the Egg that fails and the attribute its failing
+# definition targets, None for a lifecycle directive.  Every Egg fails
+# alike but for the draw that overflows, which the second Egg draws first.
+FAILED = {
+    "division-by-zero": (1, "age"), "ln-domain": (1, "w"), "sqrt-domain": (1, "w"),
+    "exp-overflow": (1, "w"), "pow-overflow": (1, "w"), "floor-of-inf": (1, "w"),
+    "ceiling-of-nan": (1, "w"), "uniform-inverted": (1, "age"),
+    "normal-negative-sigma": (1, "w"), "gamma-zero-shape": (1, "w"),
+    "loglogistic-overflow": (2, "w"), "constant-fold-failure": (1, "age"),
+    "spawn-negative": (1, None), "spawn-nan": (1, None), "spawn-inf-in-utility": (1, None),
+    "non-finite-assign": (1, "w"), "non-finite-delta": (1, "w"),
+    "non-finite-differential": (1, "w"), "utility-cycle": (1, "age"),
+    "utility-self-reference": (1, "age"), "utility-cycle-in-guarded-count": (1, None),
+}
+
+
+@pytest.mark.parametrize("name", ABORTS)
+def test_abort_names_the_performer_and_attribute(name):
+    engine, _ = build(ABORTS[name][0])
+    with pytest.raises(RuntimeAbort) as err:
+        engine.run()
+    index, attribute = FAILED[name]
+    base = engine.image.performers["Egg"][index - 1]
+    assert (err.value.base, err.value.index, err.value.attribute) == (base, index, attribute)
+
+
+# An abort of each kind, and a ``w`` for the first Egg that keeps it from
+# failing, so that only the second one does.
+SPARED = {
+    "write": ("non-finite-assign", 0.0),
+    "failing-call": ("ln-domain", 1.0),
+    "draw": ("normal-negative-sigma", 2.0),
+    "spawn-count": ("spawn-inf-in-utility", 0.0),
+}
+
+
+@pytest.mark.parametrize("name, value", SPARED.values(), ids=SPARED)
+def test_abort_names_the_animat_that_failed(name, value):
+    model, message, _ = ABORTS[name]
+    engine, _ = build(model)
+    engine.setup()
+    first, second = engine.image.performers["Egg"]
+    engine.image.vals[first + engine.slots["Egg"]["w"]] = value
+    with pytest.raises(RuntimeAbort) as err:
+        for _ in range(4):
+            engine.step()
+    assert err.value.render() == message
+    assert (err.value.base, err.value.index, err.value.attribute) == (second, 2, FAILED[name][1])
+
+
 # model, the ``ConfigError`` text ``Engine()`` raises
 UNRESOLVED = {
     "unknown-attribute": (

@@ -177,6 +177,7 @@ class TestRun:
         meta = (out / "meta.txt").read_text()
         assert "abort=division by zero" in meta
         assert "tick 2" in meta
+        assert meta.splitlines()[-1] == "abort_at=tick=2 stage=Egg index=1 base=1 attribute=age"
 
 
     def test_census_streams_the_ticks_an_abort_keeps(self, tree, capsys):
@@ -225,7 +226,9 @@ class TestRun:
         err = capsys.readouterr().err
         assert "over the ceiling of 7 (tick 3, Egg, line 4)" in err
         assert len((out / "rng.csv").read_text().splitlines()) == 3
-        assert "abort=spawn of 2" in (out / "meta.txt").read_text()
+        meta = (out / "meta.txt").read_text()
+        assert "abort=spawn of 2" in meta
+        assert meta.splitlines()[-1] == "abort_at=tick=3 stage=Egg index=1 base=1"
 
     def test_patch_grid_over_the_ceiling_exits_1(self, tree, capsys):
         tiny = tree / "tiny.cfg"

@@ -1,5 +1,6 @@
 """Engine semantics: setup, stepping, lifecycle, evaluation."""
 import gc
+import itertools
 import math
 import sys
 import weakref
@@ -584,8 +585,25 @@ class TestEvaluation:
         assert backend.load_frame(3).values[egg + 2] == 0.75
 
 
+# Operands that pin ties, signs of zero, extremes and NaN.
+GRID = (-math.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308, math.inf, math.nan)
+
+
 class TestCompiledTasks:
     """What the compiled tasks owe the rest of the program."""
+
+    @pytest.mark.parametrize("key", [k for k, (_, form) in interp._CALLS.items() if "{" in form])
+    def test_text_form_matches_its_folding_function(self, key):
+        """Run time computes what constant folding computes, bit for bit and
+        of the same type, on every tuple of grid operands."""
+        fold, form = interp._CALLS[key]
+        for operands in itertools.product(GRID, repeat=key[1]):
+            # As the compiler writes operands: a finite one by its repr, a
+            # non-finite one by a name.
+            names = {f"c{i}": x for i, x in enumerate(operands) if not math.isfinite(x)}
+            texts = [repr(x) if math.isfinite(x) else f"c{i}" for i, x in enumerate(operands)]
+            value, expected = eval(form.format(*texts), names), fold(*operands)
+            assert (type(value), repr(value)) == (type(expected), repr(expected)), operands
 
     def test_sampler_replaced_after_build_sees_every_draw(self, monkeypatch):
         engine, _ = build(
