@@ -118,7 +118,7 @@ def _meta_lines(config) -> list[str]:
         f"patches_x={config.patches_x}",
         f"patches_y={config.patches_y}",
         "rng=splitmix64, one global stream consumed in task and animat order",
-    ]
+    ] + [f"populate={count} {stage}" for count, stage in config.populations]
 
 
 def _run(args) -> int:

@@ -334,7 +334,7 @@ class Engine:
 
     def _census(self, tick: int) -> list[tuple[int, str, int]]:
         performers = self.image.performers
-        return [(tick, s.name, len(performers.get(s.name, ()))) for s in self.model.stages]
+        return [(tick, name, len(performers.get(name, ()))) for name in self.stages]
 
     def _apply_events(self, events: list) -> None:
         for event in events:

@@ -6,12 +6,15 @@ for what each address will commit), so update order inside a tick cannot
 leak into results.  ``MemoryImage.write`` and ``write_delta`` apply that
 rule for every write, the compiled tasks' too, and refuse one that would
 commit an infinity or a NaN: no frame holds either.  ``store`` hands
-``next`` on as a frame and appends it to a backend.  A commit costs what
-changed: that dict becomes the committed values as it is, and block
-sizes, performer lists and instance indices are updated from the blocks
-allocated and killed during the tick.
-``load`` rebuilds the image from any stored frame, inferring all of that
-from the frame, which is all replay needs.
+``next`` on as a frame and appends it to a backend.  Besides the values
+the image keeps only the animats, their bases in order and each kind's
+bases in order; two rules give the rest.  A block reaches up to the next
+base, the highest one up to ``next_free``, one past the highest stored
+address; and a new animat takes the index after the one its stage's
+highest block holds.  A commit costs what changed: that dict becomes the
+committed values as it is, and the blocks killed during the tick leave
+the bases and performers.  ``load`` rebuilds the image from any stored
+frame, which is all replay needs.
 
 On disk an append writes each of the three trace files once, as bytes
 built in one pass over the frame, and flushes it before returning; a
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
@@ -270,16 +273,17 @@ class MemoryImage:
     the slots of new blocks being assigned 0.0; they are emptied in place,
     so compiled code may hold on to them.  A write whose address would
     commit an infinity or a NaN raises ``ValueError``, whose text is that
-    value, and changes nothing.  Besides the values the image
-    keeps each block's size, the bases in order, each kind's bases in order
-    (its performers) and each stage's last instance index.
+    value, and changes nothing.  Besides the values the image keeps the
+    animats, their bases in order and each kind's bases in order (its
+    performers), killed blocks included until the commit; ``live`` and
+    every block's extent and next index are read off those.
 
     ``store`` hands ``next``, less the killed blocks, on as the frame's
     values.  ``apply_frame`` then commits the frame one of two ways: the
-    frame ``store`` just returned takes the commit path, which updates the
-    kept state from the blocks killed since the last commit (new blocks
-    were entered as they were allocated); any other frame takes the load
-    path, which infers all of it from the frame.  Both give the same image.
+    frame ``store`` just returned takes the commit path, which drops the
+    blocks killed since the last commit (new blocks were entered as they
+    were allocated); any other frame takes the load path, which reads all
+    of it from the frame.  Both give the same image.
     Between ``store`` and ``apply_frame`` the image is mid commit: if the
     backend fails to append, ``load`` a stored frame to go on.
     """
@@ -291,15 +295,16 @@ class MemoryImage:
         self.delta: dict[int, float] = {}
         self.killed: set[int] = set()  # bases killed since the last commit
         self.animats: dict[int, tuple[str, int]] = {}
-        self.sizes: dict[int, int] = {}
         self.bases: list[int] = []  # every base in ``animats``, ascending
         self.performers: dict[str, list[int]] = {}  # by kind, ascending
-        self.stage_indices: dict[str, int] = {}
         self.next_free = 1
         self.ticks = 0
-        # Blocks the next frame will hold: allocated and not killed.
-        self.live = 0
         self._stored: TraceFrame | None = None
+
+    @property
+    def live(self) -> int:
+        """Blocks the next frame will hold: allocated and not killed."""
+        return len(self.animats) - len(self.killed)
 
     def read(self, address: int) -> float:
         try:
@@ -345,14 +350,13 @@ class MemoryImage:
         zeros = dict.fromkeys(range(base, base + size), 0.0)
         self.assigned.update(zeros)
         self.next.update(zeros)
-        index = self.stage_indices.get(stage, 0) + 1
-        self.stage_indices[stage] = index
-        self.animats[base] = (stage, index)
-        self.sizes[base] = size
+        # Every new block lands above every base, so a stage's highest
+        # block holds its highest index.
+        kept = self.performers.setdefault(stage, [])
+        self.animats[base] = (stage, self.animats[kept[-1]][1] + 1 if kept else 1)
         self.bases.append(base)
-        self.performers.setdefault(stage, []).append(base)
+        kept.append(base)
         self.next_free = base + size
-        self.live += 1
         return base
 
     def kill(self, base: int) -> None:
@@ -360,10 +364,7 @@ class MemoryImage:
         frame boundary drops them."""
         if base not in self.animats:
             raise AddressError(f"kill of unallocated base {base}")
-        if base in self.killed:
-            return
         self.killed.add(base)
-        self.live -= 1
 
     def store(self, backend: StorageBackend, rng_state: int) -> TraceFrame:
         """Append the frame the pending writes make: ``next`` on every
@@ -373,12 +374,14 @@ class MemoryImage:
                 f"image at tick {self.ticks} cannot append frame "
                 f"{backend.frame_count() + 1}"
             )
-        values, sizes = self.next, self.sizes
+        values, bases = self.next, self.bases
         animats = self.animats.copy()
         for base in self.killed:
             del animats[base]
-            # A kept size may cover the gap a dead block left: no values there.
-            for address in range(base, base + sizes[base]):
+            # The block's extent, which may cover a gap dead blocks left:
+            # no values there.
+            i = bisect_right(bases, base)
+            for address in range(base, bases[i] if i < len(bases) else self.next_free):
                 values.pop(address, None)
         frame = TraceFrame(values, animats, rng_state)
         backend.append_frame(frame)
@@ -388,23 +391,22 @@ class MemoryImage:
     def apply_frame(self, frame: TraceFrame, tick: int) -> None:
         """Make ``frame`` the committed state after ``tick``.
 
-        Sizes follow one rule on both paths: a live block reaches up to the
-        next live base, the highest one up to the highest stored address,
-        and the next allocation starts just after it.  So a dead block
-        between two live ones counts in the size of the live block below
-        it, and the addresses of dead blocks above the highest live one go
-        to the next allocation.  Neither changes a value: a block is read
-        and written through its own slots, and the extra addresses hold
-        nothing to store.  Likewise each stage's next instance index
-        follows its highest live one, so an index may name another animat
-        once the one that held it has died.
+        One layout rule holds on both paths: a block reaches up to the next
+        base, the highest one up to ``next_free``, which is one past the
+        highest stored address.  So a dead block between two live ones
+        counts in the extent of the live block below it, and the addresses
+        of dead blocks above the highest live one go to the next
+        allocation.  Neither changes a value: a block is read and written
+        through its own slots, and the extra addresses hold nothing to
+        store.  Likewise a stage's next instance index is the one after its
+        highest block's, so an index may name another animat once the one
+        that held it has died.
 
         The frame ``store`` just returned takes the commit path, which
-        besides copying the values into ``next`` costs O(blocks killed):
-        sizes, bases, performers and indices were kept up to date by
-        ``allocate``, and each killed block passes its size to the live
-        block below it.  Any other frame takes the load path, which infers
-        them all from the frame.
+        besides copying the values into ``next`` costs O(blocks killed) to
+        drop them from the bases and performers, plus O(addresses freed at
+        the top) to lower ``next_free``.  Any other frame takes the load
+        path, which reads them all off the frame.
         """
         self.vals = frame.values
         # ``copy`` clones even a table with holes; ``dict()`` would rehash it.
@@ -420,52 +422,27 @@ class MemoryImage:
         self._stored = None
 
     def _commit_kills(self) -> None:
-        bases, sizes, animats, values = self.bases, self.sizes, self.animats, self.vals
-        top_died = False
-        # From the top down, so a block's successor is always live.
-        for base in sorted(self.killed, reverse=True):
-            i = bisect_left(bases, base)
-            del bases[i]
-            size = sizes.pop(base)
+        bases, animats, performers, values = self.bases, self.animats, self.performers, self.vals
+        for base in self.killed:
+            del bases[bisect_left(bases, base)]
             kind = animats.pop(base)[0]
-            kept = self.performers[kind]
+            kept = performers[kind]
             del kept[bisect_left(kept, base)]
             if not kept:
-                del self.performers[kind]
-                self.stage_indices.pop(kind, None)
-            else:
-                self.stage_indices[kind] = animats[kept[-1]][1]
-            if i == len(bases):
-                top_died = True
-            elif i:
-                sizes[bases[i - 1]] += size
-        if not bases:
-            self.next_free = 1
-        elif top_died:
-            # The new highest block ends at its highest stored address.
-            top = bases[-1]
-            end = top + sizes[top]
-            while end - 1 not in values:
-                end -= 1
-            sizes[top] = end - top
-            self.next_free = end
+                del performers[kind]
+        # Down to one past the highest stored address, as ``_infer`` reads it.
+        end = self.next_free
+        while end > 1 and end - 1 not in values:
+            end -= 1
+        self.next_free = end
 
     def _infer(self, frame: TraceFrame) -> None:
         self.animats = dict(frame.animats)
         self.bases = sorted(self.animats)
-        self.live = len(self.bases)
         self.next_free = max(frame.values, default=0) + 1
-        self.sizes = {
-            base: following - base
-            for base, following in zip(self.bases, self.bases[1:] + [self.next_free])
-        }
         self.performers = {}
-        self.stage_indices = {}
         for base in self.bases:
-            stage, index = self.animats[base]
-            self.performers.setdefault(stage, []).append(base)
-            if index > self.stage_indices.get(stage, 0):
-                self.stage_indices[stage] = index
+            self.performers.setdefault(self.animats[base][0], []).append(base)
 
     def load(self, backend: StorageBackend, tick: int) -> int:
         """Rebuild the image from a stored frame; returns its RNG state."""

@@ -113,6 +113,16 @@ class TestRun:
         assert summary[0] == "tick,stage,count"
         assert summary[1:] == ["1,Egg,2", "2,Egg,2", "3,Egg,2", "4,Egg,0"]
 
+    def test_meta_holds_every_populate_line_in_order(self, tree, capsys):
+        cfg = tree / "two.cfg"
+        cfg.write_text(CONFIG + "populate 1 Egg\n")
+        assert invoke("run", tree / "model.rmd", cfg, "--out", tree / "run2") == 0
+        lines = (tree / "run2" / "meta.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("populate")] == [
+            "populate=2 Egg",
+            "populate=1 Egg",
+        ]
+
     def test_runs_are_reproducible(self, tree, capsys):
         assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", tree / "a") == 0
         assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", tree / "b") == 0

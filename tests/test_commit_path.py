@@ -1,10 +1,13 @@
 """The commit path against the load path.
 
-``MemoryImage.apply_frame`` commits the frame ``store`` just returned by
-updating what it keeps (sizes, performer lists, instance indices) from the
-blocks killed during the tick, and infers all of it when it loads any
-other frame.  Both must give the same image, and neither may change a
-frame once it has been returned or stored.
+``MemoryImage`` keeps, besides the values, only the animats, their bases
+and each kind's performers; one layout rule gives every block's extent (up
+to the next base, the highest one up to ``next_free``, one past the
+highest stored address) and one index rule a stage's next instance index
+(the one after its highest block's).  ``apply_frame`` commits the frame
+``store`` just returned by dropping the blocks killed during the tick, and
+reads it all off any other frame it loads.  Both must give the same image,
+and neither may change a frame once it has been returned or stored.
 """
 from __future__ import annotations
 
@@ -28,13 +31,13 @@ def kept_state(image: MemoryImage) -> dict:
     return {
         "animats": image.animats,
         "performers": image.performers,
-        "stage_indices": image.stage_indices,
         "next_free": image.next_free,
-        "sizes": image.sizes,
-        # The committed addresses a kill of each live block would drop.
+        "live": image.live,
+        # The committed addresses a kill of each live block would drop: a
+        # block reaches up to the next base, the highest one to next_free.
         "killable": {
-            base: [a for a in range(base, base + image.sizes[base]) if a in image.vals]
-            for base in image.animats
+            base: [a for a in range(base, end) if a in image.vals]
+            for base, end in zip(image.bases, image.bases[1:] + [image.next_free])
         },
     }
 
@@ -79,13 +82,15 @@ TICKS = st.lists(
 
 
 @given(TICKS)
-@example([([("A", 2), ("A", 3), ("B", 2)], [1]), ([], [0])])
+@example([([("A", 2), ("A", 3), ("B", 2)], [1]), ([], [0, 1, 2])])
 def test_commit_path_matches_load_path_on_any_allocations_and_kills(ticks):
     """Each tick allocates blocks of two stages, kills any blocks, then
-    commits; a fresh load of the frame agrees with the committed image.
-    The example kills a middle block, whose size the block below it takes
-    over, and then the highest one: the block below becomes the highest
-    and ends at its own last address again."""
+    commits; a fresh load of the frame agrees with the committed image,
+    and a block of each stage then allocated on both, which the next tick
+    holds, lands at the same base with the same label.  The example kills
+    a middle block, whose addresses the block below it takes over, and
+    then the three highest: the block below becomes the highest and ends
+    at its own last address again."""
     backend = InMemoryBackend()
     image = MemoryImage()
     for tick, (allocations, kills) in enumerate(ticks, start=1):
@@ -99,6 +104,11 @@ def test_commit_path_matches_load_path_on_any_allocations_and_kills(ticks):
         loaded.load(backend, tick)
         assert kept_state(image) == kept_state(loaded), f"tick {tick}"
         assert image.bases == loaded.bases
+        # Both place and label the next block of each stage alike.
+        for stage in "AB":
+            base = image.allocate(stage, 1)
+            assert loaded.allocate(stage, 1) == base, f"tick {tick}"
+            assert image.animats[base] == loaded.animats[base], f"tick {tick}"
 
 
 def test_frames_do_not_change_once_returned_or_stored():

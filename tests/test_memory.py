@@ -190,7 +190,7 @@ class TestApplyAndLoad:
         frame = fresh.store(backend, 0)
         assert set(frame.values) == {adult, adult + 1}
 
-    def test_sizes_are_inferred_from_the_gaps_between_live_bases(self):
+    def test_a_block_reaches_up_to_the_next_live_base(self):
         backend = InMemoryBackend()
         image = MemoryImage()
         low = image.allocate("Egg", 2)  # addresses 1-2
@@ -201,21 +201,25 @@ class TestApplyAndLoad:
             image.write(base, float(base))
         image.kill(middle)
         image.kill(top)
-        image.apply_frame(image.store(backend, 0), 1)
-        # The dead middle block counts in the size of the live one below it.
-        assert image.sizes == {low: 5, high: 2}
+        frame = image.store(backend, 0)
+        assert frame.values == {low: 1.0, low + 1: 0.0, high: 6.0, high + 1: 0.0}
+        image.apply_frame(frame, 1)
+        # The low block reaches over the dead middle one, up to the high one.
+        assert image.bases == [low, high]
         # The addresses of the dead top block go to the next allocation, and
         # so does its instance index, the highest of its stage.
         assert image.next_free == top
         assert image.allocate("Adult", 4) == top
         assert image.animats[top] == ("Adult", 1)
-        # The inflated block still holds only its own values.
+        # The low block still holds only its own values, and a kill of the
+        # high one drops the high one's.
         image.write(low + 1, 9.0)
         image.kill(high)
         frame = image.store(backend, 0)
         assert frame.values == {low: 1.0, low + 1: 9.0, 8: 0.0, 9: 0.0, 10: 0.0, 11: 0.0}
         image.apply_frame(frame, 2)
-        assert image.sizes == {low: 7, top: 4}
+        assert image.bases == [low, top]
+        assert image.next_free == top + 4
 
 
 class TestInMemoryBackend:
