@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 model or configuration errors, 2 I/O problems,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -15,6 +16,7 @@ from .interp import ConfigError, Engine, RuntimeAbort, parse_config
 from .memory import FileBackend, InMemoryBackend
 from .parser import SourceError, format_number, parse_model, pretty_print
 from .typecheck import check_model, errors_only
+from .units import format_unit
 
 
 class _Failure(Exception):
@@ -201,9 +203,11 @@ def _replay(args) -> int:
     for base in sorted(frame.animats):
         kind, _ = frame.animats[base]
         for slot, declaration in enumerate(agents[kind].all_attributes):
-            value = frame.values[base + slot] / declaration.unit.scale
+            stored, unit = frame.values[base + slot], declaration.unit
+            value, label = stored / unit.scale, unit.label or ""
+            if not math.isfinite(value):  # past the declared unit's range: SI
+                value, label = stored, format_unit(unit)[1:-1]
             rendered = format_number(value)
-            label = declaration.unit.label or ""
             if label:
                 rendered += f" {label}"
             print(f"{base + slot},{kind},{declaration.identifier},{rendered}")

@@ -17,6 +17,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from . import ast, rng
@@ -406,11 +407,11 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
 
     columns, rows, edge = config.patches_x, config.patches_y, config.patch_size
     floor, atan2 = math.floor, math.atan2
-    # By (slot, cell), the centre of the richest cell around it, or () if that
-    # is the cell itself; found at first use in the committed values
-    # ``centres_in`` holds, and emptied when a new frame is committed.
-    centres: dict[int, tuple] = {}
-    centres_in = [None]
+    # By slot, the field ``field`` builds from the committed values
+    # ``richest_in`` holds: built at the slot's first ``direction`` read, and
+    # emptied when ``image.vals`` is a new dict (after a commit, load or resume).
+    richest: dict[int, list[int]] = {}
+    richest_in = [None]
 
     def cell(x: float, y: float) -> int:
         """Index in ``patches`` of the patch under ``(x, y)``; a position past
@@ -420,28 +421,47 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
         py = 0 if qy < 0.0 else rows - 1 if qy >= rows - 1 else floor(qy)
         return py * columns + px
 
+    def field(vals: dict[int, float], slot: int) -> list[int]:
+        """For each cell in row order, the position 0-8 in row order of the
+        first richest patch of the 3x3 window around it.  Builtin ``max``
+        keeps the first of equal items and ``tuple.index`` finds the first;
+        the ``-inf`` border is never richest, as committed values are finite.
+        One grid row at a time, so the windows take O(columns) at once."""
+        get, border = vals.__getitem__, [-inf] * (columns + 2)
+        padded = chain(
+            (border,),
+            ([-inf, *map(get, map(slot.__add__, patches[i:i + columns])), -inf]
+             for i in range(0, rows * columns, columns)),
+            (border,),
+        )
+        positions: list[int] = []
+        above, row = next(padded), next(padded)
+        for below in padded:
+            windows = list(zip(above, above[1:], above[2:], row, row[1:], row[2:],
+                               below, below[1:], below[2:]))
+            positions += map(tuple.index, windows, map(max, windows))
+            above, row = row, below
+        return positions
+
     def heading(x: float, y: float, slot: int) -> float:
-        """Heading from ``(x, y)`` to the centre of the richest patch around the
-        one under it, 0 if that one is strictly richest; ties go to the first."""
-        py, px = divmod(cell(x, y), columns)
+        """Heading from ``(x, y)`` to the centre of the first richest patch,
+        in row order with the top row (lowest y) first, of the 3x3 window
+        around the patch under it; 0 if that is the patch under it, which so
+        wins a tie with a later patch and loses one with an earlier patch."""
+        here = cell(x, y)
         vals = image.vals
-        if centres_in[0] is not vals:
-            centres.clear()
-            centres_in[0] = vals
-        key = (slot * rows + py) * columns + px
-        centre = centres.get(key)
-        if centre is None:
-            best, best_value = None, -inf
-            for cy in (py - 1, py, py + 1):
-                for cx in (px - 1, px, px + 1):
-                    if 0 <= cx < columns and 0 <= cy < rows:
-                        if vals[patches[cy * columns + cx] + slot] > best_value:
-                            best, best_value = (cx, cy), vals[patches[cy * columns + cx] + slot]
-            centre = () if best == (px, py) else ((best[0] + 0.5) * edge, (best[1] + 0.5) * edge)
-            centres[key] = centre
-        if not centre:
+        if richest_in[0] is not vals:
+            richest.clear()
+            richest_in[0] = vals
+        positions = richest.get(slot)
+        if positions is None:
+            positions = richest[slot] = field(vals, slot)
+        position = positions[here]
+        if position == 4:
             return 0.0
-        return atan2(centre[1] - y, centre[0] - x)
+        (py, px), (dy, dx) = divmod(here, columns), divmod(position, 3)
+        cx, cy = px + dx - 1, py + dy - 1
+        return atan2((cy + 0.5) * edge - y, (cx + 0.5) * edge - x)
 
     namespace = {
         "image": image, "engine": weakref.proxy(engine), "patches": patches, "rng": rng,

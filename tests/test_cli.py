@@ -362,6 +362,20 @@ class TestReplay:
         lines = capsys.readouterr().out.splitlines()
         assert "5,Egg,age,2 day" in lines
 
+    def test_value_past_the_declared_unit_prints_in_si(self, tree, capsys):
+        """1e308 m is finite, but inf in [mm]: it prints as stored, in [m]."""
+        (tree / "big.rmd").write_text(
+            "Egg is G with\n    len [mm].\n\nto grow is\n    my len' = 1e308 [m].\n\nEgg grow.\n"
+        )
+        assert invoke("run", tree / "big.rmd", tree / "run.cfg", "--out", tree / "big") == 0
+        capsys.readouterr()
+        assert invoke("replay", tree / "big", 1) == 0
+        assert capsys.readouterr().out.splitlines()[3::3] == ["3,Egg,len,0 mm", "6,Egg,len,0 mm"]
+        assert invoke("replay", tree / "big", 2) == 0
+        assert capsys.readouterr().out.splitlines()[3::3] == [
+            "3,Egg,len,1e+308 m", "6,Egg,len,1e+308 m"
+        ]
+
     def test_tick_out_of_range(self, run_dir, capsys):
         assert invoke("replay", run_dir, 9) == 1
 

@@ -1,4 +1,5 @@
-"""The Python source ``Engine()`` generates, pinned as text.
+"""The Python source ``Engine()`` generates, pinned as text for the eggs
+model and as a sha256 digest for every model in ``models/``.
 
 A change to how tasks are compiled shows here as a text diff, to be read
 in review beside the trace digests of ``test_golden_trace.py``, which say
@@ -6,6 +7,7 @@ whether it changed what a run computes.
 """
 from __future__ import annotations
 
+import hashlib
 import textwrap
 from pathlib import Path
 
@@ -83,6 +85,24 @@ EGGS_SOURCE = textwrap.dedent("""\
 
 def test_eggs_source_is_pinned():
     assert engine("eggs").source == EGGS_SOURCE.rstrip("\n")
+
+
+# sha256 of every model's generated source; move.rmd and move_delta.rmd
+# compile to the same text.
+SOURCE_SHA256 = {
+    "age": "45c100a2d0aa4ff250ae0cf1b579bb15b1862fd857912fd883d98f2071e1eac7",
+    "eggs": "b1e04dc58d6f5b8141bfe776ff5dd4d1696176b05832de5ad9a3928cbe2c4c5f",
+    "memo": "b35dabf7ac62a4853a2bf388dbdd70ad080d7ddcd0d9ffa16c874388cf024441",
+    "move": "4b8ae83cd94f0b75c6f35fdb629a63f7628750dc53c1bffdfd7f85704c8aaff3",
+    "move_delta": "4b8ae83cd94f0b75c6f35fdb629a63f7628750dc53c1bffdfd7f85704c8aaff3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))
+def test_source_digest_is_pinned(name):
+    """A model added to ``models/`` needs its digest here."""
+    digest = hashlib.sha256(engine(name).source.encode()).hexdigest()
+    assert digest == SOURCE_SHA256.get(name)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))

@@ -7,6 +7,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from remodyc import cli, interp, rng
 from remodyc.ast import Decorator
@@ -17,7 +18,7 @@ from remodyc.interp import (
     SimulationConfig,
     parse_config,
 )
-from remodyc.memory import InMemoryBackend, MemoryImage
+from remodyc.memory import InMemoryBackend, MemoryImage, TraceFrame
 from remodyc.parser import parse_model
 
 DAY = 86400.0
@@ -702,7 +703,7 @@ class TestDirection:
     def test_points_to_richest_neighbor_center(self):
         engine, walker = self.grid_engine()
         self.patch_value(engine, 2, 2, 5.0)
-        assert self.heading(engine, walker) == pytest.approx(math.atan2(1000.0, 1000.0))
+        assert self.heading(engine, walker) == math.atan2(1000.0, 1000.0)
 
     def test_own_patch_when_strictly_richest(self):
         engine, walker = self.grid_engine()
@@ -712,18 +713,130 @@ class TestDirection:
     def test_ties_take_scan_order(self):
         engine, walker = self.grid_engine()
         # All equal: the first scanned neighbor (upper-left) wins.
-        assert self.heading(engine, walker) == pytest.approx(
-            math.atan2(500.0 - 1500.0, 500.0 - 1500.0)
-        )
+        assert self.heading(engine, walker) == math.atan2(500.0 - 1500.0, 500.0 - 1500.0)
 
     def test_edge_clipping(self):
         engine, walker = self.grid_engine()
         engine.image.vals[walker] = 100.0
         engine.image.vals[walker + 1] = 100.0
         self.patch_value(engine, 1, 0, 5.0)
-        assert self.heading(engine, walker) == pytest.approx(
-            math.atan2(500.0 - 100.0, 1500.0 - 100.0)
+        assert self.heading(engine, walker) == math.atan2(500.0 - 100.0, 1500.0 - 100.0)
+
+
+def scan_heading(vals, patches, columns, rows, edge, slot, x, y):
+    """``direction`` as a scan of the 3x3 window around the patch under
+    ``(x, y)``, row by row from the top: a patch is the best so far if it is
+    strictly richer than every patch before it."""
+    qx, qy = x / edge, y / edge
+    px = 0 if qx < 0.0 else columns - 1 if qx >= columns - 1 else math.floor(qx)
+    py = 0 if qy < 0.0 else rows - 1 if qy >= rows - 1 else math.floor(qy)
+    best, best_value = None, -math.inf
+    for cy in (py - 1, py, py + 1):
+        for cx in (px - 1, px, px + 1):
+            if 0 <= cx < columns and 0 <= cy < rows:
+                if vals[patches[cy * columns + cx] + slot] > best_value:
+                    best, best_value = (cx, cy), vals[patches[cy * columns + cx] + slot]
+    if best == (px, py):
+        return 0.0
+    return math.atan2((best[1] + 0.5) * edge - y, (best[0] + 0.5) * edge - x)
+
+
+# Each tick the patches swap grass and water, so the two fields of a frame
+# differ from the frame before; a walker senses both.
+TWO_FIELDS_MODEL = """\
+Patch with
+    grass [kg]
+    water [kg].
+
+Walker is W with
+    heading [rad]
+    bearing [rad].
+
+to swap is
+    my grass' = my water
+    my water' = my grass.
+
+to sense is
+    my heading' = direction neighbor's grass
+    my bearing' = direction neighbor's water.
+
+Patch swap.
+Walker sense.
+"""
+
+# Few values, so that ties are common; none is the field's -inf border.
+RICHNESS = st.sampled_from((0.0, 1.0, -1.0, 5.0, 1e308, -1e308, 5e-324))
+
+
+@st.composite
+def two_fields(draw):
+    """A grid of 1x1 to 8x8 patches of an edge in km, its grass and water,
+    and walkers anywhere: on cell borders, inside the world or far past
+    each edge."""
+    columns, rows = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    edge = draw(st.sampled_from((1.0, 0.25, 3.0)))
+    cells = columns * rows
+    grass = draw(st.lists(RICHNESS, min_size=cells, max_size=cells))
+    water = draw(st.lists(RICHNESS, min_size=cells, max_size=cells))
+
+    def coordinate(count):
+        extent = count * edge * 1000.0
+        return st.one_of(
+            st.sampled_from((-1e308, -extent, -0.0, extent, 2 * extent, 1e308)),
+            st.integers(-2, 2 * count + 2).map(lambda k: k * edge * 500.0),
+            st.floats(-extent, 2 * extent),
         )
+
+    walkers = draw(st.lists(
+        st.tuples(coordinate(columns), coordinate(rows)), min_size=1, max_size=5
+    ))
+    return columns, rows, edge, grass, water, walkers
+
+
+@given(two_fields())
+@example((8, 1, 1.0, [5.0, 1.0, 5.0, 5.0, 0.0, 5.0, 1.0, 1.0], [0.0] * 8,
+          [(-1e308, 0.0), (3500.0, 1e308), (1e308, -5.0)]))
+@example((1, 8, 1.0, [1.0, 5.0, 5.0, -1e308, 5e-324, 0.0, 5.0, 5.0], [5.0] * 8,
+          [(0.0, 4500.0), (500.0, -1e308), (2e3, 8e3)]))
+@settings(max_examples=200, deadline=None)
+def test_direction_field_matches_the_scan(case):
+    """Each committed heading equals the scan's, bit for bit, on two steps
+    from a frame of any patch values and positions, and on a step after
+    ``resume`` loads the last frame again."""
+    columns, rows, edge, grass, water, walkers = case
+    config = parse_config(
+        "delta_time = 1 day\nsteps = 3\nseed = 1\n"
+        f"world_width = {columns * edge!r} km\nworld_height = {rows * edge!r} km\n"
+        f"patch_size = {edge!r} km\npopulate {len(walkers)} Walker\n"
+    )
+    model = parse_model(TWO_FIELDS_MODEL)
+    laid_out = Engine(model, config, InMemoryBackend()).setup()
+    values = dict(laid_out.values)
+    patches = sorted(b for b, (kind, _) in laid_out.animats.items() if kind == "Patch")
+    bases = sorted(b for b, (kind, _) in laid_out.animats.items() if kind == "Walker")
+    for base, g, w in zip(patches, grass, water):
+        values[base], values[base + 1] = g, w
+    for base, (x, y) in zip(bases, walkers):
+        values[base], values[base + 1] = x, y
+    backend = InMemoryBackend()
+    backend.append_frame(TraceFrame(values, laid_out.animats, laid_out.rng_state))
+    engine = Engine(model, config, backend)
+    engine.resume(1)
+    assert engine.patch_bases == patches
+
+    def step_matches_scan():
+        read = engine.image.vals
+        committed = engine.step().values
+        for base in bases:
+            x, y = read[base], read[base + 1]
+            for target, slot in ((base + 2, 0), (base + 3, 1)):
+                expected = scan_heading(read, patches, columns, rows, edge * 1000.0, slot, x, y)
+                assert committed[target].hex() == expected.hex()
+
+    step_matches_scan()
+    step_matches_scan()
+    engine.resume(3)
+    step_matches_scan()
 
 
 class TestResume:
