@@ -205,7 +205,8 @@ def _replay(args) -> int:
         for slot, declaration in enumerate(agents[kind].all_attributes):
             stored, unit = frame.values[base + slot], declaration.unit
             value, label = stored / unit.scale, unit.label or ""
-            if not math.isfinite(value):  # past the declared unit's range: SI
+            # Past the declared unit's range (inf, or 0 from a stored nonzero): SI
+            if not math.isfinite(value) or (value == 0 and stored != 0):
                 value, label = stored, format_unit(unit)[1:-1]
             rendered = format_number(value)
             if label:

@@ -5,6 +5,12 @@ model accumulates diagnostics instead of stopping at the first problem.
 A task is the unit of checking: its action is examined with the
 performer's attributes in scope and each placeholder carrying the unit
 inferred from its binding.
+
+Each judgement is written once: ``_require_same_dimension`` and
+``_require_dimensionless`` raise the diagnostics that compare a unit with
+the one a rule expects; an exponent overflow from a unit rule becomes a
+diagnostic at the expression being typed, in ``infer_type`` alone; and
+``_ARITY`` is the one table of builtin functions and their operand counts.
 """
 from __future__ import annotations
 
@@ -29,10 +35,10 @@ from .units import (
 SECONDS = parse_unit("s")
 RADIANS = parse_unit("rad")
 
-_TRIG = ("cos", "sin", "tan")
-_DIMENSIONLESS_FUNCTIONS = ("exp", "ln", "log")
-_PRESERVING = ("abs", "floor", "ceiling")
-_TWO_ARGUMENT = ("min", "max")
+_ARITY = {
+    "cos": 1, "sin": 1, "tan": 1, "exp": 1, "ln": 1, "log": 1, "sqrt": 1,
+    "abs": 1, "floor": 1, "ceiling": 1, "min": 2, "max": 2,
+}
 
 
 class TypeCheckError(Exception):
@@ -133,6 +139,11 @@ def _require_same_dimension(context: str, expected: Unit, actual: Unit, pos) -> 
         )
 
 
+def _require_dimensionless(message: str, actual: Unit, pos) -> None:
+    if not actual.dimensionless:
+        raise TypeCheckError(message, pos, expected=DIMENSIONLESS, actual=actual)
+
+
 def _integer_literal(e: ast.Expression) -> int | None:
     sign = 1
     if isinstance(e, ast.Arithmetics) and e.op == "-" and len(e.args) == 1:
@@ -149,136 +160,105 @@ def _integer_literal(e: ast.Expression) -> int | None:
 
 def infer_type(e: ast.Expression, scope: Scope) -> Unit:
     """Unit of ``e`` in ``scope``; raises TypeCheckError when ill-typed."""
-    match e:
-        case ast.Literal(unit=unit):
-            return unit
-        case ast.DeltaTime():
-            return SECONDS
-        case ast.AttributeVariable(agent=qualifier, identifier=name):
-            return scope.attribute_unit(qualifier, name, e.pos)
-        case ast.UtilityVariable(identifier=name):
-            return scope.utility_unit(name, e.pos)
-        case ast.PlaceholderRef(identifier=name):
-            if name not in scope.placeholders:
-                raise TypeCheckError(f"unbound placeholder {name!r}", e.pos)
-            return scope.placeholders[name]
-        case ast.Arithmetics(op="-", args=(operand,)):
-            return infer_type(operand, scope)
-        case ast.Arithmetics(op=op, args=(left, right)) if op in ("+", "-"):
-            left_unit = infer_type(left, scope)
-            right_unit = infer_type(right, scope)
-            _require_same_dimension(f"{op!r}", left_unit, right_unit, e.pos)
-            return left_unit
-        case ast.Arithmetics(op=op, args=(left, right)) if op in ("*", "/"):
-            left_unit = infer_type(left, scope)
-            right_unit = infer_type(right, scope)
-            combine = mul_units if op == "*" else div_units
-            try:
-                return combine(left_unit, right_unit)
-            except DimensionOverflowError as err:
-                raise TypeCheckError(str(err), e.pos)
-        case ast.Arithmetics(op="^", args=(base, exponent)):
-            base_unit = infer_type(base, scope)
-            if base_unit.dimensionless:
-                exponent_unit = infer_type(exponent, scope)
-                if not exponent_unit.dimensionless:
-                    raise TypeCheckError(
-                        "exponents must be dimensionless",
-                        e.pos,
-                        expected=DIMENSIONLESS,
-                        actual=exponent_unit,
+    try:
+        match e:
+            case ast.Literal(unit=unit):
+                return unit
+            case ast.DeltaTime():
+                return SECONDS
+            case ast.AttributeVariable(agent=qualifier, identifier=name):
+                return scope.attribute_unit(qualifier, name, e.pos)
+            case ast.UtilityVariable(identifier=name):
+                return scope.utility_unit(name, e.pos)
+            case ast.PlaceholderRef(identifier=name):
+                if name not in scope.placeholders:
+                    raise TypeCheckError(f"unbound placeholder {name!r}", e.pos)
+                return scope.placeholders[name]
+            case ast.Arithmetics(op="-", args=(operand,)):
+                return infer_type(operand, scope)
+            case ast.Arithmetics(op=op, args=(left, right)) if op in ("+", "-"):
+                left_unit = infer_type(left, scope)
+                right_unit = infer_type(right, scope)
+                _require_same_dimension(f"{op!r}", left_unit, right_unit, e.pos)
+                return left_unit
+            case ast.Arithmetics(op="*", args=(left, right)):
+                return mul_units(infer_type(left, scope), infer_type(right, scope))
+            case ast.Arithmetics(op="/", args=(left, right)):
+                return div_units(infer_type(left, scope), infer_type(right, scope))
+            case ast.Arithmetics(op="^", args=(base, exponent)):
+                base_unit = infer_type(base, scope)
+                if base_unit.dimensionless:
+                    exponent_unit = infer_type(exponent, scope)
+                    _require_dimensionless(
+                        "exponents must be dimensionless", exponent_unit, e.pos
                     )
-                return DIMENSIONLESS
-            power = _integer_literal(exponent)
-            if power is None:
-                raise TypeCheckError(
-                    "the exponent on a dimensioned base must be an integer literal", e.pos
-                )
-            try:
+                    return DIMENSIONLESS
+                power = _integer_literal(exponent)
+                if power is None:
+                    raise TypeCheckError(
+                        "the exponent on a dimensioned base must be an integer literal",
+                        e.pos,
+                    )
                 return pow_unit(base_unit, power)
-            except DimensionOverflowError as err:
-                raise TypeCheckError(str(err), e.pos)
-        case ast.Apply(function=function, args=args):
-            return _apply_type(e, function, args, scope)
-        case ast.Draw(distribution="uniform" | "normal" as name, args=(first, second)):
-            first_unit = infer_type(first, scope)
-            second_unit = infer_type(second, scope)
-            _require_same_dimension(f"'{name}'", first_unit, second_unit, e.pos)
-            return first_unit
-        case ast.Draw(distribution=name, args=args):
-            # gamma(shape, scale), loglogistic(scale, shape): the shape first
-            shape, scale = args if name == "gamma" else args[::-1]
-            shape_unit = infer_type(shape, scope)
-            if not shape_unit.dimensionless:
-                raise TypeCheckError(
-                    f"{name} shape must be dimensionless",
-                    e.pos,
-                    expected=DIMENSIONLESS,
-                    actual=shape_unit,
-                )
-            return infer_type(scale, scope)
-        case ast.Cast(op="as", args=(inner,), unit=unit):
-            inner_unit = infer_type(inner, scope)
-            if not inner_unit.dimensionless:
-                raise TypeCheckError(
-                    "'as' expects a dimensionless operand",
-                    e.pos,
-                    expected=DIMENSIONLESS,
-                    actual=inner_unit,
-                )
-            return unit
-        case ast.Cast(op="in", args=(inner,), unit=unit):
-            inner_unit = infer_type(inner, scope)
-            _require_same_dimension("'in'", unit, inner_unit, e.pos)
-            return DIMENSIONLESS
-        case ast.Direction(attribute=name):
-            if not isinstance(scope.performer, ast.StageDefinition):
-                raise TypeCheckError("'direction' needs a performer with a position", e.pos)
-            if scope.model is None or scope.model.patch is None:
-                raise TypeCheckError("the model declares no Patch", e.pos)
-            scope.attribute_unit("here", name, e.pos)
-            return RADIANS
+            case ast.Apply(function=function, args=args):
+                return _apply_type(e, function, args, scope)
+            case ast.Draw(distribution="uniform" | "normal" as name, args=(first, second)):
+                first_unit = infer_type(first, scope)
+                second_unit = infer_type(second, scope)
+                _require_same_dimension(f"'{name}'", first_unit, second_unit, e.pos)
+                return first_unit
+            case ast.Draw(distribution=name, args=args):
+                # gamma(shape, scale), loglogistic(scale, shape): the shape first
+                shape, scale = args if name == "gamma" else args[::-1]
+                shape_unit = infer_type(shape, scope)
+                _require_dimensionless(f"{name} shape must be dimensionless", shape_unit, e.pos)
+                return infer_type(scale, scope)
+            case ast.Cast(op="as", args=(inner,), unit=unit):
+                inner_unit = infer_type(inner, scope)
+                _require_dimensionless("'as' expects a dimensionless operand", inner_unit, e.pos)
+                return unit
+            case ast.Cast(op="in", args=(inner,), unit=unit):
+                inner_unit = infer_type(inner, scope)
+                _require_same_dimension("'in'", unit, inner_unit, e.pos)
+                return DIMENSIONLESS
+            case ast.Direction(attribute=name):
+                if not isinstance(scope.performer, ast.StageDefinition):
+                    raise TypeCheckError("'direction' needs a performer with a position", e.pos)
+                if scope.model is None or scope.model.patch is None:
+                    raise TypeCheckError("the model declares no Patch", e.pos)
+                scope.attribute_unit("here", name, e.pos)
+                return RADIANS
+    except DimensionOverflowError as err:
+        raise TypeCheckError(str(err), e.pos)
     raise TypeCheckError(f"cannot type {type(e).__name__}", getattr(e, "pos", None))
 
 
 def _apply_type(e, function: str, args, scope: Scope) -> Unit:
-    expected_arity = 2 if function in _TWO_ARGUMENT else 1
-    if function not in (
-        _TRIG + _DIMENSIONLESS_FUNCTIONS + _PRESERVING + _TWO_ARGUMENT + ("sqrt",)
-    ):
+    arity = _ARITY.get(function)
+    if arity is None:
         raise TypeCheckError(f"unknown function {function!r}", e.pos)
-    if len(args) != expected_arity:
-        raise TypeCheckError(
-            f"{function} takes {expected_arity} argument(s), got {len(args)}", e.pos
-        )
-    if function in _TRIG:
-        argument = infer_type(args[0], scope)
-        _require_same_dimension(f"'{function}'", RADIANS, argument, e.pos)
-        return DIMENSIONLESS
-    if function in _DIMENSIONLESS_FUNCTIONS:
-        argument = infer_type(args[0], scope)
-        if not argument.dimensionless:
-            raise TypeCheckError(
-                f"'{function}' expects a dimensionless argument",
-                e.pos,
-                expected=DIMENSIONLESS,
-                actual=argument,
-            )
-        return DIMENSIONLESS
-    if function == "sqrt":
-        argument = infer_type(args[0], scope)
-        try:
-            return sqrt_unit(argument)
-        except UnitError:
-            raise TypeCheckError(
-                "'sqrt' needs even exponents in its argument's dimension", e.pos
-            )
-    if function in _PRESERVING:
-        return infer_type(args[0], scope)
-    left = infer_type(args[0], scope)
-    right = infer_type(args[1], scope)
-    _require_same_dimension(f"'{function}'", left, right, e.pos)
-    return left
+    if len(args) != arity:
+        raise TypeCheckError(f"{function} takes {arity} argument(s), got {len(args)}", e.pos)
+    match function, *[infer_type(arg, scope) for arg in args]:
+        case "cos" | "sin" | "tan", argument:
+            _require_same_dimension(f"'{function}'", RADIANS, argument, e.pos)
+            return DIMENSIONLESS
+        case "exp" | "ln" | "log", argument:
+            message = f"'{function}' expects a dimensionless argument"
+            _require_dimensionless(message, argument, e.pos)
+            return DIMENSIONLESS
+        case "sqrt", argument:
+            try:
+                return sqrt_unit(argument)
+            except UnitError:
+                raise TypeCheckError(
+                    "'sqrt' needs even exponents in its argument's dimension", e.pos
+                )
+        case "abs" | "floor" | "ceiling", argument:
+            return argument
+        case "min" | "max", left, right:
+            _require_same_dimension(f"'{function}'", left, right, e.pos)
+            return left
 
 
 def check_action(
@@ -315,16 +295,14 @@ def check_action(
 def _check_definition(definition: ast.AttributeDefinition, scope: Scope) -> None:
     variable = definition.variable
     target = scope.attribute_unit(variable.agent, variable.identifier, variable.pos)
-    value = infer_type(definition.expression, scope)
+    expression = definition.expression
     if definition.decorator is ast.Decorator.DIFFERENTIAL:
-        try:
-            value = mul_units(value, SECONDS)
-        except DimensionOverflowError as err:
-            raise TypeCheckError(str(err), definition.pos)
+        # ``d/dt x' = e`` adds ``e * delta time``: the product is typed.
+        expression = ast.Arithmetics("*", (expression, ast.DeltaTime()), pos=definition.pos)
         context = f"'d/dt {variable.identifier}': rate times time"
     else:
         context = f"definition of {variable.identifier!r}"
-    _require_same_dimension(context, target, value, definition.pos)
+    _require_same_dimension(context, target, infer_type(expression, scope), definition.pos)
 
 
 def _check_directive(directive: ast.LifecycleDirective, scope: Scope) -> None:
@@ -335,13 +313,7 @@ def _check_directive(directive: ast.LifecycleDirective, scope: Scope) -> None:
             raise TypeCheckError(f"unknown stage {name!r}", directive.pos)
     if isinstance(directive, ast.Spawn):
         count = infer_type(directive.count, scope)
-        if not count.dimensionless:
-            raise TypeCheckError(
-                "spawn count must be dimensionless",
-                directive.pos,
-                expected=DIMENSIONLESS,
-                actual=count,
-            )
+        _require_dimensionless("spawn count must be dimensionless", count, directive.pos)
     guard = directive.guard
     if guard is not None:
         left = infer_type(guard.left, scope)
@@ -351,11 +323,12 @@ def _check_directive(directive: ast.LifecycleDirective, scope: Scope) -> None:
 
 def _utility_cycle(action: ast.ActionDefinition) -> str | None:
     """Name of a utility on a reference cycle, or None."""
+    names = {u.identifier for u in action.utilities}
     graph = {
         u.identifier: [
             e.identifier
-            for e in _references(u.expression)
-            if any(other.identifier == e.identifier for other in action.utilities)
+            for e in ast.walk_expression(u.expression)
+            if isinstance(e, ast.UtilityVariable) and e.identifier in names
         ]
         for u in action.utilities
     }
@@ -383,12 +356,6 @@ def _utility_cycle(action: ast.ActionDefinition) -> str | None:
     return None
 
 
-def _references(expression: ast.Expression) -> list[ast.UtilityVariable]:
-    return [
-        e for e in ast.walk_expression(expression) if isinstance(e, ast.UtilityVariable)
-    ]
-
-
 def check_model(
     model: ast.Model, config=None
 ) -> list[TypeCheckError]:
@@ -398,7 +365,9 @@ def check_model(
     for agent in model.agents:
         for declaration in agent.attributes:
             initial = declaration.initial
-            if initial is not None and not same_dimension(initial.unit, declaration.unit):
+            if initial is None:
+                continue
+            if not same_dimension(initial.unit, declaration.unit):
                 diagnostics.append(
                     TypeCheckError(
                         f"initializer of {declaration.identifier!r} has the wrong dimension",
@@ -407,7 +376,7 @@ def check_model(
                         actual=initial.unit,
                     )
                 )
-            if initial is not None and not math.isfinite(initial.value * initial.unit.scale):
+            if not math.isfinite(initial.value * initial.unit.scale):
                 diagnostics.append(
                     TypeCheckError(
                         f"initializer of {declaration.identifier!r} is not finite",

@@ -363,18 +363,25 @@ class TestReplay:
         assert "5,Egg,age,2 day" in lines
 
     def test_value_past_the_declared_unit_prints_in_si(self, tree, capsys):
-        """1e308 m is finite, but inf in [mm]: it prints as stored, in [m]."""
-        (tree / "big.rmd").write_text(
-            "Egg is G with\n    len [mm].\n\nto grow is\n    my len' = 1e308 [m].\n\nEgg grow.\n"
-        )
-        assert invoke("run", tree / "big.rmd", tree / "run.cfg", "--out", tree / "big") == 0
-        capsys.readouterr()
-        assert invoke("replay", tree / "big", 1) == 0
-        assert capsys.readouterr().out.splitlines()[3::3] == ["3,Egg,len,0 mm", "6,Egg,len,0 mm"]
-        assert invoke("replay", tree / "big", 2) == 0
-        assert capsys.readouterr().out.splitlines()[3::3] == [
-            "3,Egg,len,1e+308 m", "6,Egg,len,1e+308 m"
-        ]
+        """1e308 m is finite, but inf in [mm]; 5e-324 m is not 0, but 0 in
+        [km]: each prints as stored, in [m].  A stored 0 prints in the
+        declared unit."""
+        for unit, stored, printed in [("mm", "1e308", "1e+308 m"), ("km", "5e-324", "5e-324 m")]:
+            (tree / f"{unit}.rmd").write_text(
+                f"Egg is G with\n    len [{unit}].\n\n"
+                f"to grow is\n    my len' = {stored} [m].\n\nEgg grow.\n"
+            )
+            out = tree / unit
+            assert invoke("run", tree / f"{unit}.rmd", tree / "run.cfg", "--out", out) == 0
+            capsys.readouterr()
+            assert invoke("replay", out, 1) == 0
+            assert capsys.readouterr().out.splitlines()[3::3] == [
+                f"3,Egg,len,0 {unit}", f"6,Egg,len,0 {unit}"
+            ]
+            assert invoke("replay", out, 2) == 0
+            assert capsys.readouterr().out.splitlines()[3::3] == [
+                f"3,Egg,len,{printed}", f"6,Egg,len,{printed}"
+            ]
 
     def test_tick_out_of_range(self, run_dir, capsys):
         assert invoke("replay", run_dir, 9) == 1

@@ -1,6 +1,7 @@
 """The README's examples run as written and print what it shows."""
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 from remodyc.cli import main
@@ -27,3 +28,26 @@ def test_quick_tour_session(tmp_path, capsys, monkeypatch):
         assert main(argv[1:]) == 0
         printed.append(f"{line}\n{capsys.readouterr().out}")
     assert "\n".join(printed) == session
+
+
+def library_block() -> str:
+    """The Python block of the README's Library use section."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    return block
+
+
+def test_library_use_block(tmp_path, monkeypatch):
+    """Run from a directory that holds ``models/``, the block recomputes
+    tick 51 equal to the stored one: values, animats and RNG state."""
+    shutil.copytree(ROOT / "models", tmp_path / "models")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(library_block(), namespace)
+    recomputed = namespace["prefix"].load_frame(51)
+    recorded = namespace["backend"].load_frame(51)
+    assert namespace["prefix"].frame_count() == 51
+    assert recomputed.values == recorded.values
+    assert recomputed.animats == recorded.animats
+    assert recomputed.rng_state == recorded.rng_state

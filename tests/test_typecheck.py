@@ -1,9 +1,11 @@
 """Unit inference and model checking."""
 import math
+from pathlib import Path
 
 import pytest
 
 import remodyc.ast as ast
+from remodyc import interp, typecheck
 from remodyc.parser import parse_expression, parse_model
 from remodyc.typecheck import (
     RADIANS,
@@ -29,6 +31,15 @@ def reject(text, scope=None, match=None):
     with pytest.raises(TypeCheckError, match=match) as err:
         infer(text, scope)
     return err.value
+
+
+def reject_dimensionless(text, operand_unit, match):
+    """``text`` is rejected because an operand of unit ``operand_unit``
+    is not dimensionless."""
+    err = reject(text, match=match)
+    assert err.expected == DIMENSIONLESS
+    assert err.actual == parse_unit(operand_unit)
+    return err
 
 
 class TestLiteralArithmetic:
@@ -72,10 +83,22 @@ class TestExponents:
         reject("(2 [m]) ^ 0.5", match="integer literal")
 
     def test_dimensioned_exponent_rejected(self):
-        reject("2 ^ 3 [s]", match="dimensionless")
+        reject_dimensionless("2 ^ 3 [s]", "s", match="exponents must be dimensionless")
 
     def test_overflow_reported_as_diagnostic(self):
-        reject("(2 [m^30]) ^ 30", match="exponent")
+        """At the position of the node whose unit overflows, reached from
+        the root by the argument indices in ``path``."""
+        for text, path in [
+            ("(2 [m^30]) ^ 30", ()),
+            ("2 [m^20] * 3 [m^20]", ()),
+            ("1 / 2 [s^32] / 1 [s]", ()),
+            ("(2 [m^20] * 3 [m^20]) / 1 [s]", (0,)),
+            ("1 [m] + (1 [m^30]) ^ 2", (1,)),
+        ]:
+            node = parse_expression(text)
+            for index in path:
+                node = node.args[index]
+            assert reject(text, match="exponent").pos == node.pos
 
 
 class TestFunctions:
@@ -88,7 +111,9 @@ class TestFunctions:
     def test_log_family_dimensionless(self):
         assert infer("exp(1)") == DIMENSIONLESS
         assert infer("ln(2 [m] / 1 [m])") == DIMENSIONLESS
-        reject("log(2 [kg])")
+        reject_dimensionless("log(2 [kg])", "kg", match="'log' expects a dimensionless")
+        reject_dimensionless("exp(1 [s])", "s", match="'exp' expects a dimensionless")
+        reject_dimensionless("ln(1 [m])", "m", match="'ln' expects a dimensionless")
 
     def test_sqrt_halves_even_exponents(self):
         assert infer("sqrt(4 [m^2])").dimension == ((M, 1),)
@@ -124,15 +149,15 @@ class TestDistributionsAndCasts:
 
     def test_gamma_shape_dimensionless(self):
         assert infer("gamma(2, 3 [day])") == parse_unit("day")
-        reject("gamma(2 [s], 3 [day])")
+        reject_dimensionless("gamma(2 [s], 3 [day])", "s", match="gamma shape")
 
     def test_loglogistic(self):
         assert infer("loglogistic(2 [h], 3)") == parse_unit("h")
-        reject("loglogistic(2 [h], 3 [h])")
+        reject_dimensionless("loglogistic(2 [h], 3 [kg])", "kg", match="loglogistic shape")
 
     def test_en_unit_stamps(self):
         assert infer("2 as [kg]") == parse_unit("kg")
-        reject("2 [m] as [kg]", match="dimensionless")
+        reject_dimensionless("2 [m] as [kg]", "m", match="'as' expects a dimensionless")
 
     def test_de_unit_strips(self):
         assert infer("2 [km] in [m]") == DIMENSIONLESS
@@ -261,6 +286,10 @@ class TestCheckModel:
         assert check_model(parse_model(ok)) == []
         bad = AGENTS + "to f is\n    my d/dt energy' = 0.1 [kg].\nAdult f."
         assert len(check_model(parse_model(bad))) == 1
+        overflow = parse_model(AGENTS + "to f is\n    my d/dt energy' = 0.1 [s^32].\nAdult f.")
+        (err,) = check_model(overflow)
+        assert err.message == "exponent 33 on s exceeds |32|"
+        assert err.pos == overflow.action_named("f").definitions[0].pos
 
     def test_all_errors_accumulated(self):
         source = AGENTS + (
@@ -282,6 +311,8 @@ class TestCheckModel:
         source = AGENTS + "to f is\n    my spawn Adult' = 1 [kg].\nAdult f."
         (err,) = check_model(parse_model(source))
         assert "spawn count" in err.message
+        assert err.expected == DIMENSIONLESS
+        assert err.actual == parse_unit("kg")
 
     def test_unknown_stage_in_lifecycle(self):
         source = AGENTS + "to f is\n    my become Larva when my age >= 1 [day].\nAdult f."
@@ -370,3 +401,22 @@ class TestCheckModel:
             "Adult f.\nAdult g."
         )
         assert check_model(parse_model(source)) == []
+
+
+def test_function_table_agrees_with_the_interpreter():
+    """Every builtin the checker accepts, the engine compiles, with the
+    same number of operands, and the reverse."""
+    words = {name: arity for name, arity in interp._CALLS if name.isalpha()}
+    assert typecheck._ARITY == words
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))
+def test_repository_model_checks_clean_on_its_config(name):
+    """No diagnostic at all, warnings included; move_delta.rmd checks on
+    move.cfg."""
+    config = interp.parse_config((MODELS / f"{name.removesuffix('_delta')}.cfg").read_text())
+    model = parse_model((MODELS / f"{name}.rmd").read_text())
+    assert [d.render(f"{name}.rmd") for d in check_model(model, config)] == []
