@@ -9,6 +9,7 @@ import argparse
 import math
 import sys
 from collections import Counter
+from contextlib import suppress
 from pathlib import Path
 
 from . import TRACE_FORMAT_VERSION, ast
@@ -142,9 +143,9 @@ def _run(args) -> int:
             (run_dir / "model.rmd").write_text(model_text)
             meta_path = run_dir / "meta.txt"
             meta_path.write_text("\n".join(_meta_lines(config)) + "\n")
+            backend = FileBackend(run_dir)
         except OSError as err:
             raise _Failure(2, f"cannot prepare {run_dir}: {err.strerror}")
-        backend = FileBackend(run_dir)
 
     engine = Engine(model, config, backend)
     # Each tick's census rows go out as that tick commits, so an aborted
@@ -155,11 +156,15 @@ def _run(args) -> int:
             for tick, stage, count in rows:
                 print(f"{tick},{stage},{count}")
             sys.stdout.flush()
-    except RuntimeAbort as abort:
+    except (RuntimeAbort, OSError, MemoryError) as err:
+        # A failed write or allocation ends the run as an abort at the tick
+        # it was computing; the frames committed before it are kept.
+        abort = err if isinstance(err, RuntimeAbort) else RuntimeAbort(
+            getattr(err, "strerror", None) or str(err) or "out of memory",
+            tick=engine.image.ticks + 1)
         if meta_path is not None:
-            with open(meta_path, "a") as handle:
-                handle.write(f"abort={abort.render()}\n")
-                handle.write(f"abort_at={_abort_at(abort)}\n")
+            with suppress(OSError), open(meta_path, "a") as handle:
+                handle.write(f"abort={abort.render()}\nabort_at={_abort_at(abort)}\n")
         print(f"aborted: {abort.render()}", file=sys.stderr)
         return 3
     return 0
@@ -173,7 +178,7 @@ def _abort_at(abort: RuntimeAbort) -> str:
     return " ".join(f"{key}={value}" for key, value in fields.items() if value is not None)
 
 
-def _open_run_dir(path: str) -> tuple[Path, ast.Model]:
+def _open_run_dir(path: str) -> tuple[FileBackend, ast.Model]:
     run_dir = Path(path)
     if not (run_dir / "rng.csv").exists():
         raise _Failure(2, f"{path} is not a run directory")
@@ -188,12 +193,11 @@ def _open_run_dir(path: str) -> tuple[Path, ast.Model]:
             f"(expected {TRACE_FORMAT_VERSION})",
         )
     _, model = _parse_model_file(str(run_dir / "model.rmd"))
-    return run_dir, model
+    return FileBackend(run_dir), model
 
 
 def _replay(args) -> int:
-    run_dir, model = _open_run_dir(args.run_dir)
-    backend = FileBackend(run_dir)
+    backend, model = _open_run_dir(args.run_dir)
     try:
         frame = backend.load_frame(args.tick)
     except ValueError as err:
@@ -216,12 +220,14 @@ def _replay(args) -> int:
 
 
 def _chart(args) -> int:
-    run_dir, model = _open_run_dir(args.run_dir)
+    backend, model = _open_run_dir(args.run_dir)
     stage = model.agent_named(args.stage)
     if not isinstance(stage, ast.StageDefinition):
         raise _Failure(1, f"unknown stage {args.stage!r}")
-    backend = FileBackend(run_dir)
-    counts = Counter(tick for tick, _, kind, _ in backend.animat_rows() if kind == args.stage)
+    try:
+        counts = Counter(tick for tick, _, kind, _ in backend.animat_rows() if kind == args.stage)
+    except ValueError as err:  # a trace file without its header
+        raise _Failure(1, str(err))
     print("tick,count")
     for tick in range(1, backend.frame_count() + 1):
         print(f"{tick},{counts.get(tick, 0)}")

@@ -234,8 +234,8 @@ class Engine:
         self.patch_bases: list[int] = []
         self.slots: dict[str, dict[str, int]] = {}
         # By agent, slot by slot: each declaration's name and scaled initial
-        # value, None if it declares none.
-        self.initials: dict[str, tuple[tuple[str, float | None], ...]] = {}
+        # value, 0 if it declares none.
+        self.initials: dict[str, tuple[tuple[str, float], ...]] = {}
         for agent in model.agents:
             declarations = agent.all_attributes
             self.slots[agent.name] = {d.identifier: slot for slot, d in enumerate(declarations)}
@@ -257,32 +257,29 @@ class Engine:
         if (blocks := setup_blocks(self.model, self.config)) > MAX_ANIMATS:
             message = f"setup needs {blocks} animats, over the ceiling of {MAX_ANIMATS}"
             raise RuntimeAbort(message, tick=1)
-        if world is not None:
-            self.world_base = self._create(world, {})
-        if patch is not None:
-            for _ in range(self.config.patches_x * self.config.patches_y):
-                self.patch_bases.append(self._create(patch, {}))
+        config, sample = self.config, rng.sample_uniform
+        for agent, count in ((world, 1), (patch, config.patches_x * config.patches_y)):
+            if agent is not None:
+                self._allocate(agent, [self._row(agent, {})] * count)
         for count, stage in self.populations:
+            rows = []
             for _ in range(count):
-                self.rng_state, x = rng.sample_uniform(
-                    self.rng_state, 0.0, self.config.world_width
-                )
-                self.rng_state, y = rng.sample_uniform(
-                    self.rng_state, 0.0, self.config.world_height
-                )
-                self._create(stage, {"x": x, "y": y})
+                self.rng_state, x = sample(self.rng_state, 0.0, config.world_width)
+                self.rng_state, y = sample(self.rng_state, 0.0, config.world_height)
+                rows.append(self._row(stage, {"x": x, "y": y}))
+            self._allocate(stage, rows)
+        self._find_world_and_patches()
         return self._commit()
 
-    def _create(self, agent: ast.AgentDefinition, inherited: dict[str, float]) -> int:
-        """Allocate a block for a new ``agent`` and write each declaration's
-        value: the inherited one if given, else its scaled initial value."""
-        initials = self.initials[agent.name]
-        base = self.image.allocate(agent.name, len(initials))
-        for slot, (name, initial) in enumerate(initials):
-            value = inherited.get(name, initial)
-            if value is not None:
-                self.image.write(base + slot, value)
-        return base
+    def _row(self, agent: ast.AgentDefinition, inherited: dict[str, float]) -> list[float]:
+        """A new ``agent`` block's values by slot: the inherited one if given,
+        else the initial one, both finite; ``+ 0.0`` commits -0 as 0, as
+        ``MemoryImage.write`` does."""
+        return [inherited.get(name, initial) + 0.0 for name, initial in self.initials[agent.name]]
+
+    def _allocate(self, agent: ast.AgentDefinition, rows: list[list[float]]) -> None:
+        """One new block of ``agent`` per row, holding that row."""
+        self.image.allocate(agent.name, len(self.initials[agent.name]), rows)
 
     def _commit(self) -> TraceFrame:
         frame = self.image.store(self.backend, self.rng_state)
@@ -292,6 +289,9 @@ class Engine:
     def resume(self, tick: int) -> None:
         """Continue a stored run from the state after ``tick``."""
         self.rng_state = self.image.load(self.backend, tick)
+        self._find_world_and_patches()
+
+    def _find_world_and_patches(self) -> None:
         performers = self.image.performers
         self.world_base = performers["World"][0] if "World" in performers else None
         self.patch_bases[:] = performers.get("Patch", ())
@@ -343,7 +343,8 @@ class Engine:
                 case ("die", base):
                     self.image.kill(base)
                 case ("become", base, kind, target):
-                    self._create(target, self._pending(base, kind, self.slots[kind]))
+                    inherited = self._pending(base, kind, self.slots[kind])
+                    self._allocate(target, [self._row(target, inherited)])
                     self.image.kill(base)
                 case ("spawn", base, kind, stage, count, pos):
                     blocks = self.image.live + count
@@ -354,8 +355,8 @@ class Engine:
                             tick=self.image.ticks + 1, stage=kind, pos=pos,
                             base=base, index=self.image.animats[base][1],
                         )
-                    for _ in range(count):
-                        self._create(stage, self._pending(base, kind, ("x", "y")))
+                    row = self._row(stage, self._pending(base, kind, ("x", "y")))
+                    self._allocate(stage, [row] * count)
 
     def _pending(self, base: int, kind: str, names: Iterable[str]) -> dict[str, float]:
         """The values the ``kind`` block at ``base`` will commit for ``names``."""
@@ -367,10 +368,10 @@ def _config_error(message: str, pos) -> ConfigError:
     return ConfigError(f"line {pos.line}: {message}" if pos else message)
 
 
-def _initial(declaration: ast.AttributeDeclaration) -> float | None:
-    """The scaled initial value of a declaration, None if it has none."""
+def _initial(declaration: ast.AttributeDeclaration) -> float:
+    """The scaled initial value of a declaration, 0 if it has none."""
     if declaration.initial is None:
-        return None
+        return 0.0
     value = declaration.initial.value * declaration.initial.unit.scale
     if not math.isfinite(value):
         message = f"initializer of {declaration.identifier!r} is not finite"

@@ -17,8 +17,9 @@ the bases and performers.  ``load`` rebuilds the image from any stored
 frame, which is all replay needs.
 
 On disk an append writes each of the three trace files once, as bytes
-built in one pass over the frame, and flushes it before returning; a
-value's text is the one ``parser.format_number`` gives.  A frame is
+built in one pass over the frame, and flushes it to the operating system
+before returning (it does not ``fsync``); a value's text is the one
+``parser.format_number`` gives.  A frame is
 committed once its ``rng.csv`` row is complete, and that row is written
 last.  Every trace file keeps its rows sorted by tick, so loading a frame
 is a binary search over byte offsets: it reads O(log n) lines plus the
@@ -31,9 +32,10 @@ import abc
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from math import inf
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, Sequence
 
 from .rng import format_state, parse_state
 
@@ -67,9 +69,7 @@ class InMemoryBackend(StorageBackend):
         self.frames: list[TraceFrame] = []
 
     def append_frame(self, frame: TraceFrame) -> None:
-        self.frames.append(
-            TraceFrame(frame.values.copy(), frame.animats.copy(), frame.rng_state)
-        )
+        self.frames.append(TraceFrame(frame.values.copy(), frame.animats.copy(), frame.rng_state))
 
     def load_frame(self, tick: int) -> TraceFrame:
         if not 1 <= tick <= len(self.frames):
@@ -82,23 +82,32 @@ class InMemoryBackend(StorageBackend):
 
 # Below this many bytes the search reads forward instead of halving.
 _SCAN_BYTES = 4096
+# Each trace file's first line, in the order a new run directory gets them.
+_HEADERS = {
+    "frames.csv": b"tick,address,value\n",
+    "animats.csv": b"tick,base_address,stage,index\n",
+    "rng.csv": b"tick,state_hex\n",
+}
 
 
 def _tick(line: bytes) -> int:
     return int(line[: line.index(b",")])
 
 
-def _first_row_at(handle: BinaryIO, tick: int) -> int:
+def _first_row_at(handle: BinaryIO, tick: int, header: bytes) -> int:
     """Offset of the first row of ``tick`` or a later tick, or of a torn
     last line (one without a newline), or else of the end of the file.
 
-    ``handle`` is a trace CSV opened in binary mode: one header line, then
-    rows sorted by tick.  Binary search over byte offsets: seek to the
-    middle, skip the partial line, compare the tick of the next line;
-    then read forward over at most ``_SCAN_BYTES``.
+    ``handle`` is a trace CSV opened in binary mode: ``header``, then rows
+    sorted by tick; a file that does not start with ``header`` raises
+    ``ValueError``.  Binary search over byte offsets: seek to the middle,
+    skip the partial line, compare the tick of the next line; then read
+    forward over at most ``_SCAN_BYTES``.
     """
     handle.seek(0)
-    lo = len(handle.readline())
+    if handle.readline() != header:
+        raise ValueError(f"{handle.name} does not start with {header.decode()[:-1]!r}")
+    lo = len(header)
     hi = handle.seek(0, os.SEEK_END)
     # Rows that start before lo are earlier than tick; complete rows that
     # start at hi or after are not.
@@ -124,7 +133,7 @@ def _rows(path: Path, tick: int, last: int | None = None) -> Iterator[list[bytes
     alone) of one trace CSV, split at commas."""
     last = tick if last is None else last
     with open(path, "rb") as handle:
-        handle.seek(_first_row_at(handle, tick))
+        handle.seek(_first_row_at(handle, tick, _HEADERS[path.name]))
         for line in handle:
             if not line.endswith(b"\n"):
                 return
@@ -134,8 +143,9 @@ def _rows(path: Path, tick: int, last: int | None = None) -> Iterator[list[bytes
             yield row
 
 
-def _last_tick(path: Path) -> int:
-    """The tick of the last complete row, or 0; reads from the end."""
+def _last_tick(path: Path) -> int | None:
+    """The tick of the last complete row, 0 if only the header is complete,
+    None if not even that is; reads from the end."""
     with open(path, "rb") as handle:
         end = handle.seek(0, os.SEEK_END)
         size = 64
@@ -148,7 +158,7 @@ def _last_tick(path: Path) -> int:
             if begin > 0:
                 return _tick(tail[begin:stop])
             if start == 0:
-                return 0  # the header, at most
+                return 0 if stop >= 0 else None
             size *= 4
 
 
@@ -158,8 +168,10 @@ def _tick_text(tick: int, rows: list[str]) -> str:
 
 
 class FileBackend(StorageBackend):
-    """Three growing CSVs; every append hits the disk before returning,
-    so an aborted run keeps all frames completed so far.
+    """Three growing CSVs; every append is flushed to the operating
+    system before returning, so an aborted or killed run keeps all frames
+    completed so far.  No file is ``fsync``ed, so a crash of the machine
+    may lose the last appends.
 
     An append opens each file once, in binary append mode, writes all of
     the tick's rows to it in one ``write`` and flushes it; no handle is
@@ -167,40 +179,34 @@ class FileBackend(StorageBackend):
     it.  ``frames.csv`` and ``animats.csv`` rows of a tick are written
     first, its ``rng.csv`` row last: that row is the commit record.
     Reopening a run directory counts the committed frames from the last
-    complete ``rng.csv`` row and reads nothing else.  Rows past the last
-    committed tick, left by a crash or a failed append, are never loaded,
-    and the next append, after reopening or after the failure, cuts them
-    off.  A load reads O(log n) lines plus the frame's own rows; opening
-    and loading write nothing.
+    complete ``rng.csv`` row and reads nothing else; one whose ``rng.csv``
+    has no complete header line has no frame and gets all three headers
+    anew.  Rows past the last committed tick, left by a crash or a failed
+    append, are never loaded, and the next append, after reopening or
+    after the failure, cuts them off.  A load, or that cut, refuses a file
+    that does not start with its own header (``ValueError``).  A load
+    reads O(log n) lines plus the frame's own rows and writes nothing.
     """
 
     def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
-        self._values_path = self.run_dir / "frames.csv"
-        self._animats_path = self.run_dir / "animats.csv"
-        self._rng_path = self.run_dir / "rng.csv"
+        self._paths = [self.run_dir / name for name in _HEADERS]
+        self._values_path, self._animats_path, self._rng_path = self._paths
+        ticks = _last_tick(self._rng_path) if self._rng_path.exists() else None
         # A reopened run may end in rows past its last committed tick.
-        self._cut_pending = self._rng_path.exists()
-        if self._cut_pending:
-            self._count = _last_tick(self._rng_path)
-        else:
+        self._cut_pending = ticks is not None
+        if ticks is None:  # new, or cut off before its rng.csv header was whole
             self.run_dir.mkdir(parents=True, exist_ok=True)
-            self._write_header(self._values_path, "tick,address,value")
-            self._write_header(self._animats_path, "tick,base_address,stage,index")
-            self._write_header(self._rng_path, "tick,state_hex")
-            self._count = 0
-
-    @staticmethod
-    def _write_header(path: Path, header: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(header + "\n")
-            handle.flush()
+            for path in self._paths:
+                with open(path, "wb") as handle:
+                    handle.write(_HEADERS[path.name])
+        self._count = ticks or 0
 
     def _cut_uncommitted(self) -> None:
         """Truncate every file at its first row past the committed tick."""
-        for path in (self._values_path, self._animats_path, self._rng_path):
+        for path in self._paths:
             with open(path, "r+b") as handle:
-                end = _first_row_at(handle, self._count + 1)
+                end = _first_row_at(handle, self._count + 1, _HEADERS[path.name])
                 if end < handle.seek(0, os.SEEK_END):
                     handle.truncate(end)
 
@@ -224,11 +230,7 @@ class FileBackend(StorageBackend):
         rng_text = f"{tick},{format_state(frame.rng_state)}\n"
         # One binary write per file, the rng.csv row, which commits the
         # tick, last.
-        for path, text in (
-            (self._values_path, value_text),
-            (self._animats_path, animat_text),
-            (self._rng_path, rng_text),
-        ):
+        for path, text in zip(self._paths, (value_text, animat_text, rng_text)):
             with open(path, "ab") as handle:
                 handle.write(text.encode())
                 handle.flush()
@@ -270,10 +272,11 @@ class MemoryImage:
     and every write keeps in it what the address will commit: its value
     assigned this tick, if any, else its committed one, plus its delta.
     ``assigned`` and ``delta`` hold only the addresses written this tick,
-    the slots of new blocks being assigned 0.0; they are emptied in place,
-    so compiled code may hold on to them.  A write whose address would
-    commit an infinity or a NaN raises ``ValueError``, whose text is that
-    value, and changes nothing.  Besides the values the image keeps the
+    the slots of new blocks being assigned their initial values; they are
+    emptied in place, so compiled code may hold on to them.  A new block
+    reads 0.0 until it is committed.  A write whose address would commit
+    an infinity or a NaN raises ``ValueError``, whose text is that value,
+    and changes nothing.  Besides the values the image keeps the
     animats, their bases in order and each kind's bases in order (its
     performers), killed blocks included until the commit; ``live`` and
     every block's extent and next index are read off those.
@@ -311,7 +314,7 @@ class MemoryImage:
             return self.vals[address]
         except KeyError:
             if address in self.next:
-                return 0.0  # allocated since the last commit, so still zero
+                return 0.0  # new since the last commit: its values are pending
             raise AddressError(f"read from unallocated address {address}") from None
 
     def write(self, address: int, value: float) -> None:
@@ -343,20 +346,28 @@ class MemoryImage:
         delta[address] = value
         pending[address] = committed
 
-    def allocate(self, stage: str, size: int) -> int:
-        """Zeroed contiguous block; returns its base address.  A block
-        always takes at least one slot so bases stay distinct."""
-        base, size = self.next_free, max(size, 1)
-        zeros = dict.fromkeys(range(base, base + size), 0.0)
-        self.assigned.update(zeros)
-        self.next.update(zeros)
+    def allocate(self, stage: str, size: int, rows: Sequence[Sequence[float]] | None = None) -> int:
+        """Contiguous blocks of ``stage``, one per row of ``rows``, each
+        assigned its ``size`` finite initial values (default: one block of
+        zeros); returns the first base.  A block always takes at least one
+        slot so bases stay distinct; an empty block's slot holds 0."""
+        base, width = self.next_free, max(size, 1)
+        if rows is None or not size:
+            rows = ((0.0,) * width,) * (1 if rows is None else len(rows))
+        if not rows:
+            return base
+        end = base + width * len(rows)
+        values = dict(zip(range(base, end), chain.from_iterable(rows)))
+        self.assigned.update(values)
+        self.next.update(values)
         # Every new block lands above every base, so a stage's highest
         # block holds its highest index.
-        kept = self.performers.setdefault(stage, [])
-        self.animats[base] = (stage, self.animats[kept[-1]][1] + 1 if kept else 1)
-        self.bases.append(base)
-        kept.append(base)
-        self.next_free = base + size
+        kept, new = self.performers.setdefault(stage, []), range(base, end, width)
+        first = self.animats[kept[-1]][1] + 1 if kept else 1
+        self.animats.update(zip(new, zip(repeat(stage), count(first))))
+        self.bases += new
+        kept += new
+        self.next_free = end
         return base
 
     def kill(self, base: int) -> None:

@@ -163,9 +163,7 @@ class _Parser:
             elif self.at("ident"):
                 tasks.append(self.task())
             else:
-                raise self.fail(
-                    f"expected a definition, found {self._describe(self.peek())}"
-                )
+                raise self.fail(f"expected a definition, found {self._describe(self.peek())}")
         return ast.Model(tuple(agents), tuple(actions), tuple(tasks))
 
     def world_or_patch(self, seen, cls):
@@ -201,9 +199,7 @@ class _Parser:
             if self.at("="):
                 self.advance()
                 initial = self.number_literal()
-            declarations.append(
-                ast.AttributeDeclaration(name.value, unit, initial, pos=name.pos)
-            )
+            declarations.append(ast.AttributeDeclaration(name.value, unit, initial, pos=name.pos))
             if self.at("."):
                 self.advance()
                 return tuple(declarations)
@@ -308,9 +304,7 @@ class _Parser:
         left = self.expression()
         token = self.peek()
         if token.kind not in ("<", "<=", ">", ">="):
-            raise self.fail(
-                f"expected a comparison operator, found {self._describe(token)}"
-            )
+            raise self.fail(f"expected a comparison operator, found {self._describe(token)}")
         self.advance()
         return ast.Comparison(left, token.kind, self.expression(), pos=token.pos)
 

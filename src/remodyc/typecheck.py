@@ -149,11 +149,7 @@ def _integer_literal(e: ast.Expression) -> int | None:
     if isinstance(e, ast.Arithmetics) and e.op == "-" and len(e.args) == 1:
         sign = -1
         e = e.args[0]
-    if (
-        isinstance(e, ast.Literal)
-        and e.unit.dimensionless
-        and float(e.value).is_integer()
-    ):
+    if isinstance(e, ast.Literal) and e.unit.dimensionless and float(e.value).is_integer():
         return sign * int(e.value)
     return None
 
@@ -189,9 +185,7 @@ def infer_type(e: ast.Expression, scope: Scope) -> Unit:
                 base_unit = infer_type(base, scope)
                 if base_unit.dimensionless:
                     exponent_unit = infer_type(exponent, scope)
-                    _require_dimensionless(
-                        "exponents must be dimensionless", exponent_unit, e.pos
-                    )
+                    _require_dimensionless("exponents must be dimensionless", exponent_unit, e.pos)
                     return DIMENSIONLESS
                 power = _integer_literal(exponent)
                 if power is None:
@@ -261,9 +255,7 @@ def _apply_type(e, function: str, args, scope: Scope) -> Unit:
             return left
 
 
-def check_action(
-    action: ast.ActionDefinition, scope: Scope
-) -> list[TypeCheckError]:
+def check_action(action: ast.ActionDefinition, scope: Scope) -> list[TypeCheckError]:
     """Check one action in an already-resolved scope."""
     diagnostics: list[TypeCheckError] = []
 
@@ -356,9 +348,7 @@ def _utility_cycle(action: ast.ActionDefinition) -> str | None:
     return None
 
 
-def check_model(
-    model: ast.Model, config=None
-) -> list[TypeCheckError]:
+def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
     """All diagnostics for a model; errors and warnings, in source order."""
     diagnostics: list[TypeCheckError] = []
 
@@ -453,9 +443,7 @@ def check_model(
                 continue
             variable = definition.variable
             kind = {None: task.agent, "world": "World", "here": "Patch"}[variable.agent]
-            assign_targets.setdefault((kind, variable.identifier), []).append(
-                definition.pos
-            )
+            assign_targets.setdefault((kind, variable.identifier), []).append(definition.pos)
 
     for (kind, attribute), sites in assign_targets.items():
         if len(sites) > 1:

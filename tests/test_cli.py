@@ -1,4 +1,5 @@
 """The command line: exit codes, run directories, replay output."""
+import errno
 import os
 import subprocess
 import sys
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from remodyc import interp
+from remodyc import cli, interp
 from remodyc.cli import main
+from remodyc.memory import FileBackend
 
 MODEL = """\
 Patch with
@@ -457,3 +459,70 @@ class TestFmt:
         broken.write_text(original)
         assert invoke("fmt", broken) == 1
         assert broken.read_text() == original
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+class TestRunFailures:
+    """A failure outside the model's own evaluation (a write the operating
+    system refuses, or memory running out) ends a run the way an abort
+    does: exit 3, the committed frames kept, ``abort=`` and ``abort_at=``
+    in meta.txt, and one line on stderr."""
+
+    @staticmethod
+    def fail_at_tick(monkeypatch, tick, error):
+        """Make the append of ``tick`` raise ``error``."""
+        append = FileBackend.append_frame
+
+        def failing(backend, frame):
+            if backend.frame_count() + 1 == tick:
+                raise error
+            append(backend, frame)
+
+        monkeypatch.setattr(FileBackend, "append_frame", failing)
+
+    def test_disk_full_mid_run_exits_3_keeping_frames(self, tmp_path, capsys, monkeypatch):
+        self.fail_at_tick(monkeypatch, 3, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        out = tmp_path / "full"
+        assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 3
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"aborted: {os.strerror(errno.ENOSPC)} (tick 3)"]
+        assert captured.out.splitlines() == ["tick,stage,count", "1,Adult,1", "2,Adult,1"]
+        assert FileBackend(out).frame_count() == 2
+        assert FileBackend(out).load_frame(2).values[3] == 86400.0
+        meta = (out / "meta.txt").read_text().splitlines()
+        assert meta[-2:] == [f"abort={os.strerror(errno.ENOSPC)} (tick 3)", "abort_at=tick=3"]
+
+    def test_memory_running_out_in_set_up_exits_3(self, tmp_path, capsys, monkeypatch):
+        self.fail_at_tick(monkeypatch, 1, MemoryError())
+        out = tmp_path / "oom"
+        assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 3
+        monkeypatch.undo()
+        assert capsys.readouterr().err.splitlines() == ["aborted: out of memory (tick 1)"]
+        assert FileBackend(out).frame_count() == 0
+        assert (out / "meta.txt").read_text().splitlines()[-1] == "abort_at=tick=1"
+
+    def test_unwritable_meta_still_exits_3(self, tmp_path, capsys, monkeypatch):
+        self.fail_at_tick(monkeypatch, 2, OSError(errno.EIO, os.strerror(errno.EIO)))
+
+        def no_meta(path, *args, **kwargs):
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+
+        monkeypatch.setattr(cli, "open", no_meta, raising=False)
+        out = tmp_path / "ro"
+        assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 3
+        monkeypatch.undo()
+        assert capsys.readouterr().err.splitlines() == [f"aborted: {os.strerror(errno.EIO)} (tick 2)"]
+        assert "abort=" not in (out / "meta.txt").read_text()
+        assert FileBackend(out).frame_count() == 1
+
+    def test_replay_and_chart_refuse_a_damaged_trace_file(self, tree, capsys):
+        out = tree / "run"
+        assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out) == 0
+        (out / "animats.csv").write_text((out / "animats.csv").read_text()[1:])
+        capsys.readouterr()
+        assert invoke("replay", out, 1) == 1
+        assert invoke("chart", out, "Egg") == 1
+        assert capsys.readouterr().err.count("does not start with 'tick,base_address") == 2

@@ -205,3 +205,73 @@ def test_dead_stage_index_is_reused_on_both_paths():
     replica = Engine(model, config, replica_backend)
     replica.resume(3)
     assert egg_labels(replica.step()) == labels[3]
+
+
+def layout(image: MemoryImage) -> tuple:
+    """Everything an allocation changes, in dict order."""
+    return (
+        image.bases,
+        list(image.animats.items()),
+        list(image.performers.items()),
+        list(image.assigned.items()),
+        list(image.next.items()),
+        image.next_free,
+    )
+
+
+@st.composite
+def allocations(draw):
+    """``(stage, size, rows)``; rows None is the default block of zeros."""
+    stage, size = draw(st.sampled_from("AB")), draw(st.integers(0, 3))
+    row = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size)
+    return stage, size, draw(st.none() | st.lists(row, max_size=4))
+
+
+BULK_TICKS = st.lists(
+    st.tuples(
+        st.lists(allocations(), max_size=4),
+        st.lists(st.integers(0, 99), max_size=2),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(BULK_TICKS)
+@example([([("A", 0, [[], []]), ("B", 2, [[1.0, -0.0]] * 3), ("A", 1, [])], [1], True),
+          ([("A", 3, None), ("B", 0, None)], [], False)])
+def test_one_allocation_of_many_rows_matches_one_per_row(ticks):
+    """One ``allocate`` of n rows against n one-row allocations: the same
+    bases, labels, performers, pending values (dict order included) and
+    ``next_free`` before the commit, and the same frame after it.  Each
+    tick may then reload both images from their stored frames, so the
+    next tick allocates on the load path's image, not the commit path's.
+    The default rows are one block of zeros, an empty block keeps its one
+    slot at zero, and no rows allocate nothing."""
+    images, backends = [MemoryImage(), MemoryImage()], [InMemoryBackend(), InMemoryBackend()]
+    for tick, (allocations, kills, reload) in enumerate(ticks, start=1):
+        bulk, single = images
+        for stage, size, rows in allocations:
+            first = bulk.allocate(stage, size, rows)
+            if rows is None:
+                bases = [single.allocate(stage, size, [[0.0] * size])]
+            else:
+                bases = [single.allocate(stage, size, [row]) for row in rows]
+            assert first == (bases[0] if bases else single.next_free)
+            assert layout(bulk) == layout(single)
+        for pick in kills:
+            if bulk.bases:
+                base = bulk.bases[-1 - pick % len(bulk.bases)]
+                bulk.kill(base)
+                single.kill(base)
+        frames = [image.store(backend, tick) for image, backend in zip(images, backends)]
+        for image, frame in zip(images, frames):
+            image.apply_frame(frame, tick)
+        assert list(frames[0].values.items()) == list(frames[1].values.items())
+        assert list(frames[0].animats.items()) == list(frames[1].animats.items())
+        assert kept_state(bulk) == kept_state(single)
+        if reload:
+            images = [MemoryImage(), MemoryImage()]
+            for image, backend in zip(images, backends):
+                image.load(backend, tick)

@@ -1,4 +1,5 @@
 """Engine semantics: setup, stepping, lifecycle, evaluation."""
+import dataclasses
 import gc
 import itertools
 import math
@@ -18,7 +19,7 @@ from remodyc.interp import (
     SimulationConfig,
     parse_config,
 )
-from remodyc.memory import InMemoryBackend, MemoryImage, TraceFrame
+from remodyc.memory import FileBackend, InMemoryBackend, MemoryImage, TraceFrame
 from remodyc.parser import parse_model
 
 DAY = 86400.0
@@ -877,3 +878,47 @@ class TestResume:
             "world_width = 2 km\nworld_height = 2 km\npatch_size = 1 km\n"
             "populate 3 Egg\n"
         )
+
+
+class TestNewBlocks:
+    """A new block holds its initial values from its allocation on."""
+
+    def test_populate_zero_allocates_and_draws_nothing(self):
+        empty, _ = build(AGE_MODEL, BASIC_CONFIG.replace("populate 1 Egg", "populate 0 Egg"))
+        assert empty.setup() == TraceFrame({}, {}, rng.seed_state(11))
+        assert (empty.image.performers, empty.image.next_free) == ({}, 1)
+        assert empty.step() == TraceFrame({}, {}, rng.seed_state(11))
+        # Around another population, it leaves the layout and the stream alone.
+        padded, _ = build(AGE_MODEL, BASIC_CONFIG.replace(
+            "populate 1 Egg", "populate 0 Egg\npopulate 1 Egg\npopulate 0 Egg"))
+        plain, _ = build(AGE_MODEL, BASIC_CONFIG)
+        assert padded.setup() == plain.setup()
+        assert padded.step() == plain.step()
+
+    def test_negative_zero_initializer_commits_and_prints_zero(self, tmp_path):
+        """Set up (populate), born of a become and spawned: each new block
+        commits a -0 initial value as 0, as a write of -0 would."""
+        model = parse_model(
+            "Egg is G with\n    age [day] = 0 [day].\n"
+            "Adult is G with\n    energy [kg] = 0 [kg].\n"
+            "to hatch is\n    my become Adult when my age >= 0 [day].\n"
+            "to lay is\n    my spawn Egg' = 1.\n"
+            "Egg hatch.\nAdult lay.\n"
+        )
+
+        def negative_zero(agent):
+            return dataclasses.replace(agent, attributes=tuple(
+                dataclasses.replace(d, initial=dataclasses.replace(d.initial, value=-0.0))
+                for d in agent.attributes))
+
+        model = dataclasses.replace(model, agents=tuple(map(negative_zero, model.agents)))
+        assert all(d.initial.value == -0.0 for a in model.agents for d in a.attributes)
+        engine = Engine(model, parse_config(BASIC_CONFIG), FileBackend(tmp_path))
+        frames = [engine.setup(), engine.step(), engine.step()]
+        assert [sorted(kind for kind, _ in f.animats.values()) for f in frames] == [
+            ["Egg"], ["Adult"], ["Adult", "Egg"]]
+        for frame in frames:
+            assert all(math.copysign(1.0, v) == 1.0 for v in frame.values.values())
+        rows = (tmp_path / "frames.csv").read_text().splitlines()[1:]
+        assert [row for row in rows if row.endswith(",0")] == ["1,3,0", "2,6,0", "3,6,0", "3,9,0"]
+        assert not [row for row in rows if row.endswith("-0")]

@@ -1,12 +1,13 @@
 """Memory image semantics and trace storage."""
 import errno
+import functools
 import io
 import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from remodyc import memory
 from remodyc.interp import Engine, parse_config
@@ -572,3 +573,125 @@ def test_appended_values_read_as_format_number_gives_them(floats):
     assert [math.copysign(1.0, v) for v in loaded.values()] == [
         math.copysign(1.0, v) for v in values.values()
     ]
+
+
+# -- crash states --------------------------------------------------------
+#
+# A run directory is written by a sequence of steps: the three headers, in
+# file order, then each tick's rows of frames.csv, animats.csv and rng.csv.
+# Creating a file is a step, and so is writing each byte.  A crash may stop
+# the sequence after any step, and reopening, resuming and stepping must
+# then write the same files as the run that never stopped.
+
+
+def age_engine(backend) -> Engine:
+    model = parse_model((MODELS / "age.rmd").read_text())
+    return Engine(model, parse_config((MODELS / "age.cfg").read_text()), backend)
+
+
+@functools.cache
+def age_writes() -> tuple[dict[str, bytes], tuple[tuple[str, bytes], ...]]:
+    """The trace files of the whole ``age`` run, and the writes that made
+    them, in order."""
+    with tempfile.TemporaryDirectory() as run_dir:
+        age_engine(FileBackend(run_dir)).run()
+        files = {name: (Path(run_dir) / name).read_bytes() for name in TRACE_FILES}
+    chunks = {name: {} for name in TRACE_FILES}
+    for name, data in files.items():
+        header, *rows = data.splitlines(keepends=True)
+        chunks[name][0] = header
+        for row in rows:
+            tick = int(row.split(b",")[0])
+            chunks[name][tick] = chunks[name].get(tick, b"") + row
+    ticks = range(len(files["rng.csv"].splitlines()))  # the header, then 1..n
+    return files, tuple((name, chunks[name].get(t, b"")) for t in ticks for name in TRACE_FILES)
+
+
+def write_until(run: Path, writes, steps: int) -> None:
+    """Carry out ``writes`` in ``run`` and stop after ``steps`` steps."""
+    run.mkdir(exist_ok=True)
+    for name, chunk in writes:
+        path = run / name
+        if not path.exists():
+            if steps == 0:
+                return
+            path.touch()
+            steps -= 1
+        with open(path, "ab") as handle:
+            handle.write(chunk[:steps])
+        steps -= min(steps, len(chunk))
+        if steps == 0:
+            return
+
+
+def recover(run: Path) -> dict[str, bytes]:
+    """Reopen ``run``, go on from its last committed tick to the end of the
+    ``age`` run, and return its files."""
+    backend = FileBackend(run)
+    engine = age_engine(backend)
+    if backend.frame_count():
+        engine.resume(backend.frame_count())
+    else:
+        engine.setup()
+    while backend.frame_count() <= engine.config.steps:
+        engine.step()
+    return {name: (run / name).read_bytes() for name in TRACE_FILES}
+
+
+def steps_of(writes) -> int:
+    return len(TRACE_FILES) + sum(len(chunk) for _, chunk in writes)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_a_run_stopped_after_any_write_step_recovers_byte_for_byte(data):
+    """Sampled over the whole run, and over the last tick's append apart."""
+    files, writes = age_writes()
+    total, last = steps_of(writes), sum(len(chunk) for _, chunk in writes[-3:])
+    steps = data.draw(st.integers(total - last, total) | st.integers(0, total), label="steps")
+    with tempfile.TemporaryDirectory() as run_dir:
+        write_until(Path(run_dir) / "run", writes, steps)
+        assert recover(Path(run_dir) / "run") == files
+
+
+def test_a_run_stopped_in_its_headers_starts_afresh(tmp_path):
+    """Every state the header writes pass through: a file missing, empty
+    or torn, the rng.csv header among them; each then holds no frame."""
+    files, writes = age_writes()
+    for steps in range(steps_of(writes[:3]) + 1):
+        run = tmp_path / str(steps)
+        write_until(run, writes[:3], steps)
+        assert FileBackend(run).frame_count() == 0
+        assert recover(run) == files, f"stopped after {steps} steps"
+
+
+@pytest.mark.parametrize("torn", [b"", b"tick,st", b"tick,state_hex"])
+def test_reopening_a_run_with_a_torn_rng_header_rewrites_the_headers(tmp_path, torn):
+    """A torn rng.csv header used to count as the header: the appends went
+    below none, and frame 1 could not be loaded."""
+    files, _ = age_writes()
+    FileBackend(tmp_path)
+    (tmp_path / "rng.csv").write_bytes(torn)
+    backend, in_memory = FileBackend(tmp_path), InMemoryBackend()
+    age_engine(backend).run()
+    age_engine(in_memory).run()
+    assert [backend.load_frame(tick) for tick in range(1, 6)] == in_memory.frames
+    assert {name: (tmp_path / name).read_bytes() for name in TRACE_FILES} == files
+
+
+@pytest.mark.parametrize("name", TRACE_FILES)
+def test_reopen_refuses_a_file_without_its_header(tmp_path, name):
+    """A damaged copy, not a crash, can hold a torn header in front of
+    whole rows; a load, and the cut before an append, refuse it rather
+    than read a wrong frame, and write nothing."""
+    TestFileBackend().fill(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes()[len("tick,"):])
+    before = TestFileBackend.contents(tmp_path)
+    reopened = FileBackend(tmp_path)
+    assert reopened.frame_count() == 2
+    with pytest.raises(ValueError, match=f"{name} does not start with 'tick,"):
+        reopened.load_frame(1)
+    with pytest.raises(ValueError, match="does not start with"):
+        reopened.append_frame(TraceFrame({}, {}, 3))
+    assert TestFileBackend.contents(tmp_path) == before
