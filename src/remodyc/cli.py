@@ -180,7 +180,7 @@ def _abort_at(abort: RuntimeAbort) -> str:
 
 def _open_run_dir(path: str) -> tuple[FileBackend, ast.Model]:
     run_dir = Path(path)
-    if not (run_dir / "rng.csv").exists():
+    if not (run_dir / "meta.txt").exists():  # written before any trace file
         raise _Failure(2, f"{path} is not a run directory")
     meta = {}
     for line in _read_text(run_dir / "meta.txt").splitlines():

@@ -7,30 +7,30 @@ leak into results.  ``MemoryImage.write`` and ``write_delta`` apply that
 rule for every write, the compiled tasks' too, and refuse one that would
 commit an infinity or a NaN: no frame holds either.  ``store`` hands
 ``next`` on as a frame and appends it to a backend.  Besides the values
-the image keeps only the animats, their bases in order and each kind's
-bases in order; two rules give the rest.  A block reaches up to the next
-base, the highest one up to ``next_free``, one past the highest stored
-address; and a new animat takes the index after the one its stage's
-highest block holds.  A commit costs what changed: that dict becomes the
-committed values as it is, and the blocks killed during the tick leave
-the bases and performers.  ``load`` rebuilds the image from any stored
-frame, which is all replay needs.
+the image keeps only the animats and each kind's bases in order; two
+rules give the rest.  A block's values run from its base up to the next
+base in ``animats`` or the first address that holds no value; and a new
+animat takes the index after the one its stage's highest block holds.  A
+commit costs what changed: that dict becomes the committed values as it
+is, and the blocks killed during the tick leave the animats and
+performers.  ``load`` rebuilds the image from any stored frame, which is
+all replay needs.
 
-On disk an append writes each of the three trace files once, as bytes
-built in one pass over the frame, and flushes it to the operating system
-before returning (it does not ``fsync``); a value's text is the one
-``parser.format_number`` gives.  A frame is
-committed once its ``rng.csv`` row is complete, and that row is written
-last.  Every trace file keeps its rows sorted by tick, so loading a frame
-is a binary search over byte offsets: it reads O(log n) lines plus the
-frame's own rows, and never rows past the last committed tick or a torn
-last line.
+On disk only an append writes: it brings the three trace files to the
+committed prefix, then writes each once, as bytes built in one pass over
+the frame, and flushes it to the operating system before returning (it
+does not ``fsync``); a value's text is the one ``parser.format_number``
+gives.  A frame is committed once its ``rng.csv`` row is complete, and
+that row is written last.  Every trace file keeps its rows sorted by
+tick, so loading a frame is a binary search over byte offsets: it reads
+O(log n) lines plus the frame's own rows, and never rows past the last
+committed tick or a torn last line.
 """
 from __future__ import annotations
 
 import abc
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from math import inf
@@ -173,37 +173,38 @@ class FileBackend(StorageBackend):
     completed so far.  No file is ``fsync``ed, so a crash of the machine
     may lose the last appends.
 
+    Only ``append_frame`` writes.  Opening a run directory counts its
+    committed frames from the last complete ``rng.csv`` row and reads
+    nothing else; a missing ``rng.csv``, or one without a complete header
+    line, holds none.  The first append after opening, or after a failed
+    one, first brings the files to the committed frames: the three headers
+    afresh if there are none, else each file cut at its first row past the
+    last committed tick, rows that no load reads.  A load, or the cut,
+    refuses a file that does not start with its own header (``ValueError``).
+
     An append opens each file once, in binary append mode, writes all of
     the tick's rows to it in one ``write`` and flushes it; no handle is
     kept between appends.  A value is written as ``format_number`` gives
     it.  ``frames.csv`` and ``animats.csv`` rows of a tick are written
-    first, its ``rng.csv`` row last: that row is the commit record.
-    Reopening a run directory counts the committed frames from the last
-    complete ``rng.csv`` row and reads nothing else; one whose ``rng.csv``
-    has no complete header line has no frame and gets all three headers
-    anew.  Rows past the last committed tick, left by a crash or a failed
-    append, are never loaded, and the next append, after reopening or
-    after the failure, cuts them off.  A load, or that cut, refuses a file
-    that does not start with its own header (``ValueError``).  A load
-    reads O(log n) lines plus the frame's own rows and writes nothing.
+    first, its ``rng.csv`` row last: that row is the commit record.  A
+    load reads O(log n) lines plus the frame's own rows.
     """
 
     def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
         self._paths = [self.run_dir / name for name in _HEADERS]
         self._values_path, self._animats_path, self._rng_path = self._paths
-        ticks = _last_tick(self._rng_path) if self._rng_path.exists() else None
-        # A reopened run may end in rows past its last committed tick.
-        self._cut_pending = ticks is not None
-        if ticks is None:  # new, or cut off before its rng.csv header was whole
+        self._count = (_last_tick(self._rng_path) if self._rng_path.exists() else None) or 0
+        self._cut_pending = True
+
+    def _cut_uncommitted(self) -> None:
+        """Fresh headers if no frame is committed, else each file cut after the last."""
+        if not self._count:
             self.run_dir.mkdir(parents=True, exist_ok=True)
             for path in self._paths:
                 with open(path, "wb") as handle:
                     handle.write(_HEADERS[path.name])
-        self._count = ticks or 0
-
-    def _cut_uncommitted(self) -> None:
-        """Truncate every file at its first row past the committed tick."""
+            return
         for path in self._paths:
             with open(path, "r+b") as handle:
                 end = _first_row_at(handle, self._count + 1, _HEADERS[path.name])
@@ -255,7 +256,9 @@ class FileBackend(StorageBackend):
 
     def animat_rows(self) -> Iterator[tuple[int, int, str, int]]:
         """``(tick, base, stage, index)`` for every animat of every
-        committed frame, in file order."""
+        committed frame, in file order; opens no file if there is none."""
+        if not self._count:
+            return
         for tick, base, stage, index in _rows(self._animats_path, 1, self._count):
             yield int(tick), int(base), stage.decode(), int(index)
 
@@ -277,9 +280,9 @@ class MemoryImage:
     reads 0.0 until it is committed.  A write whose address would commit
     an infinity or a NaN raises ``ValueError``, whose text is that value,
     and changes nothing.  Besides the values the image keeps the
-    animats, their bases in order and each kind's bases in order (its
-    performers), killed blocks included until the commit; ``live`` and
-    every block's extent and next index are read off those.
+    animats and each kind's bases in order (its performers), killed blocks
+    included until the commit; ``live`` and every block's extent and next
+    index are read off those and the values.
 
     ``store`` hands ``next``, less the killed blocks, on as the frame's
     values.  ``apply_frame`` then commits the frame one of two ways: the
@@ -298,7 +301,6 @@ class MemoryImage:
         self.delta: dict[int, float] = {}
         self.killed: set[int] = set()  # bases killed since the last commit
         self.animats: dict[int, tuple[str, int]] = {}
-        self.bases: list[int] = []  # every base in ``animats``, ascending
         self.performers: dict[str, list[int]] = {}  # by kind, ascending
         self.next_free = 1
         self.ticks = 0
@@ -365,7 +367,6 @@ class MemoryImage:
         kept, new = self.performers.setdefault(stage, []), range(base, end, width)
         first = self.animats[kept[-1]][1] + 1 if kept else 1
         self.animats.update(zip(new, zip(repeat(stage), count(first))))
-        self.bases += new
         kept += new
         self.next_free = end
         return base
@@ -385,14 +386,16 @@ class MemoryImage:
                 f"image at tick {self.ticks} cannot append frame "
                 f"{backend.frame_count() + 1}"
             )
-        values, bases = self.next, self.bases
-        animats = self.animats.copy()
+        values, owned = self.next, self.animats
+        animats = owned.copy()
         for base in self.killed:
             del animats[base]
-            # The block's extent, which may cover a gap dead blocks left:
-            # no values there.
-            i = bisect_right(bases, base)
-            for address in range(base, bases[i] if i < len(bases) else self.next_free):
+            # The block's values: up to the next base, killed ones included,
+            # or to a gap that dead blocks left.
+            end = base + 1
+            while end in values and end not in owned:
+                end += 1
+            for address in range(base, end):
                 values.pop(address, None)
         frame = TraceFrame(values, animats, rng_state)
         backend.append_frame(frame)
@@ -402,21 +405,19 @@ class MemoryImage:
     def apply_frame(self, frame: TraceFrame, tick: int) -> None:
         """Make ``frame`` the committed state after ``tick``.
 
-        One layout rule holds on both paths: a block reaches up to the next
-        base, the highest one up to ``next_free``, which is one past the
-        highest stored address.  So a dead block between two live ones
-        counts in the extent of the live block below it, and the addresses
-        of dead blocks above the highest live one go to the next
-        allocation.  Neither changes a value: a block is read and written
-        through its own slots, and the extra addresses hold nothing to
-        store.  Likewise a stage's next instance index is the one after its
-        highest block's, so an index may name another animat once the one
-        that held it has died.
+        One layout rule holds on both paths: a block's values run from its
+        base up to the next base in ``animats`` or the first address that
+        holds no value, and ``next_free`` is one past the highest stored
+        address.  So the addresses of a dead block between two live ones
+        stay unused, and those of dead blocks above the highest live one go
+        to the next allocation.  Likewise a stage's next instance index is
+        the one after its highest block's, so an index may name another
+        animat once the one that held it has died.
 
         The frame ``store`` just returned takes the commit path, which
         besides copying the values into ``next`` costs O(blocks killed) to
-        drop them from the bases and performers, plus O(addresses freed at
-        the top) to lower ``next_free``.  Any other frame takes the load
+        drop them from the animats and performers, plus O(addresses freed
+        at the top) to lower ``next_free``.  Any other frame takes the load
         path, which reads them all off the frame.
         """
         self.vals = frame.values
@@ -433,9 +434,8 @@ class MemoryImage:
         self._stored = None
 
     def _commit_kills(self) -> None:
-        bases, animats, performers, values = self.bases, self.animats, self.performers, self.vals
+        animats, performers, values = self.animats, self.performers, self.vals
         for base in self.killed:
-            del bases[bisect_left(bases, base)]
             kind = animats.pop(base)[0]
             kept = performers[kind]
             del kept[bisect_left(kept, base)]
@@ -449,10 +449,9 @@ class MemoryImage:
 
     def _infer(self, frame: TraceFrame) -> None:
         self.animats = dict(frame.animats)
-        self.bases = sorted(self.animats)
         self.next_free = max(frame.values, default=0) + 1
         self.performers = {}
-        for base in self.bases:
+        for base in sorted(self.animats):
             self.performers.setdefault(self.animats[base][0], []).append(base)
 
     def load(self, backend: StorageBackend, tick: int) -> int:

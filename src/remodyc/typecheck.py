@@ -10,7 +10,8 @@ Each judgement is written once: ``_require_same_dimension`` and
 ``_require_dimensionless`` raise the diagnostics that compare a unit with
 the one a rule expects; an exponent overflow from a unit rule becomes a
 diagnostic at the expression being typed, in ``infer_type`` alone; and
-``_ARITY`` is the one table of builtin functions and their operand counts.
+``_ARITY``, the builtin functions and their operand counts, is read off
+``interp._CALLS``, the one table of them.
 """
 from __future__ import annotations
 
@@ -35,10 +36,7 @@ from .units import (
 SECONDS = parse_unit("s")
 RADIANS = parse_unit("rad")
 
-_ARITY = {
-    "cos": 1, "sin": 1, "tan": 1, "exp": 1, "ln": 1, "log": 1, "sqrt": 1,
-    "abs": 1, "floor": 1, "ceiling": 1, "min": 2, "max": 2,
-}
+_ARITY = {name: n for name, n in interp._CALLS if name.isalpha()}
 
 
 class TypeCheckError(Exception):

@@ -438,6 +438,33 @@ class TestChart:
         assert invoke("chart", out, "Patch") == 1
 
 
+@pytest.mark.parametrize("state", ["finished", "torn rng.csv header", "set-up aborted"])
+def test_replay_and_chart_write_nothing(tree, capsys, monkeypatch, state):
+    """Each only reads, whatever the run directory holds; a directory with
+    no committed frame has no frame 1 and charts no tick."""
+    out = tree / "run1"
+    if state == "set-up aborted":  # before any trace file is written
+        TestRunFailures.fail_at_tick(monkeypatch, 1, MemoryError())
+    invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out)
+    monkeypatch.undo()
+    if state == "torn rng.csv header":
+        (out / "rng.csv").write_bytes(b"tick,st")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    replayed, charted = invoke("replay", out, 1), invoke("chart", out, "Egg")
+    captured = capsys.readouterr()
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    if state == "finished":
+        assert (replayed, charted) == (0, 0)
+        assert captured.out.splitlines()[-5:] == ["tick,count", "1,2", "2,2", "3,2", "4,0"]
+    else:
+        assert (replayed, charted) == (1, 0)
+        assert captured.err == "no frame 1 (have 0)\n"
+        assert captured.out == "tick,count\n"
+    if state == "set-up aborted":
+        assert sorted(before) == ["meta.txt", "model.rmd"]
+
+
 class TestFmt:
     def test_rewrites_canonically(self, tree):
         messy = tree / "messy.rmd"

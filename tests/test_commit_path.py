@@ -1,10 +1,10 @@
 """The commit path against the load path.
 
-``MemoryImage`` keeps, besides the values, only the animats, their bases
-and each kind's performers; one layout rule gives every block's extent (up
-to the next base, the highest one up to ``next_free``, one past the
-highest stored address) and one index rule a stage's next instance index
-(the one after its highest block's).  ``apply_frame`` commits the frame
+``MemoryImage`` keeps, besides the values, only the animats and each
+kind's performers; one layout rule gives every block's extent (its values
+up to the next base in ``animats``; ``next_free`` is one past the highest
+stored address) and one index rule a stage's next instance index (the one
+after its highest block's).  ``apply_frame`` commits the frame
 ``store`` just returned by dropping the blocks killed during the tick, and
 reads it all off any other frame it loads.  Both must give the same image,
 and neither may change a frame once it has been returned or stored.
@@ -28,6 +28,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 def kept_state(image: MemoryImage) -> dict:
     """What the next tick depends on besides the values."""
+    bases = sorted(image.animats)
     return {
         "animats": image.animats,
         "performers": image.performers,
@@ -37,7 +38,7 @@ def kept_state(image: MemoryImage) -> dict:
         # block reaches up to the next base, the highest one to next_free.
         "killable": {
             base: [a for a in range(base, end) if a in image.vals]
-            for base, end in zip(image.bases, image.bases[1:] + [image.next_free])
+            for base, end in zip(bases, bases[1:] + [image.next_free])
         },
     }
 
@@ -66,7 +67,7 @@ def test_commit_path_matches_load_path():
         loaded = MemoryImage()
         loaded.load(backend, tick)
         assert kept_state(engine.image) == kept_state(loaded), f"tick {tick}"
-        assert engine.image.bases == loaded.bases == sorted(loaded.animats)
+        assert sorted(engine.image.animats) == sorted(loaded.animats)
     # Eggs hatched (become), adults died, and adults laid eggs (spawn).
     assert {"Egg", "Adult", "new Egg", "new Adult"} <= seen
 
@@ -97,13 +98,13 @@ def test_commit_path_matches_load_path_on_any_allocations_and_kills(ticks):
         for stage, size in allocations:
             image.allocate(stage, size)
         for pick in kills:
-            if image.bases:
-                image.kill(image.bases[-1 - pick % len(image.bases)])
+            if image.animats:
+                image.kill(sorted(image.animats)[-1 - pick % len(image.animats)])
         image.apply_frame(image.store(backend, tick), tick)
         loaded = MemoryImage()
         loaded.load(backend, tick)
         assert kept_state(image) == kept_state(loaded), f"tick {tick}"
-        assert image.bases == loaded.bases
+        assert sorted(image.animats) == sorted(loaded.animats)
         # Both place and label the next block of each stage alike.
         for stage in "AB":
             base = image.allocate(stage, 1)
@@ -210,7 +211,7 @@ def test_dead_stage_index_is_reused_on_both_paths():
 def layout(image: MemoryImage) -> tuple:
     """Everything an allocation changes, in dict order."""
     return (
-        image.bases,
+        sorted(image.animats),
         list(image.animats.items()),
         list(image.performers.items()),
         list(image.assigned.items()),
@@ -261,8 +262,8 @@ def test_one_allocation_of_many_rows_matches_one_per_row(ticks):
             assert first == (bases[0] if bases else single.next_free)
             assert layout(bulk) == layout(single)
         for pick in kills:
-            if bulk.bases:
-                base = bulk.bases[-1 - pick % len(bulk.bases)]
+            if bulk.animats:
+                base = sorted(bulk.animats)[-1 - pick % len(bulk.animats)]
                 bulk.kill(base)
                 single.kill(base)
         frames = [image.store(backend, tick) for image, backend in zip(images, backends)]

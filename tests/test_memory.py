@@ -205,8 +205,8 @@ class TestApplyAndLoad:
         frame = image.store(backend, 0)
         assert frame.values == {low: 1.0, low + 1: 0.0, high: 6.0, high + 1: 0.0}
         image.apply_frame(frame, 1)
-        # The low block reaches over the dead middle one, up to the high one.
-        assert image.bases == [low, high]
+        # The dead middle block leaves a gap below the high one.
+        assert sorted(image.animats) == [low, high]
         # The addresses of the dead top block go to the next allocation, and
         # so does its instance index, the highest of its stage.
         assert image.next_free == top
@@ -219,7 +219,7 @@ class TestApplyAndLoad:
         frame = image.store(backend, 0)
         assert frame.values == {low: 1.0, low + 1: 9.0, 8: 0.0, 9: 0.0, 10: 0.0, 11: 0.0}
         image.apply_frame(frame, 2)
-        assert image.bases == [low, top]
+        assert sorted(image.animats) == [low, top]
         assert image.next_free == top + 4
 
 
@@ -624,10 +624,28 @@ def write_until(run: Path, writes, steps: int) -> None:
             return
 
 
+def files_in(run: Path) -> dict[str, bytes] | None:
+    return {path.name: path.read_bytes() for path in run.iterdir()} if run.exists() else None
+
+
+def read_all(run: Path) -> FileBackend:
+    """Open ``run`` and read every committed frame and animat row, which
+    writes nothing; returns the backend."""
+    before = files_in(run)
+    backend = FileBackend(run)
+    for tick in range(1, backend.frame_count() + 1):
+        backend.load_frame(tick)
+    with pytest.raises(ValueError, match=f"no frame {backend.frame_count() + 1} "):
+        backend.load_frame(backend.frame_count() + 1)
+    assert {tick for tick, *_ in backend.animat_rows()} <= set(range(1, backend.frame_count() + 1))
+    assert files_in(run) == before
+    return backend
+
+
 def recover(run: Path) -> dict[str, bytes]:
     """Reopen ``run``, go on from its last committed tick to the end of the
     ``age`` run, and return its files."""
-    backend = FileBackend(run)
+    backend = read_all(run)
     engine = age_engine(backend)
     if backend.frame_count():
         engine.resume(backend.frame_count())
@@ -658,20 +676,23 @@ def test_a_run_stopped_in_its_headers_starts_afresh(tmp_path):
     """Every state the header writes pass through: a file missing, empty
     or torn, the rng.csv header among them; each then holds no frame."""
     files, writes = age_writes()
+    assert read_all(tmp_path / "absent").frame_count() == 0
     for steps in range(steps_of(writes[:3]) + 1):
         run = tmp_path / str(steps)
         write_until(run, writes[:3], steps)
-        assert FileBackend(run).frame_count() == 0
+        assert read_all(run).frame_count() == 0
         assert recover(run) == files, f"stopped after {steps} steps"
 
 
 @pytest.mark.parametrize("torn", [b"", b"tick,st", b"tick,state_hex"])
 def test_reopening_a_run_with_a_torn_rng_header_rewrites_the_headers(tmp_path, torn):
     """A torn rng.csv header used to count as the header: the appends went
-    below none, and frame 1 could not be loaded."""
+    below none, and frame 1 could not be loaded.  Reading such a run
+    writes nothing; the first append writes the headers."""
     files, _ = age_writes()
-    FileBackend(tmp_path)
+    FileBackend(tmp_path).append_frame(TraceFrame({}, {}, 0))
     (tmp_path / "rng.csv").write_bytes(torn)
+    assert read_all(tmp_path).frame_count() == 0
     backend, in_memory = FileBackend(tmp_path), InMemoryBackend()
     age_engine(backend).run()
     age_engine(in_memory).run()
