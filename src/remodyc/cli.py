@@ -203,19 +203,27 @@ def _replay(args) -> int:
     except ValueError as err:
         raise _Failure(1, str(err))
     agents = {agent.name: agent for agent in model.agents}
-    print("address,stage,attribute,value")
+    # The frame is checked against the model before anything is printed.
+    rows = []
     for base in sorted(frame.animats):
         kind, _ = frame.animats[base]
+        if kind not in agents:
+            raise _Failure(1, f"tick {args.tick}: unknown stage {kind!r} at address {base}")
         for slot, declaration in enumerate(agents[kind].all_attributes):
-            stored, unit = frame.values[base + slot], declaration.unit
-            value, label = stored / unit.scale, unit.label or ""
-            # Past the declared unit's range (inf, or 0 from a stored nonzero): SI
-            if not math.isfinite(value) or (value == 0 and stored != 0):
-                value, label = stored, format_unit(unit)[1:-1]
-            rendered = format_number(value)
-            if label:
-                rendered += f" {label}"
-            print(f"{base + slot},{kind},{declaration.identifier},{rendered}")
+            if base + slot not in frame.values:
+                raise _Failure(1, f"tick {args.tick}: no value at address {base + slot}")
+            rows.append((base + slot, kind, declaration))
+    print("address,stage,attribute,value")
+    for address, kind, declaration in rows:
+        stored, unit = frame.values[address], declaration.unit
+        value, label = stored / unit.scale, unit.label or ""
+        # Past the declared unit's range (inf, or 0 from a stored nonzero): SI
+        if not math.isfinite(value) or (value == 0 and stored != 0):
+            value, label = stored, format_unit(unit)[1:-1]
+        rendered = format_number(value)
+        if label:
+            rendered += f" {label}"
+        print(f"{address},{kind},{declaration.identifier},{rendered}")
     return 0
 
 

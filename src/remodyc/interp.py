@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -229,9 +228,6 @@ class Engine:
         self.backend = backend
         self.image = MemoryImage()
         self.rng_state = rng.seed_state(config.seed)
-        self.world_base: int | None = None
-        # Filled in place, so that compiled tasks may hold on to the list.
-        self.patch_bases: list[int] = []
         self.slots: dict[str, dict[str, int]] = {}
         # By agent, slot by slot: each declaration's name and scaled initial
         # value, 0 if it declares none.
@@ -268,7 +264,6 @@ class Engine:
                 self.rng_state, y = sample(self.rng_state, 0.0, config.world_height)
                 rows.append(self._row(stage, {"x": x, "y": y}))
             self._allocate(stage, rows)
-        self._find_world_and_patches()
         return self._commit()
 
     def _row(self, agent: ast.AgentDefinition, inherited: dict[str, float]) -> list[float]:
@@ -289,21 +284,18 @@ class Engine:
     def resume(self, tick: int) -> None:
         """Continue a stored run from the state after ``tick``."""
         self.rng_state = self.image.load(self.backend, tick)
-        self._find_world_and_patches()
-
-    def _find_world_and_patches(self) -> None:
-        performers = self.image.performers
-        self.world_base = performers["World"][0] if "World" in performers else None
-        self.patch_bases[:] = performers.get("Patch", ())
 
     # -- stepping ------------------------------------------------------
 
     def step(self) -> TraceFrame:
+        """Run the tasks on the committed frame, each given the RNG state and
+        returning the new one, then apply the events and commit.  After a
+        ``RuntimeAbort``, ``rng_state`` is the state before the failing task."""
         events: list[tuple] = []
-        performers = self.image.performers
+        vals, performers = self.image.vals, self.image.performers
         try:
             for kind, run in self.plan:
-                run(performers.get(kind, ()), events)
+                self.rng_state = run(vals, performers.get(kind, ()), events, self.rng_state)
         except KeyError as err:  # only a committed read raises it
             raise AddressError(f"read from unallocated address {err.args[0]}") from None
         except _FAILURES as err:  # the failing line of a task names its abort site
@@ -389,14 +381,16 @@ def setup_blocks(model: ast.Model, config: SimulationConfig) -> int:
 
 
 def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tuple], str]:
-    """Each task as a function ``task_<i>(bases, events)`` of one module
-    compiled once, by line, the abort site of a line that can fail, and the
-    module's source.  A task writes only by the image's ``write`` and
-    ``write_delta``, and fails only by raising on a line that names its abort
-    site, which ``Engine.step`` turns into a ``RuntimeAbort``.  The namespace
-    reaches the engine only by a weak proxy and keeps no task function: a
-    dropped engine is freed, image and all, without the cycle collector."""
-    image, config, patches, inf = engine.image, engine.config, engine.patch_bases, math.inf
+    """Each task as a function ``task_<i>(vals, bases, events, state)`` of
+    one module compiled once, by line, the abort site of a line that can
+    fail, and the module's source.  A task reads the committed values, the
+    World and patches in ``image.performers`` and the RNG state, which it
+    returns; it writes only by the image's ``write`` and ``write_delta``,
+    and fails only by raising on a line that names its abort site, which
+    ``Engine.step`` turns into a ``RuntimeAbort``.  The namespace keeps no
+    engine and no task function: a dropped engine is freed, image and all,
+    without the cycle collector."""
+    image, config, inf = engine.image, engine.config, math.inf
 
     def spawn(events: list, base: int, kind: str, stage, value: float, pos) -> None:
         """Records a spawn of the whole number of animats in ``value``, if
@@ -408,11 +402,6 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
 
     columns, rows, edge = config.patches_x, config.patches_y, config.patch_size
     floor, atan2 = math.floor, math.atan2
-    # By slot, the field ``field`` builds from the committed values
-    # ``richest_in`` holds: built at the slot's first ``direction`` read, and
-    # emptied when ``image.vals`` is a new dict (after a commit, load or resume).
-    richest: dict[int, list[int]] = {}
-    richest_in = [None]
 
     def cell(x: float, y: float) -> int:
         """Index in ``patches`` of the patch under ``(x, y)``; a position past
@@ -422,7 +411,7 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
         py = 0 if qy < 0.0 else rows - 1 if qy >= rows - 1 else floor(qy)
         return py * columns + px
 
-    def field(vals: dict[int, float], slot: int) -> list[int]:
+    def field(vals: dict[int, float], patches: list[int], slot: int) -> list[int]:
         """For each cell in row order, the position 0-8 in row order of the
         first richest patch of the 3x3 window around it.  Builtin ``max``
         keeps the first of equal items and ``tuple.index`` finds the first;
@@ -444,19 +433,13 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
             above, row = row, below
         return positions
 
-    def heading(x: float, y: float, slot: int) -> float:
+    def heading(x: float, y: float, positions: list[int]) -> float:
         """Heading from ``(x, y)`` to the centre of the first richest patch,
         in row order with the top row (lowest y) first, of the 3x3 window
-        around the patch under it; 0 if that is the patch under it, which so
-        wins a tie with a later patch and loses one with an earlier patch."""
+        around the patch under it, as ``field`` gives in ``positions``; 0 if
+        that is the patch under it, which so wins a tie with a later patch
+        and loses one with an earlier patch."""
         here = cell(x, y)
-        vals = image.vals
-        if richest_in[0] is not vals:
-            richest.clear()
-            richest_in[0] = vals
-        positions = richest.get(slot)
-        if positions is None:
-            positions = richest[slot] = field(vals, slot)
         position = positions[here]
         if position == 4:
             return 0.0
@@ -465,9 +448,8 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
         return atan2((cy + 0.5) * edge - y, (cx + 0.5) * edge - x)
 
     namespace = {
-        "image": image, "engine": weakref.proxy(engine), "patches": patches, "rng": rng,
-        "write": image.write, "write_delta": image.write_delta,
-        "spawn": spawn, "cell": cell, "heading": heading,
+        "image": image, "rng": rng, "write": image.write, "write_delta": image.write_delta,
+        "spawn": spawn, "cell": cell, "field": field, "heading": heading,
     }
     namespace.update((name, call) for call, name in _CALLS.values() if "{" not in name)
     tasks = list(enumerate(engine.model.tasks))
@@ -518,6 +500,9 @@ class _Compiler:
         self.target = None  # the attribute of the definition being emitted
         # The text of what this scope computed: the patch, utilities by index.
         self.known: dict = {}
+        # By local name, what the head reads: the World's base, the patches
+        # and the field of each ``direction`` slot, built if there are bases.
+        self.head: dict[str, str] = {}
         self.maybe, self.computing = set(), set()  # utilities perhaps computed, being computed
         for definition in action.definitions:
             self.definition(definition)
@@ -528,8 +513,9 @@ class _Compiler:
             self.lines.insert(0, "        " + "".join(f"u{u} = " for u in sorted(self.maybe)) + "None")
         elif not self.lines:
             self.lines.append("        pass")
-        head = [f"def task_{i}(bases, events):", "    vals = image.vals", "    for b in bases:"]
-        self.lines[:0] = head
+        head = (f"    {name} = {text}" for name, text in self.head.items())
+        self.lines[:0] = [f"def task_{i}(vals, bases, events, state):", *head, "    for b in bases:"]
+        self.lines.append("    return state")
 
     def definition(self, definition: ast.AttributeDefinition) -> None:
         value, pos = self.expression(definition.expression), definition.pos
@@ -681,11 +667,13 @@ class _Compiler:
             case ("utility", index, name, pos):
                 return self.utility(index, name, pos)
             case ("direction", slot, xs, ys):
-                return self.let(f"heading(vals[b + {xs}], vals[b + {ys}], {slot})")
+                self.head["patches"] = "image.performers['Patch']"
+                self.head[f"f{slot}"] = f"bases and field(vals, patches, {slot})"
+                return self.let(f"heading(vals[b + {xs}], vals[b + {ys}], f{slot})")
             case ("draw", sampler, operands, pos):
                 text = ", ".join(self.value(o) for o in operands)
-                target, prefix = "engine.rng_state, ", ""
-                call = f"rng.{sampler}(engine.rng_state, {text})"
+                target, prefix = "state, ", ""
+                call = f"rng.{sampler}(state, {text})"
             case ("call", key, operands, pos, prefix):
                 texts = [self.value(o) for o in operands]
                 form = _CALLS[key][1]
@@ -731,8 +719,10 @@ class _Compiler:
             case ("my", slot):
                 return f"b + {slot}"
             case ("world", slot):
-                return f"engine.world_base + {slot}"
+                self.head["world"] = "image.performers['World'][0]"
+                return f"world + {slot}"
             case ("here", slot, xs, ys):
+                self.head["patches"] = "image.performers['Patch']"
                 if "patch" not in self.known:
                     self.known["patch"] = self.let(f"patches[cell(vals[b + {xs}], vals[b + {ys}])]")
                 return f"{self.known['patch']} + {slot}"

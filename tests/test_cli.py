@@ -397,6 +397,21 @@ class TestReplay:
     def test_rejects_non_run_dir(self, tree):
         assert invoke("replay", tree, 1) == 2
 
+    @pytest.mark.parametrize("name, row, replacement, message", [
+        ("frames.csv", "3,3,", "", "tick 3: no value at address 3"),
+        ("animats.csv", "3,3,Egg,", "3,3,Larva,1\n", "tick 3: unknown stage 'Larva' at address 3"),
+    ], ids=["missing address", "unknown stage"])
+    def test_frame_the_model_does_not_fit_prints_nothing(
+            self, run_dir, capsys, name, row, replacement, message):
+        """A frame is checked against ``model.rmd`` before its first row is
+        printed; one that does not fit exits 1 with one line naming it."""
+        path = run_dir / name
+        lines = path.read_text().splitlines(keepends=True)
+        assert sum(line.startswith(row) for line in lines) == 1
+        path.write_text("".join(replacement if line.startswith(row) else line for line in lines))
+        assert invoke("replay", run_dir, 3) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+
 
 class TestChart:
     def test_counts_include_zero_ticks(self, tree, capsys):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -31,55 +32,58 @@ def engine(name: str) -> Engine:
 # ``# cN`` ends a line that can fail and names its abort site; the other
 # ``cN`` are stages, positions and non-finite constants bound by name.
 EGGS_SOURCE = textwrap.dedent("""\
-    def task_0(bases, events):
-        vals = image.vals
+    def task_0(vals, bases, events, state):
+        for b in bases:
+            write_delta(b + 2, 86400.0)  # c19
+        return state
+    def task_1(vals, bases, events, state):
         for b in bases:
             write_delta(b + 2, 86400.0)  # c20
-    def task_1(bases, events):
-        vals = image.vals
-        for b in bases:
-            write_delta(b + 2, 86400.0)  # c21
-    def task_2(bases, events):
-        vals = image.vals
+        return state
+    def task_2(vals, bases, events, state):
         for b in bases:
             if (vals[b + 2] >= 864000.0):
-                events.append(('become', b, 'Egg', c22))
-    def task_3(bases, events):
-        vals = image.vals
+                events.append(('become', b, 'Egg', c21))
+        return state
+    def task_3(vals, bases, events, state):
         for b in bases:
             t1 = (vals[b + 0] + 0.2)
-            write(b + 0, (5.0 if 5.0 < t1 else t1))  # c23
-    def task_4(bases, events):
-        vals = image.vals
+            write(b + 0, (5.0 if 5.0 < t1 else t1))  # c22
+        return state
+    def task_4(vals, bases, events, state):
+        patches = image.performers['Patch']
+        f0 = bases and field(vals, patches, 0)
         for b in bases:
-            t1 = heading(vals[b + 0], vals[b + 1], 0)
-            t2 = cos(t1)  # c24
-            engine.rng_state, t3 = rng.sample_uniform(engine.rng_state, 0.0, 0.005787037037037037)  # c25
-            write_delta(b + 0, ((t2 * t3) * 86400.0))  # c26
-            t4 = sin(t1)  # c27
-            write_delta(b + 1, ((t4 * t3) * 86400.0))  # c28
-    def task_5(bases, events):
-        vals = image.vals
+            t1 = heading(vals[b + 0], vals[b + 1], f0)
+            t2 = cos(t1)  # c23
+            state, t3 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c24
+            write_delta(b + 0, ((t2 * t3) * 86400.0))  # c25
+            t4 = sin(t1)  # c26
+            write_delta(b + 1, ((t4 * t3) * 86400.0))  # c27
+        return state
+    def task_5(vals, bases, events, state):
+        patches = image.performers['Patch']
         for b in bases:
             t1 = patches[cell(vals[b + 0], vals[b + 1])]
             t2 = (vals[t1 + 0] * 0.25)
             t3 = (t2 if t2 < 0.3 else 0.3)
             u0 = (t3 if t3 > 0.0 else 0.0)
-            write_delta(b + 3, (u0 - 0.15))  # c29
-            write_delta(t1 + 0, (-u0))  # c30
-    def task_6(bases, events):
-        vals = image.vals
+            write_delta(b + 3, (u0 - 0.15))  # c28
+            write_delta(t1 + 0, (-u0))  # c29
+        return state
+    def task_6(vals, bases, events, state):
         for b in bases:
-            t1 = floor((vals[b + 3] / 2.0))  # c31
+            t1 = floor((vals[b + 3] / 2.0))  # c30
             t2 = (t1 if t1 < 1.0 else 1.0)
             u0 = (t2 if t2 > 0.0 else 0.0)
-            write_delta(b + 3, (-(u0 * 0.8)))  # c32
-            spawn(events, b, 'Adult', c33, (u0 * 2.0), c35)  # c34
-    def task_7(bases, events):
-        vals = image.vals
+            write_delta(b + 3, (-(u0 * 0.8)))  # c31
+            spawn(events, b, 'Adult', c32, (u0 * 2.0), c34)  # c33
+        return state
+    def task_7(vals, bases, events, state):
         for b in bases:
             if (vals[b + 3] < 0.3):
                 events.append(('die', b))
+        return state
 """)
 
 
@@ -90,11 +94,11 @@ def test_eggs_source_is_pinned():
 # sha256 of every model's generated source; move.rmd and move_delta.rmd
 # compile to the same text.
 SOURCE_SHA256 = {
-    "age": "45c100a2d0aa4ff250ae0cf1b579bb15b1862fd857912fd883d98f2071e1eac7",
-    "eggs": "b1e04dc58d6f5b8141bfe776ff5dd4d1696176b05832de5ad9a3928cbe2c4c5f",
-    "memo": "b35dabf7ac62a4853a2bf388dbdd70ad080d7ddcd0d9ffa16c874388cf024441",
-    "move": "4b8ae83cd94f0b75c6f35fdb629a63f7628750dc53c1bffdfd7f85704c8aaff3",
-    "move_delta": "4b8ae83cd94f0b75c6f35fdb629a63f7628750dc53c1bffdfd7f85704c8aaff3",
+    "age": "f1d229a2bb54ce4535b4a63f13e411044fdf3fe8ab840ccb5cecb9827803b0c1",
+    "eggs": "0fe44a97b8a098ec169341e9b1d940f757208c6d60847346e02bbf68a41573b5",
+    "memo": "4fa49fbf8177e118ca9d99dc575e82e8aaea70613c3d46f331e14020b84fbfb8",
+    "move": "51ddf085af7eea0dd367f9a5c3171d551ca7802ec6c82c2717f241156942bdb7",
+    "move_delta": "51ddf085af7eea0dd367f9a5c3171d551ca7802ec6c82c2717f241156942bdb7",
 }
 
 
@@ -110,3 +114,14 @@ def test_no_task_calls_min_or_max(name):
     """``min`` and ``max`` compile to comparisons, never to builtin calls."""
     for _, task in engine(name).plan:
         assert not {"min", "max"} & set(task.__code__.co_names)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))
+def test_compiled_module_holds_no_engine(name):
+    """A task reaches its state only through its arguments and the image:
+    its module holds no engine, not even a weak proxy of one."""
+    built = engine(name)
+    assert "engine." not in built.source
+    for _, task in built.plan:
+        for value in task.__globals__.values():
+            assert not isinstance(value, (Engine, *weakref.ProxyTypes))

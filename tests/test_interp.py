@@ -205,10 +205,10 @@ class TestSetup:
             BASIC_CONFIG,
         )
         frame = engine.setup()
-        assert engine.world_base == 1
-        assert engine.patch_bases == [2, 3, 4, 5]
+        assert engine.image.performers["World"] == [1]
+        assert engine.image.performers["Patch"] == [2, 3, 4, 5]
         assert frame.values[1] == 3.0
-        assert all(frame.values[b] == 2.0 for b in engine.patch_bases)
+        assert all(frame.values[b] == 2.0 for b in engine.image.performers["Patch"])
         egg = 6
         assert frame.animats[egg] == ("Egg", 1)
         state = rng.seed_state(11)
@@ -699,7 +699,7 @@ class TestDirection:
         return engine.step().values[walker + 2]
 
     def patch_value(self, engine, px, py, value):
-        engine.image.vals[engine.patch_bases[py * 3 + px]] = value
+        engine.image.vals[engine.image.performers["Patch"][py * 3 + px]] = value
 
     def test_points_to_richest_neighbor_center(self):
         engine, walker = self.grid_engine()
@@ -823,7 +823,7 @@ def test_direction_field_matches_the_scan(case):
     backend.append_frame(TraceFrame(values, laid_out.animats, laid_out.rng_state))
     engine = Engine(model, config, backend)
     engine.resume(1)
-    assert engine.patch_bases == patches
+    assert engine.image.performers["Patch"] == patches
 
     def step_matches_scan():
         read = engine.image.vals
@@ -838,6 +838,78 @@ def test_direction_field_matches_the_scan(case):
     step_matches_scan()
     engine.resume(3)
     step_matches_scan()
+
+
+# Both tasks sense the grass; the first also adds to the grass under each
+# walker, which neither may see before the commit.
+TWO_SENSING_TASKS_MODEL = """\
+Patch with
+    grass [kg].
+
+Walker is W with
+    heading [rad]
+    bearing [rad].
+
+to graze is
+    my heading' = direction neighbor's grass
+    here's delta grass' = 10 [kg].
+
+to sense is
+    my bearing' = direction neighbor's grass.
+
+Walker graze.
+Walker sense.
+"""
+
+GRID_CONFIG = (
+    "delta_time = 1 day\nsteps = 1\nseed = 2\n"
+    "world_width = 3 km\nworld_height = 3 km\npatch_size = 1 km\n"
+)
+
+
+def test_direction_tasks_of_one_tick_read_the_committed_frame():
+    """Two ``direction`` tasks in one tick commit the headings the scan
+    gives on the committed frame, though the first one's ``here's`` writes
+    would change the second one's field."""
+    model = parse_model(TWO_SENSING_TASKS_MODEL)
+    config = parse_config(GRID_CONFIG + "populate 3 Walker\n")
+    laid_out = Engine(model, config, InMemoryBackend()).setup()
+    read = dict(laid_out.values)
+    patches = sorted(b for b, (kind, _) in laid_out.animats.items() if kind == "Patch")
+    walkers = sorted(b for b, (kind, _) in laid_out.animats.items() if kind == "Walker")
+    for base, value in zip(patches, (0.0, 1.0, 0.0, 4.0, 2.0, 3.0, 0.0, 5.0, 1.0)):
+        read[base] = value
+    for base, (x, y) in zip(walkers, ((1500.0, 1500.0), (500.0, 500.0), (2500.0, 100.0))):
+        read[base], read[base + 1] = x, y
+    backend = InMemoryBackend()
+    backend.append_frame(TraceFrame(read, laid_out.animats, laid_out.rng_state))
+    engine = Engine(model, config, backend)
+    engine.resume(1)
+    committed = engine.step().values
+    for base in walkers:
+        expected = scan_heading(read, patches, 3, 3, 1000.0, 0, read[base], read[base + 1])
+        assert committed[base + 2] == committed[base + 3] == expected
+    # The walkers stand on cells 4, 0 and 2.
+    assert [committed[b] - read[b] for b in patches] == [10, 0, 10, 0, 10, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("walkers, slots", [(0, []), (2, [0, 1])])
+def test_direction_fields_are_built_once_per_task_call_with_performers(walkers, slots):
+    """A task builds the field of each ``direction`` slot it reads once per
+    call, and none in a tick where it has no performers."""
+    engine, _ = build(TWO_FIELDS_MODEL, GRID_CONFIG + f"populate {walkers} Walker\n")
+    engine.setup()
+    namespace, calls = engine.plan[1][1].__globals__, []
+    field = namespace["field"]
+
+    def counted(vals, patches, slot):
+        calls.append(slot)
+        return field(vals, patches, slot)
+
+    namespace["field"] = counted
+    engine.step()
+    engine.step()
+    assert calls == slots * 2
 
 
 class TestResume:
