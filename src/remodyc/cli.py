@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections import Counter
 from contextlib import suppress
+from itertools import chain
 from pathlib import Path
 
 from . import TRACE_FORMAT_VERSION, ast
@@ -41,8 +43,7 @@ def main(argv=None) -> int:
     run = commands.add_parser("run", help="simulate a model deterministically")
     run.add_argument("model")
     run.add_argument("config")
-    run.add_argument("--out", help="run directory for the trace")
-    run.add_argument("--backend", choices=["file", "memory"], default="file")
+    run.add_argument("--out", help="run directory for the trace; without it the run stays in memory")
 
     replay = commands.add_parser("replay", help="print one stored tick")
     replay.add_argument("run_dir")
@@ -129,12 +130,8 @@ def _run(args) -> int:
     config = _parse_config_file(args.config)
     _diagnose(model, args.model, config)
 
-    meta_path = None
-    if args.backend == "memory":
-        backend = InMemoryBackend()
-    else:
-        if not args.out:
-            raise _Failure(2, "run: --out is required with the file backend")
+    meta_path, backend = None, InMemoryBackend()
+    if args.out:
         run_dir = Path(args.out)
         if run_dir.exists() and any(run_dir.iterdir()):
             raise _Failure(2, f"run directory {run_dir} is not empty")
@@ -147,21 +144,19 @@ def _run(args) -> int:
         except OSError as err:
             raise _Failure(2, f"cannot prepare {run_dir}: {err.strerror}")
 
-    engine = Engine(model, config, backend)
-    # Each tick's census rows go out as that tick commits, so an aborted
-    # run still shows every tick it kept.
-    print("tick,stage,count", flush=True)
+    # The header, then each tick's census rows as that tick commits, so an
+    # aborted run still shows every tick it kept.
+    census = chain([[("tick", "stage", "count")]], Engine(model, config, backend).census())
     try:
-        for rows in engine.census():
-            for tick, stage, count in rows:
-                print(f"{tick},{stage},{count}")
-            sys.stdout.flush()
-    except (RuntimeAbort, OSError, MemoryError) as err:
-        # A failed write or allocation ends the run as an abort at the tick
-        # it was computing; the frames committed before it are kept.
-        abort = err if isinstance(err, RuntimeAbort) else RuntimeAbort(
-            getattr(err, "strerror", None) or str(err) or "out of memory",
-            tick=engine.image.ticks + 1)
+        for rows in census:
+            try:
+                for row in rows:
+                    print(*row, sep=",")
+                sys.stdout.flush()
+            except BrokenPipeError:  # the reader has gone: the run goes on without it
+                with open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except RuntimeAbort as abort:
         if meta_path is not None:
             with suppress(OSError), open(meta_path, "a") as handle:
                 handle.write(f"abort={abort.render()}\nabort_at={_abort_at(abort)}\n")

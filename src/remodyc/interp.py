@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -236,28 +237,25 @@ class Engine:
             declarations = agent.all_attributes
             self.slots[agent.name] = {d.identifier: slot for slot, d in enumerate(declarations)}
             self.initials[agent.name] = tuple((d.identifier, _initial(d)) for d in declarations)
-        self.stages = {stage.name: stage for stage in model.stages}
+        self.stages = tuple(stage.name for stage in model.stages)
         # (kind, run) per task, in order; abort sites by line; the source
         # the tasks were compiled from.
         self.plan, self.sites, self.source = _compile(self)
-        self.populations: list[tuple[int, ast.StageDefinition]] = []
-        for count, name in config.populations:
+        for _, name in config.populations:
             if name not in self.stages:
                 raise ConfigError(f"populate names unknown stage {name!r}")
-            self.populations.append((count, self.stages[name]))
 
     # -- setup ---------------------------------------------------------
 
     def setup(self) -> TraceFrame:
-        world, patch = self.model.world, self.model.patch
         if (blocks := setup_blocks(self.model, self.config)) > MAX_ANIMATS:
             message = f"setup needs {blocks} animats, over the ceiling of {MAX_ANIMATS}"
             raise RuntimeAbort(message, tick=1)
         config, sample = self.config, rng.sample_uniform
-        for agent, count in ((world, 1), (patch, config.patches_x * config.patches_y)):
-            if agent is not None:
-                self._allocate(agent, [self._row(agent, {})] * count)
-        for count, stage in self.populations:
+        for kind, count in (("World", 1), ("Patch", config.patches_x * config.patches_y)):
+            if kind in self.slots:
+                self._allocate(kind, [self._row(kind, {})] * count)
+        for count, stage in config.populations:
             rows = []
             for _ in range(count):
                 self.rng_state, x = sample(self.rng_state, 0.0, config.world_width)
@@ -266,15 +264,15 @@ class Engine:
             self._allocate(stage, rows)
         return self._commit()
 
-    def _row(self, agent: ast.AgentDefinition, inherited: dict[str, float]) -> list[float]:
-        """A new ``agent`` block's values by slot: the inherited one if given,
+    def _row(self, kind: str, inherited: dict[str, float]) -> list[float]:
+        """A new ``kind`` block's values by slot: the inherited one if given,
         else the initial one, both finite; ``+ 0.0`` commits -0 as 0, as
         ``MemoryImage.write`` does."""
-        return [inherited.get(name, initial) + 0.0 for name, initial in self.initials[agent.name]]
+        return [inherited.get(name, initial) + 0.0 for name, initial in self.initials[kind]]
 
-    def _allocate(self, agent: ast.AgentDefinition, rows: list[list[float]]) -> None:
-        """One new block of ``agent`` per row, holding that row."""
-        self.image.allocate(agent.name, len(self.initials[agent.name]), rows)
+    def _allocate(self, kind: str, rows: list[list[float]]) -> None:
+        """One new block of ``kind`` per row, holding that row."""
+        self.image.allocate(kind, len(self.initials[kind]), rows)
 
     def _commit(self) -> TraceFrame:
         frame = self.image.store(self.backend, self.rng_state)
@@ -282,8 +280,17 @@ class Engine:
         return frame
 
     def resume(self, tick: int) -> None:
-        """Continue a stored run from the state after ``tick``."""
-        self.rng_state = self.image.load(self.backend, tick)
+        """Continue a stored run from the state after ``tick``; a frame that
+        does not hold the model's blocks raises ``ValueError``, changing nothing."""
+        frame = self.backend.load_frame(tick)
+        counts = Counter(kind for kind, _ in frame.animats.values())
+        if unknown := sorted(counts.keys() - self.slots.keys()):
+            raise ValueError(f"tick {tick}: unknown stage {unknown[0]!r}")
+        for kind, blocks in (("World", 1), ("Patch", self.config.patches_x * self.config.patches_y)):
+            if kind in self.slots and counts[kind] != blocks:
+                raise ValueError(f"tick {tick}: {counts[kind]} {kind} blocks, the model has {blocks}")
+        self.image.apply_frame(frame, tick)
+        self.rng_state = frame.rng_state
 
     # -- stepping ------------------------------------------------------
 
@@ -318,16 +325,18 @@ class Engine:
 
     def census(self) -> Iterator[list[tuple[int, str, int]]]:
         """The full run as it goes: yields each tick's (tick, stage, count)
-        rows, one per declared stage, as soon as that tick commits."""
-        self.setup()
-        yield self._census(1)
-        for tick in range(2, self.config.steps + 2):
-            self.step()
-            yield self._census(tick)
-
-    def _census(self, tick: int) -> list[tuple[int, str, int]]:
-        performers = self.image.performers
-        return [(tick, name, len(performers.get(name, ()))) for name in self.stages]
+        rows, one per declared stage, as soon as that tick commits.  An
+        ``OSError`` or ``MemoryError`` becomes a ``RuntimeAbort`` at its tick."""
+        try:
+            self.setup()
+            for tick in range(1, self.config.steps + 2):
+                if tick > 1:
+                    self.step()
+                performers = self.image.performers
+                yield [(tick, name, len(performers.get(name, ()))) for name in self.stages]
+        except (OSError, MemoryError) as err:
+            message = getattr(err, "strerror", None) or str(err) or "out of memory"
+            raise RuntimeAbort(message, tick=self.image.ticks + 1) from err
 
     def _apply_events(self, events: list) -> None:
         for event in events:
@@ -559,7 +568,7 @@ class _Compiler:
     def stage(self, name: str, pos) -> str:
         if name not in self.engine.stages:
             raise _config_error(f"unknown stage {name!r}", pos)
-        return self.bind(self.engine.stages[name])
+        return repr(name)
 
     def expression(self, e: ast.Expression):
         match e:
@@ -625,8 +634,6 @@ class _Compiler:
 
     def position(self, pos) -> tuple[int, int]:
         """The performer's position slots, which find the patch under it."""
-        if self.engine.model.patch is None:
-            raise _config_error("the model declares no Patch", pos)
         return self.slot(self.kind, "x", pos), self.slot(self.kind, "y", pos)
 
     def emit(self, line: str) -> None:
@@ -638,7 +645,7 @@ class _Compiler:
         return f"t{self.temps}"
 
     def bind(self, value) -> str:
-        """A name for a stage, position, abort site or non-finite constant."""
+        """A name for a position, abort site or non-finite constant."""
         self.namespace[name := f"c{len(self.namespace)}"] = value
         return name
 

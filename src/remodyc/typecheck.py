@@ -216,8 +216,6 @@ def infer_type(e: ast.Expression, scope: Scope) -> Unit:
             case ast.Direction(attribute=name):
                 if not isinstance(scope.performer, ast.StageDefinition):
                     raise TypeCheckError("'direction' needs a performer with a position", e.pos)
-                if scope.model is None or scope.model.patch is None:
-                    raise TypeCheckError("the model declares no Patch", e.pos)
                 scope.attribute_unit("here", name, e.pos)
                 return RADIANS
     except DimensionOverflowError as err:

@@ -132,7 +132,7 @@ class TestRun:
             assert (tree / "a" / name).read_bytes() == (tree / "b" / name).read_bytes()
 
     def test_memory_backend_skips_disk(self, tree, capsys):
-        assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--backend", "memory") == 0
+        assert invoke("run", tree / "model.rmd", tree / "run.cfg") == 0
         assert capsys.readouterr().out.startswith("tick,stage,count")
         assert not (tree / "run1").exists()
 
@@ -158,8 +158,14 @@ class TestRun:
         )
         assert not out.exists()
 
-    def test_out_required_for_file_backend(self, tree):
-        assert invoke("run", tree / "model.rmd", tree / "run.cfg") == 2
+    def test_without_out_nothing_is_written_and_backend_is_no_option(self, tree, capsys):
+        before = sorted(tree.iterdir())
+        assert invoke("run", tree / "model.rmd", tree / "run.cfg") == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["1,Egg,2", "2,Egg,2", "3,Egg,2", "4,Egg,0"]
+        assert sorted(tree.iterdir()) == before
+        with pytest.raises(SystemExit) as exited:
+            invoke("run", tree / "model.rmd", tree / "run.cfg", "--backend", "memory")
+        assert exited.value.code == 2
 
     def test_refuses_nonempty_run_dir(self, tree, capsys):
         out = tree / "run1"
@@ -327,6 +333,26 @@ def test_position_past_an_edge_is_on_the_edge_cell(tree, capsys, x, read, column
     # Tick 1 adds at the drawn position; ticks 2-4 add on the edge cell.
     assert sum(grass) == 4
     assert sum(grass[column::10]) >= 3
+
+
+def test_census_reader_gone_lets_the_run_finish(tmp_path):
+    """Closing the census pipe after two lines stops the census, not the
+    run: exit 0, nothing on stderr, every frame committed."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "eggs"
+    argv = ["run", str(root / "models" / "eggs.rmd"), str(root / "models" / "eggs.cfg"), "--out", str(out)]
+    with subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "remodyc", *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert [child.stdout.readline() for _ in range(2)] == [b"tick,stage,count\n", b"1,Egg,20\n"]
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=60)
+    assert (child.returncode, stderr) == (0, b"")
+    assert FileBackend(out).frame_count() == 201
+    assert "abort=" not in (out / "meta.txt").read_text()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from remodyc import ast
 from remodyc.interp import Engine, parse_config
 from remodyc.memory import InMemoryBackend
 from remodyc.parser import parse_model
@@ -30,7 +31,7 @@ def engine(name: str) -> Engine:
 
 
 # ``# cN`` ends a line that can fail and names its abort site; the other
-# ``cN`` are stages, positions and non-finite constants bound by name.
+# ``cN`` are positions and non-finite constants bound by name.
 EGGS_SOURCE = textwrap.dedent("""\
     def task_0(vals, bases, events, state):
         for b in bases:
@@ -43,23 +44,23 @@ EGGS_SOURCE = textwrap.dedent("""\
     def task_2(vals, bases, events, state):
         for b in bases:
             if (vals[b + 2] >= 864000.0):
-                events.append(('become', b, 'Egg', c21))
+                events.append(('become', b, 'Egg', 'Adult'))
         return state
     def task_3(vals, bases, events, state):
         for b in bases:
             t1 = (vals[b + 0] + 0.2)
-            write(b + 0, (5.0 if 5.0 < t1 else t1))  # c22
+            write(b + 0, (5.0 if 5.0 < t1 else t1))  # c21
         return state
     def task_4(vals, bases, events, state):
         patches = image.performers['Patch']
         f0 = bases and field(vals, patches, 0)
         for b in bases:
             t1 = heading(vals[b + 0], vals[b + 1], f0)
-            t2 = cos(t1)  # c23
-            state, t3 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c24
-            write_delta(b + 0, ((t2 * t3) * 86400.0))  # c25
-            t4 = sin(t1)  # c26
-            write_delta(b + 1, ((t4 * t3) * 86400.0))  # c27
+            t2 = cos(t1)  # c22
+            state, t3 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c23
+            write_delta(b + 0, ((t2 * t3) * 86400.0))  # c24
+            t4 = sin(t1)  # c25
+            write_delta(b + 1, ((t4 * t3) * 86400.0))  # c26
         return state
     def task_5(vals, bases, events, state):
         patches = image.performers['Patch']
@@ -68,16 +69,16 @@ EGGS_SOURCE = textwrap.dedent("""\
             t2 = (vals[t1 + 0] * 0.25)
             t3 = (t2 if t2 < 0.3 else 0.3)
             u0 = (t3 if t3 > 0.0 else 0.0)
-            write_delta(b + 3, (u0 - 0.15))  # c28
-            write_delta(t1 + 0, (-u0))  # c29
+            write_delta(b + 3, (u0 - 0.15))  # c27
+            write_delta(t1 + 0, (-u0))  # c28
         return state
     def task_6(vals, bases, events, state):
         for b in bases:
-            t1 = floor((vals[b + 3] / 2.0))  # c30
+            t1 = floor((vals[b + 3] / 2.0))  # c29
             t2 = (t1 if t1 < 1.0 else 1.0)
             u0 = (t2 if t2 > 0.0 else 0.0)
-            write_delta(b + 3, (-(u0 * 0.8)))  # c31
-            spawn(events, b, 'Adult', c32, (u0 * 2.0), c34)  # c33
+            write_delta(b + 3, (-(u0 * 0.8)))  # c30
+            spawn(events, b, 'Adult', 'Egg', (u0 * 2.0), c32)  # c31
         return state
     def task_7(vals, bases, events, state):
         for b in bases:
@@ -95,7 +96,7 @@ def test_eggs_source_is_pinned():
 # compile to the same text.
 SOURCE_SHA256 = {
     "age": "f1d229a2bb54ce4535b4a63f13e411044fdf3fe8ab840ccb5cecb9827803b0c1",
-    "eggs": "0fe44a97b8a098ec169341e9b1d940f757208c6d60847346e02bbf68a41573b5",
+    "eggs": "829de9ba270eb1ac2a682375e26492ae94cb1c8f46b9cd8bc69b1c77017c57e7",
     "memo": "4fa49fbf8177e118ca9d99dc575e82e8aaea70613c3d46f331e14020b84fbfb8",
     "move": "51ddf085af7eea0dd367f9a5c3171d551ca7802ec6c82c2717f241156942bdb7",
     "move_delta": "51ddf085af7eea0dd367f9a5c3171d551ca7802ec6c82c2717f241156942bdb7",
@@ -119,9 +120,10 @@ def test_no_task_calls_min_or_max(name):
 @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))
 def test_compiled_module_holds_no_engine(name):
     """A task reaches its state only through its arguments and the image:
-    its module holds no engine, not even a weak proxy of one."""
+    its module holds no engine, not even a weak proxy of one, and no node
+    of the model, as a stage is its name."""
     built = engine(name)
     assert "engine." not in built.source
     for _, task in built.plan:
         for value in task.__globals__.values():
-            assert not isinstance(value, (Engine, *weakref.ProxyTypes))
+            assert not isinstance(value, (Engine, ast.Node, *weakref.ProxyTypes))

@@ -935,6 +935,36 @@ class TestResume:
             a: replica.image.read(a) for a in backend.load_frame(3).values
         } == backend.load_frame(3).values
 
+    @staticmethod
+    def doctored(change):
+        """An eggs engine and its stored run of two ticks, the animats of
+        frame 2 changed by ``change``."""
+        root = Path(__file__).resolve().parent.parent / "models"
+        model, config = parse_model((root / "eggs.rmd").read_text()), (root / "eggs.cfg").read_text()
+        engine = Engine(model, parse_config(config), InMemoryBackend())
+        engine.setup()
+        engine.step()
+        frame = engine.backend.frames[1]
+        animats = dict(frame.animats)
+        change(animats)
+        engine.backend.frames[1] = TraceFrame(frame.values, animats, frame.rng_state)
+        return engine
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda animats: animats.update({max(animats): ("Larva", 1)}),
+         "tick 2: unknown stage 'Larva'"),
+        (lambda animats: animats.pop(1), "tick 2: 0 World blocks, the model has 1"),
+        (lambda animats: animats.pop(min(b for b, (k, _) in animats.items() if k == "Patch")),
+         "tick 2: 99 Patch blocks, the model has 100"),
+    ], ids=["undeclared stage", "no World", "a Patch missing"])
+    def test_resume_refuses_a_frame_without_the_models_blocks(self, change, message):
+        engine = self.doctored(change)
+        vals, state = engine.image.vals, engine.rng_state
+        with pytest.raises(ValueError) as refused:
+            engine.resume(2)
+        assert str(refused.value) == message
+        assert engine.image.vals is vals and (engine.image.ticks, engine.rng_state) == (2, state)
+
     def model(self):
         return (
             "Patch with\n    grass [kg] = 2 [kg].\n"

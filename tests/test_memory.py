@@ -3,6 +3,7 @@ import errno
 import functools
 import io
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from remodyc import memory
-from remodyc.interp import Engine, parse_config
+from remodyc.interp import Engine, RuntimeAbort, parse_config
 from remodyc.memory import (
     AddressError,
     FileBackend,
@@ -411,6 +412,30 @@ class TestFileBackend:
         engine.step()
         engine.step()
         assert self.contents(tmp_path / "failed") == self.contents(tmp_path / "clean")
+
+    def test_refused_append_ends_run_in_an_abort_at_its_tick(self, tmp_path, monkeypatch):
+        """``run`` turns a write the operating system refuses into a
+        ``RuntimeAbort`` chained from it; ``step`` raises the error itself."""
+        append = FileBackend.append_frame
+
+        def disk_full_at_tick_3(backend, frame):
+            if backend.frame_count() == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            append(backend, frame)
+
+        monkeypatch.setattr(FileBackend, "append_frame", disk_full_at_tick_3)
+        model = parse_model((MODELS / "age.rmd").read_text())
+        config = parse_config((MODELS / "age.cfg").read_text())
+        with pytest.raises(RuntimeAbort) as aborted:
+            Engine(model, config, FileBackend(tmp_path / "run")).run()
+        assert (aborted.value.tick, aborted.value.message) == (3, os.strerror(errno.ENOSPC))
+        assert isinstance(aborted.value.__cause__, OSError)
+        engine = Engine(model, config, FileBackend(tmp_path / "stepped"))
+        engine.setup()
+        engine.step()
+        with pytest.raises(OSError) as failed:
+            engine.step()
+        assert failed.type is OSError and failed.value.errno == errno.ENOSPC
 
 
 READ_BUFFER = 8192

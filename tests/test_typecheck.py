@@ -336,6 +336,15 @@ class TestCheckModel:
         source = AGENTS + "to f is\n    my grass' = my grass + 1 [kg].\nPatch f."
         assert check_model(parse_model(source)) == []
 
+    @pytest.mark.parametrize("definition, rendered", [
+        ("my age' = world's clock", "m.rmd:4:15: error: the model declares no World"),
+        ("my age' = here's grass", "m.rmd:4:15: error: the model declares no Patch"),
+        ("my x' = direction neighbor's grass", "m.rmd:4:13: error: the model declares no Patch"),
+    ])
+    def test_world_and_patch_reads_need_their_declaration(self, definition, rendered):
+        source = f"Adult is G with\n    age [day].\nto f is\n    {definition}.\nAdult f.\n"
+        assert [d.render("m.rmd") for d in check_model(parse_model(source))] == [rendered]
+
     def test_unknown_agent_and_action(self):
         errs = check_model(parse_model(AGENTS + "to f is\n    my age' = my age.\nWolf f."))
         assert any("unknown agent" in e.message for e in errs)
