@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 model or configuration errors, 2 I/O problems,
-3 a run aborted mid-simulation (completed frames are kept on disk).
+Exit codes: 0 success, 1 model or configuration errors, 2 I/O problems
+(a failed census stdout included: the run still keeps every frame), 3 a
+run aborted mid-simulation (completed frames are kept on disk).
 """
 from __future__ import annotations
 
@@ -145,15 +146,22 @@ def _run(args) -> int:
             raise _Failure(2, f"cannot prepare {run_dir}: {err.strerror}")
 
     # The header, then each tick's census rows as that tick commits, so an
-    # aborted run still shows every tick it kept.
+    # aborted run still shows every tick it kept.  The census is not part of
+    # the run: if stdout fails, the rest of it goes to the null device (a
+    # closed stdout prints nothing) and the run goes on, to exit 2 unless
+    # the failure was only that the reader had gone.
+    failure = "stdout is closed" if sys.stdout is None else None
     census = chain([[("tick", "stage", "count")]], Engine(model, config, backend).census())
     try:
         for rows in census:
             try:
                 for row in rows:
                     print(*row, sep=",")
-                sys.stdout.flush()
-            except BrokenPipeError:  # the reader has gone: the run goes on without it
+                if sys.stdout is not None:
+                    sys.stdout.flush()
+            except OSError as err:
+                if not isinstance(err, BrokenPipeError):
+                    failure = f"cannot write the census to stdout: {err.strerror or err}"
                 with open(os.devnull, "w") as devnull:
                     os.dup2(devnull.fileno(), sys.stdout.fileno())
     except RuntimeAbort as abort:
@@ -162,6 +170,8 @@ def _run(args) -> int:
                 handle.write(f"abort={abort.render()}\nabort_at={_abort_at(abort)}\n")
         print(f"aborted: {abort.render()}", file=sys.stderr)
         return 3
+    if failure:
+        raise _Failure(2, failure)
     return 0
 
 

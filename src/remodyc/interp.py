@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 from . import ast, rng
@@ -30,6 +30,9 @@ _DEFAULT_EDGE = 1000.0
 # The most blocks one frame may hold, World and Patches included; a spawn or
 # populate past it aborts instead of allocating without end.
 MAX_ANIMATS = 1_000_000
+# New blocks are allocated in runs of at most this many rows, which bounds
+# the rows built and not yet entered.
+_ALLOCATION_ROWS = 4096
 
 
 class ConfigError(Exception):
@@ -251,18 +254,20 @@ class Engine:
         if (blocks := setup_blocks(self.model, self.config)) > MAX_ANIMATS:
             message = f"setup needs {blocks} animats, over the ceiling of {MAX_ANIMATS}"
             raise RuntimeAbort(message, tick=1)
-        config, sample = self.config, rng.sample_uniform
+        config = self.config
         for kind, count in (("World", 1), ("Patch", config.patches_x * config.patches_y)):
             if kind in self.slots:
-                self._allocate(kind, [self._row(kind, {})] * count)
+                self._allocate(kind, repeat(self._row(kind, {}), count))
         for count, stage in config.populations:
-            rows = []
-            for _ in range(count):
-                self.rng_state, x = sample(self.rng_state, 0.0, config.world_width)
-                self.rng_state, y = sample(self.rng_state, 0.0, config.world_height)
-                rows.append(self._row(stage, {"x": x, "y": y}))
-            self._allocate(stage, rows)
+            self._allocate(stage, (self._placed(stage) for _ in range(count)))
         return self._commit()
+
+    def _placed(self, stage: str) -> list[float]:
+        """A new ``stage`` row at a uniform draw of x, then y."""
+        config, sample = self.config, rng.sample_uniform
+        self.rng_state, x = sample(self.rng_state, 0.0, config.world_width)
+        self.rng_state, y = sample(self.rng_state, 0.0, config.world_height)
+        return self._row(stage, {"x": x, "y": y})
 
     def _row(self, kind: str, inherited: dict[str, float]) -> list[float]:
         """A new ``kind`` block's values by slot: the inherited one if given,
@@ -270,9 +275,12 @@ class Engine:
         ``MemoryImage.write`` does."""
         return [inherited.get(name, initial) + 0.0 for name, initial in self.initials[kind]]
 
-    def _allocate(self, kind: str, rows: list[list[float]]) -> None:
-        """One new block of ``kind`` per row, holding that row."""
-        self.image.allocate(kind, len(self.initials[kind]), rows)
+    def _allocate(self, kind: str, rows: Iterable[list[float]]) -> None:
+        """One new block of ``kind`` per row, holding that row; a row is
+        made when its run of ``_ALLOCATION_ROWS`` is."""
+        size, rows = len(self.initials[kind]), iter(rows)
+        while run := list(islice(rows, _ALLOCATION_ROWS)):
+            self.image.allocate(kind, size, run)
 
     def _commit(self) -> TraceFrame:
         frame = self.image.store(self.backend, self.rng_state)
@@ -357,7 +365,7 @@ class Engine:
                             base=base, index=self.image.animats[base][1],
                         )
                     row = self._row(stage, self._pending(base, kind, ("x", "y")))
-                    self._allocate(stage, [row] * count)
+                    self._allocate(stage, repeat(row, count))
 
     def _pending(self, base: int, kind: str, names: Iterable[str]) -> dict[str, float]:
         """The values the ``kind`` block at ``base`` will commit for ``names``."""
@@ -394,8 +402,10 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
     one module compiled once, by line, the abort site of a line that can
     fail, and the module's source.  A task reads the committed values, the
     World and patches in ``image.performers`` and the RNG state, which it
-    returns; it writes only by the image's ``write`` and ``write_delta``,
-    and fails only by raising on a line that names its abort site, which
+    returns.  An own (``my``) write applies the image's commit rule inline
+    while every write of its attribute before it in the tick was own too;
+    any other write calls the image's ``write`` or ``write_delta``.  A task
+    fails only by raising on a line that names its abort site, which
     ``Engine.step`` turns into a ``RuntimeAbort``.  The namespace keeps no
     engine and no task function: a dropped engine is freed, image and all,
     without the cycle collector."""
@@ -462,13 +472,41 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
     }
     namespace.update((name, call) for call, name in _CALLS.values() if "{" not in name)
     tasks = list(enumerate(engine.model.tasks))
-    lines = [line for i, task in tasks for line in _Compiler(engine, task, namespace, i).lines]
+    writes, done = _writes(engine), Counter()
+    lines = [line for i, task in tasks
+             for line in _Compiler(engine, task, namespace, i, writes, done).lines]
     source = "\n".join(lines)
     exec(compile(source, "<remodyc tasks>", "exec", dont_inherit=True), namespace)
     # A line that can fail ends in ``# <its abort site>``.
     ends = (line.partition("  # ")[2] for line in lines)
     sites = {n: namespace[site] for n, site in enumerate(ends, 1) if site}
     return [(task.agent, namespace.pop(f"task_{i}")) for i, task in tasks], sites, source
+
+
+def _scope(kind: str, variable: ast.AttributeVariable) -> tuple[str, str]:
+    """The scope (my, world or here) and block kind of ``variable`` in a
+    task of ``kind``."""
+    if variable.agent == "world":
+        return "world", "World"
+    if variable.agent is None or kind == "Patch":
+        return "my", kind
+    return "here", "Patch"
+
+
+def _writes(engine: Engine) -> dict[tuple[str, int], list[tuple[bool, bool]]]:
+    """By (kind, slot), each definition writing it in task order as (own,
+    assignment); one that does not resolve is left out, as compiling it
+    raises."""
+    writes: dict[tuple[str, int], list[tuple[bool, bool]]] = {}
+    for task in engine.model.tasks:
+        action = engine.model.action_named(task.action)
+        for definition in action.definitions if action else ():
+            scope, kind = _scope(task.agent, definition.variable)
+            slot = engine.slots.get(kind, {}).get(definition.variable.identifier)
+            if slot is not None:
+                assignment = definition.decorator is ast.Decorator.ASSIGN
+                writes.setdefault((kind, slot), []).append((scope == "my", assignment))
+    return writes
 
 
 def _is_name_or_literal(text: str) -> bool:
@@ -490,8 +528,11 @@ class _Compiler:
     is conditional (a spawn count behind a guard), later uses test it for
     ``None``."""
 
-    def __init__(self, engine: Engine, task: ast.TaskDefinition, namespace: dict, i: int):
+    def __init__(self, engine: Engine, task: ast.TaskDefinition, namespace: dict, i: int,
+                 writes: dict, done: Counter):
         self.engine, self.namespace = engine, namespace
+        # ``_writes``, and how many of each the tasks so far compiled.
+        self.writes, self.done = writes, done
         self.kind = kind = task.agent
         action = engine.model.action_named(task.action)
         if kind not in engine.slots:
@@ -527,14 +568,61 @@ class _Compiler:
         self.lines.append("    return state")
 
     def definition(self, definition: ast.AttributeDefinition) -> None:
-        value, pos = self.expression(definition.expression), definition.pos
-        self.target = definition.variable.identifier
+        """Inline while this and every earlier write of its attribute in
+        the tick are own, else by ``write`` or ``write_delta``."""
+        variable, pos = definition.variable, definition.pos
+        value = self.expression(definition.expression)
+        self.target = variable.identifier
+        assignment = definition.decorator is ast.Decorator.ASSIGN
         if definition.decorator is ast.Decorator.DIFFERENTIAL:
             value = self.call(("*", 2), [value, self.engine.config.delta_time], pos)
-        address, text = self.address(definition.variable, pos), self.value(value)
-        helper = "write" if definition.decorator is ast.Decorator.ASSIGN else "write_delta"
+        address, text = self.address(variable, pos), self.value(value)
         site = self.site(f"non-finite value {{}} for {self.target!r}", pos)
-        self.emit(f"{helper}({self.place(address)}, {text})  # {site}")
+        key = _scope(self.kind, variable)[1], address[1]
+        history, n = self.writes[key], self.done[key]
+        self.done[key] += 1
+        if all(own for own, _ in history[:n + 1]):
+            self.commit(self.place(address), text, assignment, history[:n], history[n + 1:], site)
+        else:
+            helper = "write" if assignment else "write_delta"
+            self.emit(f"{helper}({self.place(address)}, {text})  # {site}")
+
+    def commit(self, a: str, text: str, assignment: bool, earlier: list, later: list,
+               site: str) -> None:
+        """``MemoryImage.write`` (``write_delta`` if not ``assignment``) of
+        ``text`` to own address ``a``, inline.  An own write hits each block
+        of its kind once a tick (``bases`` is all of them, and none comes or
+        goes before the events), and all ``earlier`` writes were own: so
+        whether ``a`` holds an assignment and a delta is known.  Either is
+        recorded only if a later write reads it: any later write reads a
+        delta, and a later delta an assignment unless an own one, which
+        replaces it everywhere, comes first."""
+        self.head["nxt"] = "image.next"
+        forms = {x for _, x in earlier}
+        assigned, added = True in forms, False in forms
+        record = bool(later) and (not assignment or later[0] != (True, True))
+        if added:
+            self.head["delta"] = "image.delta"
+        if assignment:
+            value = self.let(f"{text} + 0.0")
+            committed = self.let(f"{value} + delta[{a}]") if added else value
+        else:
+            if added:  # the deltas' sum, as ``write_delta`` adds it
+                value = f"{text} + delta[{a}]"
+                value = self.let(value) if record else f"({value})"
+            else:
+                value = text if not record or _is_name_or_literal(text) else self.let(text)
+            if assigned:
+                self.head["assigned"] = "image.assigned"
+            committed = self.let(f"{'assigned' if assigned else 'vals'}[{a}] + {value}")
+        # ``c - c`` is 0.0 for a finite ``c``, and NaN, which is true, for an
+        # infinity or a NaN.
+        self.emit(f"if {committed} - {committed}: raise ValueError({committed})  # {site}")
+        self.emit(f"nxt[{a}] = {committed}")
+        if record:
+            store = "assigned" if assignment else "delta"
+            self.head[store] = f"image.{store}"
+            self.emit(f"{store}[{a}] = {value}")
 
     def directive(self, directive: ast.LifecycleDirective) -> None:
         guard, pos, kind = directive.guard, directive.pos, self.kind
@@ -626,11 +714,9 @@ class _Compiler:
     def address(self, variable: ast.AttributeVariable, pos):
         """The attribute ``variable`` names, as ``("my" | "world", slot)`` or
         ``("here", slot, x slot, y slot)``."""
-        if variable.agent == "world":
-            return ("world", self.slot("World", variable.identifier, pos))
-        if variable.agent is None or self.kind == "Patch":
-            return ("my", self.slot(self.kind, variable.identifier, pos))
-        return ("here", self.slot("Patch", variable.identifier, pos), *self.position(pos))
+        scope, kind = _scope(self.kind, variable)
+        slot = self.slot(kind, variable.identifier, pos)
+        return (scope, slot, *self.position(pos)) if scope == "here" else (scope, slot)
 
     def position(self, pos) -> tuple[int, int]:
         """The performer's position slots, which find the patch under it."""

@@ -4,8 +4,10 @@ Reads see the last committed frame while writes accumulate in pending
 stores (``assigned`` for assignments, ``delta`` for increments, ``next``
 for what each address will commit), so update order inside a tick cannot
 leak into results.  ``MemoryImage.write`` and ``write_delta`` apply that
-rule for every write, the compiled tasks' too, and refuse one that would
-commit an infinity or a NaN: no frame holds either.  ``store`` hands
+rule and refuse a write that would commit an infinity or a NaN: no frame
+holds either.  The compiled tasks apply the same rule inline to their own
+writes, where the pending state of the address is known before the run,
+and call the methods for every other write.  ``store`` hands
 ``next`` on as a frame and appends it to a backend.  Besides the values
 the image keeps only the animats and each kind's bases in order; two
 rules give the rest.  A block's values run from its base up to the next
@@ -274,10 +276,14 @@ class MemoryImage:
     ``InMemoryBackend``, it is the stored frame.  ``next`` is its one copy,
     and every write keeps in it what the address will commit: its value
     assigned this tick, if any, else its committed one, plus its delta.
-    ``assigned`` and ``delta`` hold only the addresses written this tick,
-    the slots of new blocks being assigned their initial values; they are
-    emptied in place, so compiled code may hold on to them.  A new block
-    reads 0.0 until it is committed.  A write whose address would commit
+    ``assigned`` and ``delta`` hold the last assignment and the sum of the
+    deltas of addresses written this tick, the slots of new blocks being
+    assigned their initial values; they are emptied in place, so compiled
+    code may hold on to them.  Every write by these methods records its
+    assignment or delta; a compiled task's inline own write records it only
+    where a later write of the attribute reads it, so these stores may miss
+    addresses written this tick, while ``next`` holds every write.  A new
+    block reads 0.0 until it is committed.  A write whose address would commit
     an infinity or a NaN raises ``ValueError``, whose text is that value,
     and changes nothing.  Besides the values the image keeps the
     animats and each kind's bases in order (its performers), killed blocks

@@ -131,6 +131,19 @@ ABORTS = {
         "non-finite value inf for 'w' (tick 3, Egg, line 4)",
         2,
     ),
+    # A second delta, and an assignment after a delta, that overflow the
+    # sum: the same texts as when every write went through the image's
+    # methods.
+    "non-finite-second-delta": (
+        egg("w [] = 1 []", "my delta w' = 1e308\n    my delta w' = 1e308"),
+        "non-finite value inf for 'w' (tick 2, Egg, line 5)",
+        1,
+    ),
+    "non-finite-assign-after-delta": (
+        egg("w [] = 1 []", "my delta w' = 1e308\n    my w' = 1e308"),
+        "non-finite value inf for 'w' (tick 2, Egg, line 5)",
+        1,
+    ),
     "utility-cycle": (
         egg("age [day]", "my age' = twist", "twist = tangle + 1 [day]\n    tangle = twist"),
         "utility 'twist' depends on itself (tick 2, Egg, line 7)",
@@ -173,7 +186,8 @@ FAILED = {
     "loglogistic-overflow": (2, "w"), "constant-fold-failure": (1, "age"),
     "spawn-negative": (1, None), "spawn-nan": (1, None), "spawn-inf-in-utility": (1, None),
     "non-finite-assign": (1, "w"), "non-finite-delta": (1, "w"),
-    "non-finite-differential": (1, "w"), "utility-cycle": (1, "age"),
+    "non-finite-differential": (1, "w"), "non-finite-second-delta": (1, "w"),
+    "non-finite-assign-after-delta": (1, "w"), "utility-cycle": (1, "age"),
     "utility-self-reference": (1, "age"), "utility-cycle-in-guarded-count": (1, None),
 }
 

@@ -355,6 +355,31 @@ def test_census_reader_gone_lets_the_run_finish(tmp_path):
     assert "abort=" not in (out / "meta.txt").read_text()
 
 
+@pytest.mark.parametrize("stdout, message", [
+    ("> /dev/full", b"cannot write the census to stdout: No space left on device\n"),
+    (">&-", b"stdout is closed\n"),
+], ids=["full", "closed"])
+def test_census_stdout_failure_lets_the_run_finish_with_exit_2(tmp_path, stdout, message):
+    """A stdout that refuses the census, or that is closed from the start,
+    stops the census, not the run: every frame committed, no ``abort=``,
+    and exit 2 with one stderr line naming the error."""
+    if "/dev/full" in stdout and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "eggs"
+    argv = ["run", str(root / "models" / "eggs.rmd"), str(root / "models" / "eggs.cfg"), "--out", str(out)]
+    done = subprocess.run(
+        ["sh", "-c", f'exec "$0" "$@" {stdout}', sys.executable, "-X", "dev", "-W", "error",
+         "-m", "remodyc", *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (2, message)
+    assert FileBackend(out).frame_count() == 201
+    assert "abort=" not in (out / "meta.txt").read_text()
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(

@@ -34,12 +34,18 @@ def engine(name: str) -> Engine:
 # ``cN`` are positions and non-finite constants bound by name.
 EGGS_SOURCE = textwrap.dedent("""\
     def task_0(vals, bases, events, state):
+        nxt = image.next
         for b in bases:
-            write_delta(b + 2, 86400.0)  # c19
+            t1 = vals[b + 2] + 86400.0
+            if t1 - t1: raise ValueError(t1)  # c19
+            nxt[b + 2] = t1
         return state
     def task_1(vals, bases, events, state):
+        nxt = image.next
         for b in bases:
-            write_delta(b + 2, 86400.0)  # c20
+            t1 = vals[b + 2] + 86400.0
+            if t1 - t1: raise ValueError(t1)  # c20
+            nxt[b + 2] = t1
         return state
     def task_2(vals, bases, events, state):
         for b in bases:
@@ -47,37 +53,57 @@ EGGS_SOURCE = textwrap.dedent("""\
                 events.append(('become', b, 'Egg', 'Adult'))
         return state
     def task_3(vals, bases, events, state):
+        nxt = image.next
+        assigned = image.assigned
         for b in bases:
             t1 = (vals[b + 0] + 0.2)
-            write(b + 0, (5.0 if 5.0 < t1 else t1))  # c21
+            t2 = (5.0 if 5.0 < t1 else t1) + 0.0
+            if t2 - t2: raise ValueError(t2)  # c21
+            nxt[b + 0] = t2
+            assigned[b + 0] = t2
         return state
     def task_4(vals, bases, events, state):
         patches = image.performers['Patch']
         f0 = bases and field(vals, patches, 0)
+        nxt = image.next
         for b in bases:
             t1 = heading(vals[b + 0], vals[b + 1], f0)
             t2 = cos(t1)  # c22
             state, t3 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c23
-            write_delta(b + 0, ((t2 * t3) * 86400.0))  # c24
-            t4 = sin(t1)  # c25
-            write_delta(b + 1, ((t4 * t3) * 86400.0))  # c26
+            t4 = vals[b + 0] + ((t2 * t3) * 86400.0)
+            if t4 - t4: raise ValueError(t4)  # c24
+            nxt[b + 0] = t4
+            t5 = sin(t1)  # c25
+            t6 = vals[b + 1] + ((t5 * t3) * 86400.0)
+            if t6 - t6: raise ValueError(t6)  # c26
+            nxt[b + 1] = t6
         return state
     def task_5(vals, bases, events, state):
         patches = image.performers['Patch']
+        nxt = image.next
+        delta = image.delta
         for b in bases:
             t1 = patches[cell(vals[b + 0], vals[b + 1])]
             t2 = (vals[t1 + 0] * 0.25)
             t3 = (t2 if t2 < 0.3 else 0.3)
             u0 = (t3 if t3 > 0.0 else 0.0)
-            write_delta(b + 3, (u0 - 0.15))  # c27
+            t4 = (u0 - 0.15)
+            t5 = vals[b + 3] + t4
+            if t5 - t5: raise ValueError(t5)  # c27
+            nxt[b + 3] = t5
+            delta[b + 3] = t4
             write_delta(t1 + 0, (-u0))  # c28
         return state
     def task_6(vals, bases, events, state):
+        nxt = image.next
+        delta = image.delta
         for b in bases:
             t1 = floor((vals[b + 3] / 2.0))  # c29
             t2 = (t1 if t1 < 1.0 else 1.0)
             u0 = (t2 if t2 > 0.0 else 0.0)
-            write_delta(b + 3, (-(u0 * 0.8)))  # c30
+            t3 = vals[b + 3] + ((-(u0 * 0.8)) + delta[b + 3])
+            if t3 - t3: raise ValueError(t3)  # c30
+            nxt[b + 3] = t3
             spawn(events, b, 'Adult', 'Egg', (u0 * 2.0), c32)  # c31
         return state
     def task_7(vals, bases, events, state):
@@ -95,11 +121,11 @@ def test_eggs_source_is_pinned():
 # sha256 of every model's generated source; move.rmd and move_delta.rmd
 # compile to the same text.
 SOURCE_SHA256 = {
-    "age": "f1d229a2bb54ce4535b4a63f13e411044fdf3fe8ab840ccb5cecb9827803b0c1",
-    "eggs": "829de9ba270eb1ac2a682375e26492ae94cb1c8f46b9cd8bc69b1c77017c57e7",
-    "memo": "4fa49fbf8177e118ca9d99dc575e82e8aaea70613c3d46f331e14020b84fbfb8",
-    "move": "51ddf085af7eea0dd367f9a5c3171d551ca7802ec6c82c2717f241156942bdb7",
-    "move_delta": "51ddf085af7eea0dd367f9a5c3171d551ca7802ec6c82c2717f241156942bdb7",
+    "age": "474f09a78e382a1da7740b49eeec3208d9d2dd6eb0bf9a7b9d9394f722a67cd7",
+    "eggs": "e2ac998331d75cfa312bff9f9fa6d09fea8c34eb5e5de3437725ec0f2375e301",
+    "memo": "2cb09333f33281a290913930de28a720afc81deb07d0c788a4e64cfae788e260",
+    "move": "e885e233e0eb11ad80a39639757577030aaa38a4b2df147e10bd1f9cb3e10f5a",
+    "move_delta": "e885e233e0eb11ad80a39639757577030aaa38a4b2df147e10bd1f9cb3e10f5a",
 }
 
 

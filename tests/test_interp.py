@@ -245,6 +245,29 @@ class TestSetup:
             got.extend([frame.values[base], frame.values[base + 1]])
         assert got == expected
 
+    def test_blocks_entered_in_runs_of_rows_match_one_run(self, monkeypatch):
+        """Populations, patches and spawns entered one row per ``allocate``
+        give the frames of runs of up to ``_ALLOCATION_ROWS`` rows: values
+        in dict order, labels and RNG states."""
+        models = Path(__file__).resolve().parent.parent / "models"
+        config = (BASIC_CONFIG.replace("2 km", "3 km").replace("steps = 4", "steps = 30")
+                  .replace("populate 1 Egg", "populate 4 Egg\npopulate 8 Adult"))
+
+        def frames():
+            engine, _ = build((models / "eggs.rmd").read_text(), config)
+            return [(list(f.values.items()), list(f.animats.items()), f.rng_state)
+                    for f in [engine.setup()] + [engine.step() for _ in range(30)]]
+
+        whole = frames()
+        monkeypatch.setattr(interp, "_ALLOCATION_ROWS", 1)
+        assert frames() == whole
+        # Adults spawned eggs, and eggs hatched.
+        highest = {}
+        for _, animats, _ in whole:
+            for _, (kind, index) in animats:
+                highest[kind] = max(index, highest.get(kind, 0))
+        assert highest["Egg"] > 4 and highest["Adult"] > 8
+
 
 class TestStepping:
     def test_delta_accumulates_per_tick(self):
@@ -631,8 +654,12 @@ class TestCompiledTasks:
         assert calls.count((0.0, 1.0)) == 3
 
     def test_every_definition_writes_through_the_image(self, monkeypatch):
-        """A task applies the commit rule only by ``MemoryImage.write`` and
-        ``write_delta``, the methods criterion 03 checks against its oracle."""
+        """A task applies the commit rule by ``MemoryImage.write`` and
+        ``write_delta``, the methods criterion 03 checks against its oracle,
+        except for an own (``my``) write of an attribute no earlier write of
+        the tick reached otherwise, which it applies inline: on the eggs
+        model only graze's ``here's`` write calls a method.  The property
+        below checks the inline rule against the methods."""
         calls = {"write": 0, "write_delta": 0}
 
         def counted(name):
@@ -650,15 +677,21 @@ class TestCompiledTasks:
         models = Path(__file__).resolve().parent.parent / "models"
         engine, _ = build((models / "eggs.rmd").read_text(), (models / "eggs.cfg").read_text())
         engine.setup()
-        expected = {"write": 0, "write_delta": 0}
+        expected, reached = {"write": 0, "write_delta": 0}, set()
         for task in engine.model.tasks:
             performers = len(engine.image.performers.get(task.agent, ()))
             for definition in engine.model.action_named(task.action).definitions:
-                assign = definition.decorator is Decorator.ASSIGN
-                expected["write" if assign else "write_delta"] += performers
+                variable = definition.variable
+                kind = {None: task.agent, "here": "Patch", "world": "World"}[variable.agent]
+                if variable.agent is not None:
+                    reached.add((kind, variable.identifier))
+                if (kind, variable.identifier) in reached:
+                    assign = definition.decorator is Decorator.ASSIGN
+                    expected["write" if assign else "write_delta"] += performers
+        adults = len(engine.image.performers["Adult"])
         engine.step()
         assert calls == expected
-        assert expected["write"] > 0 and expected["write_delta"] > 0
+        assert expected == {"write": 0, "write_delta": adults}
 
     def test_dropped_engine_is_freed_without_the_cycle_collector(self):
         models = Path(__file__).resolve().parent.parent / "models"
@@ -672,6 +705,127 @@ class TestCompiledTasks:
             assert [ref() for ref in dropped] == [None, None]
         finally:
             gc.enable()
+
+
+# Generated models whose writes mix own and other writes of one attribute
+# pool: a Bug stage, the Patch grid and the World each declare ``p`` and
+# ``q``, and every task defines some of them.
+POOL = ("p", "q")
+# The scopes a task of each kind may name; ``here's`` is a Patch's own.
+SCOPES = {"Bug": ("my", "here's", "world's"), "Patch": ("my", "here's", "world's"),
+          "World": ("my", "world's")}
+DECORATORS = {"": Decorator.ASSIGN, "delta ": Decorator.DELTA, "d/dt ": Decorator.DIFFERENTIAL}
+# Signed zeros, and magnitudes whose sums and doubles overflow.
+LITERALS = ("0", "-0", "1.5", "-2.5", "1e308", "-1e308")
+WRITES_CONFIG = ("delta_time = 2 s\nsteps = 3\nseed = {seed}\nworld_width = 2 km\n"
+                 "world_height = 2 km\npatch_size = 1 km\npopulate 3 Bug\n")
+
+
+def write_model(tasks, initials: dict[str, str] | None = None) -> str:
+    """The model of ``tasks``, each ``(kind, [(scope, decorator, attribute,
+    value)])``, a value being a literal or a committed ``(scope,
+    attribute)``; ``initials`` gives each kind's initial value of every
+    attribute of the pool, default 1."""
+    initials = initials or {}
+    declarations = "".join(
+        f"{head} with\n" + "\n".join(f"    {a} [] = {initials.get(kind, '1')} []" for a in POOL)
+        + ".\n"
+        for kind, head in (("World", "World"), ("Patch", "Patch"), ("Bug", "Bug is B"))
+    )
+    actions = "".join(
+        f"to t{i} is\n" + "\n".join(
+            f"    {scope} {decorator}{attribute}' = "
+            + (value if isinstance(value, str) else " ".join(value))
+            for scope, decorator, attribute, value in definitions
+        ) + ".\n"
+        for i, (_, definitions) in enumerate(tasks)
+    )
+    return declarations + actions + "".join(f"{kind} t{i}.\n" for i, (kind, _) in enumerate(tasks))
+
+
+@st.composite
+def write_cases(draw):
+    """A model of 2-4 generated tasks, its tasks and a seed."""
+    tasks = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(sorted(SCOPES)))
+        scope, attribute = st.sampled_from(SCOPES[kind]), st.sampled_from(POOL)
+        value = st.sampled_from(LITERALS) | st.tuples(scope, attribute)
+        definition = st.tuples(scope, st.sampled_from(sorted(DECORATORS)), attribute, value)
+        tasks.append((kind, draw(st.lists(definition, min_size=1, max_size=3))))
+    initials = {kind: draw(st.sampled_from(("0", "1", "2.5", "1e308"))) for kind in SCOPES}
+    return write_model(tasks, initials), tasks, draw(st.integers(0, 2**16))
+
+
+def write_case(*tasks):
+    return write_model(tasks), tasks, 1
+
+
+def replay_writes(engine: Engine, tasks) -> list | RuntimeAbort:
+    """The next frame's values in dict order, or the abort, as applying every
+    definition by ``MemoryImage.write``/``write_delta`` to a fresh image
+    of the committed frame gives them, in task-then-performer order."""
+    frame = TraceFrame(engine.image.vals, engine.image.animats, engine.rng_state)
+    image, tick, config = MemoryImage(), engine.image.ticks + 1, engine.config
+    image.apply_frame(frame, tick - 1)
+    world, patches = image.performers["World"][0], image.performers["Patch"]
+
+    def address(kind, b, scope, attribute):
+        owner = {"my": kind, "here's": "Patch", "world's": "World"}[scope]
+        if owner == "World":
+            block = world
+        elif owner == kind:
+            block = b
+        else:  # the patch under the Bug
+            x, y = image.vals[b], image.vals[b + 1]
+            column = min(math.floor(x / config.patch_size), config.patches_x - 1)
+            row = min(math.floor(y / config.patch_size), config.patches_y - 1)
+            block = patches[row * config.patches_x + column]
+        return block + engine.slots[owner][attribute]
+
+    for kind, definitions in tasks:
+        for b in image.performers[kind]:
+            for scope, decorator, attribute, value in definitions:
+                value = (float(value) if isinstance(value, str)
+                         else image.vals[address(kind, b, *value)])
+                if DECORATORS[decorator] is Decorator.DIFFERENTIAL:
+                    value *= config.delta_time
+                write = image.write if decorator == "" else image.write_delta
+                try:
+                    write(address(kind, b, scope, attribute), value)
+                except ValueError as err:
+                    message = f"non-finite value {err} for {attribute!r}"
+                    return RuntimeAbort(message, tick, kind, base=b, attribute=attribute)
+    return [(a, repr(v)) for a, v in image.next.items()]
+
+
+@settings(max_examples=150, deadline=None, report_multiple_bugs=False)
+@given(write_cases())
+# An own delta that a later own delta reads; a here's delta before an own
+# one of the Patch; an own assignment that a later own delta reads.
+@example(write_case(("Bug", [("my", "delta ", "p", "1.5")]), ("Bug", [("my", "delta ", "p", "-0")])))
+@example(write_case(("Bug", [("here's", "delta ", "p", "1.5")]), ("Patch", [("my", "delta ", "p", "1.5")])))
+@example(write_case(("Bug", [("my", "", "p", "-2.5")]), ("Bug", [("my", "d/dt ", "p", "0")])))
+def test_inline_writes_commit_as_the_image_methods_do(case):
+    """Each step's frame, values by repr in dict order, or its abort (text,
+    tick, stage, base, attribute) equals a replay through the image's
+    methods."""
+    model, tasks, seed = case
+    engine, _ = build(model, WRITES_CONFIG.format(seed=seed))
+    engine.setup()
+    for _ in range(3):
+        expected = replay_writes(engine, tasks)
+        try:
+            got = [(a, repr(v)) for a, v in engine.step().values.items()]
+        except RuntimeAbort as abort:
+            got = abort
+        if isinstance(expected, RuntimeAbort):
+            assert isinstance(got, RuntimeAbort), expected.message
+            assert (got.message, got.tick, got.stage, got.base, got.attribute) == (
+                expected.message, expected.tick, expected.stage, expected.base,
+                expected.attribute)
+            return
+        assert got == expected
 
 
 class TestDirection:
