@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import TRACE_FORMAT_VERSION, ast
 from .interp import ConfigError, Engine, RuntimeAbort, parse_config
-from .memory import FileBackend, InMemoryBackend
+from .memory import CountingBackend, FileBackend
 from .parser import SourceError, format_number, parse_model, pretty_print
 from .typecheck import check_model, errors_only
 from .units import format_unit
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     run = commands.add_parser("run", help="simulate a model deterministically")
     run.add_argument("model")
     run.add_argument("config")
-    run.add_argument("--out", help="run directory for the trace; without it the run stays in memory")
+    run.add_argument("--out", help="run directory for the trace; without it no frame is kept")
 
     replay = commands.add_parser("replay", help="print one stored tick")
     replay.add_argument("run_dir")
@@ -131,7 +131,7 @@ def _run(args) -> int:
     config = _parse_config_file(args.config)
     _diagnose(model, args.model, config)
 
-    meta_path, backend = None, InMemoryBackend()
+    meta_path, backend = None, CountingBackend()
     if args.out:
         run_dir = Path(args.out)
         if run_dir.exists() and any(run_dir.iterdir()):
@@ -207,14 +207,12 @@ def _replay(args) -> int:
         frame = backend.load_frame(args.tick)
     except ValueError as err:
         raise _Failure(1, str(err))
-    agents = {agent.name: agent for agent in model.agents}
     # The frame is checked against the model before anything is printed.
     rows = []
-    for base in sorted(frame.animats):
-        kind, _ = frame.animats[base]
-        if kind not in agents:
+    for base, (kind, _) in sorted(frame.animats.items()):
+        if (agent := model.agent_named(kind)) is None:
             raise _Failure(1, f"tick {args.tick}: unknown stage {kind!r} at address {base}")
-        for slot, declaration in enumerate(agents[kind].all_attributes):
+        for slot, declaration in enumerate(agent.all_attributes):
             if base + slot not in frame.values:
                 raise _Failure(1, f"tick {args.tick}: no value at address {base + slot}")
             rows.append((base + slot, kind, declaration))

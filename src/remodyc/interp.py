@@ -21,7 +21,7 @@ from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 from . import ast, rng
-from .memory import AddressError, MemoryImage, StorageBackend, TraceFrame
+from .memory import MemoryImage, StorageBackend, TraceFrame
 from .units import UnitError, parse_unit, same_dimension
 
 SECONDS = parse_unit("s")
@@ -233,13 +233,14 @@ class Engine:
         self.image = MemoryImage()
         self.rng_state = rng.seed_state(config.seed)
         self.slots: dict[str, dict[str, int]] = {}
-        # By agent, slot by slot: each declaration's name and scaled initial
-        # value, 0 if it declares none.
+        # By agent, slot by slot: each declaration's name and initial value.
         self.initials: dict[str, tuple[tuple[str, float], ...]] = {}
         for agent in model.agents:
             declarations = agent.all_attributes
             self.slots[agent.name] = {d.identifier: slot for slot, d in enumerate(declarations)}
-            self.initials[agent.name] = tuple((d.identifier, _initial(d)) for d in declarations)
+            if bad := [d for d in declarations if not math.isfinite(initial_value(d))]:
+                raise _config_error(f"initializer of {bad[0].identifier!r} is not finite", bad[0].pos)
+            self.initials[agent.name] = tuple((d.identifier, initial_value(d)) for d in declarations)
         self.stages = tuple(stage.name for stage in model.stages)
         # (kind, run) per task, in order; abort sites by line; the source
         # the tasks were compiled from.
@@ -251,14 +252,11 @@ class Engine:
     # -- setup ---------------------------------------------------------
 
     def setup(self) -> TraceFrame:
-        if (blocks := setup_blocks(self.model, self.config)) > MAX_ANIMATS:
-            message = f"setup needs {blocks} animats, over the ceiling of {MAX_ANIMATS}"
+        if message := setup_refusal(self.model, self.config):
             raise RuntimeAbort(message, tick=1)
-        config = self.config
-        for kind, count in (("World", 1), ("Patch", config.patches_x * config.patches_y)):
-            if kind in self.slots:
-                self._allocate(kind, repeat(self._row(kind, {}), count))
-        for count, stage in config.populations:
+        for kind, count in fixed_blocks(self.model, self.config).items():
+            self._allocate(kind, repeat(self._row(kind, {}), count))
+        for count, stage in self.config.populations:
             self._allocate(stage, (self._placed(stage) for _ in range(count)))
         return self._commit()
 
@@ -289,14 +287,19 @@ class Engine:
 
     def resume(self, tick: int) -> None:
         """Continue a stored run from the state after ``tick``; a frame that
-        does not hold the model's blocks raises ``ValueError``, changing nothing."""
+        does not hold the model's blocks, each with a value for every slot of
+        its kind, raises ``ValueError``, changing nothing."""
         frame = self.backend.load_frame(tick)
         counts = Counter(kind for kind, _ in frame.animats.values())
         if unknown := sorted(counts.keys() - self.slots.keys()):
             raise ValueError(f"tick {tick}: unknown stage {unknown[0]!r}")
-        for kind, blocks in (("World", 1), ("Patch", self.config.patches_x * self.config.patches_y)):
-            if kind in self.slots and counts[kind] != blocks:
+        for kind, blocks in fixed_blocks(self.model, self.config).items():
+            if counts[kind] != blocks:
                 raise ValueError(f"tick {tick}: {counts[kind]} {kind} blocks, the model has {blocks}")
+        for base, (kind, _) in sorted(frame.animats.items()):
+            for address in range(base, base + len(self.slots[kind])):
+                if address not in frame.values:
+                    raise ValueError(f"tick {tick}: no value at address {address}")
         self.image.apply_frame(frame, tick)
         self.rng_state = frame.rng_state
 
@@ -311,8 +314,6 @@ class Engine:
         try:
             for kind, run in self.plan:
                 self.rng_state = run(vals, performers.get(kind, ()), events, self.rng_state)
-        except KeyError as err:  # only a committed read raises it
-            raise AddressError(f"read from unallocated address {err.args[0]}") from None
         except _FAILURES as err:  # the failing line of a task names its abort site
             task = err.__traceback__.tb_next
             site = self.sites.get(task.tb_lineno)
@@ -377,24 +378,26 @@ def _config_error(message: str, pos) -> ConfigError:
     return ConfigError(f"line {pos.line}: {message}" if pos else message)
 
 
-def _initial(declaration: ast.AttributeDeclaration) -> float:
-    """The scaled initial value of a declaration, 0 if it has none."""
-    if declaration.initial is None:
-        return 0.0
-    value = declaration.initial.value * declaration.initial.unit.scale
-    if not math.isfinite(value):
-        message = f"initializer of {declaration.identifier!r} is not finite"
-        raise _config_error(message, declaration.pos)
-    return value
+def initial_value(declaration: ast.AttributeDeclaration) -> float:
+    """A declaration's initial value in SI units, 0 if none; not finite where
+    scaling overflows, which ``check_model`` reports and ``Engine()`` refuses."""
+    initial = declaration.initial
+    return 0.0 if initial is None else initial.value * initial.unit.scale
 
 
-def setup_blocks(model: ast.Model, config: SimulationConfig) -> int:
-    """The blocks ``Engine.setup`` allocates: the World, the Patch grid and
-    every population."""
-    blocks = (model.world is not None) + sum(count for count, _ in config.populations)
-    if model.patch is not None:
-        blocks += config.patches_x * config.patches_y
-    return blocks
+def fixed_blocks(model: ast.Model, config: SimulationConfig) -> dict[str, int]:
+    """By kind, the blocks every frame holds whatever the run: one World and
+    the Patch grid, of the kinds the model declares, in allocation order."""
+    declared = (model.world, 1), (model.patch, config.patches_x * config.patches_y)
+    return {agent.name: blocks for agent, blocks in declared if agent is not None}
+
+
+def setup_refusal(model: ast.Model, config: SimulationConfig) -> str | None:
+    """Why ``Engine.setup`` refuses to allocate the fixed blocks and every
+    population, if they pass ``MAX_ANIMATS``; None if not."""
+    blocks = sum(fixed_blocks(model, config).values()) + sum(n for n, _ in config.populations)
+    message = f"setup needs {blocks} animats, over the ceiling of {MAX_ANIMATS}"
+    return message if blocks > MAX_ANIMATS else None
 
 
 def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tuple], str]:
@@ -403,12 +406,11 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
     fail, and the module's source.  A task reads the committed values, the
     World and patches in ``image.performers`` and the RNG state, which it
     returns.  An own (``my``) write applies the image's commit rule inline
-    while every write of its attribute before it in the tick was own too;
-    any other write calls the image's ``write`` or ``write_delta``.  A task
-    fails only by raising on a line that names its abort site, which
-    ``Engine.step`` turns into a ``RuntimeAbort``.  The namespace keeps no
-    engine and no task function: a dropped engine is freed, image and all,
-    without the cycle collector."""
+    in the form ``_forms`` gives it; any other write calls the image's
+    ``write`` or ``write_delta``.  A task fails only by raising on a line
+    that names its abort site, which ``Engine.step`` turns into a
+    ``RuntimeAbort``.  The namespace keeps no engine and no task function:
+    a dropped engine is freed, image and all, without the cycle collector."""
     image, config, inf = engine.image, engine.config, math.inf
 
     def spawn(events: list, base: int, kind: str, stage, value: float, pos) -> None:
@@ -471,42 +473,53 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
         "spawn": spawn, "cell": cell, "field": field, "heading": heading,
     }
     namespace.update((name, call) for call, name in _CALLS.values() if "{" not in name)
-    tasks = list(enumerate(engine.model.tasks))
-    writes, done = _writes(engine), Counter()
-    lines = [line for i, task in tasks
-             for line in _Compiler(engine, task, namespace, i, writes, done).lines]
+    tasks = list(enumerate(zip(engine.model.tasks, _forms(engine.model))))
+    lines = [line for i, (task, forms) in tasks
+             for line in _Compiler(engine, task, namespace, i, forms).lines]
     source = "\n".join(lines)
     exec(compile(source, "<remodyc tasks>", "exec", dont_inherit=True), namespace)
     # A line that can fail ends in ``# <its abort site>``.
     ends = (line.partition("  # ")[2] for line in lines)
     sites = {n: namespace[site] for n, site in enumerate(ends, 1) if site}
-    return [(task.agent, namespace.pop(f"task_{i}")) for i, task in tasks], sites, source
+    return [(task.agent, namespace.pop(f"task_{i}")) for i, (task, _) in tasks], sites, source
 
 
-def _scope(kind: str, variable: ast.AttributeVariable) -> tuple[str, str]:
-    """The scope (my, world or here) and block kind of ``variable`` in a
-    task of ``kind``."""
-    if variable.agent == "world":
+def _scope(kind: str | None, qualifier: str | None) -> tuple[str, str | None]:
+    """The scope (my, world or here) and block kind of an attribute with
+    ``qualifier`` (None, "world" or "here") read or written by a ``kind``."""
+    if qualifier == "world":
         return "world", "World"
-    if variable.agent is None or kind == "Patch":
+    if qualifier is None or kind == "Patch":
         return "my", kind
     return "here", "Patch"
 
 
-def _writes(engine: Engine) -> dict[tuple[str, int], list[tuple[bool, bool]]]:
-    """By (kind, slot), each definition writing it in task order as (own,
-    assignment); one that does not resolve is left out, as compiling it
-    raises."""
-    writes: dict[tuple[str, int], list[tuple[bool, bool]]] = {}
-    for task in engine.model.tasks:
-        action = engine.model.action_named(task.action)
-        for definition in action.definitions if action else ():
-            scope, kind = _scope(task.agent, definition.variable)
-            slot = engine.slots.get(kind, {}).get(definition.variable.identifier)
-            if slot is not None:
-                assignment = definition.decorator is ast.Decorator.ASSIGN
-                writes.setdefault((kind, slot), []).append((scope == "my", assignment))
-    return writes
+def _forms(model: ast.Model) -> list[list[tuple[bool, bool, bool] | None]]:
+    """By task, each definition's commit form in order: None for a call of
+    ``write`` or ``write_delta``, else ``(assigned, added, record)`` for
+    ``_Compiler.commit``.  An own write hits each block of its kind once a
+    tick (``bases`` is all of them, none comes or goes before the events):
+    while every write of an attribute is own, what its address holds is known."""
+    forms, writes = [], {}  # writes by (kind, attribute), in task order
+    for task in model.tasks:
+        action = model.action_named(task.action)
+        definitions = action.definitions if action else ()
+        forms.append([None] * len(definitions))
+        for j, definition in enumerate(definitions):
+            scope, kind = _scope(task.agent, definition.variable.agent)
+            write = scope == "my", definition.decorator is ast.Decorator.ASSIGN, forms[-1], j
+            writes.setdefault((kind, definition.variable.identifier), []).append(write)
+    for history in writes.values():
+        assigned = added = False
+        for (own, assignment, task_forms, j), later in zip(history, [*history[1:], None]):
+            if not own:
+                break
+            # Any later write reads a delta, and a later delta an assignment,
+            # unless an own assignment, which replaces it everywhere, comes first.
+            record = later is not None and (not assignment or later[:2] != (True, True))
+            task_forms[j] = assigned, added, record
+            assigned, added = assigned or assignment, added or not assignment
+    return forms
 
 
 def _is_name_or_literal(text: str) -> bool:
@@ -529,10 +542,8 @@ class _Compiler:
     ``None``."""
 
     def __init__(self, engine: Engine, task: ast.TaskDefinition, namespace: dict, i: int,
-                 writes: dict, done: Counter):
+                 forms: list):
         self.engine, self.namespace = engine, namespace
-        # ``_writes``, and how many of each the tasks so far compiled.
-        self.writes, self.done = writes, done
         self.kind = kind = task.agent
         action = engine.model.action_named(task.action)
         if kind not in engine.slots:
@@ -554,8 +565,8 @@ class _Compiler:
         # and the field of each ``direction`` slot, built if there are bases.
         self.head: dict[str, str] = {}
         self.maybe, self.computing = set(), set()  # utilities perhaps computed, being computed
-        for definition in action.definitions:
-            self.definition(definition)
+        for definition, form in zip(action.definitions, forms):
+            self.definition(definition, form)
         for directive in action.lifecycle:
             self.directive(directive)
         # Utilities perhaps computed start as None; an empty loop gets ``pass``.
@@ -567,9 +578,8 @@ class _Compiler:
         self.lines[:0] = [f"def task_{i}(vals, bases, events, state):", *head, "    for b in bases:"]
         self.lines.append("    return state")
 
-    def definition(self, definition: ast.AttributeDefinition) -> None:
-        """Inline while this and every earlier write of its attribute in
-        the tick are own, else by ``write`` or ``write_delta``."""
+    def definition(self, definition: ast.AttributeDefinition, form: tuple | None) -> None:
+        """Inline in ``form`` if it has one, else by ``write`` or ``write_delta``."""
         variable, pos = definition.variable, definition.pos
         value = self.expression(definition.expression)
         self.target = variable.identifier
@@ -578,29 +588,19 @@ class _Compiler:
             value = self.call(("*", 2), [value, self.engine.config.delta_time], pos)
         address, text = self.address(variable, pos), self.value(value)
         site = self.site(f"non-finite value {{}} for {self.target!r}", pos)
-        key = _scope(self.kind, variable)[1], address[1]
-        history, n = self.writes[key], self.done[key]
-        self.done[key] += 1
-        if all(own for own, _ in history[:n + 1]):
-            self.commit(self.place(address), text, assignment, history[:n], history[n + 1:], site)
+        if form is not None:
+            self.commit(self.place(address), text, assignment, form, site)
         else:
             helper = "write" if assignment else "write_delta"
             self.emit(f"{helper}({self.place(address)}, {text})  # {site}")
 
-    def commit(self, a: str, text: str, assignment: bool, earlier: list, later: list,
-               site: str) -> None:
+    def commit(self, a: str, text: str, assignment: bool, form: tuple, site: str) -> None:
         """``MemoryImage.write`` (``write_delta`` if not ``assignment``) of
-        ``text`` to own address ``a``, inline.  An own write hits each block
-        of its kind once a tick (``bases`` is all of them, and none comes or
-        goes before the events), and all ``earlier`` writes were own: so
-        whether ``a`` holds an assignment and a delta is known.  Either is
-        recorded only if a later write reads it: any later write reads a
-        delta, and a later delta an assignment unless an own one, which
-        replaces it everywhere, comes first."""
+        ``text`` to own address ``a``, inline, in the ``form`` ``_forms``
+        gives: whether ``a`` already holds an assignment and a delta this
+        tick, and whether a later write reads what this one records."""
         self.head["nxt"] = "image.next"
-        forms = {x for _, x in earlier}
-        assigned, added = True in forms, False in forms
-        record = bool(later) and (not assignment or later[0] != (True, True))
+        assigned, added, record = form
         if added:
             self.head["delta"] = "image.delta"
         if assignment:
@@ -714,7 +714,7 @@ class _Compiler:
     def address(self, variable: ast.AttributeVariable, pos):
         """The attribute ``variable`` names, as ``("my" | "world", slot)`` or
         ``("here", slot, x slot, y slot)``."""
-        scope, kind = _scope(self.kind, variable)
+        scope, kind = _scope(self.kind, variable.agent)
         slot = self.slot(kind, variable.identifier, pos)
         return (scope, slot, *self.position(pos)) if scope == "here" else (scope, slot)
 

@@ -82,6 +82,21 @@ class InMemoryBackend(StorageBackend):
         return len(self.frames)
 
 
+class CountingBackend(StorageBackend):
+    """Counts the frames appended and keeps none, for a run whose frames nothing reads."""
+
+    count = 0
+
+    def append_frame(self, frame: TraceFrame) -> None:
+        self.count += 1
+
+    def load_frame(self, tick: int) -> TraceFrame:
+        raise ValueError(f"no frame {tick} is kept")
+
+    def frame_count(self) -> int:
+        return self.count
+
+
 # Below this many bytes the search reads forward instead of halving.
 _SCAN_BYTES = 4096
 # Each trace file's first line, in the order a new run directory gets them.

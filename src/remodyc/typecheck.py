@@ -82,28 +82,19 @@ class Scope:
         self._inferring: set[str] = set()
 
     def attribute_unit(self, qualifier: str | None, identifier: str, pos) -> Unit:
-        agent = self._qualified_agent(qualifier, pos)
+        """The unit of ``identifier`` of the agent ``qualifier`` names, by ``interp._scope``."""
+        performer = self.performer
+        scope, kind = interp._scope(performer and performer.name, qualifier)
+        if scope == "here" and isinstance(performer, ast.WorldDefinition):
+            raise TypeCheckError("'here' is not available to the World", pos)
+        agent = performer if scope == "my" else self.model and self.model.agent_named(kind)
+        if agent is None:
+            problem = "no performer in scope" if scope == "my" else f"the model declares no {kind}"
+            raise TypeCheckError(problem, pos)
         for declaration in agent.all_attributes:
             if declaration.identifier == identifier:
                 return declaration.unit
         raise TypeCheckError(f"{agent.name} has no attribute {identifier!r}", pos)
-
-    def _qualified_agent(self, qualifier: str | None, pos) -> ast.AgentDefinition:
-        if qualifier is None:
-            if self.performer is None:
-                raise TypeCheckError("no performer in scope", pos)
-            return self.performer
-        if qualifier == "world":
-            world = self.model.world if self.model else None
-            if world is None:
-                raise TypeCheckError("the model declares no World", pos)
-            return world
-        if isinstance(self.performer, ast.WorldDefinition):
-            raise TypeCheckError("'here' is not available to the World", pos)
-        patch = self.model.patch if self.model else None
-        if patch is None:
-            raise TypeCheckError("the model declares no Patch", pos)
-        return patch
 
     def utility_unit(self, identifier: str, pos) -> Unit:
         if identifier in self._utility_units:
@@ -362,13 +353,9 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
                         actual=initial.unit,
                     )
                 )
-            if not math.isfinite(initial.value * initial.unit.scale):
-                diagnostics.append(
-                    TypeCheckError(
-                        f"initializer of {declaration.identifier!r} is not finite",
-                        declaration.pos,
-                    )
-                )
+            if not math.isfinite(interp.initial_value(declaration)):
+                message = f"initializer of {declaration.identifier!r} is not finite"
+                diagnostics.append(TypeCheckError(message, declaration.pos))
 
     cyclic: set[int] = set()  # ids of the actions whose utilities form a cycle
     for action in model.actions:
@@ -438,7 +425,7 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
             if definition.decorator is not ast.Decorator.ASSIGN:
                 continue
             variable = definition.variable
-            kind = {None: task.agent, "world": "World", "here": "Patch"}[variable.agent]
+            kind = interp._scope(task.agent, variable.agent)[1]
             assign_targets.setdefault((kind, variable.identifier), []).append(definition.pos)
 
     for (kind, attribute), sites in assign_targets.items():
@@ -453,7 +440,7 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
             )
 
     if config is not None:
-        if model.patch is not None and config.patches_x * config.patches_y > interp.MAX_ANIMATS:
+        if interp.fixed_blocks(model, config).get("Patch", 0) > interp.MAX_ANIMATS:
             columns = format_number(config.world_width / config.patch_size)
             rows = format_number(config.world_height / config.patch_size)
             diagnostics.append(
@@ -462,8 +449,7 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
                     f"of {interp.MAX_ANIMATS} animats"
                 )
             )
-        elif (blocks := interp.setup_blocks(model, config)) > interp.MAX_ANIMATS:
-            message = f"setup needs {blocks} animats, over the ceiling of {interp.MAX_ANIMATS}"
+        elif message := interp.setup_refusal(model, config):
             diagnostics.append(TypeCheckError(message))
         for count, stage in config.populations:
             target = model.agent_named(stage)

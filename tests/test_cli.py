@@ -380,6 +380,30 @@ def test_census_stdout_failure_lets_the_run_finish_with_exit_2(tmp_path, stdout,
     assert "abort=" not in (out / "meta.txt").read_text()
 
 
+def test_a_run_without_out_keeps_no_frame(tmp_path):
+    """Without ``--out`` no frame is kept: a 16-step run of 20,000 animats
+    peaks within a few MB of a 2-step one, where one frame takes ~3.5 MB."""
+    root = Path(__file__).resolve().parent.parent
+    code = ("import resource, sys\nfrom remodyc import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+    peaks = []
+    for steps in (2, 16):
+        config = tmp_path / f"{steps}.cfg"
+        config.write_text(f"delta_time = 1 day\nsteps = {steps}\nseed = 1\npopulate 20000 Adult\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "run", str(root / "models" / "age.rmd"), str(config)],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        peaks.append(int(done.stderr))
+    assert peaks[1] - peaks[0] < 4096, peaks  # ru_maxrss is in KiB on Linux
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(

@@ -491,6 +491,24 @@ class TestLifecycle:
         assert backend.frame_count() == 0
         assert engine.image.animats == {}
 
+    def test_spawn_counts_the_blocks_killed_in_its_tick(self, monkeypatch):
+        """Each spawn of a tick counts the live blocks: those killed earlier
+        in the tick are not, so a tick may reach the ceiling exactly."""
+        monkeypatch.setattr(interp, "MAX_ANIMATS", 4)
+        model = (
+            "Egg is G with\n    age [day].\n"
+            "to renew is\n    my die when my age >= 0 [day]\n    my spawn Egg' = 2.\n"
+            "Egg renew.\n"
+        )
+        engine, backend = build(model, BASIC_CONFIG.replace("populate 1 Egg", "populate 2 Egg"))
+        engine.setup()
+        engine.step()
+        assert len(backend.load_frame(2).animats) == 4
+        with pytest.raises(RuntimeAbort, match="spawn of 2 would hold 5 animats") as err:
+            engine.step()
+        assert (err.value.tick, err.value.index) == (3, 3)
+        assert backend.frame_count() == 2
+
 
 class TestEvaluation:
     def test_utility_memoized_per_animat(self):
@@ -1091,26 +1109,28 @@ class TestResume:
 
     @staticmethod
     def doctored(change):
-        """An eggs engine and its stored run of two ticks, the animats of
-        frame 2 changed by ``change``."""
+        """An eggs engine and its stored run of two ticks, the animats and
+        values of frame 2 changed by ``change``."""
         root = Path(__file__).resolve().parent.parent / "models"
         model, config = parse_model((root / "eggs.rmd").read_text()), (root / "eggs.cfg").read_text()
         engine = Engine(model, parse_config(config), InMemoryBackend())
         engine.setup()
         engine.step()
         frame = engine.backend.frames[1]
-        animats = dict(frame.animats)
-        change(animats)
-        engine.backend.frames[1] = TraceFrame(frame.values, animats, frame.rng_state)
+        animats, values = dict(frame.animats), dict(frame.values)
+        change(animats, values)
+        engine.backend.frames[1] = TraceFrame(values, animats, frame.rng_state)
         return engine
 
     @pytest.mark.parametrize("change, message", [
-        (lambda animats: animats.update({max(animats): ("Larva", 1)}),
+        (lambda animats, _: animats.update({max(animats): ("Larva", 1)}),
          "tick 2: unknown stage 'Larva'"),
-        (lambda animats: animats.pop(1), "tick 2: 0 World blocks, the model has 1"),
-        (lambda animats: animats.pop(min(b for b, (k, _) in animats.items() if k == "Patch")),
+        (lambda animats, _: animats.pop(1), "tick 2: 0 World blocks, the model has 1"),
+        (lambda animats, _: animats.pop(min(b for b, (k, _) in animats.items() if k == "Patch")),
          "tick 2: 99 Patch blocks, the model has 100"),
-    ], ids=["undeclared stage", "no World", "a Patch missing"])
+        # Address 104 is the age of Egg 1, whose block starts at 102.
+        (lambda _, values: values.pop(104), "tick 2: no value at address 104"),
+    ], ids=["undeclared stage", "no World", "a Patch missing", "a slot without a value"])
     def test_resume_refuses_a_frame_without_the_models_blocks(self, change, message):
         engine = self.doctored(change)
         vals, state = engine.image.vals, engine.rng_state

@@ -143,7 +143,7 @@ class TestStore:
         image, _ = image_with_block()
         backend = InMemoryBackend()
         image.store(backend, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^image at tick 0 cannot append frame 2$"):
             image.store(backend, 0)
 
 
@@ -330,7 +330,8 @@ class TestFileBackend:
         assert self.contents(crashed) == self.contents(clean)
 
     @pytest.mark.parametrize("name", TRACE_FILES)
-    @pytest.mark.parametrize("torn", ["3,1,8", "1"])
+    # The last is longer than the 64 bytes ``_last_tick`` reads first.
+    @pytest.mark.parametrize("torn", ["3,1,8", "1", "3," + "8" * 80])
     def test_torn_last_line_is_ignored_then_cut(self, tmp_path, name, torn):
         clean = tmp_path / "clean"
         _, image, base = self.fill(clean)
