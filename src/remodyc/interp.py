@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from typing import Callable, Iterable, Iterator
 
 from . import ast, rng
@@ -233,15 +233,20 @@ class Engine:
         self.image = MemoryImage()
         self.rng_state = rng.seed_state(config.seed)
         self.slots: dict[str, dict[str, int]] = {}
-        # By agent, slot by slot: each declaration's name and initial value.
-        self.initials: dict[str, tuple[tuple[str, float], ...]] = {}
+        # By agent, the row a new block copies; ``+ 0.0`` commits -0 as 0.
+        self.templates: dict[str, list[float]] = {}
         for agent in model.agents:
             declarations = agent.all_attributes
             self.slots[agent.name] = {d.identifier: slot for slot, d in enumerate(declarations)}
             if bad := [d for d in declarations if not math.isfinite(initial_value(d))]:
                 raise _config_error(f"initializer of {bad[0].identifier!r} is not finite", bad[0].pos)
-            self.initials[agent.name] = tuple((d.identifier, initial_value(d)) for d in declarations)
+            self.templates[agent.name] = [initial_value(d) + 0.0 for d in declarations]
         self.stages = tuple(stage.name for stage in model.stages)
+        # By (event, kind, stage): the (new, old) slot pairs a new stage block inherits.
+        self.inherits = {(event, kind, stage): [(new[n], old[n]) for n in names if n in old]
+                         for kind, stage in product(self.stages, repeat=2)
+                         for old, new in [(self.slots[kind], self.slots[stage])]
+                         for event, names in (("become", new), ("spawn", ("x", "y")))}
         # (kind, run) per task, in order; abort sites by line; the source
         # the tasks were compiled from.
         self.plan, self.sites, self.source = _compile(self)
@@ -252,31 +257,31 @@ class Engine:
     # -- setup ---------------------------------------------------------
 
     def setup(self) -> TraceFrame:
+        """Commit frame 1; a used engine or backend raises ``ValueError`` before any draw."""
+        if self.image.ticks or self.image.animats or self.backend.frame_count():
+            raise ValueError("setup needs a new engine and an empty backend")
         if message := setup_refusal(self.model, self.config):
             raise RuntimeAbort(message, tick=1)
         for kind, count in fixed_blocks(self.model, self.config).items():
-            self._allocate(kind, repeat(self._row(kind, {}), count))
+            self._allocate(kind, repeat(self.templates[kind], count))
         for count, stage in self.config.populations:
-            self._allocate(stage, (self._placed(stage) for _ in range(count)))
+            self._allocate(stage, self._placed(stage, count))
         return self._commit()
 
-    def _placed(self, stage: str) -> list[float]:
-        """A new ``stage`` row at a uniform draw of x, then y."""
+    def _placed(self, stage: str, count: int) -> Iterator[list[float]]:
+        """``count`` new ``stage`` rows, each at a uniform draw of x, then y."""
         config, sample = self.config, rng.sample_uniform
-        self.rng_state, x = sample(self.rng_state, 0.0, config.world_width)
-        self.rng_state, y = sample(self.rng_state, 0.0, config.world_height)
-        return self._row(stage, {"x": x, "y": y})
-
-    def _row(self, kind: str, inherited: dict[str, float]) -> list[float]:
-        """A new ``kind`` block's values by slot: the inherited one if given,
-        else the initial one, both finite; ``+ 0.0`` commits -0 as 0, as
-        ``MemoryImage.write`` does."""
-        return [inherited.get(name, initial) + 0.0 for name, initial in self.initials[kind]]
+        template, xs, ys = self.templates[stage], self.slots[stage]["x"], self.slots[stage]["y"]
+        for _ in range(count):
+            row = template.copy()
+            self.rng_state, row[xs] = sample(self.rng_state, 0.0, config.world_width)
+            self.rng_state, row[ys] = sample(self.rng_state, 0.0, config.world_height)
+            yield row
 
     def _allocate(self, kind: str, rows: Iterable[list[float]]) -> None:
         """One new block of ``kind`` per row, holding that row; a row is
         made when its run of ``_ALLOCATION_ROWS`` is."""
-        size, rows = len(self.initials[kind]), iter(rows)
+        size, rows = len(self.templates[kind]), iter(rows)
         while run := list(islice(rows, _ALLOCATION_ROWS)):
             self.image.allocate(kind, size, run)
 
@@ -352,26 +357,21 @@ class Engine:
             match event:
                 case ("die", base):
                     self.image.kill(base)
-                case ("become", base, kind, target):
-                    inherited = self._pending(base, kind, self.slots[kind])
-                    self._allocate(target, [self._row(target, inherited)])
-                    self.image.kill(base)
-                case ("spawn", base, kind, stage, count, pos):
-                    blocks = self.image.live + count
-                    if blocks > MAX_ANIMATS:
+                case (name, base, kind, stage, *spawn):
+                    count, pos = spawn or (1, None)
+                    if name == "become":
+                        self.image.kill(base)
+                    elif (blocks := self.image.live + count) > MAX_ANIMATS:
                         raise RuntimeAbort(
                             f"spawn of {count} would hold {blocks} animats, "
                             f"over the ceiling of {MAX_ANIMATS}",
                             tick=self.image.ticks + 1, stage=kind, pos=pos,
                             base=base, index=self.image.animats[base][1],
                         )
-                    row = self._row(stage, self._pending(base, kind, ("x", "y")))
+                    row, pending = self.templates[stage].copy(), self.image.next
+                    for new, old in self.inherits[name, kind, stage]:
+                        row[new] = pending[base + old] + 0.0
                     self._allocate(stage, repeat(row, count))
-
-    def _pending(self, base: int, kind: str, names: Iterable[str]) -> dict[str, float]:
-        """The values the ``kind`` block at ``base`` will commit for ``names``."""
-        slots, pending = self.slots[kind], self.image.next
-        return {name: pending[base + slots[name]] for name in names}
 
 
 def _config_error(message: str, pos) -> ConfigError:

@@ -287,8 +287,9 @@ class MemoryImage:
     """The working image: committed values plus the tick's pending writes.
 
     ``vals`` is the committed frame's own values dict, which the image
-    never writes: the frame was returned to a caller, or, for
-    ``InMemoryBackend``, it is the stored frame.  ``next`` is its one copy,
+    never writes: ``store`` returned the frame to a caller, and
+    ``InMemoryBackend`` stored a copy of it; or the frame was loaded, and
+    from ``InMemoryBackend`` it is the stored one.  ``next`` is its one copy,
     and every write keeps in it what the address will commit: its value
     assigned this tick, if any, else its committed one, plus its delta.
     ``assigned`` and ``delta`` hold the last assignment and the sum of the

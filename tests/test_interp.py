@@ -245,6 +245,81 @@ class TestSetup:
             got.extend([frame.values[base], frame.values[base + 1]])
         assert got == expected
 
+    def test_sampler_replaced_after_build_sees_every_setup_draw(self, monkeypatch):
+        """World and patches draw nothing; each populated animat, ``populate``
+        lines in order, draws x over the width, then y over the height."""
+        engine, _ = build(
+            "World with\n    tally [].\nPatch with\n    grass [kg].\n" + AGE_MODEL
+            + "\nAdult is Grasshopper with\n    energy [kg] = 1 [kg].\n",
+            BASIC_CONFIG.replace("world_height = 2 km", "world_height = 3 km")
+            + "populate 2 Adult\npopulate 1 Egg\n",
+        )
+        calls, original = [], rng.sample_uniform
+
+        def counted(state, low, high):
+            state, value = original(state, low, high)
+            calls.append((low, high, value))
+            return state, value
+
+        monkeypatch.setattr(rng, "sample_uniform", counted)
+        frame = engine.setup()
+        assert [call[:2] for call in calls] == [(0.0, 2000.0), (0.0, 3000.0)] * 4
+        fixed = engine.image.performers["World"] + engine.image.performers["Patch"]
+        assert len(fixed) == 1 + 2 * 3
+        animats = sorted(frame.animats.keys() - set(fixed))
+        assert [frame.animats[base] for base in animats] == [
+            ("Egg", 1), ("Adult", 1), ("Adult", 2), ("Egg", 2),
+        ]
+        placed = [frame.values[base + slot] for base in animats for slot in (0, 1)]
+        assert placed == [value for _, _, value in calls]
+        assert rng.draws_between(rng.seed_state(11), frame.rng_state) == 8
+
+    def test_second_setup_changes_nothing(self):
+        """Set-up on an engine set up before raises before it draws or
+        allocates: ``run`` after ``setup`` leaves one frame."""
+        engine, backend = build(AGE_MODEL, BASIC_CONFIG)
+        frame = engine.setup()
+        image = engine.image
+        before = (engine.rng_state, dict(image.next), dict(image.animats), image.next_free)
+        with pytest.raises(ValueError, match=r"^setup needs a new engine and an empty backend$"):
+            engine.run()
+        with pytest.raises(ValueError, match=r"^setup needs a new engine and an empty backend$"):
+            engine.setup()
+        assert (engine.rng_state, image.next, image.animats, image.next_free) == before
+        assert image.vals is frame.values and image.ticks == 1
+        assert backend.frame_count() == 1
+
+    def test_setup_onto_stored_frames_changes_nothing(self, monkeypatch):
+        """A new engine on a backend that holds frames refuses set-up before
+        it draws or allocates, and appends nothing."""
+        first, backend = build(AGE_MODEL, BASIC_CONFIG)
+        first.setup()
+        first.step()
+        engine = Engine(first.model, first.config, backend)
+        monkeypatch.setattr(rng, "sample_uniform", lambda *_: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=r"^setup needs a new engine and an empty backend$"):
+            engine.setup()
+        assert engine.rng_state == rng.seed_state(11)
+        assert (engine.image.next, engine.image.animats, engine.image.ticks) == ({}, {}, 0)
+        assert engine.image.next_free == 1
+        assert backend.frame_count() == 2
+
+    def test_setup_after_a_failed_append_changes_nothing(self):
+        """Set-up that allocated but could not append is not run again on
+        the blocks it left."""
+        class Full(InMemoryBackend):
+            def append_frame(self, frame):
+                raise OSError(28, "No space left on device")
+
+        engine = Engine(parse_model(AGE_MODEL), parse_config(BASIC_CONFIG), Full())
+        with pytest.raises(OSError):
+            engine.setup()
+        state, animats = engine.rng_state, dict(engine.image.animats)
+        with pytest.raises(ValueError, match=r"^setup needs a new engine and an empty backend$"):
+            engine.setup()
+        assert (engine.rng_state, engine.image.animats) == (state, animats)
+        assert animats == {1: ("Egg", 1)}
+
     def test_blocks_entered_in_runs_of_rows_match_one_run(self, monkeypatch):
         """Populations, patches and spawns entered one row per ``allocate``
         give the frames of runs of up to ``_ALLOCATION_ROWS`` rows: values
@@ -382,6 +457,28 @@ class TestLifecycle:
             (3, "Egg", 1), (3, "Adult", 0),
             (4, "Egg", 0), (4, "Adult", 1),
             (5, "Egg", 0), (5, "Adult", 1),
+        ]
+
+    def test_become_carries_attributes_by_name_across_slot_orders(self):
+        """``Egg: weight, age`` becomes ``Adult: age, energy``: the Adult
+        carries x, y and age, each at its own slot with this tick's pending
+        value, and starts energy at its initial value; weight is dropped."""
+        engine, backend = build(
+            "Egg is G with\n    weight [kg] = 7 [kg]\n    age [day] = 0 [day].\n"
+            "Adult is G with\n    age [day] = 5 [day]\n    energy [kg] = 1 [kg].\n"
+            "to age is\n    my delta age' = delta time.\n"
+            "to hatch is\n    my become Adult when my age >= 2 [day].\n"
+            "Egg age.\nEgg hatch.\n",
+            BASIC_CONFIG,
+        )
+        engine.run()
+        third, fourth = backend.load_frame(3), backend.load_frame(4)
+        (egg,) = third.animats
+        (adult,) = fourth.animats
+        assert (third.animats[egg], fourth.animats[adult]) == (("Egg", 1), ("Adult", 1))
+        assert third.values[egg + 3] == 2 * DAY
+        assert [fourth.values[adult + slot] for slot in range(4)] == [
+            third.values[egg], third.values[egg + 1], 3 * DAY, 1.0,
         ]
 
     def test_die_and_address_retirement(self):
