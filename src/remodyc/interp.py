@@ -87,6 +87,9 @@ class SimulationConfig:
             raise ConfigError("steps must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        for count, stage in self.populations:
+            if count < 0:
+                raise ConfigError(f"population of {stage!r} must be non-negative")
         for name in ("world_width", "world_height", "patch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

@@ -71,7 +71,7 @@ class InMemoryBackend(StorageBackend):
         self.frames: list[TraceFrame] = []
 
     def append_frame(self, frame: TraceFrame) -> None:
-        self.frames.append(TraceFrame(frame.values.copy(), frame.animats.copy(), frame.rng_state))
+        self.frames.append(frame)
 
     def load_frame(self, tick: int) -> TraceFrame:
         if not 1 <= tick <= len(self.frames):
@@ -286,10 +286,10 @@ class FileBackend(StorageBackend):
 class MemoryImage:
     """The working image: committed values plus the tick's pending writes.
 
-    ``vals`` is the committed frame's own values dict, which the image
-    never writes: ``store`` returned the frame to a caller, and
-    ``InMemoryBackend`` stored a copy of it; or the frame was loaded, and
-    from ``InMemoryBackend`` it is the stored one.  ``next`` is its one copy,
+    A committed frame is one value, shared by the image (``vals`` is its
+    values dict), the backend that stored it and the caller that got it
+    from ``Engine.setup`` or ``step``: nothing writes it after ``store``
+    hands it on.  ``next`` is the one copy of its values,
     and every write keeps in it what the address will commit: its value
     assigned this tick, if any, else its committed one, plus its delta.
     ``assigned`` and ``delta`` hold the last assignment and the sum of the

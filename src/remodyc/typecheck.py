@@ -451,12 +451,9 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
             )
         elif message := interp.setup_refusal(model, config):
             diagnostics.append(TypeCheckError(message))
-        for count, stage in config.populations:
-            target = model.agent_named(stage)
-            if not isinstance(target, ast.StageDefinition):
+        for _, stage in config.populations:
+            if not isinstance(model.agent_named(stage), ast.StageDefinition):
                 diagnostics.append(TypeCheckError(f"unknown stage {stage!r} in populate"))
-            if count < 0:
-                diagnostics.append(TypeCheckError(f"negative population for {stage!r}"))
 
     return diagnostics
 

@@ -173,6 +173,11 @@ class TestRun:
         capsys.readouterr()
         assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out) == 2
 
+    def test_out_below_a_regular_file_exits_2(self, tree, capsys):
+        out = tree / "run.cfg" / "sub"
+        assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out) == 2
+        assert capsys.readouterr().err == f"cannot prepare {out}: Not a directory\n"
+
     def test_type_errors_block_run(self, tree):
         bad = tree / "bad.rmd"
         bad.write_text(MODEL.replace("= delta time", "= 1 [kg]"))

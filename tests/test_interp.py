@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from remodyc import cli, interp, rng
-from remodyc.ast import Decorator
+from remodyc.ast import ActionDefinition, Decorator, TaskDefinition
 from remodyc.interp import (
     ConfigError,
     Engine,
@@ -21,6 +21,7 @@ from remodyc.interp import (
 )
 from remodyc.memory import FileBackend, InMemoryBackend, MemoryImage, TraceFrame
 from remodyc.parser import parse_model
+from remodyc.typecheck import check_model
 
 DAY = 86400.0
 
@@ -139,6 +140,21 @@ class TestParseConfig:
             SimulationConfig(delta_time=1.0, steps=1, seed=0, world_width=math.inf)
         with pytest.raises(ConfigError, match="delta_time must be finite"):
             SimulationConfig(delta_time=math.nan, steps=1, seed=0)
+
+    @pytest.mark.parametrize("populations", [
+        ((-5, "Adult"),),
+        # Summed, these are under the animat ceiling.
+        ((-1000000, "Adult"), (1999999, "Adult")),
+    ])
+    def test_validation_direct_rejects_a_negative_population(self, populations):
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig(delta_time=1.0, steps=1, seed=0, populations=populations)
+        assert str(err.value) == "population of 'Adult' must be non-negative"
+
+    def test_negative_population_is_refused_at_its_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("delta_time = 1 day\nsteps = 1\nseed = 0\npopulate -1 Egg\n")
+        assert str(err.value) == "line 4: population must be non-negative"
 
 
 class TestResolution:
@@ -768,6 +784,21 @@ class TestCompiledTasks:
         assert len(calls) == rng.draws_between(before, engine.rng_state) == 6
         assert calls.count((0.0, 1.0)) == 3
 
+    def test_an_action_without_definitions_is_a_pass_loop(self):
+        """An action built with no definitions, which the parser cannot
+        give, checks clean and runs its task over every performer."""
+        root = Path(__file__).resolve().parent.parent / "models"
+        model, config = parse_model((root / "age.rmd").read_text()), parse_config((root / "age.cfg").read_text())
+        model = dataclasses.replace(model, actions=model.actions + (ActionDefinition("idle"),),
+                                    tasks=model.tasks + (TaskDefinition("Adult", "idle"),))
+        assert check_model(model, config) == []
+        engine = Engine(model, config, InMemoryBackend())
+        assert engine.source.endswith(
+            "def task_1(vals, bases, events, state):\n"
+            "    for b in bases:\n        pass\n    return state"
+        )
+        assert engine.run()[-1] == (5, "Adult", 1)
+
     def test_every_definition_writes_through_the_image(self, monkeypatch):
         """A task applies the commit rule by ``MemoryImage.write`` and
         ``write_delta``, the methods criterion 03 checks against its oracle,
@@ -1179,6 +1210,46 @@ def test_direction_fields_are_built_once_per_task_call_with_performers(walkers, 
     engine.step()
     engine.step()
     assert calls == slots * 2
+
+
+class TestSharedFrames:
+    """A committed frame is one value, shared by the image, the backend
+    that stored it and the caller, and nothing writes it afterwards."""
+
+    @staticmethod
+    def snapshot(frame):
+        return TraceFrame(dict(frame.values), dict(frame.animats), frame.rng_state)
+
+    def committed(self, engine, frame, snapshots):
+        """Checks that ``frame``, just returned, is the image's and the
+        backend's last, and records a snapshot of it."""
+        assert engine.image.vals is engine.backend.frames[-1].values is frame.values
+        snapshots.append(self.snapshot(frame))
+
+    def test_reference_run_and_a_resume_share_each_frame(self):
+        root = Path(__file__).resolve().parent.parent / "models"
+        model, config = parse_model((root / "eggs.rmd").read_text()), parse_config((root / "eggs.cfg").read_text())
+        engine, snapshots = Engine(model, config, InMemoryBackend()), []
+        self.committed(engine, engine.setup(), snapshots)
+        for _ in range(config.steps):
+            self.committed(engine, engine.step(), snapshots)
+        frames = engine.backend.frames
+        assert len(frames) == 201 and frames == snapshots
+        # Eggs were spawned and became adults, and an adult died.
+        highest = dict(sorted(frames[-1].animats.values()))
+        assert highest["Egg"] > 20 and highest["Adult"] > 10
+        adults = [{b for b, (kind, _) in f.animats.items() if kind == "Adult"} for f in frames]
+        assert any(before - after for before, after in zip(adults, adults[1:]))
+
+        replica, copied = Engine(model, config, InMemoryBackend()), []
+        for tick in range(1, 101):
+            replica.backend.append_frame(engine.backend.load_frame(tick))
+            copied.append(snapshots[tick - 1])
+        replica.resume(100)
+        assert replica.image.vals is replica.backend.frames[-1].values
+        self.committed(replica, replica.step(), copied)
+        assert replica.backend.frames == copied and copied[100] == snapshots[100]
+        assert frames == snapshots
 
 
 class TestResume:

@@ -14,6 +14,7 @@ from remodyc import memory
 from remodyc.interp import Engine, RuntimeAbort, parse_config
 from remodyc.memory import (
     AddressError,
+    CountingBackend,
     FileBackend,
     InMemoryBackend,
     MemoryImage,
@@ -225,17 +226,24 @@ class TestApplyAndLoad:
 
 
 class TestInMemoryBackend:
-    def test_stored_frames_are_isolated(self):
-        backend = InMemoryBackend()
-        values = {1: 1.0}
-        backend.append_frame(TraceFrame(values, {1: ("Egg", 1)}, 0))
-        values[1] = 99.0
-        assert backend.load_frame(1).values == {1: 1.0}
+    def test_stores_the_frame_it_is_given(self):
+        backend, frame = InMemoryBackend(), TraceFrame({1: 1.0}, {1: ("Egg", 1)}, 0)
+        backend.append_frame(frame)
+        assert backend.load_frame(1) is frame
 
     def test_range_checks(self):
         backend = InMemoryBackend()
         with pytest.raises(ValueError):
             backend.load_frame(1)
+
+
+def test_counting_backend_counts_and_keeps_no_frame():
+    backend = CountingBackend()
+    for _ in range(3):
+        backend.append_frame(TraceFrame({1: 1.0}, {1: ("Egg", 1)}, 0))
+    assert backend.frame_count() == 3
+    with pytest.raises(ValueError, match=r"^no frame 3 is kept$"):
+        backend.load_frame(3)
 
 
 class TestFileBackend:

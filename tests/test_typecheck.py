@@ -219,6 +219,9 @@ class TestScopeResolution:
     def test_literal_only_scope_has_no_performer(self):
         reject("my energy", match="no performer")
 
+    def test_placeholder_without_a_binding_is_unbound(self):
+        reject("the x", match=r"^unbound placeholder 'x'$")
+
 
 class TestUtilities:
     def u(self, name, text):
