@@ -24,9 +24,10 @@ the frame, and flushes it to the operating system before returning (it
 does not ``fsync``); a value's text is the one ``parser.format_number``
 gives.  A frame is committed once its ``rng.csv`` row is complete, and
 that row is written last.  Every trace file keeps its rows sorted by
-tick, so loading a frame is a binary search over byte offsets: it reads
-O(log n) lines plus the frame's own rows, and never rows past the last
-committed tick or a torn last line.
+tick, so a load makes one binary search over byte offsets per file, then
+reads the frame's rows on in chunks of at most ``_CHUNK_BYTES``, each
+converted a column at a time: never rows past the last committed tick or
+a torn last line.  A row of the wrong number of fields is refused.
 """
 from __future__ import annotations
 
@@ -99,6 +100,7 @@ class CountingBackend(StorageBackend):
 
 # Below this many bytes the search reads forward instead of halving.
 _SCAN_BYTES = 4096
+_CHUNK_BYTES = 65536  # a load's largest read: its reads double from _SCAN_BYTES up to it
 # Each trace file's first line, in the order a new run directory gets them.
 _HEADERS = {
     "frames.csv": b"tick,address,value\n",
@@ -160,6 +162,37 @@ def _rows(path: Path, tick: int, last: int | None = None) -> Iterator[list[bytes
             yield row
 
 
+def _columns(path: Path, tick: int, width: int) -> Iterator[list[bytes]]:
+    """The fields of ``tick``'s complete rows in one trace CSV, in order, a
+    chunk of rows at a time; a row not ``width`` fields wide raises
+    ``ValueError``.  A row's first field may lead with a newline."""
+    row, bare = b"\n%d," % tick, b"\n%d\n" % tick
+    with open(path, "rb") as handle:
+        handle.seek(_first_row_at(handle, tick, _HEADERS[path.name]))
+        # A newline, then what is read and not yet taken; rows are sorted, so
+        # the tick's last complete row starts at its last ``row`` there (or
+        # ``bare``, a row of one field).
+        data, size = b"\n", _SCAN_BYTES
+        while True:
+            data += (chunk := handle.read(size))
+            stop = data.rfind(b"\n")
+            start = max(data.rfind(row, 0, stop), data.rfind(bare, 0, stop + 1))
+            if start >= 0:
+                end = data.index(b"\n", start + 1)
+                block, data, stop = data[1:end], data[end:], stop - end
+                # Each row is ``width`` wide iff each ``width``-th field starts a row.
+                text = block.replace(b"\n", b",\n")
+                fields, rows = text.split(b","), len(text) - len(block) + 1
+                starts = b"".join(fields[width::width]).count(b"\n") + 1
+                if len(fields) != rows * width or starts != rows:
+                    bad = next(n for n in (r.count(b",") + 1 for r in block.split(b"\n")) if n != width)
+                    raise ValueError(f"{path.name}: tick {tick} has a row of {bad} fields, not {width}")
+                yield fields
+            if stop or not chunk:  # a complete row of a later tick, or the end of the file
+                return
+            size = min(2 * size, _CHUNK_BYTES)
+
+
 def _last_tick(path: Path) -> int | None:
     """The tick of the last complete row, 0 if only the header is complete,
     None if not even that is; reads from the end."""
@@ -204,7 +237,8 @@ class FileBackend(StorageBackend):
     kept between appends.  A value is written as ``format_number`` gives
     it.  ``frames.csv`` and ``animats.csv`` rows of a tick are written
     first, its ``rng.csv`` row last: that row is the commit record.  A
-    load reads O(log n) lines plus the frame's own rows.
+    load reads O(log n) lines plus the frame's own rows, and refuses a row
+    of the wrong number of fields (``ValueError``, naming file and tick).
     """
 
     def __init__(self, run_dir):
@@ -258,15 +292,14 @@ class FileBackend(StorageBackend):
     def load_frame(self, tick: int) -> TraceFrame:
         if not 1 <= tick <= self._count:
             raise ValueError(f"no frame {tick} (have {self._count})")
-        values = {
-            int(address): float(value)
-            for _, address, value in _rows(self._values_path, tick)
-        }
-        animats = {
-            int(base): (stage.decode(), int(index))
-            for _, base, stage, index in _rows(self._animats_path, tick)
-        }
-        states = [state for _, state in _rows(self._rng_path, tick)]
+        values: dict[int, float] = {}
+        for fields in _columns(self._values_path, tick, 3):
+            values.update(zip(map(int, fields[1::3]), map(float, fields[2::3])))
+        animats: dict[int, tuple[str, int]] = {}
+        for fields in _columns(self._animats_path, tick, 4):
+            stages = zip(map(bytes.decode, fields[2::4]), map(int, fields[3::4]))
+            animats.update(zip(map(int, fields[1::4]), stages))
+        states = [state for fields in _columns(self._rng_path, tick, 2) for state in fields[1::2]]
         if not states:
             raise ValueError(f"frame {tick} missing from rng.csv")
         return TraceFrame(values, animats, parse_state(states[0].decode()))

@@ -648,3 +648,22 @@ class TestRunFailures:
         assert invoke("replay", out, 1) == 1
         assert invoke("chart", out, "Egg") == 1
         assert capsys.readouterr().err.count("does not start with 'tick,base_address") == 2
+
+    @pytest.mark.parametrize(
+        "name, row, text",
+        [
+            ("frames.csv", "2,99", "frames.csv: tick 2 has a row of 2 fields, not 3"),
+            ("animats.csv", "2,7,Adult", "animats.csv: tick 2 has a row of 3 fields, not 4"),
+            ("rng.csv", "2,00,1", "rng.csv: tick 2 has a row of 3 fields, not 2"),
+        ],
+    )
+    def test_replay_refuses_a_row_of_the_wrong_width(self, tmp_path, capsys, name, row, text):
+        out = tmp_path / "age"
+        assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+        lines = (out / name).read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("2,")) + 1
+        (out / name).write_text("".join(lines[:at] + [row + "\n"] + lines[at:]))
+        capsys.readouterr()
+        assert invoke("replay", out, 2) == 1
+        assert capsys.readouterr() == ("", text + "\n")
+        assert invoke("replay", out, 3) == 0

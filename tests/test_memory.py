@@ -338,8 +338,9 @@ class TestFileBackend:
         assert self.contents(crashed) == self.contents(clean)
 
     @pytest.mark.parametrize("name", TRACE_FILES)
-    # The last is longer than the 64 bytes ``_last_tick`` reads first.
-    @pytest.mark.parametrize("torn", ["3,1,8", "1", "3," + "8" * 80])
+    # The last is longer than the 64 bytes ``_last_tick`` reads first;
+    # "2,5" reads as a row of the last committed tick.
+    @pytest.mark.parametrize("torn", ["3,1,8", "1", "3," + "8" * 80, "2,5"])
     def test_torn_last_line_is_ignored_then_cut(self, tmp_path, name, torn):
         clean = tmp_path / "clean"
         _, image, base = self.fill(clean)
@@ -542,6 +543,95 @@ def test_load_frame_reads_the_frame_not_the_file(tmp_path, monkeypatch):
         read.clear()
         assert reopened.load_frame(tick).values[200] == tick + 25
         assert read["frames.csv"] < bound
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 64, memory._CHUNK_BYTES])
+def test_load_frame_chunks_match_full_scan(tmp_path, monkeypatch, chunk_bytes):
+    """Frames cut at every chunk edge, empty ones and ticks whose digits
+    lead later ticks (1 and 10-19) among them."""
+    monkeypatch.setattr(memory, "_CHUNK_BYTES", chunk_bytes)
+    disk, in_memory = FileBackend(tmp_path), InMemoryBackend()
+    for tick in range(1, 121):
+        disk.append_frame(synthetic_frame(tick))
+        in_memory.append_frame(synthetic_frame(tick))
+    reopened = FileBackend(tmp_path)
+    for tick in range(1, 121):
+        frame = reopened.load_frame(tick)
+        assert frame == scan_frame(tmp_path, tick) == in_memory.load_frame(tick)
+        assert list(frame.values) == list(in_memory.load_frame(tick).values)
+    assert reopened.load_frame(10).values == reopened.load_frame(100).values == {}
+
+
+BIG_ROWS = 20_000
+
+
+def big_frame(tick: int) -> TraceFrame:
+    values = {address: tick + address / 8 for address in range(1, BIG_ROWS + 1)}
+    return TraceFrame(values, {a: ("Adult", a) for a in range(1, BIG_ROWS + 1)}, tick)
+
+
+def test_a_frame_several_chunks_long_loads_in_file_order_a_chunk_at_a_time(tmp_path, monkeypatch):
+    """A load's memory is bounded by its chunk, not by its frame: no
+    single read asks for more than ``_CHUNK_BYTES``."""
+    backend = FileBackend(tmp_path)
+    for tick in (1, 2, 3):
+        backend.append_frame(big_frame(tick))
+    assert (tmp_path / "frames.csv").stat().st_size > 3 * 4 * memory._CHUNK_BYTES
+    sizes = []
+
+    class Recording(io.BufferedReader):
+        def read(self, size=-1):
+            sizes.append(math.inf if size is None or size < 0 else size)
+            return super().read(size)
+
+    def recording_open(path, mode="r"):
+        assert mode == "rb", f"opened {path} with mode {mode!r}"
+        return Recording(io.FileIO(path, "r"))
+
+    monkeypatch.setattr(memory, "open", recording_open, raising=False)
+    reopened = FileBackend(tmp_path)
+    for tick in (1, 2, 3):
+        frame = reopened.load_frame(tick)
+        assert frame == big_frame(tick)
+        assert list(frame.values) == list(big_frame(tick).values)
+        assert list(frame.animats) == list(big_frame(tick).animats)
+    assert 0 < max(sizes) <= memory._CHUNK_BYTES
+
+
+@pytest.mark.parametrize(
+    "name, row, fields, width",
+    [
+        ("frames.csv", "2,99", 2, 3),
+        ("animats.csv", "2,7,Adult", 3, 4),
+        ("rng.csv", "2,00,1", 3, 2),
+        # A short row and a long one: as many fields as two good rows.
+        ("frames.csv", "2,99\n2,7,5,1", 2, 3),
+    ],
+)
+def test_a_row_of_the_wrong_width_is_refused(tmp_path, name, row, fields, width):
+    """A short row would shift every later column; the load refuses it,
+    naming the file and the tick, and the other ticks still load."""
+    in_memory = InMemoryBackend()
+    age_engine(in_memory).run()
+    age_engine(FileBackend(tmp_path)).run()
+    lines = (tmp_path / name).read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("2,")) + 1
+    (tmp_path / name).write_text("".join(lines[:at] + [row + "\n"] + lines[at:]))
+    reopened = FileBackend(tmp_path)
+    with pytest.raises(ValueError) as refused:
+        reopened.load_frame(2)
+    assert str(refused.value) == f"{name}: tick 2 has a row of {fields} fields, not {width}"
+    assert [reopened.load_frame(tick) for tick in (1, 3, 4, 5)] == [
+        in_memory.load_frame(tick) for tick in (1, 3, 4, 5)
+    ]
+
+
+def test_a_last_row_of_one_field_is_refused(tmp_path):
+    age_engine(FileBackend(tmp_path)).run()
+    path = tmp_path / "rng.csv"
+    path.write_text(path.read_text().replace("\n3,", "\n2\n3,", 1))
+    with pytest.raises(ValueError, match="^rng.csv: tick 2 has a row of 1 fields, not 2$"):
+        FileBackend(tmp_path).load_frame(2)
 
 
 @st.composite
