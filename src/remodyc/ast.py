@@ -332,18 +332,26 @@ def children(e: Expression) -> tuple[Expression, ...]:
 
 
 def walk_expression(e: Expression) -> Iterator[Expression]:
-    """Yield ``e`` and every nested subexpression, preorder."""
-    yield e
-    for child in children(e):
-        yield from walk_expression(child)
+    """Yield ``e`` and every nested subexpression, preorder: a node, then
+    the walk of each of its ``children`` in turn.  One generator and a
+    stack of the nodes still to yield, however deep the tree."""
+    stack = [e]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        e = pop()
+        yield e
+        args = getattr(e, "args", ())  # ``children(e)``, without the call
+        if args:
+            push(args[::-1])
 
 
 def action_expressions(action: ActionDefinition) -> Iterator[Expression]:
-    """Top-level expressions of an action, including guards and utilities."""
-    for definition in action.definitions:
-        yield definition.expression
+    """Top-level expressions of an action: its utilities' first, in order,
+    then its definitions' and its lifecycle directives' counts and guards."""
     for utility in action.utilities:
         yield utility.expression
+    for definition in action.definitions:
+        yield definition.expression
     for directive in action.lifecycle:
         if isinstance(directive, Spawn):
             yield directive.count

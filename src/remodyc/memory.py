@@ -109,20 +109,28 @@ _HEADERS = {
 }
 
 
-def _tick(line: bytes) -> int:
-    return int(line[: line.index(b",")])
+def _tick(line: bytes, name: str) -> int:
+    """The tick of a row of the trace file ``name``; a row of one field
+    raises ``ValueError`` with the text ``_columns`` gives for it."""
+    comma = line.find(b",")
+    if comma < 0:
+        width = _HEADERS[name].count(b",") + 1
+        raise ValueError(f"{name}: tick {int(line)} has a row of 1 fields, not {width}")
+    return int(line[:comma])
 
 
-def _first_row_at(handle: BinaryIO, tick: int, header: bytes) -> int:
+def _first_row_at(handle: BinaryIO, tick: int, name: str) -> int:
     """Offset of the first row of ``tick`` or a later tick, or of a torn
     last line (one without a newline), or else of the end of the file.
 
-    ``handle`` is a trace CSV opened in binary mode: ``header``, then rows
-    sorted by tick; a file that does not start with ``header`` raises
-    ``ValueError``.  Binary search over byte offsets: seek to the middle,
-    skip the partial line, compare the tick of the next line; then read
-    forward over at most ``_SCAN_BYTES``.
+    ``handle`` is the trace CSV ``name`` opened in binary mode: its header,
+    then rows sorted by tick; a file that does not start with its header,
+    or a row of one field read on the way, raises ``ValueError``.  Binary
+    search over byte offsets: seek to the middle, skip the partial line,
+    compare the tick of the next line; then read forward over at most
+    ``_SCAN_BYTES``.
     """
+    header = _HEADERS[name]
     handle.seek(0)
     if handle.readline() != header:
         raise ValueError(f"{handle.name} does not start with {header.decode()[:-1]!r}")
@@ -135,13 +143,13 @@ def _first_row_at(handle: BinaryIO, tick: int, header: bytes) -> int:
         handle.seek(mid - 1)
         start = mid - 1 + len(handle.readline())
         line = handle.readline()
-        if start < hi and line.endswith(b"\n") and _tick(line) < tick:
+        if start < hi and line.endswith(b"\n") and _tick(line, name) < tick:
             lo = start + len(line)
         else:
             hi = mid
     handle.seek(lo)
     for line in handle:
-        if not line.endswith(b"\n") or _tick(line) >= tick:
+        if not line.endswith(b"\n") or _tick(line, name) >= tick:
             break
         lo += len(line)
     return lo
@@ -152,7 +160,7 @@ def _rows(path: Path, tick: int, last: int | None = None) -> Iterator[list[bytes
     alone) of one trace CSV, split at commas."""
     last = tick if last is None else last
     with open(path, "rb") as handle:
-        handle.seek(_first_row_at(handle, tick, _HEADERS[path.name]))
+        handle.seek(_first_row_at(handle, tick, path.name))
         for line in handle:
             if not line.endswith(b"\n"):
                 return
@@ -168,7 +176,7 @@ def _columns(path: Path, tick: int, width: int) -> Iterator[list[bytes]]:
     ``ValueError``.  A row's first field may lead with a newline."""
     row, bare = b"\n%d," % tick, b"\n%d\n" % tick
     with open(path, "rb") as handle:
-        handle.seek(_first_row_at(handle, tick, _HEADERS[path.name]))
+        handle.seek(_first_row_at(handle, tick, path.name))
         # A newline, then what is read and not yet taken; rows are sorted, so
         # the tick's last complete row starts at its last ``row`` there (or
         # ``bare``, a row of one field).
@@ -206,7 +214,7 @@ def _last_tick(path: Path) -> int | None:
             stop = tail.rfind(b"\n")
             begin = tail.rfind(b"\n", 0, max(stop, 0)) + 1
             if begin > 0:
-                return _tick(tail[begin:stop])
+                return _tick(tail[begin:stop], path.name)
             if start == 0:
                 return 0 if stop >= 0 else None
             size *= 4
@@ -258,7 +266,7 @@ class FileBackend(StorageBackend):
             return
         for path in self._paths:
             with open(path, "r+b") as handle:
-                end = _first_row_at(handle, self._count + 1, _HEADERS[path.name])
+                end = _first_row_at(handle, self._count + 1, path.name)
                 if end < handle.seek(0, os.SEEK_END):
                     handle.truncate(end)
 

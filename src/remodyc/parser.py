@@ -8,9 +8,17 @@ Tokens: ``[unit text]`` on one line | ``d/dt`` and ``'s`` not followed by
 a letter, digit or ``_`` | ASCII word | number (``2``, ``0.5``, ``1e-3``) |
 ``->`` ``<=`` ``>=`` | one of ``.='()^+-*/<>,``; blanks (space, tab, CR),
 newlines and comments only separate them.
+
+The lexer reads a line at a time: the text is split at each newline,
+lines are numbered from 1, and a column is 1 plus the number of
+characters before it on its line.  A ``#`` or the end of the line ends
+the line's tokens.  The end-of-input token ``eof`` sits where the last
+line ends: at its ``#`` if a comment ends the text, else after its last
+character.
 """
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple
 
@@ -41,22 +49,22 @@ class Token(NamedTuple):
 
     @property
     def pos(self) -> ast.SourcePos:
-        return ast.SourcePos(self.line, self.column)
+        # ``tuple.__new__`` skips the Python-level ``SourcePos.__new__``.
+        return tuple.__new__(ast.SourcePos, self[2:])
 
 
-# One match per token, blanks before it included.  A comment goes with the
-# newline that ends it, or with ``eof`` at the end of the text, so that
-# ``eof`` then sits at the column of the ``#``.  ``(?!\w)``: not followed by
-# a letter, digit or underscore of any script.  The last group matches any
-# other character, so ``finditer`` never skips one.
+# One match per token of a line, blanks before it included; the group
+# numbers are what ``tokenize`` dispatches on.  ``(?!\w)``: not followed by
+# a letter, digit or underscore of any script.  Group 5 matches a comment's
+# ``#`` or the end of the line, and the last group any other character, so
+# ``finditer`` never skips one.
 _TOKEN_RE = re.compile(
     r"""[ \t\r]*(?:
-      (?P<newline>(?:\#[^\n]*)?\n)
-    | (?P<op>d/dt(?!\w)|'s(?!\w)|->|<=|>=|[.='()^+\-*/<>,])
+      (?P<op>d/dt(?!\w)|'s(?!\w)|->|<=|>=|[.='()^+\-*/<>,])
     | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-    | \[(?P<unit>[^\]\n]*)\]
-    | (?P<eof>(?:\#[^\n]*)?\Z)
+    | \[(?P<unit>[^\]]*)\]
+    | (?P<end>\#|\Z)
     | (?P<bad>.)
     )""",
     re.VERBOSE,
@@ -68,31 +76,32 @@ def tokenize(text: str) -> list[Token]:
     append = tokens.append
     # ``tuple.__new__`` builds a Token without its Python-level constructor.
     new = tuple.__new__
-    line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = match.end()
-            continue
-        start, end = match.span(kind)
-        value = text[start:end]
-        column = start - line_start + 1
-        if kind == "word":
-            append(new(Token, ("kw" if value in KEYWORDS else "ident", value, line, column)))
-        elif kind == "op":
-            append(new(Token, (value, value, line, column)))
-        elif kind == "number":
-            append(new(Token, ("number", value, line, column)))
-        elif kind == "unit":
-            append(new(Token, ("unit", value, line, column - 1)))
-        elif kind == "eof":
-            append(new(Token, ("eof", "", line, column)))
-            break
-        elif value == "[":
-            raise SourceError("unterminated unit bracket", line, column)
-        else:
-            raise SourceError(f"unexpected character {value!r}", line, column)
+    lines = text.split("\n")
+    last = len(lines)
+    for line, chars in enumerate(lines, 1):
+        for match in _TOKEN_RE.finditer(chars):
+            group = match.lastindex
+            start = match.start(group)
+            if group == 2:
+                value = match[2]
+                kind = "kw" if value in KEYWORDS else "ident"
+                append(new(Token, (kind, value, line, start + 1)))
+            elif group == 1:
+                value = match[1]
+                append(new(Token, (value, value, line, start + 1)))
+            elif group == 3:
+                append(new(Token, ("number", match[3], line, start + 1)))
+            elif group == 4:
+                # The token starts at the ``[``, one before its text.
+                append(new(Token, ("unit", match[4], line, start)))
+            elif group == 5:
+                if line == last:
+                    append(new(Token, ("eof", "", line, start + 1)))
+                break
+            elif match[6] == "[":
+                raise SourceError("unterminated unit bracket", line, start + 1)
+            else:
+                raise SourceError(f"unexpected character {match[6]!r}", line, start + 1)
     return tokens
 
 
@@ -459,28 +468,17 @@ _PREC_POWER = 5
 _PREC_PRIMARY = 6
 
 
-def _precedence(e: ast.Expression) -> int:
-    match e:
-        case ast.Draw(distribution="uniform"):
-            return _PREC_UNIFORM
-        case ast.Cast():
-            return _PREC_CAST
-        case ast.Arithmetics(op="^"):
-            return _PREC_POWER
-        case ast.Arithmetics(op="-", args=args) if len(args) == 1:
-            return _PREC_UNARY
-        case ast.Arithmetics(op=op) if op in ("+", "-"):
-            return _PREC_ADD
-        case ast.Arithmetics():
-            return _PREC_MUL
-        case _:
-            return _PREC_PRIMARY
-
-
 def format_number(value: float) -> str:
     """Shortest round-trip decimal; integral values drop the '.0'."""
     text = repr(value)
     return text[:-2] if text.endswith(".0") else text
+
+
+def _number_text(value: float) -> str:
+    """A literal's number as source text.  A literal too large for a float,
+    such as ``1e400``, holds an infinity, which prints as a number that
+    reads back as one."""
+    return "1e309" if value == math.inf else format_number(value)
 
 
 def _unit_text(unit: Unit) -> str:
@@ -494,44 +492,68 @@ def format_expression(e: ast.Expression) -> str:
 
 
 def _render(e: ast.Expression, minimum: int) -> str:
-    text = _render_bare(e)
-    if _precedence(e) < minimum:
-        return f"({text})"
-    return text
+    """``e`` as source text, in parentheses if it binds looser than ``minimum``."""
+    render = _RENDERERS.get(type(e))
+    if render is None:
+        raise ValueError(f"cannot print {e!r}")
+    return render(e, minimum)
 
 
-def _render_bare(e: ast.Expression) -> str:
-    match e:
-        case ast.Literal(value=value, unit=unit):
-            if not unit.dimension and unit.scale == 1.0 and not unit.label:
-                return format_number(value)
-            return f"{format_number(value)} [{_unit_text(unit)}]"
-        case ast.AttributeVariable(agent=None, identifier=name):
-            return f"my {name}"
-        case ast.AttributeVariable(agent=agent, identifier=name):
-            return f"{agent}'s {name}"
-        case ast.UtilityVariable(identifier=name):
-            return name
-        case ast.PlaceholderRef(identifier=name):
-            return f"the {name}"
-        case ast.DeltaTime():
-            return "delta time"
-        case ast.Arithmetics(op="-", args=(operand,)):
-            return f"-{_render(operand, _PREC_UNARY)}"
-        case ast.Arithmetics(op="^", args=(left, right)):
-            return f"{_render(left, _PREC_PRIMARY)} ^ {_render(right, _PREC_UNARY)}"
-        case ast.Arithmetics(op=op, args=(left, right)):
-            own = _PREC_ADD if op in ("+", "-") else _PREC_MUL
-            return f"{_render(left, own)} {op} {_render(right, own + 1)}"
-        case ast.Draw(distribution="uniform", args=(low, high)):
-            return f"uniform {_render(low, _PREC_CAST)} to {_render(high, _PREC_CAST)}"
-        case ast.Apply(function=name, args=args) | ast.Draw(distribution=name, args=args):
-            return f"{name}({', '.join(_render(a, 0) for a in args)})"
-        case ast.Cast(op=op, args=(inner,), unit=unit):
-            return f"{_render(inner, _PREC_CAST)} {op} [{_unit_text(unit)}]"
-        case ast.Direction(attribute=name):
-            return f"direction neighbor's {name}"
-    raise ValueError(f"cannot print {e!r}")
+def _render_literal(e: ast.Literal, minimum: int) -> str:
+    unit = e.unit
+    if not unit.dimension and unit.scale == 1.0 and not unit.label:
+        return _number_text(e.value)
+    return f"{_number_text(e.value)} [{_unit_text(unit)}]"
+
+
+def _render_arithmetics(e: ast.Arithmetics, minimum: int) -> str:
+    op, args = e.op, e.args
+    if len(args) == 1:
+        own = _PREC_UNARY
+        text = f"-{_render(args[0], own)}"
+    elif op == "^":
+        own = _PREC_POWER
+        text = f"{_render(args[0], _PREC_PRIMARY)} ^ {_render(args[1], _PREC_UNARY)}"
+    else:
+        own = _PREC_ADD if op in ("+", "-") else _PREC_MUL
+        text = f"{_render(args[0], own)} {op} {_render(args[1], own + 1)}"
+    return f"({text})" if own < minimum else text
+
+
+def _render_call(name: str, args: tuple[ast.Expression, ...]) -> str:
+    return f"{name}({', '.join([_render(a, 0) for a in args])})"
+
+
+def _render_draw(e: ast.Draw, minimum: int) -> str:
+    if e.distribution != "uniform":
+        return _render_call(e.distribution, e.args)
+    low, high = e.args
+    text = f"uniform {_render(low, _PREC_CAST)} to {_render(high, _PREC_CAST)}"
+    return f"({text})" if _PREC_UNIFORM < minimum else text
+
+
+def _render_cast(e: ast.Cast, minimum: int) -> str:
+    text = f"{_render(e.args[0], _PREC_CAST)} {e.op} [{_unit_text(e.unit)}]"
+    return f"({text})" if _PREC_CAST < minimum else text
+
+
+# Each expression kind's renderer, by node type: it prints the node and
+# puts it in parentheses when the kind's precedence (one of the ``_PREC_*``
+# above) is below ``minimum``.  A kind that is always primary never needs them.
+_RENDERERS = {
+    ast.Literal: _render_literal,
+    ast.AttributeVariable: lambda e, minimum: (
+        f"my {e.identifier}" if e.agent is None else f"{e.agent}'s {e.identifier}"
+    ),
+    ast.UtilityVariable: lambda e, minimum: e.identifier,
+    ast.PlaceholderRef: lambda e, minimum: f"the {e.identifier}",
+    ast.DeltaTime: lambda e, minimum: "delta time",
+    ast.Arithmetics: _render_arithmetics,
+    ast.Apply: lambda e, minimum: _render_call(e.function, e.args),
+    ast.Draw: _render_draw,
+    ast.Cast: _render_cast,
+    ast.Direction: lambda e, minimum: f"direction neighbor's {e.attribute}",
+}
 
 
 def _render_comparison(comparison: ast.Comparison) -> str:
@@ -561,7 +583,7 @@ def _render_agent(agent: ast.AgentDefinition) -> str:
         entry = f"    {declaration.identifier} [{_unit_text(declaration.unit)}]"
         if declaration.initial is not None:
             initial = declaration.initial
-            entry += f" = {format_number(initial.value)} [{_unit_text(initial.unit)}]"
+            entry += f" = {_number_text(initial.value)} [{_unit_text(initial.unit)}]"
         lines.append(entry)
     lines[-1] += "."
     return "\n".join(lines)

@@ -16,6 +16,7 @@ diagnostic at the expression being typed, in ``infer_type`` alone; and
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 from . import ast, interp
 from .parser import format_number
@@ -145,76 +146,81 @@ def _integer_literal(e: ast.Expression) -> int | None:
 
 def infer_type(e: ast.Expression, scope: Scope) -> Unit:
     """Unit of ``e`` in ``scope``; raises TypeCheckError when ill-typed."""
+    rule = _RULES.get(type(e))
+    if rule is None:
+        raise TypeCheckError(f"cannot type {type(e).__name__}", getattr(e, "pos", None))
     try:
-        match e:
-            case ast.Literal(unit=unit):
-                return unit
-            case ast.DeltaTime():
-                return SECONDS
-            case ast.AttributeVariable(agent=qualifier, identifier=name):
-                return scope.attribute_unit(qualifier, name, e.pos)
-            case ast.UtilityVariable(identifier=name):
-                return scope.utility_unit(name, e.pos)
-            case ast.PlaceholderRef(identifier=name):
-                if name not in scope.placeholders:
-                    raise TypeCheckError(f"unbound placeholder {name!r}", e.pos)
-                return scope.placeholders[name]
-            case ast.Arithmetics(op="-", args=(operand,)):
-                return infer_type(operand, scope)
-            case ast.Arithmetics(op=op, args=(left, right)) if op in ("+", "-"):
-                left_unit = infer_type(left, scope)
-                right_unit = infer_type(right, scope)
-                _require_same_dimension(f"{op!r}", left_unit, right_unit, e.pos)
-                return left_unit
-            case ast.Arithmetics(op="*", args=(left, right)):
-                return mul_units(infer_type(left, scope), infer_type(right, scope))
-            case ast.Arithmetics(op="/", args=(left, right)):
-                return div_units(infer_type(left, scope), infer_type(right, scope))
-            case ast.Arithmetics(op="^", args=(base, exponent)):
-                base_unit = infer_type(base, scope)
-                if base_unit.dimensionless:
-                    exponent_unit = infer_type(exponent, scope)
-                    _require_dimensionless("exponents must be dimensionless", exponent_unit, e.pos)
-                    return DIMENSIONLESS
-                power = _integer_literal(exponent)
-                if power is None:
-                    raise TypeCheckError(
-                        "the exponent on a dimensioned base must be an integer literal",
-                        e.pos,
-                    )
-                return pow_unit(base_unit, power)
-            case ast.Apply(function=function, args=args):
-                return _apply_type(e, function, args, scope)
-            case ast.Draw(distribution="uniform" | "normal" as name, args=(first, second)):
-                first_unit = infer_type(first, scope)
-                second_unit = infer_type(second, scope)
-                _require_same_dimension(f"'{name}'", first_unit, second_unit, e.pos)
-                return first_unit
-            case ast.Draw(distribution=name, args=args):
-                # gamma(shape, scale), loglogistic(scale, shape): the shape first
-                shape, scale = args if name == "gamma" else args[::-1]
-                shape_unit = infer_type(shape, scope)
-                _require_dimensionless(f"{name} shape must be dimensionless", shape_unit, e.pos)
-                return infer_type(scale, scope)
-            case ast.Cast(op="as", args=(inner,), unit=unit):
-                inner_unit = infer_type(inner, scope)
-                _require_dimensionless("'as' expects a dimensionless operand", inner_unit, e.pos)
-                return unit
-            case ast.Cast(op="in", args=(inner,), unit=unit):
-                inner_unit = infer_type(inner, scope)
-                _require_same_dimension("'in'", unit, inner_unit, e.pos)
-                return DIMENSIONLESS
-            case ast.Direction(attribute=name):
-                if not isinstance(scope.performer, ast.StageDefinition):
-                    raise TypeCheckError("'direction' needs a performer with a position", e.pos)
-                scope.attribute_unit("here", name, e.pos)
-                return RADIANS
+        return rule(e, scope)
     except DimensionOverflowError as err:
         raise TypeCheckError(str(err), e.pos)
-    raise TypeCheckError(f"cannot type {type(e).__name__}", getattr(e, "pos", None))
 
 
-def _apply_type(e, function: str, args, scope: Scope) -> Unit:
+def _placeholder_type(e: ast.PlaceholderRef, scope: Scope) -> Unit:
+    if e.identifier not in scope.placeholders:
+        raise TypeCheckError(f"unbound placeholder {e.identifier!r}", e.pos)
+    return scope.placeholders[e.identifier]
+
+
+def _arithmetics_type(e: ast.Arithmetics, scope: Scope) -> Unit:
+    op, args = e.op, e.args
+    if len(args) == 1:
+        return infer_type(args[0], scope)
+    left, right = args
+    if op in ("+", "-"):
+        left_unit = infer_type(left, scope)
+        right_unit = infer_type(right, scope)
+        _require_same_dimension(f"{op!r}", left_unit, right_unit, e.pos)
+        return left_unit
+    if op == "*":
+        return mul_units(infer_type(left, scope), infer_type(right, scope))
+    if op == "/":
+        return div_units(infer_type(left, scope), infer_type(right, scope))
+    base_unit = infer_type(left, scope)
+    if base_unit.dimensionless:
+        exponent_unit = infer_type(right, scope)
+        _require_dimensionless("exponents must be dimensionless", exponent_unit, e.pos)
+        return DIMENSIONLESS
+    power = _integer_literal(right)
+    if power is None:
+        raise TypeCheckError(
+            "the exponent on a dimensioned base must be an integer literal", e.pos
+        )
+    return pow_unit(base_unit, power)
+
+
+def _draw_type(e: ast.Draw, scope: Scope) -> Unit:
+    name = e.distribution
+    if name in ("uniform", "normal"):
+        first, second = e.args
+        first_unit = infer_type(first, scope)
+        second_unit = infer_type(second, scope)
+        _require_same_dimension(f"'{name}'", first_unit, second_unit, e.pos)
+        return first_unit
+    # gamma(shape, scale), loglogistic(scale, shape): the shape first
+    shape, scale = e.args if name == "gamma" else e.args[::-1]
+    shape_unit = infer_type(shape, scope)
+    _require_dimensionless(f"{name} shape must be dimensionless", shape_unit, e.pos)
+    return infer_type(scale, scope)
+
+
+def _cast_type(e: ast.Cast, scope: Scope) -> Unit:
+    inner_unit = infer_type(e.args[0], scope)
+    if e.op == "as":
+        _require_dimensionless("'as' expects a dimensionless operand", inner_unit, e.pos)
+        return e.unit
+    _require_same_dimension("'in'", e.unit, inner_unit, e.pos)
+    return DIMENSIONLESS
+
+
+def _direction_type(e: ast.Direction, scope: Scope) -> Unit:
+    if not isinstance(scope.performer, ast.StageDefinition):
+        raise TypeCheckError("'direction' needs a performer with a position", e.pos)
+    scope.attribute_unit("here", e.attribute, e.pos)
+    return RADIANS
+
+
+def _apply_type(e: ast.Apply, scope: Scope) -> Unit:
+    function, args = e.function, e.args
     arity = _ARITY.get(function)
     if arity is None:
         raise TypeCheckError(f"unknown function {function!r}", e.pos)
@@ -240,6 +246,23 @@ def _apply_type(e, function: str, args, scope: Scope) -> Unit:
         case "min" | "max", left, right:
             _require_same_dimension(f"'{function}'", left, right, e.pos)
             return left
+
+
+# The typing rule of each expression kind, by node type.  A rule that
+# raises ``DimensionOverflowError`` has it reported at the node it types,
+# by ``infer_type``.
+_RULES = {
+    ast.Literal: lambda e, scope: e.unit,
+    ast.DeltaTime: lambda e, scope: SECONDS,
+    ast.AttributeVariable: lambda e, scope: scope.attribute_unit(e.agent, e.identifier, e.pos),
+    ast.UtilityVariable: lambda e, scope: scope.utility_unit(e.identifier, e.pos),
+    ast.PlaceholderRef: _placeholder_type,
+    ast.Arithmetics: _arithmetics_type,
+    ast.Apply: _apply_type,
+    ast.Draw: _draw_type,
+    ast.Cast: _cast_type,
+    ast.Direction: _direction_type,
+}
 
 
 def check_action(action: ast.ActionDefinition, scope: Scope) -> list[TypeCheckError]:
@@ -300,17 +323,28 @@ def _check_directive(directive: ast.LifecycleDirective, scope: Scope) -> None:
         _require_same_dimension(f"{guard.relop!r}", left, right, guard.pos)
 
 
-def _utility_cycle(action: ast.ActionDefinition) -> str | None:
-    """Name of a utility on a reference cycle, or None."""
-    names = {u.identifier for u in action.utilities}
-    graph = {
-        u.identifier: [
-            e.identifier
-            for e in ast.walk_expression(u.expression)
-            if isinstance(e, ast.UtilityVariable) and e.identifier in names
-        ]
-        for u in action.utilities
-    }
+def _references(action: ast.ActionDefinition) -> tuple[set[str], dict[str, list[str]]]:
+    """The placeholders ``action`` uses, and for each of its utilities the
+    names of the utilities its expression uses: one walk over the action."""
+    placeholders: set[str] = set()
+    uses: dict[str, list[str]] = {}
+    # ``action_expressions`` yields the utilities' expressions first.
+    for utility, top in zip_longest(action.utilities, ast.action_expressions(action)):
+        names = None
+        if utility is not None:
+            names = uses[utility.identifier] = []
+        for e in ast.walk_expression(top):
+            kind = type(e)
+            if kind is ast.PlaceholderRef:
+                placeholders.add(e.identifier)
+            elif kind is ast.UtilityVariable and names is not None:
+                names.append(e.identifier)
+    return placeholders, uses
+
+
+def _utility_cycle(uses: dict[str, list[str]]) -> str | None:
+    """Name of a utility on a reference cycle, or None; ``uses`` maps
+    each utility to the names its expression uses."""
     done: set[str] = set()
     path: set[str] = set()
 
@@ -320,15 +354,16 @@ def _utility_cycle(action: ast.ActionDefinition) -> str | None:
         if name in done:
             return None
         path.add(name)
-        for successor in graph[name]:
-            found = visit(successor)
-            if found is not None:
-                return found
+        for successor in uses[name]:
+            if successor in uses:
+                found = visit(successor)
+                if found is not None:
+                    return found
         path.discard(name)
         done.add(name)
         return None
 
-    for name in graph:
+    for name in uses:
         found = visit(name)
         if found is not None:
             return found
@@ -357,11 +392,20 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
                 message = f"initializer of {declaration.identifier!r} is not finite"
                 diagnostics.append(TypeCheckError(message, declaration.pos))
 
-    cyclic: set[int] = set()  # ids of the actions whose utilities form a cycle
+    # By action id, from one walk over the action when first needed: the
+    # placeholders it uses, and a utility on a cycle of its utilities or None.
+    facts: dict[int, tuple[set[str], str | None]] = {}
+
+    def facts_of(action: ast.ActionDefinition) -> tuple[set[str], str | None]:
+        key = id(action)
+        if key not in facts:
+            placeholders, uses = _references(action)
+            facts[key] = placeholders, _utility_cycle(uses)
+        return facts[key]
+
     for action in model.actions:
-        through = _utility_cycle(action)
+        through = facts_of(action)[1] if action.utilities else None
         if through is not None:
-            cyclic.add(id(action))
             diagnostics.append(
                 TypeCheckError(
                     f"utility definitions of action {action.name!r} form a cycle "
@@ -381,10 +425,10 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
         if action is None:
             diagnostics.append(TypeCheckError(f"unknown action {task.action!r}", task.pos))
             continue
-        if id(action) in cyclic:
+        required, through = facts_of(action)
+        if through is not None:
             continue
 
-        required = ast.placeholders_of(action)
         bound = {name for name, _ in task.bindings}
         usable = True
         for name in sorted(required - bound):

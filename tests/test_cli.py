@@ -575,6 +575,27 @@ class TestFmt:
         assert invoke("fmt", messy) == 0
         assert messy.read_text() == before
 
+    def test_an_overflowing_literal_stays_a_number(self, tree, capsys):
+        """``1e400`` reads as an infinity; fmt writes a number that reads
+        as one again, in an initializer and in an expression, so check
+        still reports the initializer rather than a syntax error."""
+        path = tree / "overflow.rmd"
+        path.write_text(
+            "Egg is Grasshopper with\n    e [kg] = 1e400 [kg].\n\n"
+            "to grow is\n    my e' = my e + 1e400 [kg] * 2.\n\nEgg grow.\n"
+        )
+        pinned = f"{path}:2:5: error: initializer of 'e' is not finite\n"
+        assert invoke("check", path) == 1
+        assert capsys.readouterr().err == pinned
+        assert invoke("fmt", path) == 0
+        text = path.read_text()
+        assert "e [kg] = 1e309 [kg]." in text
+        assert "my e' = my e + 1e309 [kg] * 2." in text
+        assert invoke("fmt", path) == 0
+        assert path.read_text() == text
+        assert invoke("check", path) == 1
+        assert capsys.readouterr().err == pinned
+
     def test_unparseable_left_untouched(self, tree, capsys):
         broken = tree / "broken.rmd"
         original = "Egg is\n"
@@ -667,3 +688,17 @@ class TestRunFailures:
         assert invoke("replay", out, 2) == 1
         assert capsys.readouterr() == ("", text + "\n")
         assert invoke("replay", out, 3) == 0
+
+    @pytest.mark.parametrize("name, width", [("frames.csv", 3), ("animats.csv", 4), ("rng.csv", 2)])
+    def test_replay_refuses_a_row_of_one_field_at_and_after_its_tick(
+        self, tmp_path, capsys, name, width
+    ):
+        out = tmp_path / "age"
+        assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+        lines = (out / name).read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("2,")) + 1
+        (out / name).write_text("".join(lines[:at] + ["2\n"] + lines[at:]))
+        for tick in (2, 3):
+            capsys.readouterr()
+            assert invoke("replay", out, tick) == 1
+            assert capsys.readouterr() == ("", f"{name}: tick 2 has a row of 1 fields, not {width}\n")

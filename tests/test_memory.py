@@ -634,6 +634,29 @@ def test_a_last_row_of_one_field_is_refused(tmp_path):
         FileBackend(tmp_path).load_frame(2)
 
 
+@pytest.mark.parametrize("name, width", [("frames.csv", 3), ("animats.csv", 4), ("rng.csv", 2)])
+def test_a_row_of_one_field_is_refused_by_every_read_that_meets_it(tmp_path, name, width):
+    """Loads of later ticks, whose search reads the row on the way, and the
+    cut before an append refuse it with the text the load of its own tick
+    gives, as does opening a directory whose last rng.csv row it is."""
+    age_engine(FileBackend(tmp_path)).run()
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("2,")) + 1
+    path.write_text("".join(lines[:at] + ["2\n"] + lines[at:]))
+    text = f"^{name}: tick 2 has a row of 1 fields, not {width}$"
+    reopened = FileBackend(tmp_path)
+    for tick in (2, 3, 5):
+        with pytest.raises(ValueError, match=text):
+            reopened.load_frame(tick)
+    with pytest.raises(ValueError, match=text):
+        reopened.append_frame(TraceFrame({}, {}, 0))
+    rng = tmp_path / "rng.csv"
+    rng.write_text(rng.read_text() + "6\n")
+    with pytest.raises(ValueError, match="^rng.csv: tick 6 has a row of 1 fields, not 2$"):
+        FileBackend(tmp_path)
+
+
 @st.composite
 def operations(draw):
     ops = []

@@ -347,6 +347,20 @@ def test_roundtrip_fixture_sources():
         assert pretty_print(parse_model(printed)) == printed
 
 
+def test_an_infinite_literal_prints_as_a_number_that_reads_back():
+    """A literal too large for a float holds an infinity; the printer
+    writes it as a number, in an initializer and in an expression."""
+    model = parse_model(
+        "Egg is Grasshopper with\n    e [kg] = 1e400 [kg].\n\n"
+        "to grow is\n    my e' = 1e999 + 2e400 [kg].\n\nEgg grow.\n"
+    )
+    printed = pretty_print(model)
+    assert "e [kg] = 1e309 [kg]." in printed
+    assert "my e' = 1e309 + 1e309 [kg]." in printed
+    assert parse_model(printed) == model
+    assert pretty_print(parse_model(printed)) == printed
+
+
 def test_format_expression_inserts_needed_parens():
     e = ast.Arithmetics(
         "*",
