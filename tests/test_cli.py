@@ -689,7 +689,9 @@ class TestRunFailures:
         assert capsys.readouterr() == ("", text + "\n")
         assert invoke("replay", out, 3) == 0
 
-    @pytest.mark.parametrize("name, width", [("frames.csv", 3), ("animats.csv", 4), ("rng.csv", 2)])
+    @pytest.mark.parametrize(
+        "name, width", [("frames.csv", 3), ("animats.csv", 4), ("rng.csv", 2)]
+    )
     def test_replay_refuses_a_row_of_one_field_at_and_after_its_tick(
         self, tmp_path, capsys, name, width
     ):
@@ -698,7 +700,8 @@ class TestRunFailures:
         lines = (out / name).read_text().splitlines(keepends=True)
         at = next(i for i, line in enumerate(lines) if line.startswith("2,")) + 1
         (out / name).write_text("".join(lines[:at] + ["2\n"] + lines[at:]))
+        text = f"{name}: tick 2 has a row of 1 fields, not {width}\n"
         for tick in (2, 3):
             capsys.readouterr()
             assert invoke("replay", out, tick) == 1
-            assert capsys.readouterr() == ("", f"{name}: tick 2 has a row of 1 fields, not {width}\n")
+            assert capsys.readouterr() == ("", text)
