@@ -5,9 +5,8 @@ under ``models/``, each digest covers one output of the lexer, parser,
 printer or checker, in a fixed order: every token, every node's type and
 position, the printed text, the rendered diagnostics, and what a seeded
 set of single-character edits does to the lexer and the parser.  A change
-to any of them, however small, changes its digest; the digests were
-recorded before the front end's dispatch was rewritten, so this test holds
-the rewrite to the old behaviour.
+to any of them, however small, changes its digest, so a rewrite of the
+front end that keeps its behaviour keeps every digest.
 """
 from __future__ import annotations
 
