@@ -202,6 +202,33 @@ def test_abort_names_the_performer_and_attribute(name):
     assert (err.value.base, err.value.index, err.value.attribute) == (base, index, attribute)
 
 
+@pytest.mark.parametrize("name", ABORTS)
+def test_a_shared_code_object_aborts_at_each_engines_own_line(name):
+    """Two comment and blank lines on top move every line of the model but
+    not its generated source, so the pinned model's engine, built second,
+    runs the moved one's code object; each abort names its own model's
+    line, and the pinned text does not change."""
+    model, message, frames = ABORTS[name]
+    moved, moved_backend = build("# two lines more\n\n" + model)
+    engine, backend = build(model)
+    assert moved.source == engine.source
+    pairs = zip(moved.plan, engine.plan, strict=True)
+    assert all(a.__code__ is b.__code__ for (_, a), (_, b) in pairs)
+    index, attribute = FAILED[name]
+    aborts = []
+    for built in (moved, engine):
+        with pytest.raises(RuntimeAbort) as err:
+            built.run()
+        base = built.image.performers["Egg"][index - 1]
+        assert (err.value.base, err.value.attribute) == (base, attribute)
+        aborts.append(err.value)
+    line = aborts[1].pos.line
+    assert aborts[0].pos.line == line + 2
+    assert aborts[1].render() == message
+    assert aborts[0].render() == message.replace(f"line {line})", f"line {line + 2})")
+    assert backend.frame_count() == moved_backend.frame_count() == frames
+
+
 # An abort of each kind, and a ``w`` for the first Egg that keeps it from
 # failing, so that only the second one does.
 SPARED = {

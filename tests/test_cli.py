@@ -689,6 +689,16 @@ class TestRunFailures:
         assert capsys.readouterr() == ("", text + "\n")
         assert invoke("replay", out, 3) == 0
 
+    def test_replay_of_a_tick_without_its_rng_row(self, tmp_path, capsys):
+        out = tmp_path / "age"
+        assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+        lines = (out / "rng.csv").read_text().splitlines(keepends=True)
+        (out / "rng.csv").write_text("".join(line for line in lines if not line.startswith("3,")))
+        capsys.readouterr()
+        assert invoke("replay", out, 3) == 1
+        assert capsys.readouterr() == ("", "frame 3 missing from rng.csv\n")
+        assert invoke("replay", out, 4) == 0
+
     @pytest.mark.parametrize(
         "name, width", [("frames.csv", 3), ("animats.csv", 4), ("rng.csv", 2)]
     )

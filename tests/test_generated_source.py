@@ -1,5 +1,6 @@
 """The Python source ``Engine()`` generates, pinned as text for the eggs
-model and as a sha256 digest for every model in ``models/``.
+model and as a sha256 digest for every model in ``models/``, and the
+code objects that engines of one source share.
 
 A change to how tasks are compiled shows here as a text diff, to be read
 in review beside the trace digests of ``test_golden_trace.py``, which say
@@ -7,19 +8,22 @@ whether it changed what a run computes.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import textwrap
+import types
 import weakref
 from pathlib import Path
 
 import pytest
 
-from remodyc import ast
+from remodyc import ast, interp
 from remodyc.interp import Engine, parse_config
 from remodyc.memory import InMemoryBackend
 from remodyc.parser import parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+LARGE_CONFIG = MODELS.parent / "bench" / "data" / "large.cfg"
 
 
 def engine(name: str) -> Engine:
@@ -153,3 +157,87 @@ def test_compiled_module_holds_no_engine(name):
     for _, task in built.plan:
         for value in task.__globals__.values():
             assert not isinstance(value, (Engine, ast.Node, *weakref.ProxyTypes))
+
+
+def codes(built: Engine) -> list[types.CodeType]:
+    return [task.__code__ for _, task in built.plan]
+
+
+def shared(first: Engine, second: Engine) -> list[bool]:
+    """By task, whether the two engines run the same code object."""
+    return [a is b for a, b in zip(codes(first), codes(second), strict=True)]
+
+
+def on(name: str, config: str, **settings: str) -> Engine:
+    """An engine for ``models/<name>.rmd`` on ``config`` with each setting
+    in ``settings`` replaced."""
+    lines = [f"{key} = {settings[key]}\n" if (key := line.split(" ", 1)[0]) in settings else line
+             for line in config.splitlines(keepends=True)]
+    model = parse_model((MODELS / f"{name}.rmd").read_text())
+    return Engine(model, parse_config("".join(lines)), InMemoryBackend())
+
+
+def test_engines_of_one_source_share_each_task_code():
+    """Seeds, populations and the grid never reach the source, so every
+    seed of a sweep, and the 30x30 benchmark grid, runs eggs.cfg's code,
+    each engine in a namespace of its own."""
+    config = (MODELS / "eggs.cfg").read_text()
+    first = on("eggs", config)
+    others = [on("eggs", config, seed="0"), on("eggs", config, seed="19"),
+              on("eggs", LARGE_CONFIG.read_text())]
+    for other in others:
+        assert other.source == first.source
+        assert shared(other, first) == [True] * 8
+        assert other.plan[0][1].__globals__ is not first.plan[0][1].__globals__
+    other.setup()
+    other.step()
+    assert other.backend.frame_count() == 2
+
+
+def test_a_different_delta_time_compiles_its_own_code():
+    config = (MODELS / "eggs.cfg").read_text()
+    daily, hourly = on("eggs", config), on("eggs", config, delta_time="1 h")
+    assert hourly.source != daily.source
+    assert shared(hourly, daily) == [False] * 8
+
+
+def test_the_code_cache_is_bounded_and_drops_the_least_recent_source():
+    """Past ``_CODE_CACHE_SIZE`` distinct sources the first one's code is
+    dropped: an engine of it compiles again, and the latest is still kept."""
+    config, size = (MODELS / "age.cfg").read_text(), interp._CODE_CACHE_SIZE
+    interp._code.cache_clear()
+    first = on("age", config, delta_time="1 s")
+    for seconds in range(2, size + 2):
+        latest = on("age", config, delta_time=f"{seconds} s")
+    info = interp._code.cache_info()
+    assert (info.maxsize, info.currsize, info.misses, info.hits) == (size, size, size + 1, 0)
+    assert shared(on("age", config, delta_time=f"{size + 1} s"), latest) == [True]
+    assert shared(on("age", config, delta_time="1 s"), first) == [False]
+    assert interp._code.cache_info().misses == size + 2
+
+
+# What a cached code object may reach: constants and code only.
+CONSTANT_TYPES = (types.CodeType, tuple, frozenset, str, bytes, int, float, complex,
+                  type(None), type(Ellipsis))
+
+
+def test_the_code_cache_keeps_nothing_of_a_dropped_engine():
+    gc.disable()
+    try:
+        built = on("eggs", (MODELS / "eggs.cfg").read_text(), steps="12")
+        built.run()
+        code = interp._code(built.source)
+        assert any(task is codes(built)[0] for task in code.co_consts)
+        dropped = weakref.ref(built), weakref.ref(built.image)
+        del built
+        assert [ref() for ref in dropped] == [None, None]
+    finally:
+        gc.enable()
+    pending = [code]
+    while pending:
+        item = pending.pop()
+        assert isinstance(item, CONSTANT_TYPES), type(item)
+        if isinstance(item, types.CodeType):
+            pending += item.co_consts
+        elif isinstance(item, (tuple, frozenset)):
+            pending += item

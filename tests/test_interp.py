@@ -129,6 +129,24 @@ class TestParseConfig:
             parse_config(f"delta_time = 1 {unit}\nsteps = 1\nseed = 0\n")
         assert str(err.value) == f"line 1: bad unit {unit!r}"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("delta_time = 1 day\nsteps = 1\nseed = 0\npopulate 3\n",
+             "line 4: expected 'populate <count> <stage>'"),
+            ("delta_time = 1 day\nsteps = 1\nseed = 0\npopulate x Egg\n", "line 4: bad count 'x'"),
+            ("delta_time 1 day\nsteps = 1\nseed = 0\n", "line 1: expected 'key = value'"),
+            ("delta_time = 1 day s s\nsteps = 1\nseed = 0\n",
+             "line 1: expected '<number> <unit>'"),
+            # ``SimulationConfig`` refuses it, so the text names no line.
+            ("delta_time = 1 day\nsteps = 1\nseed = -1\n", "seed must be non-negative"),
+        ],
+    )
+    def test_refusal_text(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+
     def test_validation_direct(self):
         with pytest.raises(ConfigError):
             SimulationConfig(delta_time=0.0, steps=1, seed=0)

@@ -634,6 +634,23 @@ def test_a_last_row_of_one_field_is_refused(tmp_path):
         FileBackend(tmp_path).load_frame(2)
 
 
+def test_a_tick_without_its_rng_row_is_missing(tmp_path):
+    """The rng.csv row commits a tick: a middle tick that lost it does not
+    load, and the ticks around it still do."""
+    age_engine(FileBackend(tmp_path)).run()
+    path = tmp_path / "rng.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("3,")))
+    reopened = FileBackend(tmp_path)
+    with pytest.raises(ValueError) as refused:
+        reopened.load_frame(3)
+    assert str(refused.value) == "frame 3 missing from rng.csv"
+    assert [reopened.load_frame(tick).rng_state for tick in (2, 4)] == [
+        memory.parse_state(line.partition(",")[2].strip())
+        for line in lines if line.startswith(("2,", "4,"))
+    ]
+
+
 @pytest.mark.parametrize("name, width", [("frames.csv", 3), ("animats.csv", 4), ("rng.csv", 2)])
 def test_a_row_of_one_field_is_refused_by_every_read_that_meets_it(tmp_path, name, width):
     """Loads of later ticks, whose search reads the row on the way, and the

@@ -285,6 +285,26 @@ def test_unit_error_column_points_into_bracket():
     assert (err.value.line, err.value.column) == (2, 13)
 
 
+# A model whose line 6 defines ``w`` by the text put in for ``{}``.
+CAST_MODEL = (
+    "Egg is G with\n    age [day] = 0 [day]\n    w [] = 0 [].\n"
+    "to halve is\n    my delta age' = delta time\n    my w' = {}.\nEgg halve.\n"
+)
+
+
+@pytest.mark.parametrize("operator", ["+", "-", "*", "/"])
+def test_an_operator_after_a_cast_needs_brackets(operator):
+    """README "Expressions": a cast binds looser than division, so
+    ``my age in [day] / 2`` is not valid and its bracketed form is."""
+    with pytest.raises(SourceError) as err:
+        parse_model(CAST_MODEL.format(f"my age in [day] {operator} 2"))
+    assert str(err.value) == f"6:29: expected '.', found '{operator}'"
+    model = parse_model(CAST_MODEL.format(f"(my age in [day]) {operator} 2"))
+    expression = model.actions[0].definitions[1].expression
+    assert isinstance(expression, ast.Arithmetics) and expression.op == operator
+    assert isinstance(expression.args[0], ast.Cast)
+
+
 def test_reserved_words_are_rejected_as_identifiers():
     for keyword in sorted(KEYWORDS):
         with pytest.raises(SourceError):
