@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 model or configuration errors, 2 I/O problems
-(a failed census stdout included: the run still keeps every frame), 3 a
-run aborted mid-simulation (completed frames are kept on disk).
+Exit codes: 0 success, 1 model or configuration errors (and a run
+directory that does not hold what it should, a tick that ``verify`` does
+not recompute as stored included), 2 I/O problems (a failed census stdout
+included: the run still keeps every frame), 3 a run aborted
+mid-simulation (completed frames are kept on disk).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from pathlib import Path
 
 from . import TRACE_FORMAT_VERSION, ast
 from .interp import ConfigError, Engine, RuntimeAbort, parse_config
-from .memory import CountingBackend, FileBackend
+from .memory import CountingBackend, FileBackend, StorageBackend, TraceFrame
 from .parser import SourceError, format_number, parse_model, pretty_print
 from .typecheck import check_model, errors_only
 from .units import format_unit
@@ -50,6 +52,10 @@ def main(argv=None) -> int:
     replay.add_argument("run_dir")
     replay.add_argument("tick", type=int)
 
+    verify = commands.add_parser(
+        "verify", help="recompute each stored tick from the one before it")
+    verify.add_argument("run_dir")
+
     chart = commands.add_parser("chart", help="population counts per tick")
     chart.add_argument("run_dir")
     chart.add_argument("stage")
@@ -62,6 +68,7 @@ def main(argv=None) -> int:
         "check": _check,
         "run": _run,
         "replay": _replay,
+        "verify": _verify,
         "chart": _chart,
         "fmt": _fmt,
     }[args.command]
@@ -111,15 +118,15 @@ def _check(args) -> int:
     return 0
 
 
+# The configuration settings ``meta.txt`` records, in its order, as
+# ``parse_config`` reads them; ``populate`` lines follow the other keys.
+_SETTINGS = ("seed", "delta_time", "steps", "world_width", "world_height", "patch_size")
+
+
 def _meta_lines(config) -> list[str]:
     return [
         f"version={TRACE_FORMAT_VERSION}",
-        f"seed={config.seed}",
-        f"delta_time={format_number(config.delta_time)}",
-        f"steps={config.steps}",
-        f"world_width={format_number(config.world_width)}",
-        f"world_height={format_number(config.world_height)}",
-        f"patch_size={format_number(config.patch_size)}",
+        *(f"{key}={format_number(getattr(config, key))}" for key in _SETTINGS),
         f"patches_x={config.patches_x}",
         f"patches_y={config.patches_y}",
         "rng=splitmix64, one global stream consumed in task and animat order",
@@ -183,14 +190,14 @@ def _abort_at(abort: RuntimeAbort) -> str:
     return " ".join(f"{key}={value}" for key, value in fields.items() if value is not None)
 
 
-def _open_run_dir(path: str) -> tuple[FileBackend, ast.Model]:
+def _open_run_dir(path: str) -> tuple[FileBackend, ast.Model, list[tuple[str, str]]]:
+    """The trace, the model and the ``meta.txt`` lines, as (key, value)
+    pairs, of the run directory at ``path``."""
     run_dir = Path(path)
     if not (run_dir / "meta.txt").exists():  # written before any trace file
         raise _Failure(2, f"{path} is not a run directory")
-    meta = {}
-    for line in _read_text(run_dir / "meta.txt").splitlines():
-        key, _, value = line.partition("=")
-        meta[key] = value
+    lines = [line.partition("=")[::2] for line in _read_text(run_dir / "meta.txt").splitlines()]
+    meta = dict(lines)
     if meta.get("version") != TRACE_FORMAT_VERSION:
         raise _Failure(
             1,
@@ -198,11 +205,11 @@ def _open_run_dir(path: str) -> tuple[FileBackend, ast.Model]:
             f"(expected {TRACE_FORMAT_VERSION})",
         )
     _, model = _parse_model_file(str(run_dir / "model.rmd"))
-    return FileBackend(run_dir), model
+    return FileBackend(run_dir), model, lines
 
 
 def _replay(args) -> int:
-    backend, model = _open_run_dir(args.run_dir)
+    backend, model, _ = _open_run_dir(args.run_dir)
     try:
         frame = backend.load_frame(args.tick)
     except ValueError as err:
@@ -230,8 +237,62 @@ def _replay(args) -> int:
     return 0
 
 
+class _OneTick(StorageBackend):
+    """Serves one stored frame to ``Engine.resume`` and answers its tick
+    as the frame count, so that the engine may commit the next tick, which
+    ``step`` returns and nothing keeps."""
+
+    def __init__(self, frame: TraceFrame, tick: int):
+        self.frame = frame
+        self.tick = tick
+
+    def load_frame(self, tick: int) -> TraceFrame:
+        return self.frame
+
+    def frame_count(self) -> int:
+        return self.tick
+
+    def append_frame(self, frame: TraceFrame) -> None:
+        pass
+
+
+def _verify(args) -> int:
+    """Recompute each stored tick after the first from the stored one
+    before it, each in an engine of its own, so that what a tick is
+    checked against is that frame alone."""
+    backend, model, meta = _open_run_dir(args.run_dir)
+    meta_path = Path(args.run_dir) / "meta.txt"
+    # One config line per meta.txt line, so that a refusal names its line.
+    text = "\n".join(f"{key} = {value}" if key in _SETTINGS
+                     else f"populate {value}" if key == "populate" else ""
+                     for key, value in meta)
+    try:
+        config = parse_config(text)
+    except ConfigError as err:
+        raise _Failure(1, f"{meta_path}: {err}")
+    _diagnose(model, str(Path(args.run_dir) / "model.rmd"), config)
+    frames = backend.frame_count()
+    try:
+        stored = backend.load_frame(1) if frames else None
+        for tick in range(1, frames):
+            following = backend.load_frame(tick + 1)
+            engine = Engine(model, config, _OneTick(stored, tick))
+            engine.resume(tick)
+            try:
+                recomputed = engine.step()
+            except RuntimeAbort as abort:
+                raise _Failure(1, f"tick {tick + 1} is not recomputed: aborted: {abort.render()}")
+            if recomputed != following:
+                raise _Failure(1, f"tick {tick + 1} differs from a step of tick {tick}")
+            stored = following
+    except ValueError as err:
+        raise _Failure(1, str(err))
+    print(f"{max(frames - 1, 0)} ticks recomputed as stored")
+    return 0
+
+
 def _chart(args) -> int:
-    backend, model = _open_run_dir(args.run_dir)
+    backend, model, _ = _open_run_dir(args.run_dir)
     stage = model.agent_named(args.stage)
     if not isinstance(stage, ast.StageDefinition):
         raise _Failure(1, f"unknown stage {args.stage!r}")

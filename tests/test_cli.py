@@ -493,6 +493,68 @@ class TestReplay:
         assert capsys.readouterr() == ("", message + "\n")
 
 
+class TestVerify:
+    @pytest.fixture
+    def run_dir(self, tree, capsys):
+        out = tree / "run1"
+        invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out)
+        capsys.readouterr()
+        return out
+
+    @staticmethod
+    def edit(path, row, replacement):
+        lines = path.read_text().splitlines(keepends=True)
+        assert sum(line.startswith(row) for line in lines) == 1
+        path.write_text("".join(replacement if line.startswith(row) else line for line in lines))
+
+    @pytest.mark.parametrize("name, config", [
+        ("age", "age"), ("eggs", "eggs"), ("memo", "memo"), ("move", "move"), ("move_delta", "move"),
+    ])
+    def test_every_model_recomputes_as_stored_from_one_compile(self, tmp_path, capsys, name, config):
+        """An engine per recomputed tick, all of them on the code object of
+        the first; the run directory is only read."""
+        out = tmp_path / name
+        assert invoke("run", MODELS / f"{name}.rmd", MODELS / f"{config}.cfg", "--out", out) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        frames = FileBackend(out).frame_count()
+        capsys.readouterr()
+        interp._code.cache_clear()
+        assert invoke("verify", out) == 0
+        assert capsys.readouterr() == (f"{frames - 1} ticks recomputed as stored\n", "")
+        info = interp._code.cache_info()
+        assert (info.misses, info.hits) == (1, frames - 2)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_a_changed_value_is_named_by_its_tick(self, run_dir, capsys):
+        self.edit(run_dir / "frames.csv", "3,5,", "3,5,1\n")
+        assert invoke("verify", run_dir) == 1
+        assert capsys.readouterr() == ("", "tick 3 differs from a step of tick 2\n")
+
+    def test_the_config_is_read_from_meta(self, run_dir, capsys):
+        """A delta_time edited in meta.txt recomputes tick 2 otherwise; one
+        that is not a number is refused on its meta.txt line."""
+        meta = run_dir / "meta.txt"
+        self.edit(meta, "delta_time=", "delta_time=3600\n")
+        assert invoke("verify", run_dir) == 1
+        assert capsys.readouterr() == ("", "tick 2 differs from a step of tick 1\n")
+        self.edit(meta, "delta_time=", "delta_time=x\n")
+        assert invoke("verify", run_dir) == 1
+        assert capsys.readouterr() == ("", f"{meta}: line 3: bad number 'x'\n")
+
+    def test_a_recomputation_that_aborts_is_named_by_its_tick(self, run_dir, capsys):
+        model = run_dir / "model.rmd"
+        model.write_text(model.read_text().replace(
+            "my delta age' = delta time.", "my delta age' = delta time * (my age / my age)."))
+        assert invoke("verify", run_dir) == 1
+        assert capsys.readouterr() == (
+            "", "tick 2 is not recomputed: aborted: division by zero (tick 2, Egg, line 8)\n")
+
+    def test_a_frame_that_does_not_load_is_refused(self, run_dir, capsys):
+        self.edit(run_dir / "rng.csv", "3,", "")
+        assert invoke("verify", run_dir) == 1
+        assert capsys.readouterr() == ("", "frame 3 missing from rng.csv\n")
+
+
 class TestChart:
     def test_counts_include_zero_ticks(self, tree, capsys):
         out = tree / "run1"

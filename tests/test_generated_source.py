@@ -178,9 +178,9 @@ def on(name: str, config: str, **settings: str) -> Engine:
 
 
 def test_engines_of_one_source_share_each_task_code():
-    """Seeds, populations and the grid never reach the source, so every
-    seed of a sweep, and the 30x30 benchmark grid, runs eggs.cfg's code,
-    each engine in a namespace of its own."""
+    """Seeds, populations and the grid never reach the source, so an
+    engine of another seed, or of the 30x30 benchmark grid, built after an
+    eggs.cfg one runs its code, each engine in a namespace of its own."""
     config = (MODELS / "eggs.cfg").read_text()
     first = on("eggs", config)
     others = [on("eggs", config, seed="0"), on("eggs", config, seed="19"),
