@@ -359,13 +359,3 @@ def action_expressions(action: ActionDefinition) -> Iterator[Expression]:
         if guard is not None:
             yield guard.left
             yield guard.right
-
-
-def placeholders_of(action: ActionDefinition) -> set[str]:
-    """Placeholder names a task must bind, wherever they are reachable."""
-    names = set()
-    for top in action_expressions(action):
-        for e in walk_expression(top):
-            if isinstance(e, PlaceholderRef):
-                names.add(e.identifier)
-    return names

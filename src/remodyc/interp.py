@@ -23,7 +23,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, islice, product, repeat
+from itertools import chain, groupby, islice, product, repeat, starmap
 from types import CodeType
 from typing import Callable, Iterable, Iterator
 
@@ -38,8 +38,12 @@ _DEFAULT_EDGE = 1000.0
 # populate past it aborts instead of allocating without end.
 MAX_ANIMATS = 1_000_000
 # New blocks are allocated in runs of at most this many rows, which bounds
-# the rows built and not yet entered.
+# the rows built and not yet entered: a populate line's, or those of a run
+# of consecutive births of one stage in a tick's events, each birth's row
+# made when the run of rows it falls in is.
 _ALLOCATION_ROWS = 4096
+# By position 0-8 in the 3x3 window ``field`` scans, its row and column there.
+_STEPS = tuple(divmod(position, 3) for position in range(9))
 # The most distinct task sources whose code objects are kept; past it the
 # least recently used is dropped.  Not tuned: it is the least that covers
 # the callers, each of which builds its engines from one source.  An eggs
@@ -339,7 +343,7 @@ class Engine:
             task = err.__traceback__.tb_next
             site = self.sites.get(task.tb_lineno)
             if site is None:
-                raise
+                raise  # not reached: a line without a site only does float arithmetic or calls cell, field or heading; none raises
             message, stage, pos, attribute = site
             base = task.tb_frame.f_locals["b"]  # the performer
             raise RuntimeAbort(message.format(err), self.image.ticks + 1, stage, pos,
@@ -369,25 +373,50 @@ class Engine:
             raise RuntimeAbort(message, tick=self.image.ticks + 1) from err
 
     def _apply_events(self, events: list) -> None:
-        for event in events:
-            match event:
-                case ("die", base):
-                    self.image.kill(base)
-                case (name, base, kind, stage, *spawn):
-                    count, pos = spawn or (1, None)
-                    if name == "become":
-                        self.image.kill(base)
-                    elif (blocks := self.image.live + count) > MAX_ANIMATS:
-                        raise RuntimeAbort(
-                            f"spawn of {count} would hold {blocks} animats, "
-                            f"over the ceiling of {MAX_ANIMATS}",
-                            tick=self.image.ticks + 1, stage=kind, pos=pos,
-                            base=base, index=self.image.animats[base][1],
-                        )
-                    row, pending = self.templates[stage].copy(), self.image.next
-                    for new, old in self.inherits[name, kind, stage]:
-                        row[new] = pending[base + old] + 0.0
-                    self._allocate(stage, repeat(row, count))
+        """Apply the tick's events in their order: a death kills its block,
+        and each maximal run of consecutive births of one stage (becomes and
+        spawns, in event order) goes to ``_allocate`` at once, which makes
+        each birth's row, and kills a becoming block, as it takes it.  A
+        spawn that would take the live blocks, the run's births before it
+        included, past ``MAX_ANIMATS`` raises its ``RuntimeAbort`` once those
+        births are allocated."""
+        kill = self.image.kill
+        # A death is ("die", base), a birth (name, base, kind, stage, ...).
+        for stage, run in groupby(events, operator.itemgetter(slice(3, 4))):
+            if not stage:
+                for _, base in run:
+                    kill(base)
+                continue
+            abort: list[RuntimeAbort] = []
+            self._allocate(stage[0], chain.from_iterable(starmap(repeat, self._births(run, abort))))
+            if abort:
+                raise abort[0]
+
+    def _births(self, run: Iterable[tuple], abort: list) -> Iterator[tuple[list[float], int]]:
+        """``(row, count)`` for each birth of ``run``, a run of births of one
+        stage: the stage's template, with what the new blocks inherit from
+        the parent's pending values.  A become kills its block first.  A
+        spawn over the ceiling ends the run and puts its abort in ``abort``."""
+        image, templates, inherits = self.image, self.templates, self.inherits
+        pending, kill, killed = image.next, image.kill, image.killed
+        blocks = len(image.animats)  # allocated or born in the run
+        for name, base, kind, stage, *spawn in run:
+            count, pos = spawn or (1, None)
+            if name == "become":
+                kill(base)
+            elif (live := blocks - len(killed) + count) > MAX_ANIMATS:
+                abort.append(RuntimeAbort(
+                    f"spawn of {count} would hold {live} animats, "
+                    f"over the ceiling of {MAX_ANIMATS}",
+                    tick=image.ticks + 1, stage=kind, pos=pos,
+                    base=base, index=image.animats[base][1],
+                ))
+                return
+            row = templates[stage].copy()
+            for new, old in inherits[name, kind, stage]:
+                row[new] = pending[base + old] + 0.0
+            blocks += count
+            yield row, count
 
 
 def _config_error(message: str, pos) -> ConfigError:
@@ -443,6 +472,10 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
 
     columns, rows, edge = config.patches_x, config.patches_y, config.patch_size
     floor, atan2 = math.floor, math.atan2
+    # By cell, its column and row; at c + 1, for each column (row) c from
+    # -1, the border, up, its centre (c + 0.5) * edge.  Built by the first
+    # ``field``, so never for a grid that ``setup`` refuses.
+    column_of = row_of = centre_x = centre_y = None
 
     def cell(x: float, y: float) -> int:
         """Index in ``patches`` of the patch under ``(x, y)``; a position past
@@ -457,7 +490,14 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
         first richest patch of the 3x3 window around it.  Builtin ``max``
         keeps the first of equal items and ``tuple.index`` finds the first;
         the ``-inf`` border is never richest, as committed values are finite.
-        One grid row at a time, so the windows take O(columns) at once."""
+        One grid row at a time, so the windows take O(columns) at once.
+        The first call also builds the grid tables ``heading`` reads."""
+        nonlocal column_of, row_of, centre_x, centre_y
+        if column_of is None:
+            column_of = list(range(columns)) * rows
+            row_of = list(chain.from_iterable(map(repeat, range(rows), repeat(columns))))
+            centre_x = [(c + 0.5) * edge for c in range(-1, columns + 1)]
+            centre_y = [(r + 0.5) * edge for r in range(-1, rows + 1)]
         get, border = vals.__getitem__, [-inf] * (columns + 2)
         padded = chain(
             (border,),
@@ -479,14 +519,15 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
         in row order with the top row (lowest y) first, of the 3x3 window
         around the patch under it, as ``field`` gives in ``positions``; 0 if
         that is the patch under it, which so wins a tie with a later patch
-        and loses one with an earlier patch."""
+        and loses one with an earlier patch.  The patch's column and row and
+        their centres come from the tables the first ``field`` built, the
+        same floats as ``(c + 0.5) * edge``; no operation here raises."""
         here = cell(x, y)
         position = positions[here]
         if position == 4:
             return 0.0
-        (py, px), (dy, dx) = divmod(here, columns), divmod(position, 3)
-        cx, cy = px + dx - 1, py + dy - 1
-        return atan2((cy + 0.5) * edge - y, (cx + 0.5) * edge - x)
+        dy, dx = _STEPS[position]
+        return atan2(centre_y[row_of[here] + dy] - y, centre_x[column_of[here] + dx] - x)
 
     namespace = {
         "image": image, "rng": rng, "write": image.write, "write_delta": image.write_delta,

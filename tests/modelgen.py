@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from remodyc import ast
+from remodyc import ast, typecheck
 from remodyc.units import parse_unit
 
 UNIT_SPELLINGS = (
@@ -134,7 +134,7 @@ class _Generator:
         agent = rng.choice(self.stage_names + ("World", "Patch"))
         bindings = tuple(
             (name, self.expression(2, (), placeholders=False))
-            for name in sorted(ast.placeholders_of(action))
+            for name in sorted(typecheck._references(action)[0])
         )
         return ast.TaskDefinition(agent, action.name, bindings)
 

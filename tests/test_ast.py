@@ -5,7 +5,7 @@ import typing
 
 import pytest
 
-from remodyc import ast
+from remodyc import ast, typecheck
 from remodyc.parser import parse_expression, parse_model
 from remodyc.units import parse_unit
 
@@ -99,19 +99,19 @@ where
     r = the speed.
 """
     )
-    assert ast.placeholders_of(model.actions[0]) == {"heading", "speed"}
+    assert typecheck._references(model.actions[0])[0] == {"heading", "speed"}
 
 
 def test_placeholders_of_plain_action_is_empty():
     model = parse_model("to age is my delta age' = delta time.")
-    assert ast.placeholders_of(model.actions[0]) == set()
+    assert typecheck._references(model.actions[0])[0] == set()
 
 
 def test_placeholders_inside_guards_and_counts():
     model = parse_model(
         "to breed is my spawn Egg' = the litter when my age >= the ripe.\n"
     )
-    assert ast.placeholders_of(model.actions[0]) == {"litter", "ripe"}
+    assert typecheck._references(model.actions[0])[0] == {"litter", "ripe"}
 
 
 def test_positions_do_not_affect_equality():

@@ -12,10 +12,13 @@ and neither may change a frame once it has been returned or stored.
 from __future__ import annotations
 
 import hashlib
+from itertools import filterfalse
 from pathlib import Path
 
-from hypothesis import example, given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from remodyc import memory
 from remodyc.interp import Engine, parse_config
 from remodyc.memory import InMemoryBackend, MemoryImage, TraceFrame
 from remodyc.parser import parse_model
@@ -33,7 +36,6 @@ def kept_state(image: MemoryImage) -> dict:
         "animats": image.animats,
         "performers": image.performers,
         "next_free": image.next_free,
-        "live": image.live,
         # The committed addresses a kill of each live block would drop: a
         # block reaches up to the next base, the highest one to next_free.
         "killable": {
@@ -110,6 +112,93 @@ def test_commit_path_matches_load_path_on_any_allocations_and_kills(ticks):
             base = image.allocate(stage, 1)
             assert loaded.allocate(stage, 1) == base, f"tick {tick}"
             assert image.animats[base] == loaded.animats[base], f"tick {tick}"
+
+
+@st.composite
+def bulk_ticks(draw):
+    """Ticks of blocks of two stages, each allocated in one call, then
+    killed: all of a stage, or any subset of the blocks, in any order."""
+    ticks = []
+    for _ in range(draw(st.integers(1, 5))):
+        allocations = draw(st.lists(st.tuples(st.sampled_from("AB"), st.integers(0, 40)), max_size=3))
+        kills = draw(st.sampled_from(["A", "B", "AB", "any"]))
+        picks = draw(st.lists(st.integers(0, 999), max_size=60)) if kills == "any" else []
+        ticks.append((allocations, kills, picks, draw(st.randoms(use_true_random=False))))
+    return ticks
+
+
+@given(bulk_ticks())
+@settings(max_examples=60, deadline=None)
+def test_commit_path_matches_load_path_on_many_kills(ticks):
+    """Up to 40 blocks a stage and call, many of them killed in one tick:
+    each stage loses its blocks one at a time or by a rebuilt list, and
+    the animats one at a time or by a copy of the frame's, as the counts
+    fall on either side of the cutoffs; a stage killed whole leaves the
+    performers.  Each commit matches a fresh load of its frame, and the
+    next block of each stage is placed and labelled alike on both."""
+    backend, image = InMemoryBackend(), MemoryImage()
+    for tick, (allocations, kills, picks, order) in enumerate(ticks, start=1):
+        for stage, blocks in allocations:
+            image.allocate(stage, 2, [[1.0, 2.0]] * blocks)
+        bases = sorted(image.animats)
+        if kills == "any":
+            doomed = {bases[pick % len(bases)] for pick in picks} if bases else set()
+        else:
+            doomed = {base for base in bases if image.animats[base][0] in kills}
+        doomed = sorted(doomed)
+        order.shuffle(doomed)
+        for base in doomed:
+            image.kill(base)
+        image.apply_frame(image.store(backend, tick), tick)
+        loaded = MemoryImage()
+        loaded.load(backend, tick)
+        assert kept_state(image) == kept_state(loaded), f"tick {tick}"
+        assert list(image.animats.items()) == list(loaded.animats.items()), f"tick {tick}"
+        for stage in "AB":
+            base = image.allocate(stage, 2)
+            assert loaded.allocate(stage, 2) == base, f"tick {tick}"
+            assert image.animats[base] == loaded.animats[base], f"tick {tick}"
+
+
+# (blocks of A, of B, deaths of A, of B, _KILLS_ONE_AT_A_TIME): A and B are
+# each on the side of its cutoff the test's name gives.
+KILL_CASES = {
+    "one-A-one-B": (80, 80, 1, 1, 400),
+    "one-A-rebuilt-B": (80, 80, 1, 11, 400),
+    "rebuilt-A-all-B": (80, 40, 40, 40, 400),
+    "all-A-one-B-of-a-long-list": (40, 400, 40, 1, 400),
+    "rebuilt-A-over-a-low-cutoff": (80, 80, 4, 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", KILL_CASES.values(), ids=KILL_CASES)
+def test_each_side_of_the_kill_cutoffs_matches_the_load_path(monkeypatch, case):
+    """A stage's deaths past an eighth of its blocks or past
+    ``_KILLS_ONE_AT_A_TIME`` rebuild its list, and deaths past a sixteenth
+    of all blocks replace the animats by a copy of the frame's; either
+    side of each gives what a load gives."""
+    blocks_a, blocks_b, deaths_a, deaths_b, cutoff = case
+    monkeypatch.setattr(memory, "_KILLS_ONE_AT_A_TIME", cutoff)
+    rebuilt = []
+    monkeypatch.setattr(memory, "filterfalse", lambda *args: rebuilt.append(1) or filterfalse(*args))
+    backend, image = InMemoryBackend(), MemoryImage()
+    image.allocate("A", 2, [[1.0, 2.0]] * blocks_a)
+    image.allocate("B", 2, [[3.0, 4.0]] * blocks_b)
+    image.apply_frame(image.store(backend, 1), 1)
+    a, b = image.performers["A"], image.performers["B"]
+    # Spread over each list, killed from the top down.
+    doomed = a[::len(a) // deaths_a][:deaths_a] + b[::len(b) // deaths_b][:deaths_b]
+    for base in reversed(doomed):
+        image.kill(base)
+    animats = image.animats
+    image.apply_frame(image.store(backend, 2), 2)
+    loaded = MemoryImage()
+    loaded.load(backend, 2)
+    assert kept_state(image) == kept_state(loaded)
+    assert list(image.animats.items()) == list(loaded.animats.items())
+    assert len(rebuilt) == sum(deaths > min(blocks >> 3, cutoff)
+                               for blocks, deaths in ((blocks_a, deaths_a), (blocks_b, deaths_b)))
+    assert (image.animats is not animats) == (deaths_a + deaths_b > (blocks_a + blocks_b) >> 4)
 
 
 def test_frames_do_not_change_once_returned_or_stored():

@@ -3,12 +3,14 @@ import dataclasses
 import gc
 import itertools
 import math
+import os
+import subprocess
 import sys
 import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from remodyc import cli, interp, rng
 from remodyc.ast import ActionDefinition, Decorator, TaskDefinition
@@ -640,6 +642,76 @@ class TestLifecycle:
         assert (err.value.tick, err.value.index) == (3, 3)
         assert backend.frame_count() == 2
 
+    # Eggs hatch, adults lay two eggs each and larvae lay one and moult, so
+    # one tick's births run Adult, Egg, then Egg and Adult by turns; adults
+    # die at 2 days, between runs.
+    INTERLEAVED = (
+        "Egg is G with\n    age [day] = 0 [day].\n"
+        "Larva is G with\n    age [day] = 4 [day]\n    mass [kg] = 2 [kg].\n"
+        "Adult is G with\n    mass [kg] = 1 [kg]\n    age [day].\n"
+        "to grow is\n    my delta age' = delta time.\n"
+        "to hatch is\n    my become Adult when my age >= 0 [day].\n"
+        "to lay is\n    my spawn Egg' = 2 when my age >= 0 [day].\n"
+        "to moult is\n    my spawn Egg' = 1\n    my become Adult when my age >= 0 [day].\n"
+        "to expire is\n    my die when my age >= 2 [day].\n"
+        "Egg grow.\nAdult grow.\nLarva grow.\n"
+        "Egg hatch.\nAdult lay.\nAdult expire.\nLarva moult.\n"
+    )
+
+    def test_interleaved_births_match_one_allocation_per_event(self):
+        """Runs of births of one stage are allocated at once, yet every
+        tick commits what one ``allocate`` per event, in event order, does:
+        the same frame (bases, indices and inherited values, dict order
+        included), performers and ``next_free``.  A become inherits its
+        attributes by name, a spawn its position."""
+        config = BASIC_CONFIG.replace(
+            "populate 1 Egg", "populate 3 Egg\npopulate 2 Larva\npopulate 2 Adult"
+        )
+        bulk, bulk_backend = build(self.INTERLEAVED, config)
+        single, single_backend = build(self.INTERLEAVED, config)
+
+        def one_allocation_per_event(events):
+            image = single.image
+            for event in events:
+                if event[0] == "die":
+                    image.kill(event[1])
+                    continue
+                name, base, kind, stage, *spawn = event
+                if name == "become":
+                    image.kill(base)
+                slots, parent = single.slots[stage], single.slots[kind]
+                names = slots if name == "become" else ("x", "y")
+                row = single.templates[stage].copy()
+                for attribute in names:
+                    if attribute in parent:
+                        row[slots[attribute]] = image.next[base + parent[attribute]] + 0.0
+                image.allocate(stage, len(row), [row] * (spawn[0] if spawn else 1))
+
+        runs, calls = [], []
+        apply_events, allocate = bulk._apply_events, bulk.image.allocate
+
+        def recorded(events):
+            stages = (event[3] if event[0] != "die" else None for event in events)
+            runs.append([stage for stage, _ in itertools.groupby(stages)])
+            apply_events(events)
+
+        single._apply_events = one_allocation_per_event
+        bulk.setup()
+        single.setup()
+        bulk._apply_events = recorded
+        bulk.image.allocate = lambda *args: calls.append(args[0]) or allocate(*args)
+        for _ in range(4):
+            frames = bulk.step(), single.step()
+            assert list(frames[0].values.items()) == list(frames[1].values.items())
+            assert list(frames[0].animats.items()) == list(frames[1].animats.items())
+            assert bulk.image.performers == single.image.performers
+            assert bulk.image.next_free == single.image.next_free
+        assert runs[0] == ["Adult", "Egg", "Adult", "Egg", "Adult"]
+        assert None in runs[2]  # deaths between runs of births
+        # One allocation a run of births.
+        assert calls == [stage for run in runs for stage in run if stage]
+        assert bulk_backend.frame_count() == single_backend.frame_count() == 5
+
 
 class TestEvaluation:
     def test_utility_memoized_per_animat(self):
@@ -1156,6 +1228,90 @@ def test_direction_field_matches_the_scan(case):
     step_matches_scan()
     engine.resume(3)
     step_matches_scan()
+
+
+def formula_heading(cell, columns, edge, positions, x, y):
+    """``heading`` as two ``divmod``s and the centre's formula, with no table."""
+    here = cell(x, y)
+    position = positions[here]
+    if position == 4:
+        return 0.0
+    (py, px), (dy, dx) = divmod(here, columns), divmod(position, 3)
+    cx, cy = px + dx - 1, py + dy - 1
+    return math.atan2((cy + 0.5) * edge - y, (cx + 0.5) * edge - x)
+
+
+POSITIONS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from((5e-324, 1e-300, 0.25, 1000.0, 3e7, 1e300)) | st.floats(1e-3, 1e6),
+    st.lists(st.floats(), min_size=36, max_size=36),
+    st.lists(st.tuples(POSITIONS, POSITIONS), min_size=1, max_size=8),
+)
+@example(3, 2, 1e300, [0.0] * 36, [(1e308, -1e308), (-1e308, 1e308), (5e-324, 5e-324)])
+@example(1, 1, 5e-324, [-math.inf] * 36, [(0.0, 0.0), (-5e-324, 1e308)])
+@example(6, 6, 1000.0, [math.nan, 1.0, -math.inf] * 12, [(1e308, 1e308), (-1e6, 2.5e3)])
+@settings(max_examples=150, deadline=None, report_multiple_bugs=False)
+def test_heading_reads_its_tables_as_the_formula_computes(columns, rows, edge, values, walkers):
+    """The heading ``field``'s first call tables the grid for is the
+    formula's float, bit for bit, and never raises: on any grid, any patch
+    values (even ones no frame holds, whose window's richest may be the
+    border) and any finite position, at an extreme or far past every edge.
+    So a task line that calls it needs no abort site."""
+    config = SimulationConfig(DAY, 1, 1, world_width=columns * edge,
+                              world_height=rows * edge, patch_size=edge)
+    assume((config.patches_x, config.patches_y) == (columns, rows))
+    engine = Engine(parse_model(TWO_FIELDS_MODEL), config, InMemoryBackend())
+    engine.setup()
+    namespace, patches = engine.plan[1][1].__globals__, engine.image.performers["Patch"]
+    vals = dict(engine.image.vals)
+    for base, value in zip(patches, values):
+        vals[base] = value
+    positions = namespace["field"](vals, patches, 0)
+    for x, y in walkers:
+        expected = formula_heading(namespace["cell"], columns, edge, positions, x, y)
+        assert namespace["heading"](x, y, positions).hex() == expected.hex()
+
+
+def test_an_engine_on_a_grid_over_the_ceiling_builds_no_grid_table():
+    """``Engine`` on eggs with 1e-300 km patches, 1e301 by 1e301 of them,
+    returns at once and ``setup`` refuses the grid: ``heading``'s tables
+    wait for the first ``field``.  In a child limited to 1 GiB and 60 s,
+    which tabling such a grid would exhaust."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from pathlib import Path\n"
+        "from remodyc.interp import Engine, RuntimeAbort, parse_config\n"
+        "from remodyc.memory import InMemoryBackend\n"
+        "from remodyc.parser import parse_model\n"
+        "models = Path(sys.argv[1])\n"
+        "config = (models / 'eggs.cfg').read_text().replace('patch_size = 1 km', 'patch_size = 1e-300 km')\n"
+        "model = parse_model((models / 'eggs.rmd').read_text())\n"
+        "start = time.perf_counter()\n"
+        "engine = Engine(model, parse_config(config), InMemoryBackend())\n"
+        "print(time.perf_counter() - start)\n"
+        "try:\n"
+        "    engine.setup()\n"
+        "except RuntimeAbort as err:\n"
+        "    print(err.tick, err.message)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(root / "models")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    seconds, refusal = done.stdout.splitlines()
+    assert float(seconds) < 1.0
+    assert refusal.startswith("1 setup needs ")
+    assert refusal.endswith(" animats, over the ceiling of 1000000")
 
 
 # Both tasks sense the grass; the first also adds to the grass under each
