@@ -298,7 +298,7 @@ def _chart(args) -> int:
         raise _Failure(1, f"unknown stage {args.stage!r}")
     try:
         counts = Counter(tick for tick, _, kind, _ in backend.animat_rows() if kind == args.stage)
-    except ValueError as err:  # a trace file without its header
+    except ValueError as err:  # a trace file without its header, or a row of the wrong width
         raise _Failure(1, str(err))
     print("tick,count")
     for tick in range(1, backend.frame_count() + 1):

@@ -13,10 +13,10 @@ the image keeps only the animats and each kind's bases in order; two
 rules give the rest.  A block's values run from its base up to the next
 base in ``animats`` or the first address that holds no value; and a new
 animat takes the index after the one its stage's highest block holds.  A
-commit costs what changed: that dict becomes the committed values as it
-is, and the blocks killed during the tick leave the animats and
-performers.  ``load`` rebuilds the image from any stored frame, which is
-all replay needs.
+commit costs what changed: ``store`` drops the blocks killed during the
+tick from the animats, the performers and ``next``, once each, and that
+dict becomes the committed values as it is.  ``load`` rebuilds the image
+from any stored frame, which is all replay needs.
 
 On disk only an append writes: it brings the three trace files to the
 committed prefix, then writes each once, as bytes built in one pass over
@@ -116,13 +116,22 @@ _HEADERS = {
 }
 
 
+def _width(name: str) -> int:
+    """The fields in each row of the trace file ``name``: its header's."""
+    return _HEADERS[name].count(b",") + 1
+
+
+def _width_error(name: str, tick: int, fields: int) -> ValueError:
+    """What a row of ``fields`` fields at ``tick`` of ``name`` raises."""
+    return ValueError(f"{name}: tick {tick} has a row of {fields} fields, not {_width(name)}")
+
+
 def _tick(line: bytes, name: str) -> int:
     """The tick of a row of the trace file ``name``; a row of one field
-    raises ``ValueError`` with the text ``_columns`` gives for it."""
+    raises ``ValueError``."""
     comma = line.find(b",")
     if comma < 0:
-        width = _HEADERS[name].count(b",") + 1
-        raise ValueError(f"{name}: tick {int(line)} has a row of 1 fields, not {width}")
+        raise _width_error(name, int(line), 1)
     return int(line[:comma])
 
 
@@ -162,10 +171,10 @@ def _first_row_at(handle: BinaryIO, tick: int, name: str) -> int:
     return lo
 
 
-def _rows(path: Path, tick: int, last: int | None = None) -> Iterator[list[bytes]]:
-    """The complete rows of ticks ``tick`` to ``last`` (default: ``tick``
-    alone) of one trace CSV, split at commas."""
-    last = tick if last is None else last
+def _rows(path: Path, tick: int, last: int) -> Iterator[list[bytes]]:
+    """The complete rows of ticks ``tick`` to ``last`` of one trace CSV,
+    split at commas; a row not as wide as the header raises ``ValueError``."""
+    width = _width(path.name)
     with open(path, "rb") as handle:
         handle.seek(_first_row_at(handle, tick, path.name))
         for line in handle:
@@ -174,14 +183,16 @@ def _rows(path: Path, tick: int, last: int | None = None) -> Iterator[list[bytes
             row = line[:-1].split(b",")
             if int(row[0]) > last:
                 return
+            if len(row) != width:
+                raise _width_error(path.name, int(row[0]), len(row))
             yield row
 
 
-def _columns(path: Path, tick: int, width: int) -> Iterator[list[bytes]]:
+def _columns(path: Path, tick: int) -> Iterator[list[bytes]]:
     """The fields of ``tick``'s complete rows in one trace CSV, in order, a
-    chunk of rows at a time; a row not ``width`` fields wide raises
+    chunk of rows at a time; a row not as wide as the header raises
     ``ValueError``.  A row's first field may lead with a newline."""
-    row, bare = b"\n%d," % tick, b"\n%d\n" % tick
+    width, row, bare = _width(path.name), b"\n%d," % tick, b"\n%d\n" % tick
     with open(path, "rb") as handle:
         handle.seek(_first_row_at(handle, tick, path.name))
         # A newline, then what is read and not yet taken; rows are sorted, so
@@ -201,7 +212,7 @@ def _columns(path: Path, tick: int, width: int) -> Iterator[list[bytes]]:
                 starts = b"".join(fields[width::width]).count(b"\n") + 1
                 if len(fields) != rows * width or starts != rows:
                     bad = next(n for n in (r.count(b",") + 1 for r in block.split(b"\n")) if n != width)
-                    raise ValueError(f"{path.name}: tick {tick} has a row of {bad} fields, not {width}")
+                    raise _width_error(path.name, tick, bad)
                 yield fields
             if stop or not chunk:  # a complete row of a later tick, or the end of the file
                 return
@@ -308,13 +319,13 @@ class FileBackend(StorageBackend):
         if not 1 <= tick <= self._count:
             raise ValueError(f"no frame {tick} (have {self._count})")
         values: dict[int, float] = {}
-        for fields in _columns(self._values_path, tick, 3):
+        for fields in _columns(self._values_path, tick):
             values.update(zip(map(int, fields[1::3]), map(float, fields[2::3])))
         animats: dict[int, tuple[str, int]] = {}
-        for fields in _columns(self._animats_path, tick, 4):
+        for fields in _columns(self._animats_path, tick):
             stages = zip(map(bytes.decode, fields[2::4]), map(int, fields[3::4]))
             animats.update(zip(map(int, fields[1::4]), stages))
-        states = [state for fields in _columns(self._rng_path, tick, 2) for state in fields[1::2]]
+        states = [state for fields in _columns(self._rng_path, tick) for state in fields[1::2]]
         if not states:
             raise ValueError(f"frame {tick} missing from rng.csv")
         return TraceFrame(values, animats, parse_state(states[0].decode()))
@@ -354,16 +365,16 @@ class MemoryImage:
     included until the commit; every block's extent and next index are
     read off those and the values.
 
-    ``store`` hands ``next``, less the killed blocks, on as the frame's
-    values.  ``apply_frame`` then commits the frame one of two ways: the
-    frame ``store`` just returned takes the commit path, which drops the
-    blocks killed since the last commit (new blocks were entered as they
-    were allocated): one block at a time where few died, and by one copy
-    of the frame's animats or one rebuilt performer list where many did;
-    any other frame takes the load path, which reads all of it from the
-    frame.  Both give the same image.
-    Between ``store`` and ``apply_frame`` the image is mid commit: if the
-    backend fails to append, ``load`` a stored frame to go on.
+    ``store`` removes the blocks killed since the last commit from the
+    animats, the performers and ``next``, lowers ``next_free``, and hands
+    ``next`` and the animats on as the frame (new blocks were entered as
+    they were allocated).  ``apply_frame`` then commits the frame one of
+    two ways: the frame ``store`` just returned takes the commit path,
+    which only makes its values the committed ones; any other frame takes
+    the load path, which reads all of it from the frame.  Both give the
+    same image.  From the start of ``store`` to the end of ``apply_frame``
+    the image is mid commit: if the backend fails to append, ``load`` a
+    stored frame to go on.
     """
 
     def __init__(self):
@@ -448,24 +459,47 @@ class MemoryImage:
 
     def store(self, backend: StorageBackend, rng_state: int) -> TraceFrame:
         """Append the frame the pending writes make: ``next`` on every
-        address of a block not killed."""
+        address of a block not killed, and the animats left.  Each block
+        killed since the last commit leaves them and its kind's performers
+        first, once; a kind drops its dead one ``del`` at a time while they
+        number at most an eighth of its performers and
+        ``_KILLS_ONE_AT_A_TIME``, else rebuilds its list in one pass."""
         if self.ticks != backend.frame_count():
             raise ValueError(
                 f"image at tick {self.ticks} cannot append frame "
                 f"{backend.frame_count() + 1}"
             )
-        values, owned = self.next, self.animats
-        animats = owned.copy()
-        for base in self.killed:
+        values, animats, performers, killed = self.next, self.animats, self.performers, self.killed
+        dead: dict[str, list[int]] = {}  # bases by kind
+        for base, kind in killed.items():
             del animats[base]
-            # The block's values: up to the next base, killed ones included,
-            # or to a gap that dead blocks left.
+            dead.setdefault(kind, []).append(base)
+            # The block's values: up to the next live base, or to a gap that
+            # dead blocks left; a killed neighbour on the way is dead too.
             end = base + 1
-            while end in values and end not in owned:
+            while end in values and end not in animats:
                 end += 1
             for address in range(base, end):
                 values.pop(address, None)
+        for kind, bases in dead.items():
+            kept = performers[kind]
+            if len(bases) > min(len(kept) >> 3, _KILLS_ONE_AT_A_TIME):
+                kept[:] = filterfalse(killed.__contains__, kept)
+            else:
+                for base in bases:
+                    del kept[bisect_left(kept, base)]
+            if not kept:
+                del performers[kind]
+        # Down to one past the highest stored address, as ``_infer`` reads it.
+        end = self.next_free
+        while end > 1 and end - 1 not in values:
+            end -= 1
+        self.next_free = end
+        self.killed = {}
         frame = TraceFrame(values, animats, rng_state)
+        # The frame keeps the dict the dead left; the image goes on with a
+        # compact copy, which later ticks copy cheaply.
+        self.animats = animats.copy()
         backend.append_frame(frame)
         self._stored = frame
         return frame
@@ -482,17 +516,10 @@ class MemoryImage:
         the one after its highest block's, so an index may name another
         animat once the one that held it has died.
 
-        The frame ``store`` just returned takes the commit path, which
-        besides copying the values into ``next`` drops the blocks killed
-        since the last commit and lowers ``next_free`` in O(addresses freed
-        at the top).  The animats lose the killed blocks one at a time,
-        O(blocks killed), unless those are over a sixteenth of them: then
-        they are the frame's animats, copied.  Each kind drops its dead from
-        its performers one at a time, O(its deaths x its performers), while
-        they number at most an eighth of its performers and
-        ``_KILLS_ONE_AT_A_TIME``, and past that rebuilds the list once, in
-        O(its performers).  Any other frame takes the load path, which
-        reads them all off the frame.
+        The frame ``store`` just returned takes the commit path, which only
+        copies the values into ``next``: ``store`` has already dropped the
+        killed blocks.  Any other frame takes the load path, which reads
+        the animats, performers and ``next_free`` off the frame.
         """
         self.vals = frame.values
         # ``copy`` clones even a table with holes; ``dict()`` would rehash it.
@@ -500,42 +527,12 @@ class MemoryImage:
         self.assigned.clear()
         self.delta.clear()
         self.ticks = tick
-        if frame is self._stored:
-            self._commit_kills(frame)
-        else:
+        if frame is not self._stored:
             self._infer(frame)
-        self.killed = {}
         self._stored = None
 
-    def _commit_kills(self, frame: TraceFrame) -> None:
-        performers, values, killed = self.performers, self.vals, self.killed
-        if len(killed) > len(self.animats) >> 4:
-            # The animats ``store`` kept.  A copy costs about a sixteenth of
-            # a ``del`` an animat: 9-50 ns against 0.15-0.8 us in dicts of
-            # 1,000 to 200,000, measured as ``_KILLS_ONE_AT_A_TIME`` was.
-            self.animats = frame.animats.copy()
-        else:
-            for base in killed:
-                del self.animats[base]
-        dead: dict[str, list[int]] = {}  # bases by kind
-        for base, kind in killed.items():
-            dead.setdefault(kind, []).append(base)
-        for kind, bases in dead.items():
-            kept = performers[kind]
-            if len(bases) > min(len(kept) >> 3, _KILLS_ONE_AT_A_TIME):
-                kept[:] = filterfalse(killed.__contains__, kept)
-            else:
-                for base in bases:
-                    del kept[bisect_left(kept, base)]
-            if not kept:
-                del performers[kind]
-        # Down to one past the highest stored address, as ``_infer`` reads it.
-        end = self.next_free
-        while end > 1 and end - 1 not in values:
-            end -= 1
-        self.next_free = end
-
     def _infer(self, frame: TraceFrame) -> None:
+        self.killed = {}
         self.animats = dict(frame.animats)
         self.next_free = max(frame.values, default=0) + 1
         self.performers = {}

@@ -594,6 +594,18 @@ class TestChart:
         assert invoke("chart", out, "Wolf") == 1
         assert invoke("chart", out, "Patch") == 1
 
+    @pytest.mark.parametrize("row", ["3,1,Adult", "3,1,Adult,1,x", "3"])
+    def test_a_row_of_the_wrong_width_is_refused(self, tmp_path, capsys, row):
+        out = tmp_path / "age"
+        assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+        lines = (out / "animats.csv").read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("3,")) + 1
+        (out / "animats.csv").write_text("".join(lines[:at] + [row + "\n"] + lines[at:]))
+        capsys.readouterr()
+        assert invoke("chart", out, "Adult") == 1
+        fields = row.count(",") + 1
+        assert capsys.readouterr() == ("", f"animats.csv: tick 3 has a row of {fields} fields, not 4\n")
+
 
 @pytest.mark.parametrize("state", ["finished", "torn rng.csv header", "set-up aborted"])
 def test_replay_and_chart_write_nothing(tree, capsys, monkeypatch, state):

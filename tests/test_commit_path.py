@@ -4,10 +4,11 @@
 kind's performers; one layout rule gives every block's extent (its values
 up to the next base in ``animats``; ``next_free`` is one past the highest
 stored address) and one index rule a stage's next instance index (the one
-after its highest block's).  ``apply_frame`` commits the frame
-``store`` just returned by dropping the blocks killed during the tick, and
-reads it all off any other frame it loads.  Both must give the same image,
-and neither may change a frame once it has been returned or stored.
+after its highest block's).  ``store`` drops the blocks killed during the
+tick from the image as it hands the frame on, and ``apply_frame`` commits
+that frame as it is; it reads all of any other frame it loads off the
+frame.  Both must give the same image, and neither may change a frame
+once it has been returned or stored.
 """
 from __future__ import annotations
 
@@ -131,11 +132,11 @@ def bulk_ticks(draw):
 @settings(max_examples=60, deadline=None)
 def test_commit_path_matches_load_path_on_many_kills(ticks):
     """Up to 40 blocks a stage and call, many of them killed in one tick:
-    each stage loses its blocks one at a time or by a rebuilt list, and
-    the animats one at a time or by a copy of the frame's, as the counts
-    fall on either side of the cutoffs; a stage killed whole leaves the
-    performers.  Each commit matches a fresh load of its frame, and the
-    next block of each stage is placed and labelled alike on both."""
+    each stage loses its blocks one at a time or by a rebuilt list, as
+    the counts fall on either side of the cutoffs; a stage killed whole
+    leaves the performers.  Each commit matches a fresh load of its
+    frame, and the next block of each stage is placed and labelled alike
+    on both."""
     backend, image = InMemoryBackend(), MemoryImage()
     for tick, (allocations, kills, picks, order) in enumerate(ticks, start=1):
         for stage, blocks in allocations:
@@ -174,9 +175,9 @@ KILL_CASES = {
 @pytest.mark.parametrize("case", KILL_CASES.values(), ids=KILL_CASES)
 def test_each_side_of_the_kill_cutoffs_matches_the_load_path(monkeypatch, case):
     """A stage's deaths past an eighth of its blocks or past
-    ``_KILLS_ONE_AT_A_TIME`` rebuild its list, and deaths past a sixteenth
-    of all blocks replace the animats by a copy of the frame's; either
-    side of each gives what a load gives."""
+    ``_KILLS_ONE_AT_A_TIME`` rebuild its list; either side gives what a
+    load gives.  The stored frame's animats are not the image's: the next
+    tick's kills, of every block left, leave them as they were."""
     blocks_a, blocks_b, deaths_a, deaths_b, cutoff = case
     monkeypatch.setattr(memory, "_KILLS_ONE_AT_A_TIME", cutoff)
     rebuilt = []
@@ -190,15 +191,21 @@ def test_each_side_of_the_kill_cutoffs_matches_the_load_path(monkeypatch, case):
     doomed = a[::len(a) // deaths_a][:deaths_a] + b[::len(b) // deaths_b][:deaths_b]
     for base in reversed(doomed):
         image.kill(base)
-    animats = image.animats
-    image.apply_frame(image.store(backend, 2), 2)
+    frame = image.store(backend, 2)
+    image.apply_frame(frame, 2)
     loaded = MemoryImage()
     loaded.load(backend, 2)
     assert kept_state(image) == kept_state(loaded)
     assert list(image.animats.items()) == list(loaded.animats.items())
     assert len(rebuilt) == sum(deaths > min(blocks >> 3, cutoff)
                                for blocks, deaths in ((blocks_a, deaths_a), (blocks_b, deaths_b)))
-    assert (image.animats is not animats) == (deaths_a + deaths_b > (blocks_a + blocks_b) >> 4)
+    assert frame.animats is not image.animats
+    stored = list(frame.animats.items())
+    for base in list(image.animats):
+        image.kill(base)
+    image.apply_frame(image.store(backend, 3), 3)
+    assert (image.animats, image.performers) == ({}, {})
+    assert list(frame.animats.items()) == stored
 
 
 def test_frames_do_not_change_once_returned_or_stored():

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,18 @@ class TestApplyAndLoad:
         fresh.kill(egg)
         frame = fresh.store(backend, 0)
         assert set(frame.values) == {adult, adult + 1}
+
+    def test_load_drops_the_kills_pending_since_the_last_commit(self):
+        backend = InMemoryBackend()
+        image = MemoryImage()
+        egg = image.allocate("Egg", 2)
+        adult = image.allocate("Adult", 2)
+        image.apply_frame(image.store(backend, 0), 1)
+        image.kill(egg)
+        image.load(backend, 1)
+        frame = image.store(backend, 0)
+        assert frame.animats == {egg: ("Egg", 1), adult: ("Adult", 1)}
+        assert set(frame.values) == {egg, egg + 1, adult, adult + 1}
 
     def test_a_block_reaches_up_to_the_next_live_base(self):
         backend = InMemoryBackend()
@@ -389,7 +402,15 @@ class TestFileBackend:
         assert after["rng.csv"] == before["rng.csv"] + b"3,00000000000000ab\n"
         assert FileBackend(tmp_path).load_frame(3) == TraceFrame({}, {}, 0xAB)
 
-    def test_failed_append_then_retry_matches_an_uninterrupted_run(self, tmp_path, monkeypatch):
+    # The tick whose append fails -> the blocks of each stage that leave at
+    # it: none, 20 hatched Eggs, and the first starved Adults.
+    FAILED_TICKS = {5: {}, 12: {"Egg": 20}, 41: {"Egg": 4, "Adult": 3}}
+
+    @pytest.mark.parametrize("tick, gone", FAILED_TICKS.items(), ids=[str(tick) for tick in FAILED_TICKS])
+    def test_failed_append_then_retry_matches_an_uninterrupted_run(self, tmp_path, monkeypatch, tick, gone):
+        """``store`` drops the killed blocks from the image before the
+        append; after the append fails, a ``resume`` from the last stored
+        frame goes on as if nothing had failed."""
         def eggs(run_dir):
             model = parse_model((MODELS / "eggs.rmd").read_text())
             config = parse_config((MODELS / "eggs.cfg").read_text())
@@ -398,11 +419,13 @@ class TestFileBackend:
             return engine
 
         clean = eggs(tmp_path / "clean")
-        for _ in range(5):
+        for _ in range(tick):
             clean.step()
+        before, after = (clean.backend.load_frame(t).animats for t in (tick - 1, tick))
+        assert Counter(before[base][0] for base in before.keys() - after.keys()) == gone
 
         engine = eggs(tmp_path / "failed")
-        for _ in range(3):
+        for _ in range(tick - 2):
             engine.step()
         real_open = open
 
@@ -411,14 +434,14 @@ class TestFileBackend:
                 raise OSError(errno.ENOSPC, "No space left on device")
             return real_open(path, *args, **kwargs)
 
-        # Tick 5's frames.csv rows are written, its animats.csv rows fail.
+        # The tick's frames.csv rows are written, its animats.csv rows fail.
         monkeypatch.setattr(memory, "open", disk_full_for_animats, raising=False)
         with pytest.raises(OSError):
             engine.step()
         monkeypatch.undo()
-        assert engine.backend.frame_count() == 4
+        assert engine.backend.frame_count() == tick - 1
         # What the ``MemoryImage`` docstring says to do after a failed append.
-        engine.resume(4)
+        engine.resume(tick - 1)
         engine.step()
         engine.step()
         assert self.contents(tmp_path / "failed") == self.contents(tmp_path / "clean")
