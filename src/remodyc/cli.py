@@ -205,7 +205,10 @@ def _open_run_dir(path: str) -> tuple[FileBackend, ast.Model, list[tuple[str, st
             f"(expected {TRACE_FORMAT_VERSION})",
         )
     _, model = _parse_model_file(str(run_dir / "model.rmd"))
-    return FileBackend(run_dir), model, lines
+    try:
+        return FileBackend(run_dir), model, lines
+    except ValueError as err:  # the last rng.csv row, which counts the frames, is refused
+        raise _Failure(1, str(err))
 
 
 def _replay(args) -> int:

@@ -23,7 +23,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, groupby, islice, product, repeat, starmap
+from itertools import chain, filterfalse, groupby, islice, product, repeat, starmap
 from types import CodeType
 from typing import Callable, Iterable, Iterator
 
@@ -289,14 +289,17 @@ class Engine:
         return self._commit()
 
     def _placed(self, stage: str, count: int) -> Iterator[list[float]]:
-        """``count`` new ``stage`` rows, each at a uniform draw of x, then y."""
-        config, sample = self.config, rng.sample_uniform
+        """``count`` new ``stage`` rows, each at a uniform draw of x, then y;
+        ``rng_state`` is the state after the last draw once all are made."""
+        state, sample = self.rng_state, rng.sample_uniform
+        width, height = self.config.world_width, self.config.world_height
         template, xs, ys = self.templates[stage], self.slots[stage]["x"], self.slots[stage]["y"]
         for _ in range(count):
             row = template.copy()
-            self.rng_state, row[xs] = sample(self.rng_state, 0.0, config.world_width)
-            self.rng_state, row[ys] = sample(self.rng_state, 0.0, config.world_height)
+            state, row[xs] = sample(state, 0.0, width)
+            state, row[ys] = sample(state, 0.0, height)
             yield row
+        self.rng_state = state
 
     def _allocate(self, kind: str, rows: Iterable[list[float]]) -> None:
         """One new block of ``kind`` per row, holding that row; a row is
@@ -321,10 +324,14 @@ class Engine:
         for kind, blocks in fixed_blocks(self.model, self.config).items():
             if counts[kind] != blocks:
                 raise ValueError(f"tick {tick}: {counts[kind]} {kind} blocks, the model has {blocks}")
-        for base, (kind, _) in sorted(frame.animats.items()):
-            for address in range(base, base + len(self.slots[kind])):
-                if address not in frame.values:
-                    raise ValueError(f"tick {tick}: no value at address {address}")
+        # Every block's slots in one pass in C; the lowest missing one is
+        # looked for only if there is one.
+        held, animats = frame.values.__contains__, frame.animats
+        sizes = map(len, map(self.slots.__getitem__, map(operator.itemgetter(0), animats.values())))
+        blocks = list(map(range, animats, map(operator.add, animats, sizes)))
+        if not all(map(held, chain.from_iterable(blocks))):
+            missing = min(filterfalse(held, chain.from_iterable(blocks)))
+            raise ValueError(f"tick {tick}: no value at address {missing}")
         self.image.apply_frame(frame, tick)
         self.rng_state = frame.rng_state
 

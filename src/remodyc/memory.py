@@ -3,20 +3,20 @@
 Reads see the last committed frame while writes accumulate in pending
 stores (``assigned`` for assignments, ``delta`` for increments, ``next``
 for what each address will commit), so update order inside a tick cannot
-leak into results.  ``MemoryImage.write`` and ``write_delta`` apply that
-rule and refuse a write that would commit an infinity or a NaN: no frame
-holds either.  The compiled tasks apply the same rule inline to their own
-writes, where the pending state of the address is known before the run,
-and call the methods for every other write.  ``store`` hands
-``next`` on as a frame and appends it to a backend.  Besides the values
-the image keeps only the animats and each kind's bases in order; two
-rules give the rest.  A block's values run from its base up to the next
-base in ``animats`` or the first address that holds no value; and a new
-animat takes the index after the one its stage's highest block holds.  A
-commit costs what changed: ``store`` drops the blocks killed during the
-tick from the animats, the performers and ``next``, once each, and that
-dict becomes the committed values as it is.  ``load`` rebuilds the image
-from any stored frame, which is all replay needs.
+leak into results; a new block's values go to ``next`` alone.
+``MemoryImage.write`` and ``write_delta`` apply that rule and refuse a
+write that would commit an infinity or a NaN: no frame holds either.  The
+compiled tasks apply the same rule inline to their own writes, where the
+pending state of the address is known before the run, and call the methods
+for every other write.  Besides the values the image keeps only the animats
+and each kind's bases in order; two rules give the rest.  A block's values
+run from its base up to the next base in ``animats`` or the first address
+that holds no value; and a new animat takes the index after the one its
+stage's highest block holds.  A commit costs what changed: ``store`` drops
+the blocks killed during the tick from the animats, the performers and
+``next``, once each; that dict is the frame it appends to a backend and,
+as it is, the committed values.  ``load`` rebuilds the image from any
+stored frame, which is all replay needs.
 
 On disk only an append writes: it brings the three trace files to the
 committed prefix, then writes each once, as bytes built in one pass over
@@ -27,7 +27,8 @@ that row is written last.  Every trace file keeps its rows sorted by
 tick, so a load makes one binary search over byte offsets per file, then
 reads the frame's rows on in chunks of at most ``_CHUNK_BYTES``, each
 converted a column at a time: never rows past the last committed tick or
-a torn last line.  A row of the wrong number of fields is refused.
+a torn last line.  A row of the wrong number of fields is refused, as is
+a field its column cannot hold, such as a value that is not finite.
 """
 from __future__ import annotations
 
@@ -35,10 +36,10 @@ import abc
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, count, cycle, filterfalse, repeat
 from math import inf
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .rng import format_state, parse_state
 
@@ -126,13 +127,46 @@ def _width_error(name: str, tick: int, fields: int) -> ValueError:
     return ValueError(f"{name}: tick {tick} has a row of {fields} fields, not {_width(name)}")
 
 
+def _finite(field: bytes) -> float:
+    if -inf < (value := float(field)) < inf:
+        return value
+    raise ValueError(field)
+
+
+# By trace file, how each field of a row is read and what it must hold.
+_INTEGER = (int, "an integer")
+_FIELDS = {
+    "frames.csv": (_INTEGER, _INTEGER, (_finite, "a finite number")),
+    "animats.csv": (_INTEGER, _INTEGER, (bytes.decode, "text"), _INTEGER),
+    "rng.csv": (_INTEGER, (lambda field: parse_state(field.decode()), "a state of 16 hex digits")),
+}
+
+
+def _field_error(name: str, tick: int, fields: Iterable[bytes]) -> ValueError | None:
+    """What the first of ``fields``, rows of ``tick`` of the trace file
+    ``name`` split at commas, raises if it does not hold what its column
+    must; None if each does."""
+    for field, (read, what) in zip(fields, cycle(_FIELDS[name])):
+        try:
+            read(field)
+        except ValueError:
+            text = field.strip().decode(errors="replace")
+            return ValueError(f"{name}: tick {tick} has a field {text!r} that is not {what}")
+    return None
+
+
 def _tick(line: bytes, name: str) -> int:
-    """The tick of a row of the trace file ``name``; a row of one field
-    raises ``ValueError``."""
-    comma = line.find(b",")
-    if comma < 0:
-        raise _width_error(name, int(line), 1)
-    return int(line[:comma])
+    """The tick of a row of the trace file ``name``; a row of one field,
+    or whose tick is not an integer, raises ``ValueError``."""
+    field, comma, _ = line.partition(b",")
+    try:
+        tick = int(field)
+    except ValueError:
+        text = field.strip().decode(errors="replace")
+        raise ValueError(f"{name}: a row has a tick {text!r} that is not an integer") from None
+    if not comma:
+        raise _width_error(name, tick, 1)
+    return tick
 
 
 def _first_row_at(handle: BinaryIO, tick: int, name: str) -> int:
@@ -181,10 +215,10 @@ def _rows(path: Path, tick: int, last: int) -> Iterator[list[bytes]]:
             if not line.endswith(b"\n"):
                 return
             row = line[:-1].split(b",")
-            if int(row[0]) > last:
+            if (row_tick := _tick(line, path.name)) > last:
                 return
             if len(row) != width:
-                raise _width_error(path.name, int(row[0]), len(row))
+                raise _width_error(path.name, row_tick, len(row))
             yield row
 
 
@@ -264,7 +298,8 @@ class FileBackend(StorageBackend):
     it.  ``frames.csv`` and ``animats.csv`` rows of a tick are written
     first, its ``rng.csv`` row last: that row is the commit record.  A
     load reads O(log n) lines plus the frame's own rows, and refuses a row
-    of the wrong number of fields (``ValueError``, naming file and tick).
+    of the wrong number of fields or a field its column cannot hold, such
+    as a value that is not finite (``ValueError``, naming file and tick).
     """
 
     def __init__(self, run_dir):
@@ -320,23 +355,43 @@ class FileBackend(StorageBackend):
             raise ValueError(f"no frame {tick} (have {self._count})")
         values: dict[int, float] = {}
         for fields in _columns(self._values_path, tick):
-            values.update(zip(map(int, fields[1::3]), map(float, fields[2::3])))
+            try:
+                values.update(zip(map(int, fields[1::3]), map(float, fields[2::3])))
+            except ValueError:
+                raise _field_error("frames.csv", tick, fields) from None
+        # One pass in C checks every value; they are read one by one only if
+        # their sum is not finite, which finite values may also make.
+        if not -inf < sum(values.values()) < inf:
+            fields = chain.from_iterable(_columns(self._values_path, tick))
+            if error := _field_error("frames.csv", tick, fields):
+                raise error
         animats: dict[int, tuple[str, int]] = {}
         for fields in _columns(self._animats_path, tick):
-            stages = zip(map(bytes.decode, fields[2::4]), map(int, fields[3::4]))
-            animats.update(zip(map(int, fields[1::4]), stages))
+            try:
+                stages = zip(map(bytes.decode, fields[2::4]), map(int, fields[3::4]))
+                animats.update(zip(map(int, fields[1::4]), stages))
+            except ValueError:
+                raise _field_error("animats.csv", tick, fields) from None
         states = [state for fields in _columns(self._rng_path, tick) for state in fields[1::2]]
         if not states:
             raise ValueError(f"frame {tick} missing from rng.csv")
-        return TraceFrame(values, animats, parse_state(states[0].decode()))
+        try:
+            state = parse_state(states[0].decode())
+        except ValueError:
+            raise _field_error("rng.csv", tick, [b"%d" % tick, states[0]]) from None
+        return TraceFrame(values, animats, state)
 
     def animat_rows(self) -> Iterator[tuple[int, int, str, int]]:
         """``(tick, base, stage, index)`` for every animat of every
         committed frame, in file order; opens no file if there is none."""
         if not self._count:
             return
-        for tick, base, stage, index in _rows(self._animats_path, 1, self._count):
-            yield int(tick), int(base), stage.decode(), int(index)
+        for row in _rows(self._animats_path, 1, self._count):
+            try:
+                tick, base, stage, index = int(row[0]), int(row[1]), row[2].decode(), int(row[3])
+            except ValueError:
+                raise _field_error("animats.csv", int(row[0]), row) from None
+            yield tick, base, stage, index
 
     def frame_count(self) -> int:
         return self._count
@@ -348,22 +403,22 @@ class MemoryImage:
     A committed frame is one value, shared by the image (``vals`` is its
     values dict), the backend that stored it and the caller that got it
     from ``Engine.setup`` or ``step``: nothing writes it after ``store``
-    hands it on.  ``next`` is the one copy of its values,
-    and every write keeps in it what the address will commit: its value
-    assigned this tick, if any, else its committed one, plus its delta.
-    ``assigned`` and ``delta`` hold the last assignment and the sum of the
-    deltas of addresses written this tick, the slots of new blocks being
-    assigned their initial values; they are emptied in place, so compiled
+    hands it on.  ``next`` is the one copy of its values, and every write
+    keeps in it what the address will commit: its value assigned this tick,
+    if any, else its committed one, plus its delta.  ``assigned`` and
+    ``delta`` hold the last assignment and the sum of the deltas of
+    addresses written this tick; they are emptied in place, so compiled
     code may hold on to them.  Every write by these methods records its
     assignment or delta; a compiled task's inline own write records it only
     where a later write of the attribute reads it, so these stores may miss
     addresses written this tick, while ``next`` holds every write.  A new
-    block reads 0.0 until it is committed.  A write whose address would commit
-    an infinity or a NaN raises ``ValueError``, whose text is that value,
-    and changes nothing.  Besides the values the image keeps the
-    animats and each kind's bases in order (its performers), killed blocks
-    included until the commit; every block's extent and next index are
-    read off those and the values.
+    block reads 0.0 until it is committed; its values are in ``next``
+    alone, so a slot's first increment records its base in ``assigned``.  A
+    write whose address would commit an infinity or a NaN raises
+    ``ValueError``, whose text is that value, and changes nothing.  Besides
+    the values the image keeps the animats and each kind's bases in order
+    (its performers), killed blocks included until the commit; every
+    block's extent and next index are read off those and the values.
 
     ``store`` removes the blocks killed since the last commit from the
     animats, the performers and ``next``, lowers ``next_free``, and hands
@@ -419,8 +474,10 @@ class MemoryImage:
             value += delta[address]
             base = self.assigned[address] if address in self.assigned else self.vals[address]
             committed = base + value
-        else:  # the first increment: ``next`` holds the base
+        else:  # the first increment: ``next`` holds the base, alone in a new slot
             committed = pending[address] + value
+            if address not in self.vals and -inf < committed < inf:
+                self.assigned[address] = pending[address]  # for the next increment
         if not -inf < committed < inf:
             raise ValueError(committed)
         delta[address] = value
@@ -428,18 +485,16 @@ class MemoryImage:
 
     def allocate(self, stage: str, size: int, rows: Sequence[Sequence[float]] | None = None) -> int:
         """Contiguous blocks of ``stage``, one per row of ``rows``, each
-        assigned its ``size`` finite initial values (default: one block of
-        zeros); returns the first base.  A block always takes at least one
-        slot so bases stay distinct; an empty block's slot holds 0."""
+        holding its ``size`` finite initial values in ``next`` (default: one
+        block of zeros); returns the first base.  A block always takes at
+        least one slot so bases stay distinct; an empty block's slot holds 0."""
         base, width = self.next_free, max(size, 1)
         if rows is None or not size:
             rows = ((0.0,) * width,) * (1 if rows is None else len(rows))
         if not rows:
             return base
         end = base + width * len(rows)
-        values = dict(zip(range(base, end), chain.from_iterable(rows)))
-        self.assigned.update(values)
-        self.next.update(values)
+        self.next.update(zip(range(base, end), chain.from_iterable(rows)))
         # Every new block lands above every base, so a stage's highest
         # block holds its highest index.
         kept, new = self.performers.setdefault(stage, []), range(base, end, width)

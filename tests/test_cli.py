@@ -607,6 +607,45 @@ class TestChart:
         assert capsys.readouterr() == ("", f"animats.csv: tick 3 has a row of {fields} fields, not 4\n")
 
 
+@pytest.mark.parametrize("name, column, field, what", [
+    ("animats.csv", 3, "x", "an integer"),
+    ("frames.csv", 2, "abc", "a finite number"),
+    ("frames.csv", 2, "1e999", "a finite number"),
+    ("rng.csv", 1, "zzzzzzzzzzzzzzzz", "a state of 16 hex digits"),
+])
+def test_a_field_its_column_cannot_hold_is_refused(tmp_path, capsys, name, column, field, what):
+    """``replay``, ``verify`` and, for ``animats.csv``, the only file it
+    reads, ``chart`` exit 1 with one line naming the file, the tick and the
+    field, not Python's text."""
+    out = tmp_path / "age"
+    assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+    lines = (out / name).read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("3,"))
+    fields = lines[at][:-1].split(",")
+    fields[column] = field
+    lines[at] = ",".join(fields) + "\n"
+    (out / name).write_text("".join(lines))
+    capsys.readouterr()
+    text = f"{name}: tick 3 has a field {field!r} that is not {what}\n"
+    assert invoke("replay", out, 3) == 1
+    assert capsys.readouterr() == ("", text)
+    assert invoke("verify", out) == 1
+    assert capsys.readouterr() == ("", text)
+    assert invoke("chart", out, "Adult") == (1 if name == "animats.csv" else 0)
+    assert capsys.readouterr().err == (text if name == "animats.csv" else "")
+
+
+def test_a_last_rng_row_whose_tick_is_not_an_integer_is_refused(tmp_path, capsys):
+    out = tmp_path / "age"
+    assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+    rng = out / "rng.csv"
+    rng.write_text(rng.read_text().replace("\n5,", "\nx,"))
+    capsys.readouterr()
+    for command in (("replay", out, 3), ("verify", out), ("chart", out, "Adult")):
+        assert invoke(*command) == 1
+        assert capsys.readouterr() == ("", "rng.csv: a row has a tick 'x' that is not an integer\n")
+
+
 @pytest.mark.parametrize("state", ["finished", "torn rng.csv header", "set-up aborted"])
 def test_replay_and_chart_write_nothing(tree, capsys, monkeypatch, state):
     """Each only reads, whatever the run directory holds; a directory with

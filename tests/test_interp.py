@@ -1426,6 +1426,15 @@ class TestSharedFrames:
         assert frames == snapshots
 
 
+def _two_slots_missing(animats, values):
+    """Drops the ages of Egg 4 (address 113, its block at 111) and Egg 1
+    (104), and puts Egg 4 first in the animats' order: the lowest missing
+    address is the one named."""
+    del values[113], values[104]
+    rest = {base: animats.pop(base) for base in list(animats) if base != 111}
+    animats.update(rest)
+
+
 class TestResume:
     def test_resume_reproduces_trace(self):
         engine, backend = build(self.model(), self.config())
@@ -1472,7 +1481,9 @@ class TestResume:
          "tick 2: 99 Patch blocks, the model has 100"),
         # Address 104 is the age of Egg 1, whose block starts at 102.
         (lambda _, values: values.pop(104), "tick 2: no value at address 104"),
-    ], ids=["undeclared stage", "no World", "a Patch missing", "a slot without a value"])
+        (_two_slots_missing, "tick 2: no value at address 104"),
+    ], ids=["undeclared stage", "no World", "a Patch missing", "a slot without a value",
+            "two slots without a value"])
     def test_resume_refuses_a_frame_without_the_models_blocks(self, change, message):
         engine = self.doctored(change)
         vals, state = engine.image.vals, engine.rng_state

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -649,6 +650,66 @@ def test_a_row_of_the_wrong_width_is_refused(tmp_path, name, row, fields, width)
     ]
 
 
+@pytest.mark.parametrize(
+    "name, column, field, what",
+    [
+        ("frames.csv", 1, "x", "an integer"),
+        ("frames.csv", 2, "abc", "a finite number"),
+        ("frames.csv", 2, "1e999", "a finite number"),
+        ("frames.csv", 2, "-inf", "a finite number"),
+        ("frames.csv", 2, "nan", "a finite number"),
+        ("animats.csv", 1, "1.5", "an integer"),
+        ("animats.csv", 3, "x", "an integer"),
+        ("rng.csv", 1, "zzzzzzzzzzzzzzzz", "a state of 16 hex digits"),
+        ("rng.csv", 1, "abc", "a state of 16 hex digits"),
+    ],
+)
+def test_a_field_its_column_cannot_hold_is_refused(tmp_path, name, column, field, what):
+    """A field of the right width that is not a number, or a value that is
+    not finite, which no frame holds: the load refuses it, naming the file,
+    the tick and the field, and the other ticks still load."""
+    in_memory = InMemoryBackend()
+    age_engine(in_memory).run()
+    age_engine(FileBackend(tmp_path)).run()
+    lines = (tmp_path / name).read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("2,"))
+    fields = lines[at][:-1].split(",")
+    fields[column] = field
+    lines[at] = ",".join(fields) + "\n"
+    (tmp_path / name).write_text("".join(lines))
+    reopened = FileBackend(tmp_path)
+    with pytest.raises(ValueError) as refused:
+        reopened.load_frame(2)
+    assert str(refused.value) == f"{name}: tick 2 has a field {field!r} that is not {what}"
+    assert [reopened.load_frame(tick) for tick in (1, 3, 4, 5)] == [
+        in_memory.load_frame(tick) for tick in (1, 3, 4, 5)
+    ]
+
+
+def test_finite_values_whose_sum_is_not_finite_load(tmp_path):
+    """The load sums a frame's values to check them all at once; a sum that
+    overflows sends it through them one by one, and they load."""
+    frame = TraceFrame({1: 1e308, 2: 1e308, 3: -1e308, 4: -1e308}, {1: ("S", 1), 3: ("S", 2)}, 5)
+    FileBackend(tmp_path).append_frame(frame)
+    assert FileBackend(tmp_path).load_frame(1) == frame
+
+
+@pytest.mark.parametrize("name", ["frames.csv", "animats.csv", "rng.csv"])
+def test_a_tick_that_is_not_an_integer_is_refused(tmp_path, name):
+    """Loads whose search reads the row refuse it, naming the file, as does
+    opening a directory whose last rng.csv row it is."""
+    age_engine(FileBackend(tmp_path)).run()
+    path = tmp_path / name
+    path.write_text(path.read_text().replace("\n3,", "\n3x,", 1))
+    text = f"^{name}: a row has a tick '3x' that is not an integer$"
+    with pytest.raises(ValueError, match=text):
+        FileBackend(tmp_path).load_frame(4)
+    rng = tmp_path / "rng.csv"
+    rng.write_text(rng.read_text().replace("\n5,", "\nx,"))
+    with pytest.raises(ValueError, match="^rng.csv: a row has a tick 'x' that is not an integer$"):
+        FileBackend(tmp_path)
+
+
 def test_a_last_row_of_one_field_is_refused(tmp_path):
     age_engine(FileBackend(tmp_path)).run()
     path = tmp_path / "rng.csv"
@@ -743,6 +804,66 @@ def test_delta_order_is_irrelevant(ops):
     assert set(original.values) == set(reversed_frame.values)
     for address, value in original.values.items():
         assert value == pytest.approx(reversed_frame.values[address], rel=1e-9, abs=1e-9)
+
+
+PAIRS = st.lists(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2), max_size=3)
+WRITES = st.lists(
+    st.tuples(
+        st.booleans(),  # an assignment, else an increment
+        st.integers(0, 11),  # picks the address
+        st.floats(-1e308, 1e308) | st.sampled_from([math.inf, -math.inf, math.nan, 1.5e308]),
+    ),
+    max_size=30,
+)
+
+
+@settings(report_multiple_bugs=False)
+@given(PAIRS, PAIRS.filter(bool), WRITES)
+@example([[1.0, 2.0]], [[-0.0, 5.0]], [(False, 2, 1e308), (False, 2, 1e308), (False, 2, 1.0)] * 2)
+def test_writes_to_new_and_committed_blocks_commit_base_plus_deltas(committed, new, writes):
+    """After a commit, ``allocate`` enters new blocks in ``next`` and adds
+    nothing to ``assigned`` or ``delta``.  Then every ``write`` and
+    ``write_delta``, on new or committed slots, leaves in ``next`` what the
+    documented rule commits: the base plus the sum of the deltas, where the
+    base is the last assignment, else the committed value, else the initial
+    one.  A write that would commit an infinity or a NaN raises and changes
+    nothing, a first increment of a new slot included."""
+    image, backend = MemoryImage(), InMemoryBackend()
+    if committed:
+        image.allocate("Old", 2, committed)
+    image.apply_frame(image.store(backend, 0), 1)
+    first = image.allocate("New", 2, new)
+    assert (image.assigned, image.delta) == ({}, {})
+    initial = {**image.vals, **dict(zip(range(first, image.next_free), chain.from_iterable(new)))}
+    assert image.next == initial
+    addresses = sorted(initial)
+    bases, sums = {}, {}
+    for assignment, pick, value in writes:
+        address = addresses[pick % len(addresses)]
+        if assignment:
+            base, total = value + 0.0, sums.get(address)
+        else:
+            base = bases.get(address, initial[address])
+            total = value + sums[address] if address in sums else value
+        expected = base if total is None else base + total
+        write = image.write if assignment else image.write_delta
+        if not -math.inf < expected < math.inf:
+            pending = (dict(image.next), dict(image.assigned), dict(image.delta))
+            with pytest.raises(ValueError):
+                write(address, value)
+            assert (image.next, image.assigned, image.delta) == pending
+            continue
+        write(address, value)
+        if assignment:
+            bases[address] = base
+        else:
+            sums[address] = total
+        assert image.next[address] == expected
+    frame = image.store(backend, 0)
+    assert frame.values == {
+        address: bases.get(address, initial[address]) + sums.get(address, 0.0)
+        for address in addresses
+    }
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
