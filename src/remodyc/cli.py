@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from collections import Counter
 from contextlib import suppress
 from itertools import chain
 from pathlib import Path
@@ -300,12 +299,13 @@ def _chart(args) -> int:
     if not isinstance(stage, ast.StageDefinition):
         raise _Failure(1, f"unknown stage {args.stage!r}")
     try:
-        counts = Counter(tick for tick, _, kind, _ in backend.animat_rows() if kind == args.stage)
-    except ValueError as err:  # a trace file without its header, or a row of the wrong width
+        counts = [[kind for kind, _ in backend.load_animats(tick).values()].count(args.stage)
+                  for tick in range(1, backend.frame_count() + 1)]
+    except ValueError as err:  # a trace file without its header, or a row it cannot hold
         raise _Failure(1, str(err))
     print("tick,count")
-    for tick in range(1, backend.frame_count() + 1):
-        print(f"{tick},{counts.get(tick, 0)}")
+    for tick, count in enumerate(counts, 1):
+        print(f"{tick},{count}")
     return 0
 
 

@@ -25,10 +25,13 @@ does not ``fsync``); a value's text is the one ``parser.format_number``
 gives.  A frame is committed once its ``rng.csv`` row is complete, and
 that row is written last.  Every trace file keeps its rows sorted by
 tick, so a load makes one binary search over byte offsets per file, then
-reads the frame's rows on in chunks of at most ``_CHUNK_BYTES``, each
-converted a column at a time: never rows past the last committed tick or
-a torn last line.  A row of the wrong number of fields is refused, as is
-a field its column cannot hold, such as a value that is not finite.
+one reader takes the frame's rows in chunks of at most ``_CHUNK_BYTES``,
+each converted a column at a time: never rows past the last committed
+tick or a torn last line; ``load_animats`` reads ``animats.csv`` alone.
+It checks every row's tick: a row of another tick or of the wrong number
+of fields is refused, as is a field its column cannot hold, such as a
+value that is not finite, and an ``rng.csv`` whose last row's tick, the
+frame count, is below 1.
 """
 from __future__ import annotations
 
@@ -117,29 +120,20 @@ _HEADERS = {
 }
 
 
-def _width(name: str) -> int:
-    """The fields in each row of the trace file ``name``: its header's."""
-    return _HEADERS[name].count(b",") + 1
+# By trace file, how each field of a row is converted and what it must
+# hold, one entry per header field; a float must also be finite, as every
+# committed value is.
+_INTEGER = (int, "an integer")
+_FIELDS = {
+    "frames.csv": (_INTEGER, _INTEGER, (float, "a finite number")),
+    "animats.csv": (_INTEGER, _INTEGER, (bytes.decode, "text"), _INTEGER),
+    "rng.csv": (_INTEGER, (lambda field: parse_state(field.decode()), "a state of 16 hex digits")),
+}
 
 
 def _width_error(name: str, tick: int, fields: int) -> ValueError:
     """What a row of ``fields`` fields at ``tick`` of ``name`` raises."""
-    return ValueError(f"{name}: tick {tick} has a row of {fields} fields, not {_width(name)}")
-
-
-def _finite(field: bytes) -> float:
-    if -inf < (value := float(field)) < inf:
-        return value
-    raise ValueError(field)
-
-
-# By trace file, how each field of a row is read and what it must hold.
-_INTEGER = (int, "an integer")
-_FIELDS = {
-    "frames.csv": (_INTEGER, _INTEGER, (_finite, "a finite number")),
-    "animats.csv": (_INTEGER, _INTEGER, (bytes.decode, "text"), _INTEGER),
-    "rng.csv": (_INTEGER, (lambda field: parse_state(field.decode()), "a state of 16 hex digits")),
-}
+    return ValueError(f"{name}: tick {tick} has a row of {fields} fields, not {len(_FIELDS[name])}")
 
 
 def _field_error(name: str, tick: int, fields: Iterable[bytes]) -> ValueError | None:
@@ -148,7 +142,8 @@ def _field_error(name: str, tick: int, fields: Iterable[bytes]) -> ValueError | 
     must; None if each does."""
     for field, (read, what) in zip(fields, cycle(_FIELDS[name])):
         try:
-            read(field)
+            if (value := read(field)) in (inf, -inf) or value != value:
+                raise ValueError(value)
         except ValueError:
             text = field.strip().decode(errors="replace")
             return ValueError(f"{name}: tick {tick} has a field {text!r} that is not {what}")
@@ -205,57 +200,59 @@ def _first_row_at(handle: BinaryIO, tick: int, name: str) -> int:
     return lo
 
 
-def _rows(path: Path, tick: int, last: int) -> Iterator[list[bytes]]:
-    """The complete rows of ticks ``tick`` to ``last`` of one trace CSV,
-    split at commas; a row not as wide as the header raises ``ValueError``."""
-    width = _width(path.name)
-    with open(path, "rb") as handle:
-        handle.seek(_first_row_at(handle, tick, path.name))
-        for line in handle:
-            if not line.endswith(b"\n"):
-                return
-            row = line[:-1].split(b",")
-            if (row_tick := _tick(line, path.name)) > last:
-                return
-            if len(row) != width:
-                raise _width_error(path.name, row_tick, len(row))
-            yield row
+def _row_error(name: str, tick: int, block: bytes) -> ValueError:
+    """What the first faulty row of ``block``, rows of the trace file
+    ``name`` read as ``tick``'s, raises: one whose tick is not ``tick`` as
+    written, or whose width is not the header's.  ``block`` holds one."""
+    rows = (line.split(b",") for line in block.split(b"\n"))
+    row = next(row for row in rows if row[0] != b"%d" % tick or len(row) != len(_FIELDS[name]))
+    if row[0] == b"%d" % tick:
+        return _width_error(name, tick, len(row))
+    _tick(b",".join(row), name)  # a tick that is not an integer, or a row of one field
+    return ValueError(f"{name}: tick {tick} has a row whose tick is {row[0].decode(errors='replace')!r}")
 
 
 def _columns(path: Path, tick: int) -> Iterator[list[bytes]]:
     """The fields of ``tick``'s complete rows in one trace CSV, in order, a
-    chunk of rows at a time; a row not as wide as the header raises
-    ``ValueError``.  A row's first field may lead with a newline."""
-    width, row, bare = _width(path.name), b"\n%d," % tick, b"\n%d\n" % tick
+    chunk of rows at a time.  A row among them not as wide as the header or
+    whose tick is not written as ``tick``, or a complete row after them
+    whose tick is not later, raises ``ValueError``.  A row's first field,
+    its tick, may lead with a newline."""
+    width, lead = len(_FIELDS[path.name]), b"\n%d" % tick
     with open(path, "rb") as handle:
         handle.seek(_first_row_at(handle, tick, path.name))
         # A newline, then what is read and not yet taken; rows are sorted, so
-        # the tick's last complete row starts at its last ``row`` there (or
-        # ``bare``, a row of one field).
+        # the tick's last complete row starts at its last ``lead`` there and a
+        # comma (or a newline: a row of one field).
         data, size = b"\n", _SCAN_BYTES
         while True:
             data += (chunk := handle.read(size))
             stop = data.rfind(b"\n")
-            start = max(data.rfind(row, 0, stop), data.rfind(bare, 0, stop + 1))
+            start = max(data.rfind(lead + b",", 0, stop), data.rfind(lead + b"\n", 0, stop + 1))
             if start >= 0:
                 end = data.index(b"\n", start + 1)
                 block, data, stop = data[1:end], data[end:], stop - end
-                # Each row is ``width`` wide iff each ``width``-th field starts a row.
+                # A newline starts a field, so each row is ``width`` wide and leads
+                # with ``tick`` iff the fields fill the rows and each ``width``-th is it.
                 text = block.replace(b"\n", b",\n")
                 fields, rows = text.split(b","), len(text) - len(block) + 1
-                starts = b"".join(fields[width::width]).count(b"\n") + 1
-                if len(fields) != rows * width or starts != rows:
-                    bad = next(n for n in (r.count(b",") + 1 for r in block.split(b"\n")) if n != width)
-                    raise _width_error(path.name, tick, bad)
+                ticks = fields[::width]
+                if len(fields) != rows * width or ticks[0] != lead[1:] or ticks.count(lead) != rows - 1:
+                    raise _row_error(path.name, tick, block)
                 yield fields
-            if stop or not chunk:  # a complete row of a later tick, or the end of the file
+            if stop:  # a complete row after the tick's, which must be of a later tick
+                if _tick(line := data[1:data.index(b"\n", 1)], path.name) <= tick:
+                    raise _row_error(path.name, tick, line)
+                return
+            if not chunk:  # the end of the file
                 return
             size = min(2 * size, _CHUNK_BYTES)
 
 
 def _last_tick(path: Path) -> int | None:
     """The tick of the last complete row, 0 if only the header is complete,
-    None if not even that is; reads from the end."""
+    None if not even that is; reads from the end.  A row's tick below 1
+    raises ``ValueError``."""
     with open(path, "rb") as handle:
         end = handle.seek(0, os.SEEK_END)
         size = 64
@@ -266,7 +263,9 @@ def _last_tick(path: Path) -> int | None:
             stop = tail.rfind(b"\n")
             begin = tail.rfind(b"\n", 0, max(stop, 0)) + 1
             if begin > 0:
-                return _tick(tail[begin:stop], path.name)
+                if (tick := _tick(tail[begin:stop], path.name)) < 1:
+                    raise ValueError(f"{path.name}: the last row has a tick {tick} that is not positive")
+                return tick
             if start == 0:
                 return 0 if stop >= 0 else None
             size *= 4
@@ -286,7 +285,8 @@ class FileBackend(StorageBackend):
     Only ``append_frame`` writes.  Opening a run directory counts its
     committed frames from the last complete ``rng.csv`` row and reads
     nothing else; a missing ``rng.csv``, or one without a complete header
-    line, holds none.  The first append after opening, or after a failed
+    line, holds none, and a last row whose tick is below 1 is refused
+    (``ValueError``).  The first append after opening, or after a failed
     one, first brings the files to the committed frames: the three headers
     afresh if there are none, else each file cut at its first row past the
     last committed tick, rows that no load reads.  A load, or the cut,
@@ -297,16 +297,18 @@ class FileBackend(StorageBackend):
     kept between appends.  A value is written as ``format_number`` gives
     it.  ``frames.csv`` and ``animats.csv`` rows of a tick are written
     first, its ``rng.csv`` row last: that row is the commit record.  A
-    load reads O(log n) lines plus the frame's own rows, and refuses a row
-    of the wrong number of fields or a field its column cannot hold, such
-    as a value that is not finite (``ValueError``, naming file and tick).
+    load reads each file's rows of the tick, ``load_animats`` those of
+    ``animats.csv`` alone: O(log n) lines plus the frame's own rows.  It
+    refuses a row of another tick or of the wrong number of fields, or a
+    field its column cannot hold, such as a value that is not finite
+    (``ValueError``, naming file and tick).
     """
 
     def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
         self._paths = [self.run_dir / name for name in _HEADERS]
-        self._values_path, self._animats_path, self._rng_path = self._paths
-        self._count = (_last_tick(self._rng_path) if self._rng_path.exists() else None) or 0
+        rng = self._paths[-1]
+        self._count = (_last_tick(rng) if rng.exists() else None) or 0
         self._cut_pending = True
 
     def _cut_uncommitted(self) -> None:
@@ -350,48 +352,42 @@ class FileBackend(StorageBackend):
         self._cut_pending = False
         self._count = tick
 
-    def load_frame(self, tick: int) -> TraceFrame:
+    def _load(self, name: str, tick: int) -> list[list]:
+        """The columns after the tick of committed ``tick``'s rows in the
+        trace file ``name``, each field converted as ``_FIELDS`` says; a
+        tick not committed, or a field that does not convert, raises
+        ``ValueError``."""
         if not 1 <= tick <= self._count:
             raise ValueError(f"no frame {tick} (have {self._count})")
-        values: dict[int, float] = {}
-        for fields in _columns(self._values_path, tick):
+        reads = _FIELDS[name]
+        columns: list[list] = [[] for _ in reads[1:]]
+        for fields in _columns(self.run_dir / name, tick):
             try:
-                values.update(zip(map(int, fields[1::3]), map(float, fields[2::3])))
+                for at, column in enumerate(columns, 1):
+                    column += map(reads[at][0], fields[at::len(reads)])
             except ValueError:
-                raise _field_error("frames.csv", tick, fields) from None
+                raise _field_error(name, tick, fields) from None
+        return columns
+
+    def load_frame(self, tick: int) -> TraceFrame:
+        addresses, values = self._load("frames.csv", tick)
         # One pass in C checks every value; they are read one by one only if
         # their sum is not finite, which finite values may also make.
-        if not -inf < sum(values.values()) < inf:
-            fields = chain.from_iterable(_columns(self._values_path, tick))
+        if not -inf < sum(values) < inf:
+            fields = chain.from_iterable(_columns(self.run_dir / "frames.csv", tick))
             if error := _field_error("frames.csv", tick, fields):
                 raise error
-        animats: dict[int, tuple[str, int]] = {}
-        for fields in _columns(self._animats_path, tick):
-            try:
-                stages = zip(map(bytes.decode, fields[2::4]), map(int, fields[3::4]))
-                animats.update(zip(map(int, fields[1::4]), stages))
-            except ValueError:
-                raise _field_error("animats.csv", tick, fields) from None
-        states = [state for fields in _columns(self._rng_path, tick) for state in fields[1::2]]
+        animats = self.load_animats(tick)
+        (states,) = self._load("rng.csv", tick)
         if not states:
             raise ValueError(f"frame {tick} missing from rng.csv")
-        try:
-            state = parse_state(states[0].decode())
-        except ValueError:
-            raise _field_error("rng.csv", tick, [b"%d" % tick, states[0]]) from None
-        return TraceFrame(values, animats, state)
+        return TraceFrame(dict(zip(addresses, values)), animats, states[0])
 
-    def animat_rows(self) -> Iterator[tuple[int, int, str, int]]:
-        """``(tick, base, stage, index)`` for every animat of every
-        committed frame, in file order; opens no file if there is none."""
-        if not self._count:
-            return
-        for row in _rows(self._animats_path, 1, self._count):
-            try:
-                tick, base, stage, index = int(row[0]), int(row[1]), row[2].decode(), int(row[3])
-            except ValueError:
-                raise _field_error("animats.csv", int(row[0]), row) from None
-            yield tick, base, stage, index
+    def load_animats(self, tick: int) -> dict[int, tuple[str, int]]:
+        """The animats of committed ``tick`` by base, as ``load_frame``
+        gives them, read from ``animats.csv`` alone."""
+        bases, stages, indices = self._load("animats.csv", tick)
+        return dict(zip(bases, zip(stages, indices)))
 
     def frame_count(self) -> int:
         return self._count

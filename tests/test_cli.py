@@ -646,6 +646,50 @@ def test_a_last_rng_row_whose_tick_is_not_an_integer_is_refused(tmp_path, capsys
         assert capsys.readouterr() == ("", "rng.csv: a row has a tick 'x' that is not an integer\n")
 
 
+@pytest.mark.parametrize("tick, text", [
+    ("x", "frames.csv: a row has a tick 'x' that is not an integer"),
+    ("4", "frames.csv: tick 3 has a row whose tick is '4'"),
+])
+def test_a_middle_row_of_another_tick_is_refused(tmp_path, capsys, tick, text):
+    """The middle row of tick 3's three in ``frames.csv``: ``replay 3`` and
+    ``verify`` exit 1 with one line naming the file and the tick, and
+    ``chart``, which reads ``animats.csv`` alone, charts the run."""
+    out = tmp_path / "age"
+    assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+    path = out / "frames.csv"
+    path.write_text(path.read_text().replace("\n3,2,", f"\n{tick},2,"))
+    capsys.readouterr()
+    for command in (("replay", out, 3), ("verify", out)):
+        assert invoke(*command) == 1
+        assert capsys.readouterr() == ("", text + "\n")
+    assert invoke("chart", out, "Adult") == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("tick", [0, -5])
+def test_a_last_rng_row_whose_tick_is_not_positive_is_refused(tmp_path, capsys, tick):
+    out = tmp_path / "age"
+    assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+    rng = out / "rng.csv"
+    rng.write_text(rng.read_text().replace("\n5,", f"\n{tick},"))
+    capsys.readouterr()
+    for command in (("replay", out, 3), ("verify", out), ("chart", out, "Adult")):
+        assert invoke(*command) == 1
+        assert capsys.readouterr() == ("", f"rng.csv: the last row has a tick {tick} that is not positive\n")
+
+
+def test_chart_counts_what_the_census_counts(tmp_path, capsys):
+    """Each stage of the eggs reference run, on each of its 201 ticks."""
+    out = tmp_path / "eggs"
+    assert invoke("run", MODELS / "eggs.rmd", MODELS / "eggs.cfg", "--out", out) == 0
+    census = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    for stage in ("Egg", "Adult"):
+        assert invoke("chart", out, stage) == 0
+        charted = capsys.readouterr().out.splitlines()
+        assert len(charted) == 202
+        assert charted == ["tick,count"] + [f"{t},{count}" for t, kind, count in census if kind == stage]
+
+
 @pytest.mark.parametrize("state", ["finished", "torn rng.csv header", "set-up aborted"])
 def test_replay_and_chart_write_nothing(tree, capsys, monkeypatch, state):
     """Each only reads, whatever the run directory holds; a directory with

@@ -718,6 +718,47 @@ def test_a_last_row_of_one_field_is_refused(tmp_path):
         FileBackend(tmp_path).load_frame(2)
 
 
+@pytest.mark.parametrize("name", ["frames.csv", "animats.csv"])
+@pytest.mark.parametrize("row, tick, text", [
+    ("2,1,", "3", "tick 2 has a row whose tick is '3'"),
+    ("2,2,", "x", "a row has a tick 'x' that is not an integer"),
+    ("2,2,", "3", "tick 2 has a row whose tick is '3'"),
+    ("2,2,", "1", "tick 2 has a row whose tick is '1'"),
+    ("2,3,", "x", "a row has a tick 'x' that is not an integer"),
+    ("2,3,", "1", "tick 2 has a row whose tick is '1'"),
+])
+def test_a_row_of_another_tick_among_a_ticks_rows_is_refused(tmp_path, name, row, tick, text):
+    """Every row a load reads carries the tick it loads, the rows between
+    its first and last ones too, and the row after its last one carries a
+    later tick; a row that does not is refused, naming the file and the
+    tick, by ``load_frame`` and ``load_animats`` alike.  ``row`` is the
+    first, the middle or the last of tick 2's three rows."""
+    backend = FileBackend(tmp_path)
+    for t in range(1, 4):
+        backend.append_frame(TraceFrame({1: t, 2: 0.5, 3: 2.0}, {1: ("S", 1), 2: ("S", 2), 3: ("T", 1)}, t))
+    path = tmp_path / name
+    path.write_text(path.read_text().replace(f"\n{row}", f"\n{tick}{row[1:]}"))
+    reopened = FileBackend(tmp_path)
+    loads = [reopened.load_frame] + [reopened.load_animats] * (name == "animats.csv")
+    for load in loads:
+        with pytest.raises(ValueError, match=f"^{name}: {text}$"):
+            load(2)
+
+
+@pytest.mark.parametrize("tick", [0, -5])
+def test_a_last_rng_row_whose_tick_is_not_positive_is_refused(tmp_path, tick):
+    """Counted as frames, such a tick would have the next append rewrite
+    the headers over every committed row; opening refuses it and writes
+    nothing."""
+    age_engine(FileBackend(tmp_path)).run()
+    rng = tmp_path / "rng.csv"
+    rng.write_text(rng.read_text().replace("\n5,", f"\n{tick},"))
+    before = files_in(tmp_path)
+    with pytest.raises(ValueError, match=f"^rng.csv: the last row has a tick {tick} that is not positive$"):
+        FileBackend(tmp_path)
+    assert files_in(tmp_path) == before
+
+
 def test_a_tick_without_its_rng_row_is_missing(tmp_path):
     """The rng.csv row commits a tick: a middle tick that lost it does not
     load, and the ticks around it still do."""
@@ -937,15 +978,15 @@ def files_in(run: Path) -> dict[str, bytes] | None:
 
 
 def read_all(run: Path) -> FileBackend:
-    """Open ``run`` and read every committed frame and animat row, which
-    writes nothing; returns the backend."""
+    """Open ``run`` and read every committed frame and each one's animats
+    alone, which writes nothing; returns the backend."""
     before = files_in(run)
     backend = FileBackend(run)
     for tick in range(1, backend.frame_count() + 1):
-        backend.load_frame(tick)
-    with pytest.raises(ValueError, match=f"no frame {backend.frame_count() + 1} "):
-        backend.load_frame(backend.frame_count() + 1)
-    assert {tick for tick, *_ in backend.animat_rows()} <= set(range(1, backend.frame_count() + 1))
+        assert backend.load_animats(tick) == backend.load_frame(tick).animats
+    for load in (backend.load_frame, backend.load_animats):
+        with pytest.raises(ValueError, match=f"no frame {backend.frame_count() + 1} "):
+            load(backend.frame_count() + 1)
     assert files_in(run) == before
     return backend
 
