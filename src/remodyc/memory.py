@@ -12,10 +12,12 @@ for every other write.  Besides the values the image keeps only the animats
 and each kind's bases in order; two rules give the rest.  A block's values
 run from its base up to the next base in ``animats`` or the first address
 that holds no value; and a new animat takes the index after the one its
-stage's highest block holds.  A commit costs what changed: ``store`` drops
-the blocks killed during the tick from the animats, the performers and
-``next``, once each; that dict is the frame it appends to a backend and,
-as it is, the committed values.  ``load`` rebuilds the image from any
+stage's highest block holds.  A commit costs what changed plus one pass
+over the performers of each kind that lost a block: ``store`` drops the
+blocks killed during the tick from the animats and ``next``, once each,
+and from their kinds' performers in those passes, however few died;
+``next`` is the frame it appends to a backend and, as it is, the
+committed values.  ``load`` rebuilds the image from any
 stored frame, which is all replay needs.
 
 On disk only an append writes: it brings the three trace files to the
@@ -30,14 +32,13 @@ each converted a column at a time: never rows past the last committed
 tick or a torn last line; ``load_animats`` reads ``animats.csv`` alone.
 It checks every row's tick: a row of another tick or of the wrong number
 of fields is refused, as is a field its column cannot hold, such as a
-value that is not finite, and an ``rng.csv`` whose last row's tick, the
-frame count, is below 1.
+value that is not finite, a second row of one address or base in a tick,
+and an ``rng.csv`` whose last row's tick, the frame count, is below 1.
 """
 from __future__ import annotations
 
 import abc
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, count, cycle, filterfalse, repeat
 from math import inf
@@ -102,13 +103,6 @@ class CountingBackend(StorageBackend):
         return self.count
 
 
-# A commit drops a kind's dead bases from its performers one ``del`` at a
-# time, ~0.3 us each plus a shift of the list's tail (~0.1 ns a base, ~20
-# us in a kind of 200,000), or rebuilds the list in one pass, 45-75 ns a
-# base.  It rebuilds once the deaths pass an eighth of the list or this
-# many.  The crossovers, measured on a 2-core Xeon with Python 3.11: ~20
-# deaths in 100 bases, ~130 in 1,000, ~400 in 10,000 and 450-650 in 200,000.
-_KILLS_ONE_AT_A_TIME = 400
 # Below this many bytes the search reads forward instead of halving.
 _SCAN_BYTES = 4096
 _CHUNK_BYTES = 65536  # a load's largest read: its reads double from _SCAN_BYTES up to it
@@ -249,6 +243,18 @@ def _columns(path: Path, tick: int) -> Iterator[list[bytes]]:
             size = min(2 * size, _CHUNK_BYTES)
 
 
+def _by_key(name: str, tick: int, keys: list[int], values: Iterable, what: str) -> dict:
+    """``values`` by ``keys``, the column of ``tick``'s rows of the trace
+    file ``name`` that holds each row's ``what``; a key on two rows raises
+    ``ValueError``."""
+    table = dict(zip(keys, values))
+    if len(table) != len(keys):  # only then look for the key
+        seen: set[int] = set()
+        twice = next(k for k in keys if k in seen or seen.add(k))
+        raise ValueError(f"{name}: tick {tick} has two rows of {what} {twice}")
+    return table
+
+
 def _last_tick(path: Path) -> int | None:
     """The tick of the last complete row, 0 if only the header is complete,
     None if not even that is; reads from the end.  A row's tick below 1
@@ -299,9 +305,10 @@ class FileBackend(StorageBackend):
     first, its ``rng.csv`` row last: that row is the commit record.  A
     load reads each file's rows of the tick, ``load_animats`` those of
     ``animats.csv`` alone: O(log n) lines plus the frame's own rows.  It
-    refuses a row of another tick or of the wrong number of fields, or a
-    field its column cannot hold, such as a value that is not finite
-    (``ValueError``, naming file and tick).
+    refuses a row of another tick or of the wrong number of fields, a
+    field its column cannot hold, such as a value that is not finite, or
+    a second row of one address (or base) in the tick (``ValueError``,
+    naming file and tick).
     """
 
     def __init__(self, run_dir):
@@ -377,17 +384,18 @@ class FileBackend(StorageBackend):
             fields = chain.from_iterable(_columns(self.run_dir / "frames.csv", tick))
             if error := _field_error("frames.csv", tick, fields):
                 raise error
+        by_address = _by_key("frames.csv", tick, addresses, values, "address")
         animats = self.load_animats(tick)
         (states,) = self._load("rng.csv", tick)
         if not states:
             raise ValueError(f"frame {tick} missing from rng.csv")
-        return TraceFrame(dict(zip(addresses, values)), animats, states[0])
+        return TraceFrame(by_address, animats, states[0])
 
     def load_animats(self, tick: int) -> dict[int, tuple[str, int]]:
         """The animats of committed ``tick`` by base, as ``load_frame``
         gives them, read from ``animats.csv`` alone."""
         bases, stages, indices = self._load("animats.csv", tick)
-        return dict(zip(bases, zip(stages, indices)))
+        return _by_key("animats.csv", tick, bases, zip(stages, indices), "base")
 
     def frame_count(self) -> int:
         return self._count
@@ -413,8 +421,10 @@ class MemoryImage:
     write whose address would commit an infinity or a NaN raises
     ``ValueError``, whose text is that value, and changes nothing.  Besides
     the values the image keeps the animats and each kind's bases in order
-    (its performers), killed blocks included until the commit; every
-    block's extent and next index are read off those and the values.
+    (its performers), killed blocks included until the commit, which
+    drops them from a kind's performers in one pass; ``killed`` holds
+    their bases.  Every block's extent and next index are read off those
+    and the values.
 
     ``store`` removes the blocks killed since the last commit from the
     animats, the performers and ``next``, lowers ``next_free``, and hands
@@ -433,7 +443,7 @@ class MemoryImage:
         self.next: dict[int, float] = {}
         self.assigned: dict[int, float] = {}
         self.delta: dict[int, float] = {}
-        self.killed: dict[int, str] = {}  # kind by base, killed since the last commit
+        self.killed: set[int] = set()  # bases killed since the last commit
         self.animats: dict[int, tuple[str, int]] = {}
         self.performers: dict[str, list[int]] = {}  # by kind, ascending
         self.next_free = 1
@@ -503,28 +513,25 @@ class MemoryImage:
     def kill(self, base: int) -> None:
         """Mark a whole block dead; its values stay readable until the
         frame boundary drops them."""
-        try:
-            self.killed[base] = self.animats[base][0]
-        except KeyError:
-            raise AddressError(f"kill of unallocated base {base}") from None
+        if base not in self.animats:
+            raise AddressError(f"kill of unallocated base {base}")
+        self.killed.add(base)
 
     def store(self, backend: StorageBackend, rng_state: int) -> TraceFrame:
         """Append the frame the pending writes make: ``next`` on every
         address of a block not killed, and the animats left.  Each block
-        killed since the last commit leaves them and its kind's performers
-        first, once; a kind drops its dead one ``del`` at a time while they
-        number at most an eighth of its performers and
-        ``_KILLS_ONE_AT_A_TIME``, else rebuilds its list in one pass."""
+        killed since the last commit leaves them first, once, and takes its
+        kind with it; each kind that lost a block then drops all its dead
+        from its performers in one pass, keeping the order."""
         if self.ticks != backend.frame_count():
             raise ValueError(
                 f"image at tick {self.ticks} cannot append frame "
                 f"{backend.frame_count() + 1}"
             )
         values, animats, performers, killed = self.next, self.animats, self.performers, self.killed
-        dead: dict[str, list[int]] = {}  # bases by kind
-        for base, kind in killed.items():
-            del animats[base]
-            dead.setdefault(kind, []).append(base)
+        kinds = set()  # those that lost a block
+        for base in killed:
+            kinds.add(animats.pop(base)[0])
             # The block's values: up to the next live base, or to a gap that
             # dead blocks left; a killed neighbour on the way is dead too.
             end = base + 1
@@ -532,13 +539,9 @@ class MemoryImage:
                 end += 1
             for address in range(base, end):
                 values.pop(address, None)
-        for kind, bases in dead.items():
+        for kind in kinds:
             kept = performers[kind]
-            if len(bases) > min(len(kept) >> 3, _KILLS_ONE_AT_A_TIME):
-                kept[:] = filterfalse(killed.__contains__, kept)
-            else:
-                for base in bases:
-                    del kept[bisect_left(kept, base)]
+            kept[:] = filterfalse(killed.__contains__, kept)
             if not kept:
                 del performers[kind]
         # Down to one past the highest stored address, as ``_infer`` reads it.
@@ -546,7 +549,7 @@ class MemoryImage:
         while end > 1 and end - 1 not in values:
             end -= 1
         self.next_free = end
-        self.killed = {}
+        self.killed = set()
         frame = TraceFrame(values, animats, rng_state)
         # The frame keeps the dict the dead left; the image goes on with a
         # compact copy, which later ticks copy cheaply.
@@ -583,7 +586,7 @@ class MemoryImage:
         self._stored = None
 
     def _infer(self, frame: TraceFrame) -> None:
-        self.killed = {}
+        self.killed = set()
         self.animats = dict(frame.animats)
         self.next_free = max(frame.values, default=0) + 1
         self.performers = {}

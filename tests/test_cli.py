@@ -666,6 +666,34 @@ def test_a_middle_row_of_another_tick_is_refused(tmp_path, capsys, tick, text):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("name, row, text", [
+    ("frames.csv", "3,3,999", "frames.csv: tick 3 has two rows of address 3"),
+    ("animats.csv", "3,1,Adult,1", "animats.csv: tick 3 has two rows of base 1"),
+])
+def test_a_second_row_of_one_address_or_base_is_refused(tmp_path, capsys, name, row, text):
+    """``row`` after tick 3's last row: ``replay 3`` and ``verify`` exit 1
+    with one line naming the file, the tick and the address (or base), as
+    ``chart`` does for ``animats.csv``, the one file it reads; ``chart``
+    charts the run otherwise."""
+    out = tmp_path / "age"
+    assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+    path = out / name
+    lines = path.read_text().splitlines(keepends=True)
+    last = max(at for at, line in enumerate(lines) if line.startswith("3,"))
+    assert lines[last].split(",")[1] == row.split(",")[1]
+    path.write_text("".join(lines[:last + 1] + [row + "\n"] + lines[last + 1:]))
+    capsys.readouterr()
+    for command in (("replay", out, 3), ("verify", out)):
+        assert invoke(*command) == 1
+        assert capsys.readouterr() == ("", text + "\n")
+    if name == "animats.csv":
+        assert invoke("chart", out, "Adult") == 1
+        assert capsys.readouterr() == ("", text + "\n")
+    else:
+        assert invoke("chart", out, "Adult") == 0
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("tick", [0, -5])
 def test_a_last_rng_row_whose_tick_is_not_positive_is_refused(tmp_path, capsys, tick):
     out = tmp_path / "age"

@@ -13,13 +13,11 @@ once it has been returned or stored.
 from __future__ import annotations
 
 import hashlib
-from itertools import filterfalse
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from remodyc import memory
 from remodyc.interp import Engine, parse_config
 from remodyc.memory import InMemoryBackend, MemoryImage, TraceFrame
 from remodyc.parser import parse_model
@@ -131,12 +129,10 @@ def bulk_ticks(draw):
 @given(bulk_ticks())
 @settings(max_examples=60, deadline=None)
 def test_commit_path_matches_load_path_on_many_kills(ticks):
-    """Up to 40 blocks a stage and call, many of them killed in one tick:
-    each stage loses its blocks one at a time or by a rebuilt list, as
-    the counts fall on either side of the cutoffs; a stage killed whole
-    leaves the performers.  Each commit matches a fresh load of its
-    frame, and the next block of each stage is placed and labelled alike
-    on both."""
+    """Up to 40 blocks a stage and call, many of them killed in one tick;
+    a stage killed whole leaves the performers.  Each commit matches a
+    fresh load of its frame, and the next block of each stage is placed
+    and labelled alike on both."""
     backend, image = InMemoryBackend(), MemoryImage()
     for tick, (allocations, kills, picks, order) in enumerate(ticks, start=1):
         for stage, blocks in allocations:
@@ -161,27 +157,24 @@ def test_commit_path_matches_load_path_on_many_kills(ticks):
             assert image.animats[base] == loaded.animats[base], f"tick {tick}"
 
 
-# (blocks of A, of B, deaths of A, of B, _KILLS_ONE_AT_A_TIME): A and B are
-# each on the side of its cutoff the test's name gives.
+# (blocks of A, of B, deaths of A, of B).
 KILL_CASES = {
-    "one-A-one-B": (80, 80, 1, 1, 400),
-    "one-A-rebuilt-B": (80, 80, 1, 11, 400),
-    "rebuilt-A-all-B": (80, 40, 40, 40, 400),
-    "all-A-one-B-of-a-long-list": (40, 400, 40, 1, 400),
-    "rebuilt-A-over-a-low-cutoff": (80, 80, 4, 3, 3),
+    "one-A-one-B": (80, 80, 1, 1),
+    "one-A-eleven-B": (80, 80, 1, 11),
+    "half-A-all-B": (80, 40, 40, 40),
+    "all-A-one-B-of-a-long-list": (40, 400, 40, 1),
+    "four-A-three-B": (80, 80, 4, 3),
 }
 
 
 @pytest.mark.parametrize("case", KILL_CASES.values(), ids=KILL_CASES)
-def test_each_side_of_the_kill_cutoffs_matches_the_load_path(monkeypatch, case):
-    """A stage's deaths past an eighth of its blocks or past
-    ``_KILLS_ONE_AT_A_TIME`` rebuild its list; either side gives what a
-    load gives.  The stored frame's animats are not the image's: the next
+def test_each_kill_shape_matches_the_load_path(case):
+    """Each kind that lost a block drops its dead from its performers in
+    one pass, however few or many died: one of a long list, some, or the
+    whole kind, which leaves the performers.  Each gives what a load
+    gives.  The stored frame's animats are not the image's: the next
     tick's kills, of every block left, leave them as they were."""
-    blocks_a, blocks_b, deaths_a, deaths_b, cutoff = case
-    monkeypatch.setattr(memory, "_KILLS_ONE_AT_A_TIME", cutoff)
-    rebuilt = []
-    monkeypatch.setattr(memory, "filterfalse", lambda *args: rebuilt.append(1) or filterfalse(*args))
+    blocks_a, blocks_b, deaths_a, deaths_b = case
     backend, image = InMemoryBackend(), MemoryImage()
     image.allocate("A", 2, [[1.0, 2.0]] * blocks_a)
     image.allocate("B", 2, [[3.0, 4.0]] * blocks_b)
@@ -197,8 +190,6 @@ def test_each_side_of_the_kill_cutoffs_matches_the_load_path(monkeypatch, case):
     loaded.load(backend, 2)
     assert kept_state(image) == kept_state(loaded)
     assert list(image.animats.items()) == list(loaded.animats.items())
-    assert len(rebuilt) == sum(deaths > min(blocks >> 3, cutoff)
-                               for blocks, deaths in ((blocks_a, deaths_a), (blocks_b, deaths_b)))
     assert frame.animats is not image.animats
     stored = list(frame.animats.items())
     for base in list(image.animats):

@@ -141,6 +141,12 @@ class TestStore:
         image, base = image_with_block()
         with pytest.raises(AddressError):
             image.kill(base + 1)
+        assert not image.killed
+        # A block killed twice in a tick is one death: ``killed`` is what a
+        # spawn's count of the live blocks subtracts.
+        image.kill(base)
+        image.kill(base)
+        assert len(image.killed) == 1
 
     def test_store_requires_backend_in_step(self):
         image, _ = image_with_block()
@@ -743,6 +749,32 @@ def test_a_row_of_another_tick_among_a_ticks_rows_is_refused(tmp_path, name, row
     for load in loads:
         with pytest.raises(ValueError, match=f"^{name}: {text}$"):
             load(2)
+
+
+@pytest.mark.parametrize("name, key", [("frames.csv", "address"), ("animats.csv", "base")])
+@pytest.mark.parametrize("at, to, twice", [(0, 1, 1), (1, 2, 2), (2, 1, 1)])
+def test_a_second_row_of_one_address_or_base_is_refused(tmp_path, name, key, at, to, twice):
+    """A tick's rows hold each address of ``frames.csv``, and each base of
+    ``animats.csv``, once: with row ``at`` of tick 2's three written again
+    as the address (or base) ``to``, ``load_frame`` and ``load_animats``
+    refuse tick 2, naming the file, the tick and the key on two rows, and
+    the ticks around it still load."""
+    backend = FileBackend(tmp_path)
+    for t in range(1, 4):
+        backend.append_frame(TraceFrame({1: t, 2: 0.5, 3: 2.0}, {1: ("S", 1), 2: ("S", 2), 3: ("T", 1)}, t))
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines.index(next(line for line in lines if line.startswith("2,"))) + at
+    again = lines[row].split(",")
+    again[1] = str(to)
+    lines.insert(row + 1, ",".join(again))
+    path.write_text("".join(lines))
+    reopened = FileBackend(tmp_path)
+    loads = [reopened.load_frame] + [reopened.load_animats] * (name == "animats.csv")
+    for load in loads:
+        with pytest.raises(ValueError, match=f"^{name}: tick 2 has two rows of {key} {twice}$"):
+            load(2)
+    assert [reopened.load_frame(t) for t in (1, 3)] == [backend.load_frame(t) for t in (1, 3)]
 
 
 @pytest.mark.parametrize("tick", [0, -5])
