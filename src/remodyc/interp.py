@@ -286,7 +286,7 @@ class Engine:
             self._allocate(kind, repeat(self.templates[kind], count))
         for count, stage in self.config.populations:
             self._allocate(stage, self._placed(stage, count))
-        return self._commit()
+        return self.image.store(self.backend, self.rng_state)
 
     def _placed(self, stage: str, count: int) -> Iterator[list[float]]:
         """``count`` new ``stage`` rows, each at a uniform draw of x, then y;
@@ -307,11 +307,6 @@ class Engine:
         size, rows = len(self.templates[kind]), iter(rows)
         while run := list(islice(rows, _ALLOCATION_ROWS)):
             self.image.allocate(kind, size, run)
-
-    def _commit(self) -> TraceFrame:
-        frame = self.image.store(self.backend, self.rng_state)
-        self.image.apply_frame(frame, self.image.ticks + 1)
-        return frame
 
     def resume(self, tick: int) -> None:
         """Continue a stored run from the state after ``tick``; a frame that
@@ -357,7 +352,7 @@ class Engine:
                                base=base, index=self.image.animats[base][1],
                                attribute=attribute)
         self._apply_events(events)
-        return self._commit()
+        return self.image.store(self.backend, self.rng_state)
 
     def run(self) -> list[tuple[int, str, int]]:
         """Full run: initial frame plus ``steps`` ticks; returns

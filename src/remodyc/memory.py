@@ -17,8 +17,9 @@ over the performers of each kind that lost a block: ``store`` drops the
 blocks killed during the tick from the animats and ``next``, once each,
 and from their kinds' performers in those passes, however few died;
 ``next`` is the frame it appends to a backend and, as it is, the
-committed values.  ``load`` rebuilds the image from any
-stored frame, which is all replay needs.
+committed values.  ``store`` is the one commit, and ``load`` the one
+load: it rebuilds the image from any stored frame, which is all replay
+needs.
 
 On disk only an append writes: it brings the three trace files to the
 committed prefix, then writes each once, as bytes built in one pass over
@@ -426,16 +427,15 @@ class MemoryImage:
     their bases.  Every block's extent and next index are read off those
     and the values.
 
-    ``store`` removes the blocks killed since the last commit from the
-    animats, the performers and ``next``, lowers ``next_free``, and hands
-    ``next`` and the animats on as the frame (new blocks were entered as
-    they were allocated).  ``apply_frame`` then commits the frame one of
-    two ways: the frame ``store`` just returned takes the commit path,
-    which only makes its values the committed ones; any other frame takes
-    the load path, which reads all of it from the frame.  Both give the
-    same image.  From the start of ``store`` to the end of ``apply_frame``
-    the image is mid commit: if the backend fails to append, ``load`` a
-    stored frame to go on.
+    Two operations change the committed state: ``store`` commits a tick,
+    ``apply_frame`` loads a stored frame.  ``store`` removes the blocks
+    killed since the last commit from the animats, the performers and
+    ``next``, lowers ``next_free``, hands ``next`` and the animats on as
+    the frame (new blocks were entered as they were allocated), appends
+    it and makes its values the committed ones.  ``apply_frame`` reads
+    all of the image off the frame, and gives the image that committing
+    that frame gave.  If the backend fails to append, the image is left
+    mid commit: ``load`` a stored frame to go on.
     """
 
     def __init__(self):
@@ -448,7 +448,6 @@ class MemoryImage:
         self.performers: dict[str, list[int]] = {}  # by kind, ascending
         self.next_free = 1
         self.ticks = 0
-        self._stored: TraceFrame | None = None
 
     def read(self, address: int) -> float:
         try:
@@ -518,11 +517,13 @@ class MemoryImage:
         self.killed.add(base)
 
     def store(self, backend: StorageBackend, rng_state: int) -> TraceFrame:
-        """Append the frame the pending writes make: ``next`` on every
-        address of a block not killed, and the animats left.  Each block
-        killed since the last commit leaves them first, once, and takes its
-        kind with it; each kind that lost a block then drops all its dead
-        from its performers in one pass, keeping the order."""
+        """Commit the tick: append the frame the pending writes make,
+        ``next`` on every address of a block not killed, and the animats
+        left, then make it the committed state, one tick on, and return
+        it.  Each block killed since the last commit leaves them
+        first, once, and takes its kind with it; each kind that lost a block
+        then drops all its dead from its performers in one pass, keeping the
+        order.  An append that raises leaves the image mid commit."""
         if self.ticks != backend.frame_count():
             raise ValueError(
                 f"image at tick {self.ticks} cannot append frame "
@@ -544,7 +545,7 @@ class MemoryImage:
             kept[:] = filterfalse(killed.__contains__, kept)
             if not kept:
                 del performers[kind]
-        # Down to one past the highest stored address, as ``_infer`` reads it.
+        # Down to one past the highest stored address, as ``apply_frame`` reads it.
         end = self.next_free
         while end > 1 and end - 1 not in values:
             end -= 1
@@ -555,37 +556,34 @@ class MemoryImage:
         # compact copy, which later ticks copy cheaply.
         self.animats = animats.copy()
         backend.append_frame(frame)
-        self._stored = frame
+        self.vals = values
+        # ``copy`` clones even a table with holes; ``dict()`` would rehash it.
+        self.next = values.copy()
+        self.assigned.clear()
+        self.delta.clear()
+        self.ticks += 1
         return frame
 
     def apply_frame(self, frame: TraceFrame, tick: int) -> None:
-        """Make ``frame`` the committed state after ``tick``.
+        """Load ``frame`` as the committed state after ``tick``: its values,
+        and the animats, performers and ``next_free`` read off it.
 
-        One layout rule holds on both paths: a block's values run from its
-        base up to the next base in ``animats`` or the first address that
-        holds no value, and ``next_free`` is one past the highest stored
-        address.  So the addresses of a dead block between two live ones
-        stay unused, and those of dead blocks above the highest live one go
-        to the next allocation.  Likewise a stage's next instance index is
-        the one after its highest block's, so an index may name another
-        animat once the one that held it has died.
-
-        The frame ``store`` just returned takes the commit path, which only
-        copies the values into ``next``: ``store`` has already dropped the
-        killed blocks.  Any other frame takes the load path, which reads
-        the animats, performers and ``next_free`` off the frame.
+        The layout rule that ``store`` keeps holds here too: a block's
+        values run from its base up to the next base in ``animats`` or the
+        first address that holds no value, and ``next_free`` is one past
+        the highest stored address.  So the addresses of a dead block
+        between two live ones stay unused, and those of dead blocks above
+        the highest live one go to the next allocation.  Likewise a stage's
+        next instance index is the one after its highest block's, so an
+        index may name another animat once the one that held it has died.
+        The performers are sorted here: a frame's bases are not known to be
+        in order.
         """
         self.vals = frame.values
-        # ``copy`` clones even a table with holes; ``dict()`` would rehash it.
         self.next = frame.values.copy()
         self.assigned.clear()
         self.delta.clear()
         self.ticks = tick
-        if frame is not self._stored:
-            self._infer(frame)
-        self._stored = None
-
-    def _infer(self, frame: TraceFrame) -> None:
         self.killed = set()
         self.animats = dict(frame.animats)
         self.next_free = max(frame.values, default=0) + 1

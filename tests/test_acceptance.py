@@ -134,7 +134,6 @@ def _run_memory_sequence(rng: random.Random) -> None:
                 continue
             tick += 1
             frame = image.store(backend, rng_state=tick * 977)
-            image.apply_frame(frame, tick)
             committed = {a: staged[a] + deltas[a] for a in staged if a not in dead}
             assert frame.values == committed
             staged = dict(committed)

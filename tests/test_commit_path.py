@@ -5,10 +5,10 @@ kind's performers; one layout rule gives every block's extent (its values
 up to the next base in ``animats``; ``next_free`` is one past the highest
 stored address) and one index rule a stage's next instance index (the one
 after its highest block's).  ``store`` drops the blocks killed during the
-tick from the image as it hands the frame on, and ``apply_frame`` commits
-that frame as it is; it reads all of any other frame it loads off the
-frame.  Both must give the same image, and neither may change a frame
-once it has been returned or stored.
+tick from the image as it hands the frame on, and commits that frame as
+it is; ``apply_frame`` reads all of the image off any frame it loads.
+Both must give the same image, and neither may change a frame once it has
+been returned or stored.
 """
 from __future__ import annotations
 
@@ -101,7 +101,7 @@ def test_commit_path_matches_load_path_on_any_allocations_and_kills(ticks):
         for pick in kills:
             if image.animats:
                 image.kill(sorted(image.animats)[-1 - pick % len(image.animats)])
-        image.apply_frame(image.store(backend, tick), tick)
+        image.store(backend, tick)
         loaded = MemoryImage()
         loaded.load(backend, tick)
         assert kept_state(image) == kept_state(loaded), f"tick {tick}"
@@ -146,7 +146,7 @@ def test_commit_path_matches_load_path_on_many_kills(ticks):
         order.shuffle(doomed)
         for base in doomed:
             image.kill(base)
-        image.apply_frame(image.store(backend, tick), tick)
+        image.store(backend, tick)
         loaded = MemoryImage()
         loaded.load(backend, tick)
         assert kept_state(image) == kept_state(loaded), f"tick {tick}"
@@ -178,14 +178,13 @@ def test_each_kill_shape_matches_the_load_path(case):
     backend, image = InMemoryBackend(), MemoryImage()
     image.allocate("A", 2, [[1.0, 2.0]] * blocks_a)
     image.allocate("B", 2, [[3.0, 4.0]] * blocks_b)
-    image.apply_frame(image.store(backend, 1), 1)
+    image.store(backend, 1)
     a, b = image.performers["A"], image.performers["B"]
     # Spread over each list, killed from the top down.
     doomed = a[::len(a) // deaths_a][:deaths_a] + b[::len(b) // deaths_b][:deaths_b]
     for base in reversed(doomed):
         image.kill(base)
     frame = image.store(backend, 2)
-    image.apply_frame(frame, 2)
     loaded = MemoryImage()
     loaded.load(backend, 2)
     assert kept_state(image) == kept_state(loaded)
@@ -194,7 +193,7 @@ def test_each_kill_shape_matches_the_load_path(case):
     stored = list(frame.animats.items())
     for base in list(image.animats):
         image.kill(base)
-    image.apply_frame(image.store(backend, 3), 3)
+    image.store(backend, 3)
     assert (image.animats, image.performers) == ({}, {})
     assert list(frame.animats.items()) == stored
 
@@ -354,8 +353,6 @@ def test_one_allocation_of_many_rows_matches_one_per_row(ticks):
                 bulk.kill(base)
                 single.kill(base)
         frames = [image.store(backend, tick) for image, backend in zip(images, backends)]
-        for image, frame in zip(images, frames):
-            image.apply_frame(frame, tick)
         assert list(frames[0].values.items()) == list(frames[1].values.items())
         assert list(frames[0].animats.items()) == list(frames[1].animats.items())
         assert kept_state(bulk) == kept_state(single)

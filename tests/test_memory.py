@@ -151,9 +151,10 @@ class TestStore:
     def test_store_requires_backend_in_step(self):
         image, _ = image_with_block()
         backend = InMemoryBackend()
-        image.store(backend, 0)
+        backend.append_frame(TraceFrame({1: 1.0}, {1: ("Egg", 1)}, 0))  # not the image's
         with pytest.raises(ValueError, match=r"^image at tick 0 cannot append frame 2$"):
             image.store(backend, 0)
+        assert backend.frame_count() == 1
 
 
 class TestApplyAndLoad:
@@ -162,7 +163,6 @@ class TestApplyAndLoad:
         image, base = image_with_block()
         image.write(base, 1.5)
         frame = image.store(backend, 11)
-        image.apply_frame(frame, 1)
         assert image.read(base) == 1.5
         # No address of the frame carries a pending delta into the next commit.
         assert all(image.delta.get(a, 0.0) == 0.0 for a in frame.values)
@@ -174,7 +174,7 @@ class TestApplyAndLoad:
         image, base = image_with_block()
         for tick, value in enumerate([1.0, 2.0, 3.0], start=1):
             image.write(base, value)
-            image.apply_frame(image.store(backend, tick * 100), tick)
+            image.store(backend, tick * 100)
         fresh = MemoryImage()
         assert fresh.load(backend, 2) == 200
         assert fresh.read(base) == 2.0
@@ -183,7 +183,7 @@ class TestApplyAndLoad:
     def test_allocation_continues_after_load(self):
         backend = InMemoryBackend()
         image, _ = image_with_block()
-        image.apply_frame(image.store(backend, 0), 1)
+        image.store(backend, 0)
         fresh = MemoryImage()
         fresh.load(backend, 1)
         assert fresh.allocate("Egg", 3) == 4
@@ -194,7 +194,7 @@ class TestApplyAndLoad:
         image = MemoryImage()
         egg = image.allocate("Egg", 2)
         adult = image.allocate("Adult", 2)
-        image.apply_frame(image.store(backend, 0), 1)
+        image.store(backend, 0)
         fresh = MemoryImage()
         fresh.load(backend, 1)
         fresh.kill(egg)
@@ -206,7 +206,7 @@ class TestApplyAndLoad:
         image = MemoryImage()
         egg = image.allocate("Egg", 2)
         adult = image.allocate("Adult", 2)
-        image.apply_frame(image.store(backend, 0), 1)
+        image.store(backend, 0)
         image.kill(egg)
         image.load(backend, 1)
         frame = image.store(backend, 0)
@@ -226,7 +226,6 @@ class TestApplyAndLoad:
         image.kill(top)
         frame = image.store(backend, 0)
         assert frame.values == {low: 1.0, low + 1: 0.0, high: 6.0, high + 1: 0.0}
-        image.apply_frame(frame, 1)
         # The dead middle block leaves a gap below the high one.
         assert sorted(image.animats) == [low, high]
         # The addresses of the dead top block go to the next allocation, and
@@ -240,7 +239,6 @@ class TestApplyAndLoad:
         image.kill(high)
         frame = image.store(backend, 0)
         assert frame.values == {low: 1.0, low + 1: 9.0, 8: 0.0, 9: 0.0, 10: 0.0, 11: 0.0}
-        image.apply_frame(frame, 2)
         assert sorted(image.animats) == [low, top]
         assert image.next_free == top + 4
 
@@ -273,9 +271,9 @@ class TestFileBackend:
         base = image.allocate("Egg", 3)
         image.write(base, 2.5)
         image.write_delta(base + 1, 0.5)
-        image.apply_frame(image.store(backend, 0xE220A8397B1DCDAF), 1)
+        image.store(backend, 0xE220A8397B1DCDAF)
         image.write(base, 86400.0)
-        image.apply_frame(image.store(backend, 0x1B39896A51A8749B), 2)
+        image.store(backend, 0x1B39896A51A8749B)
         return backend, image, base
 
     def test_exact_file_contents(self, tmp_path):
@@ -304,7 +302,7 @@ class TestFileBackend:
         reopened = FileBackend(tmp_path)
         assert reopened.frame_count() == 2
         image.write(base, 7.0)
-        image.apply_frame(image.store(reopened, 3), 3)
+        image.store(reopened, 3)
         assert reopened.load_frame(3).values[base] == 7.0
 
     def test_matches_in_memory_backend(self, tmp_path):
@@ -314,9 +312,9 @@ class TestFileBackend:
         replay.allocate("Egg", 3)
         replay.write(base, 2.5)
         replay.write_delta(base + 1, 0.5)
-        replay.apply_frame(replay.store(memory_backend, 0xE220A8397B1DCDAF), 1)
+        replay.store(memory_backend, 0xE220A8397B1DCDAF)
         replay.write(base, 86400.0)
-        replay.apply_frame(replay.store(memory_backend, 0x1B39896A51A8749B), 2)
+        replay.store(memory_backend, 0x1B39896A51A8749B)
         disk = FileBackend(tmp_path)
         for tick in (1, 2):
             assert disk.load_frame(tick) == memory_backend.load_frame(tick)
@@ -334,7 +332,7 @@ class TestFileBackend:
         clean = tmp_path / "clean"
         _, image, base = self.fill(clean)
         image.write(base, 7.0)
-        image.apply_frame(image.store(FileBackend(clean), 3), 3)
+        image.store(FileBackend(clean), 3)
 
         crashed = tmp_path / "crashed"
         _, image, base = self.fill(crashed)
@@ -352,7 +350,7 @@ class TestFileBackend:
             reopened.load_frame(3)
         assert self.contents(crashed) == before
         image.write(base, 7.0)
-        image.apply_frame(image.store(reopened, 3), 3)
+        image.store(reopened, 3)
         assert reopened.load_frame(3).values == {base: 7.0, base + 1: 0.5, base + 2: 0.0}
         assert reopened.load_frame(3).animats == {base: ("Egg", 1)}
         assert self.contents(crashed) == self.contents(clean)
@@ -365,7 +363,7 @@ class TestFileBackend:
         clean = tmp_path / "clean"
         _, image, base = self.fill(clean)
         image.write(base, 7.0)
-        image.apply_frame(image.store(FileBackend(clean), 3), 3)
+        image.store(FileBackend(clean), 3)
 
         run = tmp_path / "torn"
         backend, image, base = self.fill(run)
@@ -376,7 +374,7 @@ class TestFileBackend:
         assert reopened.frame_count() == 2
         assert [reopened.load_frame(tick) for tick in (1, 2)] == expected
         image.write(base, 7.0)
-        image.apply_frame(image.store(reopened, 3), 3)
+        image.store(reopened, 3)
         assert self.contents(run) == self.contents(clean)
 
     def test_reopen_reads_only_the_end_of_rng_csv(self, tmp_path, monkeypatch):
@@ -904,7 +902,7 @@ def test_writes_to_new_and_committed_blocks_commit_base_plus_deltas(committed, n
     image, backend = MemoryImage(), InMemoryBackend()
     if committed:
         image.allocate("Old", 2, committed)
-    image.apply_frame(image.store(backend, 0), 1)
+    image.store(backend, 0)
     first = image.allocate("New", 2, new)
     assert (image.assigned, image.delta) == ({}, {})
     initial = {**image.vals, **dict(zip(range(first, image.next_free), chain.from_iterable(new)))}
