@@ -326,21 +326,16 @@ class Model(Node):
 # --- traversal -------------------------------------------------------------
 
 
-def children(e: Expression) -> tuple[Expression, ...]:
-    """Immediate subexpressions of ``e``."""
-    return getattr(e, "args", ())
-
-
 def walk_expression(e: Expression) -> Iterator[Expression]:
     """Yield ``e`` and every nested subexpression, preorder: a node, then
-    the walk of each of its ``children`` in turn.  One generator and a
+    the walk of each of its ``args`` in turn.  One generator and a
     stack of the nodes still to yield, however deep the tree."""
     stack = [e]
     pop, push = stack.pop, stack.extend
     while stack:
         e = pop()
         yield e
-        args = getattr(e, "args", ())  # ``children(e)``, without the call
+        args = getattr(e, "args", ())
         if args:
             push(args[::-1])
 

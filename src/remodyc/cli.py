@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 model or configuration errors (and a run
 directory that does not hold what it should, a tick that ``verify`` does
-not recompute as stored included), 2 I/O problems (a failed census stdout
+not recompute as stored or finds in a form the writer does not write
+included), 2 I/O problems (a failed census stdout
 included: the run still keeps every frame), 3 a run aborted
 mid-simulation (completed frames are kept on disk).
 """
@@ -12,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import suppress
+from contextlib import closing, suppress
 from itertools import chain
 from pathlib import Path
 
@@ -218,7 +219,7 @@ def _replay(args) -> int:
         raise _Failure(1, str(err))
     # The frame is checked against the model before anything is printed.
     rows = []
-    for base, (kind, _) in sorted(frame.animats.items()):
+    for base, (kind, _) in frame.animats.items():
         if (agent := model.agent_named(kind)) is None:
             raise _Failure(1, f"tick {args.tick}: unknown stage {kind!r} at address {base}")
         for slot, declaration in enumerate(agent.all_attributes):
@@ -261,7 +262,8 @@ class _OneTick(StorageBackend):
 def _verify(args) -> int:
     """Recompute each stored tick after the first from the stored one
     before it, each in an engine of its own, so that what a tick is
-    checked against is that frame alone."""
+    checked against is that frame alone; and check that each stored tick's
+    rows are, byte for byte, what the writer writes for the frame loaded."""
     backend, model, meta = _open_run_dir(args.run_dir)
     meta_path = Path(args.run_dir) / "meta.txt"
     # One config line per meta.txt line, so that a refusal names its line.
@@ -275,18 +277,18 @@ def _verify(args) -> int:
     _diagnose(model, str(Path(args.run_dir) / "model.rmd"), config)
     frames = backend.frame_count()
     try:
-        stored = backend.load_frame(1) if frames else None
-        for tick in range(1, frames):
-            following = backend.load_frame(tick + 1)
-            engine = Engine(model, config, _OneTick(stored, tick))
-            engine.resume(tick)
-            try:
-                recomputed = engine.step()
-            except RuntimeAbort as abort:
-                raise _Failure(1, f"tick {tick + 1} is not recomputed: aborted: {abort.render()}")
-            if recomputed != following:
-                raise _Failure(1, f"tick {tick + 1} differs from a step of tick {tick}")
-            stored = following
+        with closing(backend.written(map(backend.load_frame, range(1, frames + 1)))) as loaded:
+            stored = next(loaded, None)
+            for tick, following in enumerate(loaded, 1):
+                engine = Engine(model, config, _OneTick(stored, tick))
+                engine.resume(tick)
+                try:
+                    recomputed = engine.step()
+                except RuntimeAbort as abort:
+                    raise _Failure(1, f"tick {tick + 1} is not recomputed: aborted: {abort.render()}")
+                if recomputed != following:
+                    raise _Failure(1, f"tick {tick + 1} differs from a step of tick {tick}")
+                stored = following
     except ValueError as err:
         raise _Failure(1, str(err))
     print(f"{max(frames - 1, 0)} ticks recomputed as stored")

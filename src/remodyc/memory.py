@@ -23,23 +23,30 @@ needs.
 
 On disk only an append writes: it brings the three trace files to the
 committed prefix, then writes each once, as bytes built in one pass over
-the frame, and flushes it to the operating system before returning (it
-does not ``fsync``); a value's text is the one ``parser.format_number``
-gives.  A frame is committed once its ``rng.csv`` row is complete, and
-that row is written last.  Every trace file keeps its rows sorted by
-tick, so a load makes one binary search over byte offsets per file, then
-one reader takes the frame's rows in chunks of at most ``_CHUNK_BYTES``,
-each converted a column at a time: never rows past the last committed
-tick or a torn last line; ``load_animats`` reads ``animats.csv`` alone.
+the frame by ``_frame_bytes``, and flushes it to the operating system
+before returning (it does not ``fsync``); a value's text is the one
+``parser.format_number`` gives.  A frame is committed once its
+``rng.csv`` row is complete, and that row is written last.  Every trace
+file keeps its rows sorted by tick, so a load makes one binary search
+over byte offsets per file, then one reader takes the frame's rows in
+chunks of at most ``_CHUNK_BYTES``, each converted a column at a time:
+never rows past the last committed tick or a torn last line;
+``load_animats`` reads ``animats.csv`` alone.
 It checks every row's tick: a row of another tick or of the wrong number
 of fields is refused, as is a field its column cannot hold, such as a
 value that is not finite, a second row of one address or base in a tick,
-and an ``rng.csv`` whose last row's tick, the frame count, is below 1.
+addresses or bases out of order, a second ``rng.csv`` row of a tick, and
+an ``rng.csv`` whose last row's tick, the frame count, is below 1.  A
+field spelled otherwise than the writer writes it, such as ``01`` or
+``1_0``, loads; ``FileBackend.written``, which reads each file forward
+and compares its bytes with ``_frame_bytes`` of each loaded frame,
+refuses it.
 """
 from __future__ import annotations
 
 import abc
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import chain, count, cycle, filterfalse, repeat
 from math import inf
@@ -246,13 +253,17 @@ def _columns(path: Path, tick: int) -> Iterator[list[bytes]]:
 
 def _by_key(name: str, tick: int, keys: list[int], values: Iterable, what: str) -> dict:
     """``values`` by ``keys``, the column of ``tick``'s rows of the trace
-    file ``name`` that holds each row's ``what``; a key on two rows raises
+    file ``name`` that holds each row's ``what``; a key on two rows, or
+    else keys that do not increase, as the writer writes them, raise
     ``ValueError``."""
     table = dict(zip(keys, values))
     if len(table) != len(keys):  # only then look for the key
         seen: set[int] = set()
         twice = next(k for k in keys if k in seen or seen.add(k))
         raise ValueError(f"{name}: tick {tick} has two rows of {what} {twice}")
+    if sorted(keys) != keys:  # one pass in C over keys already in order
+        after, key = next(pair for pair in zip(keys, keys[1:]) if pair[0] > pair[1])
+        raise ValueError(f"{name}: tick {tick} has a row of {what} {key} after one of {what} {after}")
     return table
 
 
@@ -283,6 +294,23 @@ def _tick_text(tick: int, rows: list[str]) -> str:
     return f"{tick}," + f"\n{tick},".join(rows) + "\n" if rows else ""
 
 
+def _frame_bytes(tick: int, frame: TraceFrame) -> tuple[bytes, bytes, bytes]:
+    """The rows of ``frame`` as tick ``tick``, as ``append_frame`` writes
+    them: one ``bytes`` per trace file, in the order of ``_HEADERS``."""
+    values, animats = frame.values, frame.animats
+    # A value is its row's last field, and a finite float's repr ends
+    # in ".0" only when the float is integral: so one replace drops
+    # the ".0" of every integral value, as ``format_number`` does.
+    value_text = _tick_text(
+        tick, [f"{a},{values[a]!r}" for a in sorted(values)]
+    ).replace(".0\n", "\n")
+    animat_text = _tick_text(
+        tick, [f"{b},{animats[b][0]},{animats[b][1]}" for b in sorted(animats)]
+    )
+    rng_text = f"{tick},{format_state(frame.rng_state)}\n"
+    return value_text.encode(), animat_text.encode(), rng_text.encode()
+
+
 class FileBackend(StorageBackend):
     """Three growing CSVs; every append is flushed to the operating
     system before returning, so an aborted or killed run keeps all frames
@@ -307,9 +335,11 @@ class FileBackend(StorageBackend):
     load reads each file's rows of the tick, ``load_animats`` those of
     ``animats.csv`` alone: O(log n) lines plus the frame's own rows.  It
     refuses a row of another tick or of the wrong number of fields, a
-    field its column cannot hold, such as a value that is not finite, or
-    a second row of one address (or base) in the tick (``ValueError``,
-    naming file and tick).
+    field its column cannot hold, such as a value that is not finite, a
+    second row of one address (or base) in the tick, addresses (or bases)
+    out of order, or a second ``rng.csv`` row (``ValueError``, naming file
+    and tick).  ``written`` checks loaded frames against the files byte
+    for byte.
     """
 
     def __init__(self, run_dir):
@@ -340,22 +370,11 @@ class FileBackend(StorageBackend):
         # if this append fails, the next one cuts them off first.
         self._cut_pending = True
         tick = self._count + 1
-        values, animats = frame.values, frame.animats
-        # A value is its row's last field, and a finite float's repr ends
-        # in ".0" only when the float is integral: so one replace drops
-        # the ".0" of every integral value, as ``format_number`` does.
-        value_text = _tick_text(
-            tick, [f"{a},{values[a]!r}" for a in sorted(values)]
-        ).replace(".0\n", "\n")
-        animat_text = _tick_text(
-            tick, [f"{b},{animats[b][0]},{animats[b][1]}" for b in sorted(animats)]
-        )
-        rng_text = f"{tick},{format_state(frame.rng_state)}\n"
         # One binary write per file, the rng.csv row, which commits the
         # tick, last.
-        for path, text in zip(self._paths, (value_text, animat_text, rng_text)):
+        for path, text in zip(self._paths, _frame_bytes(tick, frame)):
             with open(path, "ab") as handle:
-                handle.write(text.encode())
+                handle.write(text)
                 handle.flush()
         self._cut_pending = False
         self._count = tick
@@ -390,7 +409,30 @@ class FileBackend(StorageBackend):
         (states,) = self._load("rng.csv", tick)
         if not states:
             raise ValueError(f"frame {tick} missing from rng.csv")
+        if len(states) > 1:
+            raise ValueError(f"rng.csv: tick {tick} has a second row")
         return TraceFrame(by_address, animats, states[0])
+
+    def written(self, frames: Iterable[TraceFrame]) -> Iterator[TraceFrame]:
+        """Each of ``frames``, the frames of ticks 1, 2, ... in order, once
+        each trace file's next bytes, read forward from its header, are its
+        rows as ``append_frame`` writes them.  A file that does not start
+        with its header, or the first tick whose rows differ in a file,
+        raises ``ValueError``, the latter naming the file and the tick.
+        No file is opened before the first frame: a run directory that
+        holds no frame may hold no trace file."""
+        with ExitStack() as files:
+            handles: list[BinaryIO] = []
+            for tick, frame in enumerate(frames, 1):
+                if not handles:
+                    handles = [files.enter_context(open(path, "rb")) for path in self._paths]
+                    for handle, header in zip(handles, _HEADERS.values()):
+                        if handle.read(len(header)) != header:
+                            raise ValueError(f"{handle.name} does not start with {header.decode()[:-1]!r}")
+                for handle, name, text in zip(handles, _HEADERS, _frame_bytes(tick, frame)):
+                    if handle.read(len(text)) != text:
+                        raise ValueError(f"{name}: tick {tick} is not in its canonical form")
+                yield frame
 
     def load_animats(self, tick: int) -> dict[int, tuple[str, int]]:
         """The animats of committed ``tick`` by base, as ``load_frame``
@@ -576,8 +618,9 @@ class MemoryImage:
         the highest live one go to the next allocation.  Likewise a stage's
         next instance index is the one after its highest block's, so an
         index may name another animat once the one that held it has died.
-        The performers are sorted here: a frame's bases are not known to be
-        in order.
+        The performers are sorted here: only ``FileBackend``'s reader
+        refuses bases out of order, and a frame from ``InMemoryBackend`` or
+        another backend never passes through it.
         """
         self.vals = frame.values
         self.next = frame.values.copy()

@@ -55,7 +55,7 @@ def test_children_are_the_operands_in_evaluation_order():
         ("direction neighbor's grass", []),
     ):
         expected = tuple(parse_expression(operand) for operand in operands)
-        assert ast.children(parse_expression(text)) == expected, text
+        assert getattr(parse_expression(text), "args", ()) == expected, text
 
 
 def test_expressions_hold_subexpressions_only_in_args():

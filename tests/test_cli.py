@@ -11,6 +11,8 @@ from remodyc import cli, interp
 from remodyc.cli import main
 from remodyc.memory import FileBackend
 
+from test_memory import NON_CANONICAL
+
 MODEL = """\
 Patch with
     grass [kg] = 2 [kg].
@@ -692,6 +694,51 @@ def test_a_second_row_of_one_address_or_base_is_refused(tmp_path, capsys, name, 
     else:
         assert invoke("chart", out, "Adult") == 0
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, row, edited, text", [
+    ("frames.csv", "3,1,566.5615751722809\n3,2,745.7817572627011", "3,2,745.7817572627011\n3,1,566.5615751722809",
+     "frames.csv: tick 3 has a row of address 1 after one of address 2"),
+    ("rng.csv", "3,3c6ef372fe94f82b", "3,3c6ef372fe94f82b\n3,0000000000000000",
+     "rng.csv: tick 3 has a second row"),
+])
+def test_rows_out_of_order_and_a_second_rng_row_are_refused(tmp_path, capsys, name, row, edited, text):
+    """Tick 3's first two ``frames.csv`` rows swapped, or a second
+    ``rng.csv`` row after its own: ``replay 3`` and ``verify`` exit 1 with
+    one line naming the file and the tick, and ``chart``, which reads
+    ``animats.csv`` alone, charts the run."""
+    out = tmp_path / "age"
+    assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+    path = out / name
+    path.write_text(path.read_text().replace(f"\n{row}\n", f"\n{edited}\n"))
+    capsys.readouterr()
+    for command in (("replay", out, 3), ("verify", out)):
+        assert invoke(*command) == 1
+        assert capsys.readouterr() == ("", text + "\n")
+    assert invoke("chart", out, "Adult") == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, row, spelled", NON_CANONICAL)
+def test_verify_refuses_a_row_not_spelled_as_written(tmp_path, capsys, name, row, spelled):
+    """A row of tick 3 spelled otherwise than the writer writes it loads
+    as written, so ``replay 3`` and ``chart`` read the run as before; only
+    ``verify`` exits 1, naming the file and the tick."""
+    out = tmp_path / "age"
+    assert invoke("run", MODELS / "age.rmd", MODELS / "age.cfg", "--out", out) == 0
+    capsys.readouterr()
+    assert invoke("replay", out, 3) == 0
+    before = capsys.readouterr().out
+    path = out / name
+    text = path.read_text()
+    assert f"\n{row}\n" in text
+    path.write_text(text.replace(f"\n{row}\n", f"\n{spelled}\n"))
+    assert invoke("replay", out, 3) == 0
+    assert capsys.readouterr() == (before, "")
+    assert invoke("chart", out, "Adult") == 0
+    assert capsys.readouterr().err == ""
+    assert invoke("verify", out) == 1
+    assert capsys.readouterr() == ("", f"{name}: tick 3 is not in its canonical form\n")
 
 
 @pytest.mark.parametrize("tick", [0, -5])

@@ -213,6 +213,16 @@ class TestApplyAndLoad:
         assert frame.animats == {egg: ("Egg", 1), adult: ("Adult", 1)}
         assert set(frame.values) == {egg, egg + 1, adult, adult + 1}
 
+    def test_load_sorts_the_performers_of_a_frame_out_of_order(self):
+        """Only ``FileBackend``'s reader refuses bases out of order: a frame
+        from any other backend loads with each kind's performers ascending."""
+        backend = InMemoryBackend()
+        backend.append_frame(TraceFrame(
+            {1: 0.0, 2: 0.0, 3: 0.0}, {3: ("Egg", 2), 1: ("Egg", 1), 2: ("Adult", 1)}, 0))
+        image = MemoryImage()
+        image.load(backend, 1)
+        assert image.performers == {"Egg": [1, 3], "Adult": [2]}
+
     def test_a_block_reaches_up_to_the_next_live_base(self):
         backend = InMemoryBackend()
         image = MemoryImage()
@@ -775,6 +785,31 @@ def test_a_second_row_of_one_address_or_base_is_refused(tmp_path, name, key, at,
     assert [reopened.load_frame(t) for t in (1, 3)] == [backend.load_frame(t) for t in (1, 3)]
 
 
+@pytest.mark.parametrize("name, key", [("frames.csv", "address"), ("animats.csv", "base")])
+@pytest.mark.parametrize("first, second, after, late", [(0, 1, 2, 1), (1, 2, 3, 2), (0, 2, 3, 2)])
+def test_rows_out_of_order_are_refused(tmp_path, name, key, first, second, after, late):
+    """The writer writes a tick's rows by increasing address (or base):
+    with rows ``first`` and ``second`` of tick 2's three swapped,
+    ``load_frame`` and ``load_animats`` refuse tick 2, naming the file, the
+    tick, the first key that comes ``late`` and the one it comes after;
+    the ticks around it still load."""
+    backend = FileBackend(tmp_path)
+    for t in range(1, 4):
+        backend.append_frame(TraceFrame({1: t, 2: 0.5, 3: 2.0}, {1: ("S", 1), 2: ("S", 2), 3: ("T", 1)}, t))
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    start = lines.index(next(line for line in lines if line.startswith("2,")))
+    lines[start + first], lines[start + second] = lines[start + second], lines[start + first]
+    path.write_text("".join(lines))
+    reopened = FileBackend(tmp_path)
+    loads = [reopened.load_frame] + [reopened.load_animats] * (name == "animats.csv")
+    for load in loads:
+        with pytest.raises(ValueError) as refused:
+            load(2)
+        assert str(refused.value) == f"{name}: tick 2 has a row of {key} {late} after one of {key} {after}"
+    assert [reopened.load_frame(t) for t in (1, 3)] == [backend.load_frame(t) for t in (1, 3)]
+
+
 @pytest.mark.parametrize("tick", [0, -5])
 def test_a_last_rng_row_whose_tick_is_not_positive_is_refused(tmp_path, tick):
     """Counted as frames, such a tick would have the next append rewrite
@@ -787,6 +822,52 @@ def test_a_last_rng_row_whose_tick_is_not_positive_is_refused(tmp_path, tick):
     with pytest.raises(ValueError, match=f"^rng.csv: the last row has a tick {tick} that is not positive$"):
         FileBackend(tmp_path)
     assert files_in(tmp_path) == before
+
+
+# A row of tick 3 of the ``age`` run as written, and spelled otherwise:
+# each loads as the row written does.
+NON_CANONICAL = [
+    ("frames.csv", "3,3,172800", "3,3,1728e2"),
+    ("animats.csv", "3,1,Adult,1", "3,01,Adult,1"),
+    ("frames.csv", "3,3,172800", "3,3,1_72800"),
+    ("frames.csv", "3,3,172800", "3,3, 172800.000"),
+    ("frames.csv", "3,3,172800", "3,+3,172800"),
+]
+
+
+@pytest.mark.parametrize("name, row, spelled", NON_CANONICAL)
+def test_written_checks_each_tick_byte_for_byte(tmp_path, name, row, spelled):
+    """``written`` passes on every frame of a run, loaded or kept in
+    memory, and the rows of a tick spelled otherwise than as the writer
+    writes them load as before but are refused by it, which names the
+    file and the tick; a directory without a frame needs no trace file."""
+    kept = InMemoryBackend()
+    age_engine(kept).run()
+    age_engine(FileBackend(tmp_path)).run()
+    backend = FileBackend(tmp_path)
+    loaded = [backend.load_frame(tick) for tick in range(1, 6)]
+    assert loaded == kept.frames
+    assert list(backend.written(loaded)) == loaded
+    assert list(backend.written(kept.frames)) == kept.frames
+    path = tmp_path / name
+    text = path.read_text()
+    assert f"\n{row}\n" in text
+    path.write_text(text.replace(f"\n{row}\n", f"\n{spelled}\n"))
+    assert [backend.load_frame(tick) for tick in range(1, 6)] == loaded
+    checked = backend.written(loaded)
+    assert [next(checked), next(checked)] == loaded[:2]
+    with pytest.raises(ValueError) as refused:
+        next(checked)
+    assert str(refused.value) == f"{name}: tick 3 is not in its canonical form"
+    # The rows of another frame are not tick 3's, nor is another header.
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"^rng\.csv: tick 3 is not in its canonical form$"):
+        list(backend.written(loaded[:2] + [TraceFrame(loaded[2].values, loaded[2].animats, 1)]))
+    path.write_text(text.replace(",", ";", 1))
+    with pytest.raises(ValueError, match=f" does not start with {memory._HEADERS[name].decode()[:-1]!r}$"):
+        list(backend.written(kept.frames))
+    assert list(FileBackend(tmp_path / "empty").written([])) == []
+    assert not (tmp_path / "empty").exists()
 
 
 def test_a_tick_without_its_rng_row_is_missing(tmp_path):
@@ -804,6 +885,23 @@ def test_a_tick_without_its_rng_row_is_missing(tmp_path):
         memory.parse_state(line.partition(",")[2].strip())
         for line in lines if line.startswith(("2,", "4,"))
     ]
+
+
+@pytest.mark.parametrize("state", ["3c6ef372fe94f82b", "0000000000000000"])
+def test_a_second_rng_row_of_a_tick_is_refused(tmp_path, state):
+    """A tick has one RNG state: a second ``rng.csv`` row of a middle tick,
+    the same state again or another, is refused, and the ticks around it
+    still load."""
+    age_engine(FileBackend(tmp_path)).run()
+    path = tmp_path / "rng.csv"
+    text = path.read_text()
+    assert "\n3,3c6ef372fe94f82b\n" in text
+    path.write_text(text.replace("\n4,", f"\n3,{state}\n4,"))
+    reopened = FileBackend(tmp_path)
+    with pytest.raises(ValueError) as refused:
+        reopened.load_frame(3)
+    assert str(refused.value) == "rng.csv: tick 3 has a second row"
+    assert [reopened.load_frame(tick).rng_state for tick in (2, 4)] == [0x3C6EF372FE94F82B] * 2
 
 
 @pytest.mark.parametrize("name, width", [("frames.csv", 3), ("animats.csv", 4), ("rng.csv", 2)])
