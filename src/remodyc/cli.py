@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 model or configuration errors (and a run
 directory that does not hold what it should, a tick that ``verify`` does
-not recompute as stored or finds in a form the writer does not write
-included), 2 I/O problems (a failed census stdout
+not recompute as stored or finds in a form the writer does not write,
+and a recorded abort it does not recompute as recorded included), 2 I/O
+problems (a failed census stdout
 included: the run still keeps every frame), 3 a run aborted
 mid-simulation (completed frames are kept on disk).
 """
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
     replay.add_argument("tick", type=int)
 
     verify = commands.add_parser(
-        "verify", help="recompute each stored tick from the one before it")
+        "verify", help="recompute each stored tick from the one before it, and a recorded abort")
     verify.add_argument("run_dir")
 
     chart = commands.add_parser("chart", help="population counts per tick")
@@ -259,11 +260,22 @@ class _OneTick(StorageBackend):
         pass
 
 
+def _step(model: ast.Model, config, frame: TraceFrame, tick: int) -> TraceFrame:
+    """A step of ``frame``, stored as ``tick``, in an engine of its own, so
+    that what the step gives depends on that frame alone."""
+    engine = Engine(model, config, _OneTick(frame, tick))
+    engine.resume(tick)
+    return engine.step()
+
+
 def _verify(args) -> int:
     """Recompute each stored tick after the first from the stored one
-    before it, each in an engine of its own, so that what a tick is
-    checked against is that frame alone; and check that each stored tick's
-    rows are, byte for byte, what the writer writes for the frame loaded."""
+    before it, and check that each stored tick's rows are, byte for byte,
+    what the writer writes for the frame loaded.  An abort that
+    ``meta.txt`` records with a stage is recomputed too: a step of the
+    last stored tick must abort as ``abort=`` and ``abort_at=`` say.  One
+    without a stage (the set-up ceiling, an I/O or a memory failure) is
+    not."""
     backend, model, meta = _open_run_dir(args.run_dir)
     meta_path = Path(args.run_dir) / "meta.txt"
     # One config line per meta.txt line, so that a refusal names its line.
@@ -280,18 +292,33 @@ def _verify(args) -> int:
         with closing(backend.written(map(backend.load_frame, range(1, frames + 1)))) as loaded:
             stored = next(loaded, None)
             for tick, following in enumerate(loaded, 1):
-                engine = Engine(model, config, _OneTick(stored, tick))
-                engine.resume(tick)
                 try:
-                    recomputed = engine.step()
+                    recomputed = _step(model, config, stored, tick)
                 except RuntimeAbort as abort:
                     raise _Failure(1, f"tick {tick + 1} is not recomputed: aborted: {abort.render()}")
                 if recomputed != following:
                     raise _Failure(1, f"tick {tick + 1} differs from a step of tick {tick}")
                 stored = following
+        recorded = dict(meta)
+        at = dict(field.partition("=")[::2] for field in recorded.get("abort_at", "").split())
+        if "stage" in at:
+            if stored is None:
+                raise _Failure(1, f"{meta_path}: abort_at= names a stage, but no frame is stored")
+            try:
+                _step(model, config, stored, frames)
+            except RuntimeAbort as abort:
+                for key, text in (("abort", abort.render()), ("abort_at", _abort_at(abort))):
+                    if recorded.get(key) != text:
+                        raise _Failure(1, f"{meta_path}: {key}= is not what a step of tick {frames} gives: {text}")
+            else:
+                raise _Failure(1, f"{meta_path}: a step of tick {frames} does not abort")
     except ValueError as err:
         raise _Failure(1, str(err))
     print(f"{max(frames - 1, 0)} ticks recomputed as stored")
+    if "stage" in at:
+        print(f"the abort recomputed as recorded: {recorded['abort']}")
+    elif "abort" in recorded or "abort_at" in recorded:
+        print(f"the abort names no stage, so it is not recomputed: {recorded.get('abort', '')}")
     return 0
 
 

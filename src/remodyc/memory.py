@@ -17,9 +17,11 @@ over the performers of each kind that lost a block: ``store`` drops the
 blocks killed during the tick from the animats and ``next``, once each,
 and from their kinds' performers in those passes, however few died;
 ``next`` is the frame it appends to a backend and, as it is, the
-committed values.  ``store`` is the one commit, and ``load`` the one
-load: it rebuilds the image from any stored frame, which is all replay
-needs.
+committed values.  The image's animats are the committed frame's own
+table until the tick's first birth or death, which copies it once: so
+consecutive frames with no birth and no death between them hold one
+table.  ``store`` is the one commit, and ``load`` the one load: it
+rebuilds the image from any stored frame, which is all replay needs.
 
 On disk only an append writes: it brings the three trace files to the
 committed prefix, then writes each once, as bytes built in one pass over
@@ -467,17 +469,21 @@ class MemoryImage:
     (its performers), killed blocks included until the commit, which
     drops them from a kind's performers in one pass; ``killed`` holds
     their bases.  Every block's extent and next index are read off those
-    and the values.
+    and the values.  The animats are copy-on-write: after a commit or a
+    load they are the frame's own table, which nothing writes, and the
+    tick's first write, an ``allocate`` or a commit with blocks to drop,
+    copies them first; ``_shared`` says that it is still to come.
 
     Two operations change the committed state: ``store`` commits a tick,
     ``apply_frame`` loads a stored frame.  ``store`` removes the blocks
     killed since the last commit from the animats, the performers and
     ``next``, lowers ``next_free``, hands ``next`` and the animats on as
     the frame (new blocks were entered as they were allocated), appends
-    it and makes its values the committed ones.  ``apply_frame`` reads
-    all of the image off the frame, and gives the image that committing
-    that frame gave.  If the backend fails to append, the image is left
-    mid commit: ``load`` a stored frame to go on.
+    it and makes it the committed state, animats table included.
+    ``apply_frame`` reads all of the image off the frame, sharing its
+    values and animats, and gives the image that committing that frame
+    gave.  If the backend fails to append, the image is left mid commit:
+    ``load`` a stored frame to go on.
     """
 
     def __init__(self):
@@ -487,6 +493,7 @@ class MemoryImage:
         self.delta: dict[int, float] = {}
         self.killed: set[int] = set()  # bases killed since the last commit
         self.animats: dict[int, tuple[str, int]] = {}
+        self._shared = False  # the animats are the committed frame's: copy before a write
         self.performers: dict[str, list[int]] = {}  # by kind, ascending
         self.next_free = 1
         self.ticks = 0
@@ -541,6 +548,8 @@ class MemoryImage:
         if not rows:
             return base
         end = base + width * len(rows)
+        if self._shared:
+            self.animats, self._shared = self.animats.copy(), False
         self.next.update(zip(range(base, end), chain.from_iterable(rows)))
         # Every new block lands above every base, so a stage's highest
         # block holds its highest index.
@@ -565,12 +574,17 @@ class MemoryImage:
         it.  Each block killed since the last commit leaves them
         first, once, and takes its kind with it; each kind that lost a block
         then drops all its dead from its performers in one pass, keeping the
-        order.  An append that raises leaves the image mid commit."""
+        order.  The frame holds the image's animats table, copied first only
+        if blocks leave it and this tick has not copied it yet, and the
+        image goes on sharing it.  An append that raises leaves the image
+        mid commit."""
         if self.ticks != backend.frame_count():
             raise ValueError(
                 f"image at tick {self.ticks} cannot append frame "
                 f"{backend.frame_count() + 1}"
             )
+        if self.killed and self._shared:
+            self.animats = self.animats.copy()
         values, animats, performers, killed = self.next, self.animats, self.performers, self.killed
         kinds = set()  # those that lost a block
         for base in killed:
@@ -594,9 +608,7 @@ class MemoryImage:
         self.next_free = end
         self.killed = set()
         frame = TraceFrame(values, animats, rng_state)
-        # The frame keeps the dict the dead left; the image goes on with a
-        # compact copy, which later ticks copy cheaply.
-        self.animats = animats.copy()
+        self._shared = True
         backend.append_frame(frame)
         self.vals = values
         # ``copy`` clones even a table with holes; ``dict()`` would rehash it.
@@ -607,8 +619,9 @@ class MemoryImage:
         return frame
 
     def apply_frame(self, frame: TraceFrame, tick: int) -> None:
-        """Load ``frame`` as the committed state after ``tick``: its values,
-        and the animats, performers and ``next_free`` read off it.
+        """Load ``frame`` as the committed state after ``tick``: its values
+        and its animats table, both shared with the frame and written by
+        neither, and the performers and ``next_free`` read off them.
 
         The layout rule that ``store`` keeps holds here too: a block's
         values run from its base up to the next base in ``animats`` or the
@@ -628,7 +641,7 @@ class MemoryImage:
         self.delta.clear()
         self.ticks = tick
         self.killed = set()
-        self.animats = dict(frame.animats)
+        self.animats, self._shared = frame.animats, True
         self.next_free = max(frame.values, default=0) + 1
         self.performers = {}
         for base in sorted(self.animats):

@@ -9,8 +9,12 @@ import pytest
 
 from remodyc import cli, interp
 from remodyc.cli import main
+from remodyc.interp import parse_config
 from remodyc.memory import FileBackend
+from remodyc.parser import parse_model
+from remodyc.typecheck import check_model, errors_only
 
+import test_abort_texts
 from test_memory import NON_CANONICAL
 
 MODEL = """\
@@ -254,6 +258,11 @@ class TestRun:
         meta = (out / "meta.txt").read_text()
         assert "abort=spawn of 2" in meta
         assert meta.splitlines()[-1] == "abort_at=tick=3 stage=Egg index=1 base=1"
+        # Under the same ceiling, a step of tick 2 aborts as recorded.
+        assert invoke("verify", out) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "the abort recomputed as recorded: spawn of 2 would hold 8 animats, "
+            "over the ceiling of 7 (tick 3, Egg, line 4)")
 
     def test_patch_grid_over_the_ceiling_exits_1(self, tree, capsys):
         tiny = tree / "tiny.cfg"
@@ -495,6 +504,14 @@ class TestReplay:
         assert capsys.readouterr() == ("", message + "\n")
 
 
+# The abort entries that ``remodyc run`` runs to their abort: all but the
+# three utility cycles, which ``check_model`` refuses before any frame.
+RUN_ABORTS = {
+    name: entry for name, entry in test_abort_texts.ABORTS.items()
+    if not errors_only(check_model(parse_model(entry[0]), parse_config(test_abort_texts.CONFIG)))
+}
+
+
 class TestVerify:
     @pytest.fixture
     def run_dir(self, tree, capsys):
@@ -555,6 +572,37 @@ class TestVerify:
         self.edit(run_dir / "rng.csv", "3,", "")
         assert invoke("verify", run_dir) == 1
         assert capsys.readouterr() == ("", "frame 3 missing from rng.csv\n")
+
+    @pytest.mark.parametrize("name", RUN_ABORTS)
+    def test_a_recorded_abort_is_recomputed(self, tmp_path, capsys, name):
+        """A step of the last stored tick aborts as ``abort=`` and
+        ``abort_at=`` say; either edited, ``verify`` names it and what the
+        step gives, and exits 1."""
+        model, message, frames = RUN_ABORTS[name]
+        (tmp_path / "m.rmd").write_text(model)
+        (tmp_path / "run.cfg").write_text(test_abort_texts.CONFIG)
+        out = tmp_path / "run"
+        assert invoke("run", tmp_path / "m.rmd", tmp_path / "run.cfg", "--out", out) == 3
+        capsys.readouterr()
+        meta = out / "meta.txt"
+        at = meta.read_text().splitlines()[-1].partition("=")[2]
+        assert invoke("verify", out) == 0
+        assert capsys.readouterr() == (
+            f"{frames - 1} ticks recomputed as stored\nthe abort recomputed as recorded: {message}\n", "")
+        self.edit(meta, "abort=", "abort=nonsense\n")
+        assert invoke("verify", out) == 1
+        assert capsys.readouterr() == ("", f"{meta}: abort= is not what a step of tick {frames} gives: {message}\n")
+        self.edit(meta, "abort=", f"abort={message}\n")
+        self.edit(meta, "abort_at=", f"abort_at={at.replace(' index=', ' index=9')}\n")
+        assert invoke("verify", out) == 1
+        assert capsys.readouterr() == ("", f"{meta}: abort_at= is not what a step of tick {frames} gives: {at}\n")
+
+    def test_a_recorded_abort_that_a_step_does_not_give_is_refused(self, run_dir, capsys):
+        with open(run_dir / "meta.txt", "a") as handle:
+            handle.write("abort=division by zero (tick 5, Egg, line 8)\n"
+                         "abort_at=tick=5 stage=Egg index=1 base=1 attribute=age\n")
+        assert invoke("verify", run_dir) == 1
+        assert capsys.readouterr() == ("", f"{run_dir / 'meta.txt'}: a step of tick 4 does not abort\n")
 
 
 class TestChart:
@@ -869,6 +917,12 @@ class TestRunFailures:
         assert FileBackend(out).load_frame(2).values[3] == 86400.0
         meta = (out / "meta.txt").read_text().splitlines()
         assert meta[-2:] == [f"abort={os.strerror(errno.ENOSPC)} (tick 3)", "abort_at=tick=3"]
+        # ``verify`` cannot make the disk fill again, so it does not
+        # recompute an abort that names no stage, and says so.
+        assert invoke("verify", out) == 0
+        assert capsys.readouterr() == (
+            "1 ticks recomputed as stored\n"
+            f"the abort names no stage, so it is not recomputed: {os.strerror(errno.ENOSPC)} (tick 3)\n", "")
 
     def test_memory_running_out_in_set_up_exits_3(self, tmp_path, capsys, monkeypatch):
         self.fail_at_tick(monkeypatch, 1, MemoryError())
@@ -878,6 +932,14 @@ class TestRunFailures:
         assert capsys.readouterr().err.splitlines() == ["aborted: out of memory (tick 1)"]
         assert FileBackend(out).frame_count() == 0
         assert (out / "meta.txt").read_text().splitlines()[-1] == "abort_at=tick=1"
+        assert invoke("verify", out) == 0
+        assert capsys.readouterr() == (
+            "0 ticks recomputed as stored\n"
+            "the abort names no stage, so it is not recomputed: out of memory (tick 1)\n", "")
+        meta = out / "meta.txt"
+        meta.write_text(meta.read_text().replace("abort_at=tick=1", "abort_at=tick=1 stage=Adult"))
+        assert invoke("verify", out) == 1
+        assert capsys.readouterr() == ("", f"{meta}: abort_at= names a stage, but no frame is stored\n")
 
     def test_unwritable_meta_still_exits_3(self, tmp_path, capsys, monkeypatch):
         self.fail_at_tick(monkeypatch, 2, OSError(errno.EIO, os.strerror(errno.EIO)))

@@ -172,13 +172,16 @@ def test_each_kill_shape_matches_the_load_path(case):
     """Each kind that lost a block drops its dead from its performers in
     one pass, however few or many died: one of a long list, some, or the
     whole kind, which leaves the performers.  Each gives what a load
-    gives.  The stored frame's animats are not the image's: the next
-    tick's kills, of every block left, leave them as they were."""
+    gives.  The image goes on sharing each stored frame's animats, and
+    the next tick's kills, of some blocks and then of every block left,
+    leave the frame's as they were."""
     blocks_a, blocks_b, deaths_a, deaths_b = case
     backend, image = InMemoryBackend(), MemoryImage()
     image.allocate("A", 2, [[1.0, 2.0]] * blocks_a)
     image.allocate("B", 2, [[3.0, 4.0]] * blocks_b)
-    image.store(backend, 1)
+    first = image.store(backend, 1)
+    assert first.animats is image.animats
+    before = list(first.animats.items())
     a, b = image.performers["A"], image.performers["B"]
     # Spread over each list, killed from the top down.
     doomed = a[::len(a) // deaths_a][:deaths_a] + b[::len(b) // deaths_b][:deaths_b]
@@ -189,7 +192,7 @@ def test_each_kill_shape_matches_the_load_path(case):
     loaded.load(backend, 2)
     assert kept_state(image) == kept_state(loaded)
     assert list(image.animats.items()) == list(loaded.animats.items())
-    assert frame.animats is not image.animats
+    assert frame.animats is image.animats and list(first.animats.items()) == before
     stored = list(frame.animats.items())
     for base in list(image.animats):
         image.kill(base)
@@ -221,6 +224,33 @@ def test_frames_do_not_change_once_returned_or_stored():
     assert [digest(frame) for frame in replica_backend.frames[8:]] == [
         digest(frame) for frame in backend.frames[8:11]
     ]
+
+
+# model, configuration, and how many animats tables the run's frames hold
+SHARING_RUNS = {
+    "eggs-reference": (MODELS / "eggs.rmd", MODELS / "eggs.cfg", 180),
+    "eggs-large": (MODELS / "eggs.rmd", MODELS.parent / "bench" / "data" / "large.cfg", 6),
+    "age": (MODELS / "age.rmd", MODELS / "age.cfg", 1),
+}
+
+
+@pytest.mark.parametrize("model, config, tables", SHARING_RUNS.values(), ids=SHARING_RUNS)
+def test_consecutive_frames_share_the_animats_table_exactly_when_it_is_unchanged(model, config, tables):
+    """A frame holds the animats table of the frame before it exactly
+    when the two are equal, as no block was born or died in the tick: the
+    reference run's 201 frames hold 180 tables, ``large.cfg``'s 13 hold 6,
+    and ``age``, with no lifecycle directive, holds one.  A load of each
+    frame shares its table."""
+    backend = InMemoryBackend()
+    Engine(parse_model(model.read_text()), parse_config(config.read_text()), backend).run()
+    frames = backend.frames
+    pairs = list(zip(frames, frames[1:]))
+    assert [a.animats is b.animats for a, b in pairs] == [a.animats == b.animats for a, b in pairs]
+    assert len({id(frame.animats) for frame in frames}) == tables
+    for tick, frame in enumerate(frames, 1):
+        loaded = MemoryImage()
+        loaded.load(backend, tick)
+        assert loaded.animats is frame.animats
 
 
 # Egg 2 is born of the larva with age 9 days and dies one tick later,

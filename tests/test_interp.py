@@ -1388,7 +1388,8 @@ def test_direction_fields_are_built_once_per_task_call_with_performers(walkers, 
 
 class TestSharedFrames:
     """A committed frame is one value, shared by the image, the backend
-    that stored it and the caller, and nothing writes it afterwards."""
+    that stored it and the caller, animats table included, and nothing
+    writes it afterwards."""
 
     @staticmethod
     def snapshot(frame):
@@ -1398,6 +1399,7 @@ class TestSharedFrames:
         """Checks that ``frame``, just returned, is the image's and the
         backend's last, and records a snapshot of it."""
         assert engine.image.vals is engine.backend.frames[-1].values is frame.values
+        assert engine.image.animats is frame.animats
         snapshots.append(self.snapshot(frame))
 
     def test_reference_run_and_a_resume_share_each_frame(self):
@@ -1421,7 +1423,11 @@ class TestSharedFrames:
             copied.append(snapshots[tick - 1])
         replica.resume(100)
         assert replica.image.vals is replica.backend.frames[-1].values
+        assert replica.image.animats is replica.backend.frames[-1].animats
+        # The step after the resume has births, which copy the loaded
+        # frame's table before they enter it.
         self.committed(replica, replica.step(), copied)
+        assert copied[100].animats.keys() - copied[99].animats.keys()
         assert replica.backend.frames == copied and copied[100] == snapshots[100]
         assert frames == snapshots
 
