@@ -42,8 +42,6 @@ MAX_ANIMATS = 1_000_000
 # of consecutive births of one stage in a tick's events, each birth's row
 # made when the run of rows it falls in is.
 _ALLOCATION_ROWS = 4096
-# By position 0-8 in the 3x3 window ``field`` scans, its row and column there.
-_STEPS = tuple(divmod(position, 3) for position in range(9))
 # The most distinct task sources whose code objects are kept; past it the
 # least recently used is dropped.  Not tuned: it is the least that covers
 # the callers, each of which builds its engines from one source.  An eggs
@@ -212,34 +210,41 @@ def _divide(left: float, right: float) -> float:
 
 
 # Operators, builtin functions and relations by name and operand count: the
-# function that folds constants, then the text of an operation that cannot
-# fail or the name under which generated code calls a function that can.
+# function that folds constants, the text of the operation as a template of
+# its operands' texts, and whether it can fail.  The text of one that can
+# calls a function of ``_FUNCTIONS`` by name.
 # ``min`` and ``max`` are the builtins' own two-item rule as comparisons:
 # the first operand unless the second is strictly less (greater), which
 # keeps their ties, NaNs and signs of zero at a fraction of a call's cost.
 _CALLS = {
-    ("-", 1): (operator.neg, "(-{0})"),
-    ("+", 2): (operator.add, "({0} + {1})"),
-    ("-", 2): (operator.sub, "({0} - {1})"),
-    ("*", 2): (operator.mul, "({0} * {1})"),
-    ("/", 2): (_divide, "divide"),
-    ("^", 2): (math.pow, "pow"),
-    ("cos", 1): (math.cos, "cos"),
-    ("sin", 1): (math.sin, "sin"),
-    ("tan", 1): (math.tan, "tan"),
-    ("exp", 1): (math.exp, "exp"),
-    ("ln", 1): (math.log, "ln"),
-    ("log", 1): (math.log10, "log10"),
-    ("sqrt", 1): (math.sqrt, "sqrt"),
-    ("abs", 1): (abs, "abs({0})"),
-    ("floor", 1): (lambda value: float(math.floor(value)), "floor"),
-    ("ceiling", 1): (lambda value: float(math.ceil(value)), "ceiling"),
-    ("min", 2): (min, "({1} if {1} < {0} else {0})"),
-    ("max", 2): (max, "({1} if {1} > {0} else {0})"),
-    ("<", 2): (operator.lt, "({0} < {1})"),
-    ("<=", 2): (operator.le, "({0} <= {1})"),
-    (">", 2): (operator.gt, "({0} > {1})"),
-    (">=", 2): (operator.ge, "({0} >= {1})"),
+    ("-", 1): (operator.neg, "(-{0})", False),
+    ("+", 2): (operator.add, "({0} + {1})", False),
+    ("-", 2): (operator.sub, "({0} - {1})", False),
+    ("*", 2): (operator.mul, "({0} * {1})", False),
+    ("/", 2): (_divide, "divide({0}, {1})", True),
+    ("^", 2): (math.pow, "pow({0}, {1})", True),
+    ("cos", 1): (math.cos, "cos({0})", True),
+    ("sin", 1): (math.sin, "sin({0})", True),
+    ("tan", 1): (math.tan, "tan({0})", True),
+    ("exp", 1): (math.exp, "exp({0})", True),
+    ("ln", 1): (math.log, "ln({0})", True),
+    ("log", 1): (math.log10, "log10({0})", True),
+    ("sqrt", 1): (math.sqrt, "sqrt({0})", True),
+    ("abs", 1): (abs, "abs({0})", False),
+    ("floor", 1): (lambda value: float(math.floor(value)), "float(floor({0}))", True),
+    ("ceiling", 1): (lambda value: float(math.ceil(value)), "float(ceil({0}))", True),
+    ("min", 2): (min, "({1} if {1} < {0} else {0})", False),
+    ("max", 2): (max, "({1} if {1} > {0} else {0})", False),
+    ("<", 2): (operator.lt, "({0} < {1})", False),
+    ("<=", 2): (operator.le, "({0} <= {1})", False),
+    (">", 2): (operator.gt, "({0} > {1})", False),
+    (">=", 2): (operator.ge, "({0} >= {1})", False),
+}
+# By name, the functions generated code calls; ``floor`` also finds a cell.
+_FUNCTIONS = {
+    "divide": _divide, "pow": math.pow, "cos": math.cos, "sin": math.sin, "tan": math.tan,
+    "exp": math.exp, "ln": math.log, "log10": math.log10, "sqrt": math.sqrt,
+    "floor": math.floor, "ceil": math.ceil, "atan2": math.atan2,
 }
 
 
@@ -345,7 +350,7 @@ class Engine:
             task = err.__traceback__.tb_next
             site = self.sites.get(task.tb_lineno)
             if site is None:
-                raise  # not reached: a line without a site only does float arithmetic or calls cell, field or heading; none raises
+                raise  # not reached: a line without a site only does float arithmetic, finds a cell, calls field or atan2 or appends an event; none raises
             message, stage, pos, attribute = site
             base = task.tb_frame.f_locals["b"]  # the performer
             raise RuntimeAbort(message.format(err), self.image.ticks + 1, stage, pos,
@@ -452,93 +457,71 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
     one module run once, by line, the abort site of a line that can
     fail, and the module's source.  A task reads the committed values, the
     World and patches in ``image.performers`` and the RNG state, which it
-    returns.  An own (``my``) write applies the image's commit rule inline
-    in the form ``_forms`` gives it; any other write calls the image's
-    ``write`` or ``write_delta``.  A task fails only by raising on a line
-    that names its abort site, which ``Engine.step`` turns into a
-    ``RuntimeAbort``.  The code object is ``_code``'s, shared with the
-    engines before and after this one whose source is the same text; the
-    sites, the constants and the helpers bound to this engine's image are
-    in this engine's namespace, which keeps no engine and no task
-    function: a dropped engine is freed, image and all, without the cycle
-    collector."""
+    returns.  A write applies the image's commit rule inline in the form
+    ``_forms`` gives it where it has one, and otherwise calls the image's
+    ``write`` or ``write_delta``.  A kind's first task that reads ``here``
+    or ``direction`` finds the cell under each performer and keeps it in
+    the kind's table for its later tasks of the tick.  A task fails only
+    by raising on a line that names its abort site, which ``Engine.step``
+    turns into a ``RuntimeAbort``.  The code object is ``_code``'s, shared
+    with the engines before and after this one whose source is the same
+    text; the sites, the constants, the cell tables and the grid's
+    dimensions and tables are in this engine's namespace, which keeps no
+    engine and no task function: a dropped engine is freed, image and
+    all, without the cycle collector."""
     image, config, inf = engine.image, engine.config, math.inf
-
-    def spawn(events: list, base: int, kind: str, stage, value: float, pos) -> None:
-        """Records a spawn of the whole number of animats in ``value``, if
-        that is not none; a negative or non-finite ``value`` raises."""
-        if not 0.0 <= value < inf:
-            raise ValueError(value)
-        if value >= 1.0:
-            events.append(("spawn", base, kind, stage, math.floor(value), pos))
-
     columns, rows, edge = config.patches_x, config.patches_y, config.patch_size
-    floor, atan2 = math.floor, math.atan2
-    # By cell, its column and row; at c + 1, for each column (row) c from
-    # -1, the border, up, its centre (c + 0.5) * edge.  Built by the first
-    # ``field``, so never for a grid that ``setup`` refuses.
-    column_of = row_of = centre_x = centre_y = None
-
-    def cell(x: float, y: float) -> int:
-        """Index in ``patches`` of the patch under ``(x, y)``; a position past
-        an edge, however far, is on the edge cell."""
-        qx, qy = x / edge, y / edge
-        px = 0 if qx < 0.0 else columns - 1 if qx >= columns - 1 else floor(qx)
-        py = 0 if qy < 0.0 else rows - 1 if qy >= rows - 1 else floor(qy)
-        return py * columns + px
+    # By padded cell, in row order on the grid with a border of one cell
+    # all round, its centre's x and y; by position 0-8 in the 3x3 window
+    # ``field`` scans, the step there from the window's centre, which for
+    # the centre itself lands below 0.  Filled by the first ``field``, so
+    # never for a grid that ``setup`` refuses.
+    centre_x: list[float] = []
+    centre_y: list[float] = []
+    steps: list[int] = []
 
     def field(vals: dict[int, float], patches: list[int], slot: int) -> list[int]:
-        """For each cell in row order, the position 0-8 in row order of the
-        first richest patch of the 3x3 window around it.  Builtin ``max``
-        keeps the first of equal items and ``tuple.index`` finds the first;
-        the ``-inf`` border is never richest, as committed values are finite.
-        One grid row at a time, so the windows take O(columns) at once.
-        The first call also builds the grid tables ``heading`` reads."""
-        nonlocal column_of, row_of, centre_x, centre_y
-        if column_of is None:
-            column_of = list(range(columns)) * rows
-            row_of = list(chain.from_iterable(map(repeat, range(rows), repeat(columns))))
-            centre_x = [(c + 0.5) * edge for c in range(-1, columns + 1)]
-            centre_y = [(r + 0.5) * edge for r in range(-1, rows + 1)]
-        get, border = vals.__getitem__, [-inf] * (columns + 2)
+        """For each cell in row order, the padded cell of the first richest
+        patch of the 3x3 window around it, or a number below 0 if that is
+        the cell itself, so that ``direction`` is 0 there: it wins a tie
+        with a later patch and loses one with an earlier patch.  Builtin
+        ``max`` keeps the first of equal items and ``tuple.index`` finds
+        the first; the ``-inf`` border is never richest, as committed
+        values are finite.  One grid row at a time, so the windows take
+        O(columns) at once."""
+        width = columns + 2
+        if not centre_x:
+            centre_x.extend([(c + 0.5) * edge for c in range(-1, columns + 1)] * (rows + 2))
+            centre_y.extend(chain.from_iterable(
+                repeat((r + 0.5) * edge, width) for r in range(-1, rows + 1)))
+            steps.extend((dy - 1) * width + dx - 1 for dy, dx in map(divmod, range(9), repeat(3)))
+            steps[4] = -len(centre_x)
+        get, border = vals.__getitem__, [-inf] * width
         padded = chain(
             (border,),
             ([-inf, *map(get, map(slot.__add__, patches[i:i + columns])), -inf]
              for i in range(0, rows * columns, columns)),
             (border,),
         )
-        positions: list[int] = []
+        targets: list[int] = []
         above, row = next(padded), next(padded)
-        for below in padded:
+        for first, below in zip(range(width + 1, (rows + 1) * width, width), padded):
             windows = list(zip(above, above[1:], above[2:], row, row[1:], row[2:],
                                below, below[1:], below[2:]))
-            positions += map(tuple.index, windows, map(max, windows))
+            positions = map(tuple.index, windows, map(max, windows))
+            targets += map(operator.add, range(first, first + columns), map(steps.__getitem__, positions))
             above, row = row, below
-        return positions
-
-    def heading(x: float, y: float, positions: list[int]) -> float:
-        """Heading from ``(x, y)`` to the centre of the first richest patch,
-        in row order with the top row (lowest y) first, of the 3x3 window
-        around the patch under it, as ``field`` gives in ``positions``; 0 if
-        that is the patch under it, which so wins a tie with a later patch
-        and loses one with an earlier patch.  The patch's column and row and
-        their centres come from the tables the first ``field`` built, the
-        same floats as ``(c + 0.5) * edge``; no operation here raises."""
-        here = cell(x, y)
-        position = positions[here]
-        if position == 4:
-            return 0.0
-        dy, dx = _STEPS[position]
-        return atan2(centre_y[row_of[here] + dy] - y, centre_x[column_of[here] + dx] - x)
+        return targets
 
     namespace = {
         "image": image, "rng": rng, "write": image.write, "write_delta": image.write_delta,
-        "spawn": spawn, "cell": cell, "field": field, "heading": heading,
+        "inf": inf, "field": field, "grid": (edge, columns, columns - 1, rows - 1, centre_x, centre_y),
+        **_FUNCTIONS,
     }
-    namespace.update((name, call) for call, name in _CALLS.values() if "{" not in name)
     tasks = list(enumerate(zip(engine.model.tasks, _forms(engine.model))))
+    tables: dict[str, str] = {}  # by kind, the name of its table of cells
     lines = [line for i, (task, forms) in tasks
-             for line in _Compiler(engine, task, namespace, i, forms).lines]
+             for line in _Compiler(engine, task, namespace, i, forms, tables).lines]
     source = "\n".join(lines)
     exec(_code(source), namespace)
     # A line that can fail ends in ``# <its abort site>``.
@@ -564,12 +547,15 @@ def _scope(kind: str | None, qualifier: str | None) -> tuple[str, str | None]:
     return "here", "Patch"
 
 
-def _forms(model: ast.Model) -> list[list[tuple[bool, bool, bool] | None]]:
+def _forms(model: ast.Model) -> list[list[tuple[bool, bool | None, bool] | None]]:
     """By task, each definition's commit form in order: None for a call of
     ``write`` or ``write_delta``, else ``(assigned, added, record)`` for
     ``_Compiler.commit``.  An own write hits each block of its kind once a
     tick (``bases`` is all of them, none comes or goes before the events):
-    while every write of an attribute is own, what its address holds is known."""
+    while every write of an attribute is own, what its address holds is
+    known.  After an own assignment, each block holds one, so a delta from
+    another kind (``here's``, ``world's``) adds to it, and to the delta the
+    address holds if an earlier such write left one: ``added`` is None."""
     forms, writes = [], {}  # writes by (kind, attribute), in task order
     for task in model.tasks:
         action = model.action_named(task.action)
@@ -580,16 +566,41 @@ def _forms(model: ast.Model) -> list[list[tuple[bool, bool, bool] | None]]:
             write = scope == "my", definition.decorator is ast.Decorator.ASSIGN, forms[-1], j
             writes.setdefault((kind, definition.variable.identifier), []).append(write)
     for history in writes.values():
-        assigned = added = False
+        assigned = added = False  # by an own write so far
+        inline = True  # while every write so far is own
         for (own, assignment, task_forms, j), later in zip(history, [*history[1:], None]):
-            if not own:
-                break
-            # Any later write reads a delta, and a later delta an assignment,
-            # unless an own assignment, which replaces it everywhere, comes first.
-            record = later is not None and (not assignment or later[:2] != (True, True))
-            task_forms[j] = assigned, added, record
-            assigned, added = assigned or assignment, added or not assignment
+            inline = inline and own
+            if inline:
+                # Any later write reads a delta, and a later delta an assignment,
+                # unless an own assignment, which replaces it everywhere, comes first.
+                record = later is not None and (not assignment or later[:2] != (True, True))
+                task_forms[j] = assigned, added, record
+            elif assigned and not own and not assignment:
+                task_forms[j] = True, None, True
+            if own:
+                assigned, added = assigned or assignment, added or not assignment
     return forms
+
+
+# The names of the items of the namespace's ``grid``, which a task that
+# finds a cell or reads ``direction`` takes as locals.
+_GRID = "edge, columns, last_column, last_row, centre_x, centre_y"
+
+
+def _find_cell(xs: int, ys: int) -> list[str]:
+    """The lines that set ``h`` to the index in ``patches`` of the patch
+    under the performer's committed position, in slots ``xs`` and ``ys``,
+    and keep it.  A position past an edge, however far, is on the edge
+    cell.  No operation raises: a committed position is finite and the
+    patch edge positive, and ``floor`` only takes a quotient inside the
+    grid."""
+    return [
+        f"qx = vals[b + {xs}] / edge",
+        f"qy = vals[b + {ys}] / edge",
+        "h = ((0 if qy < 0.0 else last_row if qy >= last_row else floor(qy)) * columns"
+        " + (0 if qx < 0.0 else last_column if qx >= last_column else floor(qx)))",
+        "keep(h)",
+    ]
 
 
 def _is_name_or_literal(text: str) -> bool:
@@ -609,10 +620,14 @@ class _Compiler:
     and operations that cannot fail, and puts each call that can on a line
     of its own.  A utility is a local computed at first use; where that use
     is conditional (a spawn count behind a guard), later uses test it for
-    ``None``."""
+    ``None``.  The cell under the performer, ``h``, is found at the top of
+    the loop, whatever guards its uses, by the kind's first task that uses
+    it, which keeps it in the kind's table in ``tables``; the kind's later
+    tasks read it there, as ``bases`` is the same list for every task of
+    a kind in a tick."""
 
     def __init__(self, engine: Engine, task: ast.TaskDefinition, namespace: dict, i: int,
-                 forms: list):
+                 forms: list, tables: dict[str, str]):
         self.engine, self.namespace = engine, namespace
         self.kind = kind = task.agent
         action = engine.model.action_named(task.action)
@@ -635,6 +650,7 @@ class _Compiler:
         # and the field of each ``direction`` slot, built if there are bases.
         self.head: dict[str, str] = {}
         self.maybe, self.computing = set(), set()  # utilities perhaps computed, being computed
+        self.located = None  # the position slots that find ``h``, once it is used
         for definition, form in zip(action.definitions, forms):
             self.definition(definition, form)
         for directive in action.lifecycle:
@@ -644,8 +660,17 @@ class _Compiler:
             self.lines.insert(0, "        " + "".join(f"u{u} = " for u in sorted(self.maybe)) + "None")
         elif not self.lines:
             self.lines.append("        pass")
+        loop, clear = "    for b in bases:", []
+        if self.located and kind in tables:
+            loop = f"    for b, h in zip(bases, {tables[kind]}):"
+        elif self.located:
+            tables[kind] = table = self.bind([])
+            self.head[_GRID] = "grid"
+            self.head["keep"] = f"{table}.append"
+            clear = [f"    {table}.clear()"]
+            self.lines[:0] = [f"        {line}" for line in _find_cell(*self.located)]
         head = (f"    {name} = {text}" for name, text in self.head.items())
-        self.lines[:0] = [f"def task_{i}(vals, bases, events, state):", *head, "    for b in bases:"]
+        self.lines[:0] = [f"def task_{i}(vals, bases, events, state):", *head, *clear, loop]
         self.lines.append("    return state")
 
     def definition(self, definition: ast.AttributeDefinition, form: tuple | None) -> None:
@@ -666,12 +691,13 @@ class _Compiler:
 
     def commit(self, a: str, text: str, assignment: bool, form: tuple, site: str) -> None:
         """``MemoryImage.write`` (``write_delta`` if not ``assignment``) of
-        ``text`` to own address ``a``, inline, in the ``form`` ``_forms``
-        gives: whether ``a`` already holds an assignment and a delta this
+        ``text`` to address ``a``, inline, in the ``form`` ``_forms`` gives:
+        whether ``a`` already holds an assignment and a delta (None:
+        perhaps, for another kind's delta after an own assignment) this
         tick, and whether a later write reads what this one records."""
         self.head["nxt"] = "image.next"
         assigned, added, record = form
-        if added:
+        if added is not False:
             self.head["delta"] = "image.delta"
         if assignment:
             value = self.let(f"{text} + 0.0")
@@ -680,6 +706,9 @@ class _Compiler:
             if added:  # the deltas' sum, as ``write_delta`` adds it
                 value = f"{text} + delta[{a}]"
                 value = self.let(value) if record else f"({value})"
+            elif added is None:  # and if this tick's writes left no delta, the text
+                a = a if a.isidentifier() else self.let(a)
+                value = self.let(f"{text} + delta[{a}] if {a} in delta else {text}")
             else:
                 value = text if not record or _is_name_or_literal(text) else self.let(text)
             if assigned:
@@ -715,8 +744,14 @@ class _Compiler:
             if number is None:
                 self.emit(f"events.append(({event}))")
                 return
+            # The whole number of animats in a count that is finite and not
+            # negative, none if that is 0.
             site = self.site("spawn count {} out of range", pos)
-            self.emit(f"spawn(events, {event}, {self.value(number)}, {self.bind(pos)})  # {site}")
+            count = self.value(number)
+            count = count if _is_name_or_literal(count) else self.let(count)
+            self.emit(f"if not 0.0 <= {count} < inf: raise ValueError({count})  # {site}")
+            self.emit(f"if {count} >= 1.0: events.append(('spawn', {event}, floor({count}), "
+                      f"{self.bind(pos)}))")
 
         if guard is None or guard is True:
             act()
@@ -830,24 +865,29 @@ class _Compiler:
             case ("utility", index, name, pos):
                 return self.utility(index, name, pos)
             case ("direction", slot, xs, ys):
+                # The heading from the performer to the centre of the patch
+                # ``field`` gives for its cell, 0 if that is its own.
                 self.head["patches"] = "image.performers['Patch']"
                 self.head[f"f{slot}"] = f"bases and field(vals, patches, {slot})"
-                return self.let(f"heading(vals[b + {xs}], vals[b + {ys}], f{slot})")
+                self.head[_GRID] = "grid"
+                target = self.let(f"f{slot}[{self.cell(xs, ys)}]")
+                return self.let(f"(0.0 if {target} < 0 else atan2(centre_y[{target}] - vals[b + {ys}], "
+                                f"centre_x[{target}] - vals[b + {xs}]))")
             case ("draw", sampler, operands, pos):
                 text = ", ".join(self.value(o) for o in operands)
                 target, prefix = "state, ", ""
                 call = f"rng.{sampler}(state, {text})"
             case ("call", key, operands, pos, prefix):
                 texts = [self.value(o) for o in operands]
-                form = _CALLS[key][1]
+                _, form, fails = _CALLS[key]
                 if key == ("/", 2) and not isinstance(operands[1], tuple) and operands[1] != 0:
-                    form = "({0} / {1})"  # a division that cannot fail
-                if "{" in form:
+                    form, fails = "({0} / {1})", False  # a division that cannot fail
+                if not fails:
                     # An operand the form uses twice is computed once.
                     texts = [t if form.count(f"{{{i}}}") < 2 or _is_name_or_literal(t)
                              else self.let(t) for i, t in enumerate(texts)]
                     return form.format(*texts)
-                target, call = "", f"{form}({', '.join(texts)})"
+                target, call = "", form.format(*texts)
         # A call that can fail, on a line of its own that names its abort
         # site: ``Engine.step`` aborts with ``prefix`` and the failure's text.
         self.temps += 1
@@ -875,9 +915,15 @@ class _Compiler:
             self.known[index] = text
         return self.known[index]
 
+    def cell(self, xs: int, ys: int) -> str:
+        """``h``, the cell under the performer's committed position, which
+        its slots ``xs`` and ``ys`` hold."""
+        self.located = xs, ys
+        return "h"
+
     def place(self, address) -> str:
         """Text of the address; for ``here``, emits first, once per scope,
-        the base of the patch under the performer's committed position."""
+        the base of the patch in cell ``h``."""
         match address:
             case ("my", slot):
                 return f"b + {slot}"
@@ -887,5 +933,5 @@ class _Compiler:
             case ("here", slot, xs, ys):
                 self.head["patches"] = "image.performers['Patch']"
                 if "patch" not in self.known:
-                    self.known["patch"] = self.let(f"patches[cell(vals[b + {xs}], vals[b + {ys}])]")
+                    self.known["patch"] = self.let(f"patches[{self.cell(xs, ys)}]")
                 return f"{self.known['patch']} + {slot}"

@@ -7,8 +7,9 @@ leak into results; a new block's values go to ``next`` alone.
 ``MemoryImage.write`` and ``write_delta`` apply that rule and refuse a
 write that would commit an infinity or a NaN: no frame holds either.  The
 compiled tasks apply the same rule inline to their own writes, where the
-pending state of the address is known before the run, and call the methods
-for every other write.  Besides the values the image keeps only the animats
+pending state of the address is known before the run, and to a delta from
+another kind after an own assignment, and call the methods for every other
+write.  Besides the values the image keeps only the animats
 and each kind's bases in order; two rules give the rest.  A block's values
 run from its base up to the next base in ``animats`` or the first address
 that holds no value; and a new animat takes the index after the one its

@@ -144,6 +144,24 @@ ABORTS = {
         "non-finite value inf for 'w' (tick 2, Egg, line 5)",
         1,
     ),
+    # A here's delta of a second Egg on one patch, and a world's delta of
+    # the second Egg, that overflow the sum after the Patch's (World's)
+    # own assignment: the texts of when these writes called ``write_delta``.
+    "non-finite-second-here-delta": (
+        "Patch with\n    grass [] = 1 [].\nEgg is G with\n    age [day].\n"
+        "to grow is\n    my grass' = 0.\n"
+        "to f is\n    my x' = 0 [m]\n    my y' = 0 [m]\n    here's delta grass' = 1e308.\n"
+        "Patch grow.\nEgg f.\n",
+        "non-finite value inf for 'grass' (tick 3, Egg, line 10)",
+        2,
+    ),
+    "non-finite-world-delta-after-assign": (
+        "World with\n    w [] = 1 [].\nEgg is G with\n    age [day].\n"
+        "to set is\n    my w' = 0.\nto f is\n    world's delta w' = 1e308.\n"
+        "World set.\nEgg f.\n",
+        "non-finite value inf for 'w' (tick 2, Egg, line 8)",
+        1,
+    ),
     "utility-cycle": (
         egg("age [day]", "my age' = twist", "twist = tangle + 1 [day]\n    tangle = twist"),
         "utility 'twist' depends on itself (tick 2, Egg, line 7)",
@@ -187,7 +205,8 @@ FAILED = {
     "spawn-negative": (1, None), "spawn-nan": (1, None), "spawn-inf-in-utility": (1, None),
     "non-finite-assign": (1, "w"), "non-finite-delta": (1, "w"),
     "non-finite-differential": (1, "w"), "non-finite-second-delta": (1, "w"),
-    "non-finite-assign-after-delta": (1, "w"), "utility-cycle": (1, "age"),
+    "non-finite-assign-after-delta": (1, "w"), "non-finite-second-here-delta": (2, "grass"),
+    "non-finite-world-delta-after-assign": (2, "w"), "utility-cycle": (1, "age"),
     "utility-self-reference": (1, "age"), "utility-cycle-in-guarded-count": (1, None),
 }
 

@@ -69,46 +69,62 @@ EGGS_SOURCE = textwrap.dedent("""\
     def task_4(vals, bases, events, state):
         patches = image.performers['Patch']
         f0 = bases and field(vals, patches, 0)
+        edge, columns, last_column, last_row, centre_x, centre_y = grid
         nxt = image.next
+        keep = c27.append
+        c27.clear()
         for b in bases:
-            t1 = heading(vals[b + 0], vals[b + 1], f0)
-            t2 = cos(t1)  # c22
-            state, t3 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c23
-            t4 = vals[b + 0] + ((t2 * t3) * 86400.0)
-            if t4 - t4: raise ValueError(t4)  # c24
-            nxt[b + 0] = t4
-            t5 = sin(t1)  # c25
-            t6 = vals[b + 1] + ((t5 * t3) * 86400.0)
-            if t6 - t6: raise ValueError(t6)  # c26
-            nxt[b + 1] = t6
+            qx = vals[b + 0] / edge
+            qy = vals[b + 1] / edge
+            h = ((0 if qy < 0.0 else last_row if qy >= last_row else floor(qy)) * columns + (0 if qx < 0.0 else last_column if qx >= last_column else floor(qx)))
+            keep(h)
+            t1 = f0[h]
+            t2 = (0.0 if t1 < 0 else atan2(centre_y[t1] - vals[b + 1], centre_x[t1] - vals[b + 0]))
+            t3 = cos(t2)  # c22
+            state, t4 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c23
+            t5 = vals[b + 0] + ((t3 * t4) * 86400.0)
+            if t5 - t5: raise ValueError(t5)  # c24
+            nxt[b + 0] = t5
+            t6 = sin(t2)  # c25
+            t7 = vals[b + 1] + ((t6 * t4) * 86400.0)
+            if t7 - t7: raise ValueError(t7)  # c26
+            nxt[b + 1] = t7
         return state
     def task_5(vals, bases, events, state):
         patches = image.performers['Patch']
         nxt = image.next
         delta = image.delta
-        for b in bases:
-            t1 = patches[cell(vals[b + 0], vals[b + 1])]
+        assigned = image.assigned
+        for b, h in zip(bases, c27):
+            t1 = patches[h]
             t2 = (vals[t1 + 0] * 0.25)
             t3 = (t2 if t2 < 0.3 else 0.3)
             u0 = (t3 if t3 > 0.0 else 0.0)
             t4 = (u0 - 0.15)
             t5 = vals[b + 3] + t4
-            if t5 - t5: raise ValueError(t5)  # c27
+            if t5 - t5: raise ValueError(t5)  # c28
             nxt[b + 3] = t5
             delta[b + 3] = t4
-            write_delta(t1 + 0, (-u0))  # c28
+            t6 = t1 + 0
+            t7 = (-u0) + delta[t6] if t6 in delta else (-u0)
+            t8 = assigned[t6] + t7
+            if t8 - t8: raise ValueError(t8)  # c29
+            nxt[t6] = t8
+            delta[t6] = t7
         return state
     def task_6(vals, bases, events, state):
         nxt = image.next
         delta = image.delta
         for b in bases:
-            t1 = floor((vals[b + 3] / 2.0))  # c29
+            t1 = float(floor((vals[b + 3] / 2.0)))  # c30
             t2 = (t1 if t1 < 1.0 else 1.0)
             u0 = (t2 if t2 > 0.0 else 0.0)
             t3 = vals[b + 3] + ((-(u0 * 0.8)) + delta[b + 3])
-            if t3 - t3: raise ValueError(t3)  # c30
+            if t3 - t3: raise ValueError(t3)  # c31
             nxt[b + 3] = t3
-            spawn(events, b, 'Adult', 'Egg', (u0 * 2.0), c32)  # c31
+            t4 = (u0 * 2.0)
+            if not 0.0 <= t4 < inf: raise ValueError(t4)  # c32
+            if t4 >= 1.0: events.append(('spawn', b, 'Adult', 'Egg', floor(t4), c33))
         return state
     def task_7(vals, bases, events, state):
         for b in bases:
@@ -126,7 +142,7 @@ def test_eggs_source_is_pinned():
 # compile to the same text.
 SOURCE_SHA256 = {
     "age": "474f09a78e382a1da7740b49eeec3208d9d2dd6eb0bf9a7b9d9394f722a67cd7",
-    "eggs": "e2ac998331d75cfa312bff9f9fa6d09fea8c34eb5e5de3437725ec0f2375e301",
+    "eggs": "1e74dfc27a6a587abcc693439f945d144bf1e7fc7d9b8cb272324184ffb0c3ee",
     "memo": "2cb09333f33281a290913930de28a720afc81deb07d0c788a4e64cfae788e260",
     "move": "e885e233e0eb11ad80a39639757577030aaa38a4b2df147e10bd1f9cb3e10f5a",
     "move_delta": "e885e233e0eb11ad80a39639757577030aaa38a4b2df147e10bd1f9cb3e10f5a",
@@ -241,3 +257,34 @@ def test_the_code_cache_keeps_nothing_of_a_dropped_engine():
             pending += item.co_consts
         elif isinstance(item, (tuple, frozenset)):
             pending += item
+
+
+def test_eggs_tasks_call_no_bookkeeping_helper():
+    """No eggs task calls ``write``, ``write_delta``, a spawn helper or the
+    folding function of ``floor``: every write commits inline, a spawn is
+    an event appended in the task's own line, ``floor`` is
+    ``float(math.floor(x))``.  Over a step each Adult's cell is found once,
+    by move, and kept for graze."""
+    built = engine("eggs")
+    fold_floor = interp._CALLS[("floor", 1)][0]
+    for _, task in built.plan:
+        names = set(task.__code__.co_names)
+        assert not {"write", "write_delta", "spawn", "cell", "heading"} & names
+        assert all(task.__globals__[name] is not fold_floor for name in names
+                   if name in task.__globals__)
+    assert built.source.count("keep(h)") == 1
+    (table,) = {line.rpartition("zip(bases, ")[2][:-2] for line in built.source.splitlines()
+                if "zip(bases, " in line}
+    found = []
+
+    class Counted(list):
+        def append(self, cell):
+            found.append(cell)
+            super().append(cell)
+
+    namespace = built.plan[0][1].__globals__
+    namespace[table] = Counted()
+    built.setup()
+    adults = len(built.image.performers["Adult"])
+    built.step()
+    assert len(found) == adults == len(namespace[table])

@@ -838,18 +838,30 @@ GRID = (-math.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308, math.in
 class TestCompiledTasks:
     """What the compiled tasks owe the rest of the program."""
 
-    @pytest.mark.parametrize("key", [k for k, (_, form) in interp._CALLS.items() if "{" in form])
+    @staticmethod
+    def outcome(compute):
+        """What ``compute()`` gives: its value's type and repr, or the type
+        and text of what it raises."""
+        try:
+            value = compute()
+        except interp._FAILURES as err:
+            return type(err), str(err)
+        return type(value), repr(value)
+
+    @pytest.mark.parametrize("key", interp._CALLS)
     def test_text_form_matches_its_folding_function(self, key):
         """Run time computes what constant folding computes, bit for bit and
-        of the same type, on every tuple of grid operands."""
-        fold, form = interp._CALLS[key]
+        of the same type, on every tuple of grid operands, and an operation
+        that may fail fails alike; one that may not never does."""
+        fold, form, fails = interp._CALLS[key]
         for operands in itertools.product(GRID, repeat=key[1]):
             # As the compiler writes operands: a finite one by its repr, a
             # non-finite one by a name.
             names = {f"c{i}": x for i, x in enumerate(operands) if not math.isfinite(x)}
             texts = [repr(x) if math.isfinite(x) else f"c{i}" for i, x in enumerate(operands)]
-            value, expected = eval(form.format(*texts), names), fold(*operands)
-            assert (type(value), repr(value)) == (type(expected), repr(expected)), operands
+            value = self.outcome(lambda: eval(form.format(*texts), {**interp._FUNCTIONS, **names}))
+            assert value == self.outcome(lambda: fold(*operands)), operands
+            assert fails or not issubclass(value[0], Exception), operands
 
     def test_sampler_replaced_after_build_sees_every_draw(self, monkeypatch):
         engine, _ = build(
@@ -889,45 +901,59 @@ class TestCompiledTasks:
         )
         assert engine.run()[-1] == (5, "Adult", 1)
 
-    def test_every_definition_writes_through_the_image(self, monkeypatch):
+    # A here's delta before any own write of the Patch's ``p``, an own
+    # assignment of it, a here's delta after that, and a here's assignment.
+    METHOD_WRITES = (("Bug", [("here's", "delta ", "p", "1.5")]), ("Patch", [("my", "", "p", "2.5")]),
+                     ("Bug", [("here's", "delta ", "p", "-0")]), ("Bug", [("here's", "", "q", "0")]))
+
+    @pytest.mark.parametrize("name", ["eggs", "mixed"])
+    def test_every_definition_writes_through_the_image(self, monkeypatch, name):
         """A task applies the commit rule by ``MemoryImage.write`` and
         ``write_delta``, the methods criterion 03 checks against its oracle,
-        except for an own (``my``) write of an attribute no earlier write of
-        the tick reached otherwise, which it applies inline: on the eggs
-        model only graze's ``here's`` write calls a method.  The property
-        below checks the inline rule against the methods."""
+        except where it applies it inline: to an own (``my``) write of an
+        attribute no earlier write of the tick reached otherwise, and to a
+        delta from another kind (``here's``, ``world's``) after an own
+        assignment of the attribute.  On the eggs model no write calls a
+        method.  The property below checks the inline rule against the
+        methods."""
         calls = {"write": 0, "write_delta": 0}
 
-        def counted(name):
-            original = getattr(MemoryImage, name)
+        def counted(method):
+            original = getattr(MemoryImage, method)
 
             def wrapper(image, address, value):
                 if sys._getframe(1).f_code.co_filename == "<remodyc tasks>":
-                    calls[name] += 1
+                    calls[method] += 1
                 return original(image, address, value)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(MemoryImage, name, counted(name))
+        for method in calls:
+            monkeypatch.setattr(MemoryImage, method, counted(method))
         models = Path(__file__).resolve().parent.parent / "models"
-        engine, _ = build((models / "eggs.rmd").read_text(), (models / "eggs.cfg").read_text())
+        if name == "eggs":
+            engine, _ = build((models / "eggs.rmd").read_text(), (models / "eggs.cfg").read_text())
+        else:
+            engine, _ = build(write_model(self.METHOD_WRITES), WRITES_CONFIG.format(seed=1))
         engine.setup()
-        expected, reached = {"write": 0, "write_delta": 0}, set()
+        expected, reached, assigned = {"write": 0, "write_delta": 0}, set(), set()
         for task in engine.model.tasks:
             performers = len(engine.image.performers.get(task.agent, ()))
             for definition in engine.model.action_named(task.action).definitions:
                 variable = definition.variable
                 kind = {None: task.agent, "here": "Patch", "world": "World"}[variable.agent]
-                if variable.agent is not None:
-                    reached.add((kind, variable.identifier))
-                if (kind, variable.identifier) in reached:
-                    assign = definition.decorator is Decorator.ASSIGN
+                own = variable.agent is None or (variable.agent, task.agent) == ("here", "Patch")
+                attribute, assign = (kind, variable.identifier), definition.decorator is Decorator.ASSIGN
+                if not own:
+                    reached.add(attribute)
+                if attribute in reached and (own or assign or attribute not in assigned):
                     expected["write" if assign else "write_delta"] += performers
-        adults = len(engine.image.performers["Adult"])
+                if own and assign:
+                    assigned.add(attribute)
         engine.step()
         assert calls == expected
-        assert expected == {"write": 0, "write_delta": adults}
+        assert expected == {"eggs": {"write": 0, "write_delta": 0},
+                            "mixed": {"write": 7, "write_delta": 3}}[name]
 
     def test_dropped_engine_is_freed_without_the_cycle_collector(self):
         models = Path(__file__).resolve().parent.parent / "models"
@@ -997,6 +1023,11 @@ def write_case(*tasks):
     return write_model(tasks), tasks, 1
 
 
+def on_one_patch(*tasks):
+    """``write_case`` with the seed that sets all 3 Bugs on one patch."""
+    return write_model(tasks), tasks, 13
+
+
 def replay_writes(engine: Engine, tasks) -> list | RuntimeAbort:
     """The next frame's values in dict order, or the abort, as applying every
     definition by ``MemoryImage.write``/``write_delta`` to a fresh image
@@ -1042,6 +1073,12 @@ def replay_writes(engine: Engine, tasks) -> list | RuntimeAbort:
 @example(write_case(("Bug", [("my", "delta ", "p", "1.5")]), ("Bug", [("my", "delta ", "p", "-0")])))
 @example(write_case(("Bug", [("here's", "delta ", "p", "1.5")]), ("Patch", [("my", "delta ", "p", "1.5")])))
 @example(write_case(("Bug", [("my", "", "p", "-2.5")]), ("Bug", [("my", "d/dt ", "p", "0")])))
+# A here's delta after the Patch's own assignment, by 3 Bugs on one patch
+# (seed 13), whose sum holds and whose sum overflows at the second Bug; a
+# world's delta after the World's own assignment.
+@example(on_one_patch(("Patch", [("my", "", "p", "1.5")]), ("Bug", [("here's", "delta ", "p", "-2.5")])))
+@example(on_one_patch(("Patch", [("my", "", "p", "1.5")]), ("Bug", [("here's", "d/dt ", "p", "1e308")])))
+@example(write_case(("World", [("my", "", "q", "-0")]), ("Bug", [("world's", "delta ", "q", "1.5")])))
 def test_inline_writes_commit_as_the_image_methods_do(case):
     """Each step's frame, values by repr in dict order, or its abort (text,
     tick, stage, base, attribute) equals a replay through the image's
@@ -1230,13 +1267,23 @@ def test_direction_field_matches_the_scan(case):
     step_matches_scan()
 
 
-def formula_heading(cell, columns, edge, positions, x, y):
-    """``heading`` as two ``divmod``s and the centre's formula, with no table."""
-    here = cell(x, y)
-    position = positions[here]
+def formula_heading(columns, rows, edge, values, x, y):
+    """``direction`` as formulas with no table: the cell under ``(x, y)``,
+    clipped to the grid; the first position of the greatest of the 3x3
+    window around it, ``-inf`` past the grid, by builtin ``max`` and
+    ``tuple.index``; and the centre of the patch there."""
+    qx, qy = x / edge, y / edge
+    px = 0 if qx < 0.0 else columns - 1 if qx >= columns - 1 else math.floor(qx)
+    py = 0 if qy < 0.0 else rows - 1 if qy >= rows - 1 else math.floor(qy)
+
+    def value(cx, cy):
+        return values[cy * columns + cx] if 0 <= cx < columns and 0 <= cy < rows else -math.inf
+
+    window = tuple(value(px + dx - 1, py + dy - 1) for dy in range(3) for dx in range(3))
+    position = window.index(max(window))
     if position == 4:
         return 0.0
-    (py, px), (dy, dx) = divmod(here, columns), divmod(position, 3)
+    (dy, dx) = divmod(position, 3)
     cx, cy = px + dx - 1, py + dy - 1
     return math.atan2((cy + 0.5) * edge - y, (cx + 0.5) * edge - x)
 
@@ -1256,24 +1303,28 @@ POSITIONS = st.floats(allow_nan=False, allow_infinity=False)
 @example(6, 6, 1000.0, [math.nan, 1.0, -math.inf] * 12, [(1e308, 1e308), (-1e6, 2.5e3)])
 @settings(max_examples=150, deadline=None, report_multiple_bugs=False)
 def test_heading_reads_its_tables_as_the_formula_computes(columns, rows, edge, values, walkers):
-    """The heading ``field``'s first call tables the grid for is the
-    formula's float, bit for bit, and never raises: on any grid, any patch
-    values (even ones no frame holds, whose window's richest may be the
-    border) and any finite position, at an extreme or far past every edge.
-    So a task line that calls it needs no abort site."""
-    config = SimulationConfig(DAY, 1, 1, world_width=columns * edge,
-                              world_height=rows * edge, patch_size=edge)
+    """The heading a ``direction`` task computes from the tables ``field``
+    builds is the formula's float, bit for bit once committed, and no line
+    of that task raises: on any grid, any patch values (even ones no frame
+    holds, whose window's richest may be the border) and any finite
+    position, at an extreme or far past every edge.  So the task's lines
+    that find the cell and the heading need no abort site."""
+    config = SimulationConfig(DAY, 1, 1, world_width=columns * edge, world_height=rows * edge,
+                              patch_size=edge, populations=((len(walkers), "Walker"),))
     assume((config.patches_x, config.patches_y) == (columns, rows))
     engine = Engine(parse_model(TWO_FIELDS_MODEL), config, InMemoryBackend())
     engine.setup()
-    namespace, patches = engine.plan[1][1].__globals__, engine.image.performers["Patch"]
+    patches, bases = engine.image.performers["Patch"], engine.image.performers["Walker"]
     vals = dict(engine.image.vals)
     for base, value in zip(patches, values):
         vals[base] = value
-    positions = namespace["field"](vals, patches, 0)
-    for x, y in walkers:
-        expected = formula_heading(namespace["cell"], columns, edge, positions, x, y)
-        assert namespace["heading"](x, y, positions).hex() == expected.hex()
+    for base, (x, y) in zip(bases, walkers):
+        vals[base], vals[base + 1] = x, y
+    _, sense = engine.plan[1]
+    sense(vals, bases, [], engine.rng_state)
+    for base, (x, y) in zip(bases, walkers):
+        expected = formula_heading(columns, rows, edge, values, x, y) + 0.0
+        assert engine.image.next[base + 2].hex() == expected.hex()
 
 
 def test_an_engine_on_a_grid_over_the_ceiling_builds_no_grid_table():
