@@ -457,9 +457,8 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
     one module run once, by line, the abort site of a line that can
     fail, and the module's source.  A task reads the committed values, the
     World and patches in ``image.performers`` and the RNG state, which it
-    returns.  A write applies the image's commit rule inline in the form
-    ``_forms`` gives it where it has one, and otherwise calls the image's
-    ``write`` or ``write_delta``.  A kind's first task that reads ``here``
+    returns.  Every write applies the image's commit rule inline, in the
+    form ``_forms`` gives it.  A kind's first task that reads ``here``
     or ``direction`` finds the cell under each performer and keeps it in
     the kind's table for its later tasks of the tick.  A task fails only
     by raising on a line that names its abort site, which ``Engine.step``
@@ -514,8 +513,8 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
         return targets
 
     namespace = {
-        "image": image, "rng": rng, "write": image.write, "write_delta": image.write_delta,
-        "inf": inf, "field": field, "grid": (edge, columns, columns - 1, rows - 1, centre_x, centre_y),
+        "image": image, "rng": rng, "inf": inf, "field": field,
+        "grid": (edge, columns, columns - 1, rows - 1, centre_x, centre_y),
         **_FUNCTIONS,
     }
     tasks = list(enumerate(zip(engine.model.tasks, _forms(engine.model))))
@@ -547,15 +546,16 @@ def _scope(kind: str | None, qualifier: str | None) -> tuple[str, str | None]:
     return "here", "Patch"
 
 
-def _forms(model: ast.Model) -> list[list[tuple[bool, bool | None, bool] | None]]:
-    """By task, each definition's commit form in order: None for a call of
-    ``write`` or ``write_delta``, else ``(assigned, added, record)`` for
-    ``_Compiler.commit``.  An own write hits each block of its kind once a
-    tick (``bases`` is all of them, none comes or goes before the events):
-    while every write of an attribute is own, what its address holds is
-    known.  After an own assignment, each block holds one, so a delta from
-    another kind (``here's``, ``world's``) adds to it, and to the delta the
-    address holds if an earlier such write left one: ``added`` is None."""
+def _forms(model: ast.Model) -> list[list[tuple[bool | None, bool | None, bool]]]:
+    """By task, each definition's commit form in order, ``(assigned, added,
+    record)`` for ``_Compiler.commit``: whether the address already holds an
+    assignment and a delta this tick, each True at every address, None for
+    perhaps and False at none, and whether a later write reads what this
+    one records.  An own write hits each block of its kind once a tick (none
+    comes or goes before the events) and sets its fact to True; a ``here's``
+    or ``world's`` write sets it to ``fact or None``.  Such a delta sees
+    ``added or None`` and always records: it may meet its own delta at a
+    patch an earlier performer reached."""
     forms, writes = [], {}  # writes by (kind, attribute), in task order
     for task in model.tasks:
         action = model.action_named(task.action)
@@ -566,19 +566,17 @@ def _forms(model: ast.Model) -> list[list[tuple[bool, bool | None, bool] | None]
             write = scope == "my", definition.decorator is ast.Decorator.ASSIGN, forms[-1], j
             writes.setdefault((kind, definition.variable.identifier), []).append(write)
     for history in writes.values():
-        assigned = added = False  # by an own write so far
-        inline = True  # while every write so far is own
+        assigned = added = False
         for (own, assignment, task_forms, j), later in zip(history, [*history[1:], None]):
-            inline = inline and own
-            if inline:
-                # Any later write reads a delta, and a later delta an assignment,
-                # unless an own assignment, which replaces it everywhere, comes first.
-                record = later is not None and (not assignment or later[:2] != (True, True))
+            # Any later write reads a delta, and a later delta an assignment,
+            # unless an own assignment, which replaces it everywhere, comes first.
+            record = later is not None and (not assignment or later[:2] != (True, True))
+            if assignment:
                 task_forms[j] = assigned, added, record
-            elif assigned and not own and not assignment:
-                task_forms[j] = True, None, True
-            if own:
-                assigned, added = assigned or assignment, added or not assignment
+                assigned = own or assigned or None
+            else:
+                task_forms[j] = assigned, added if own else added or None, record or not own
+                added = own or added or None
     return forms
 
 
@@ -673,8 +671,7 @@ class _Compiler:
         self.lines[:0] = [f"def task_{i}(vals, bases, events, state):", *head, *clear, loop]
         self.lines.append("    return state")
 
-    def definition(self, definition: ast.AttributeDefinition, form: tuple | None) -> None:
-        """Inline in ``form`` if it has one, else by ``write`` or ``write_delta``."""
+    def definition(self, definition: ast.AttributeDefinition, form: tuple) -> None:
         variable, pos = definition.variable, definition.pos
         value = self.expression(definition.expression)
         self.target = variable.identifier
@@ -683,37 +680,37 @@ class _Compiler:
             value = self.call(("*", 2), [value, self.engine.config.delta_time], pos)
         address, text = self.address(variable, pos), self.value(value)
         site = self.site(f"non-finite value {{}} for {self.target!r}", pos)
-        if form is not None:
-            self.commit(self.place(address), text, assignment, form, site)
-        else:
-            helper = "write" if assignment else "write_delta"
-            self.emit(f"{helper}({self.place(address)}, {text})  # {site}")
+        self.commit(self.place(address), text, assignment, form, site)
 
     def commit(self, a: str, text: str, assignment: bool, form: tuple, site: str) -> None:
         """``MemoryImage.write`` (``write_delta`` if not ``assignment``) of
-        ``text`` to address ``a``, inline, in the ``form`` ``_forms`` gives:
-        whether ``a`` already holds an assignment and a delta (None:
-        perhaps, for another kind's delta after an own assignment) this
-        tick, and whether a later write reads what this one records."""
+        ``text`` to address ``a``, inline, in the ``form`` ``_forms`` gives.
+        Where ``a`` holds an assignment, the base of a delta is that, else
+        the committed value; where it holds a delta, the text adds it.
+        During a task no block is new, so ``write_delta``'s branch for a
+        new block is never needed."""
         self.head["nxt"] = "image.next"
         assigned, added, record = form
+        if None in (assigned, added) and not a.isidentifier():
+            a = self.let(a)  # read more than once
         if added is not False:
             self.head["delta"] = "image.delta"
+        # ``x`` plus the delta ``a`` holds, if it holds one.
+        plus = f"{{0}} + delta[{a}]" + ("" if added else f" if {a} in delta else {{0}}")
         if assignment:
             value = self.let(f"{text} + 0.0")
-            committed = self.let(f"{value} + delta[{a}]") if added else value
+            committed = self.let(plus.format(value)) if added is not False else value
         else:
-            if added:  # the deltas' sum, as ``write_delta`` adds it
-                value = f"{text} + delta[{a}]"
-                value = self.let(value) if record else f"({value})"
-            elif added is None:  # and if this tick's writes left no delta, the text
-                a = a if a.isidentifier() else self.let(a)
-                value = self.let(f"{text} + delta[{a}] if {a} in delta else {text}")
+            if added is not False:  # the deltas' sum, as ``write_delta`` adds it
+                value = plus.format(text)
+                value = self.let(value) if record or added is None else f"({value})"
             else:
                 value = text if not record or _is_name_or_literal(text) else self.let(text)
-            if assigned:
+            if assigned is not False:
                 self.head["assigned"] = "image.assigned"
-            committed = self.let(f"{'assigned' if assigned else 'vals'}[{a}] + {value}")
+            base = {True: f"assigned[{a}]", False: f"vals[{a}]",
+                    None: f"(assigned[{a}] if {a} in assigned else vals[{a}])"}[assigned]
+            committed = self.let(f"{base} + {value}")
         # ``c - c`` is 0.0 for a finite ``c``, and NaN, which is true, for an
         # infinity or a NaN.
         self.emit(f"if {committed} - {committed}: raise ValueError({committed})  # {site}")

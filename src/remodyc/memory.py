@@ -4,12 +4,10 @@ Reads see the last committed frame while writes accumulate in pending
 stores (``assigned`` for assignments, ``delta`` for increments, ``next``
 for what each address will commit), so update order inside a tick cannot
 leak into results; a new block's values go to ``next`` alone.
-``MemoryImage.write`` and ``write_delta`` apply that rule and refuse a
-write that would commit an infinity or a NaN: no frame holds either.  The
-compiled tasks apply the same rule inline to their own writes, where the
-pending state of the address is known before the run, and to a delta from
-another kind after an own assignment, and call the methods for every other
-write.  Besides the values the image keeps only the animats
+``MemoryImage.write`` and ``write_delta`` are the reference of that rule,
+which the compiled tasks apply inline, calling neither; they refuse a
+write that would commit an infinity or a NaN: no frame holds either.
+Besides the values the image keeps only the animats
 and each kind's bases in order; two rules give the rest.  A block's values
 run from its base up to the next base in ``animats`` or the first address
 that holds no value; and a new animat takes the index after the one its
@@ -459,7 +457,7 @@ class MemoryImage:
     ``delta`` hold the last assignment and the sum of the deltas of
     addresses written this tick; they are emptied in place, so compiled
     code may hold on to them.  Every write by these methods records its
-    assignment or delta; a compiled task's inline own write records it only
+    assignment or delta; a compiled task's inline write records it only
     where a later write of the attribute reads it, so these stores may miss
     addresses written this tick, while ``next`` holds every write.  A new
     block reads 0.0 until it is committed; its values are in ``next``

@@ -7,6 +7,7 @@ down the entire remaining sequence; serialized as 16 hex digits.
 from __future__ import annotations
 
 import math
+import re
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -106,7 +107,8 @@ def format_state(state: int) -> str:
 
 
 def parse_state(text: str) -> int:
-    text = text.strip()
-    if len(text) != 16:
+    """The state ``text`` spells in exactly 16 hex digits; a sign, ``0x``,
+    ``_`` or blank, which ``int(text, 16)`` takes, raises ``ValueError``."""
+    if not re.fullmatch("[0-9a-fA-F]{16}", text):
         raise ValueError(f"state must be 16 hex digits, got {text!r}")
     return int(text, 16)

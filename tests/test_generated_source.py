@@ -41,14 +41,14 @@ EGGS_SOURCE = textwrap.dedent("""\
         nxt = image.next
         for b in bases:
             t1 = vals[b + 2] + 86400.0
-            if t1 - t1: raise ValueError(t1)  # c19
+            if t1 - t1: raise ValueError(t1)  # c17
             nxt[b + 2] = t1
         return state
     def task_1(vals, bases, events, state):
         nxt = image.next
         for b in bases:
             t1 = vals[b + 2] + 86400.0
-            if t1 - t1: raise ValueError(t1)  # c20
+            if t1 - t1: raise ValueError(t1)  # c18
             nxt[b + 2] = t1
         return state
     def task_2(vals, bases, events, state):
@@ -62,7 +62,7 @@ EGGS_SOURCE = textwrap.dedent("""\
         for b in bases:
             t1 = (vals[b + 0] + 0.2)
             t2 = (5.0 if 5.0 < t1 else t1) + 0.0
-            if t2 - t2: raise ValueError(t2)  # c21
+            if t2 - t2: raise ValueError(t2)  # c19
             nxt[b + 0] = t2
             assigned[b + 0] = t2
         return state
@@ -71,8 +71,8 @@ EGGS_SOURCE = textwrap.dedent("""\
         f0 = bases and field(vals, patches, 0)
         edge, columns, last_column, last_row, centre_x, centre_y = grid
         nxt = image.next
-        keep = c27.append
-        c27.clear()
+        keep = c25.append
+        c25.clear()
         for b in bases:
             qx = vals[b + 0] / edge
             qy = vals[b + 1] / edge
@@ -80,14 +80,14 @@ EGGS_SOURCE = textwrap.dedent("""\
             keep(h)
             t1 = f0[h]
             t2 = (0.0 if t1 < 0 else atan2(centre_y[t1] - vals[b + 1], centre_x[t1] - vals[b + 0]))
-            t3 = cos(t2)  # c22
-            state, t4 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c23
+            t3 = cos(t2)  # c20
+            state, t4 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c21
             t5 = vals[b + 0] + ((t3 * t4) * 86400.0)
-            if t5 - t5: raise ValueError(t5)  # c24
+            if t5 - t5: raise ValueError(t5)  # c22
             nxt[b + 0] = t5
-            t6 = sin(t2)  # c25
+            t6 = sin(t2)  # c23
             t7 = vals[b + 1] + ((t6 * t4) * 86400.0)
-            if t7 - t7: raise ValueError(t7)  # c26
+            if t7 - t7: raise ValueError(t7)  # c24
             nxt[b + 1] = t7
         return state
     def task_5(vals, bases, events, state):
@@ -95,20 +95,20 @@ EGGS_SOURCE = textwrap.dedent("""\
         nxt = image.next
         delta = image.delta
         assigned = image.assigned
-        for b, h in zip(bases, c27):
+        for b, h in zip(bases, c25):
             t1 = patches[h]
             t2 = (vals[t1 + 0] * 0.25)
             t3 = (t2 if t2 < 0.3 else 0.3)
             u0 = (t3 if t3 > 0.0 else 0.0)
             t4 = (u0 - 0.15)
             t5 = vals[b + 3] + t4
-            if t5 - t5: raise ValueError(t5)  # c28
+            if t5 - t5: raise ValueError(t5)  # c26
             nxt[b + 3] = t5
             delta[b + 3] = t4
             t6 = t1 + 0
             t7 = (-u0) + delta[t6] if t6 in delta else (-u0)
             t8 = assigned[t6] + t7
-            if t8 - t8: raise ValueError(t8)  # c29
+            if t8 - t8: raise ValueError(t8)  # c27
             nxt[t6] = t8
             delta[t6] = t7
         return state
@@ -116,15 +116,15 @@ EGGS_SOURCE = textwrap.dedent("""\
         nxt = image.next
         delta = image.delta
         for b in bases:
-            t1 = float(floor((vals[b + 3] / 2.0)))  # c30
+            t1 = float(floor((vals[b + 3] / 2.0)))  # c28
             t2 = (t1 if t1 < 1.0 else 1.0)
             u0 = (t2 if t2 > 0.0 else 0.0)
             t3 = vals[b + 3] + ((-(u0 * 0.8)) + delta[b + 3])
-            if t3 - t3: raise ValueError(t3)  # c31
+            if t3 - t3: raise ValueError(t3)  # c29
             nxt[b + 3] = t3
             t4 = (u0 * 2.0)
-            if not 0.0 <= t4 < inf: raise ValueError(t4)  # c32
-            if t4 >= 1.0: events.append(('spawn', b, 'Adult', 'Egg', floor(t4), c33))
+            if not 0.0 <= t4 < inf: raise ValueError(t4)  # c30
+            if t4 >= 1.0: events.append(('spawn', b, 'Adult', 'Egg', floor(t4), c31))
         return state
     def task_7(vals, bases, events, state):
         for b in bases:
@@ -141,11 +141,11 @@ def test_eggs_source_is_pinned():
 # sha256 of every model's generated source; move.rmd and move_delta.rmd
 # compile to the same text.
 SOURCE_SHA256 = {
-    "age": "474f09a78e382a1da7740b49eeec3208d9d2dd6eb0bf9a7b9d9394f722a67cd7",
-    "eggs": "1e74dfc27a6a587abcc693439f945d144bf1e7fc7d9b8cb272324184ffb0c3ee",
-    "memo": "2cb09333f33281a290913930de28a720afc81deb07d0c788a4e64cfae788e260",
-    "move": "e885e233e0eb11ad80a39639757577030aaa38a4b2df147e10bd1f9cb3e10f5a",
-    "move_delta": "e885e233e0eb11ad80a39639757577030aaa38a4b2df147e10bd1f9cb3e10f5a",
+    "age": "399ffd8b072fc748c6d1af4c77da50445f09f05d63fbb3b3e04dc6feef879ad8",
+    "eggs": "e455b9672a771d37eaf733668be1a3de219b45d311ccdbc2eaa81073eef6d738",
+    "memo": "9ad7175d612b85260a961ec3bd9cbb8063f559568e850b9050969f56de7db135",
+    "move": "2278eb0a4b8b953f8f1df6067e1b89c24fda0159a9c8b1c71c057bd30a5598d7",
+    "move_delta": "2278eb0a4b8b953f8f1df6067e1b89c24fda0159a9c8b1c71c057bd30a5598d7",
 }
 
 

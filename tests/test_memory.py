@@ -676,6 +676,10 @@ def test_a_row_of_the_wrong_width_is_refused(tmp_path, name, row, fields, width)
         ("animats.csv", 3, "x", "an integer"),
         ("rng.csv", 1, "zzzzzzzzzzzzzzzz", "a state of 16 hex digits"),
         ("rng.csv", 1, "abc", "a state of 16 hex digits"),
+        ("rng.csv", 1, "-000000000000001", "a state of 16 hex digits"),
+        ("rng.csv", 1, "0x3c6ef372fe94f8", "a state of 16 hex digits"),
+        ("rng.csv", 1, "+3c6ef372fe94f8a", "a state of 16 hex digits"),
+        ("rng.csv", 1, "3c6e_f372fe94f82", "a state of 16 hex digits"),
     ],
 )
 def test_a_field_its_column_cannot_hold_is_refused(tmp_path, name, column, field, what):

@@ -148,6 +148,15 @@ class TestDistributions:
         with pytest.raises(ValueError):
             rng.sample_loglogistic(rng.seed_state(1), -2.0, 1.0)
 
+    def test_loglogistic_takes_a_zero_draw_as_the_least_one(self):
+        """From this state the next unit draw is exactly 0.0, which the
+        sampler replaces by 2**-53, the least draw above it, in one draw."""
+        state = (-rng.GAMMA) & rng.MASK
+        assert rng.next_unit(state)[1] == 0.0
+        after, value = rng.sample_loglogistic(state, 2.0, 3.0)
+        assert value == (2**-53 / (1 - 2**-53)) ** (1 / 3.0) * 2.0
+        assert rng.draws_between(state, after) == 1
+
 
 class TestSerialization:
     def test_format_is_16_hex_digits(self):
@@ -160,9 +169,14 @@ class TestSerialization:
         assert len(text) == 16
         assert rng.parse_state(text) == state
 
-    def test_parse_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            rng.parse_state("abc")
+    # Texts that are not 16 hex digits, each of which ``int(text, 16)``
+    # takes, ``-000000000000001`` as the state -1.
+    @pytest.mark.parametrize("text", ["abc", "-000000000000001", "0x3c6ef372fe94f8",
+                                      "+3c6ef372fe94f8a", "3c6e_f372fe94f82", " 3c6ef372fe94f82",
+                                      "3c6ef372fe94f82b\n", "3c6ef372fe94f82b0"])
+    def test_parse_refuses_what_is_not_16_hex_digits(self, text):
+        with pytest.raises(ValueError, match="^state must be 16 hex digits, got "):
+            rng.parse_state(text)
 
 
 def test_same_seed_same_sequence():
