@@ -553,30 +553,32 @@ def _forms(model: ast.Model) -> list[list[tuple[bool | None, bool | None, bool]]
     perhaps and False at none, and whether a later write reads what this
     one records.  An own write hits each block of its kind once a tick (none
     comes or goes before the events) and sets its fact to True; a ``here's``
-    or ``world's`` write sets it to ``fact or None``.  Such a delta sees
-    ``added or None`` and always records: it may meet its own delta at a
-    patch an earlier performer reached."""
+    or ``world's`` write sets it to ``fact or None``, and meets at a patch an
+    earlier performer reached what its task's such writes of the attribute
+    left: it sees ``assigned or None`` if one assigns, and ``added or None``,
+    and records, if one adds."""
     forms, writes = [], {}  # writes by (kind, attribute), in task order
     for task in model.tasks:
         action = model.action_named(task.action)
         definitions = action.definitions if action else ()
         forms.append([None] * len(definitions))
+        shared = {}  # by (kind, attribute): whether the task's here's/world's writes assign, add
         for j, definition in enumerate(definitions):
             scope, kind = _scope(task.agent, definition.variable.agent)
-            write = scope == "my", definition.decorator is ast.Decorator.ASSIGN, forms[-1], j
-            writes.setdefault((kind, definition.variable.identifier), []).append(write)
+            key, own = (kind, definition.variable.identifier), scope == "my"
+            assignment = definition.decorator is ast.Decorator.ASSIGN
+            meets = [False, False] if own else shared.setdefault(key, [False, False])
+            meets[not assignment] |= not own
+            writes.setdefault(key, []).append((own, assignment, meets, forms[-1], j))
     for history in writes.values():
-        assigned = added = False
-        for (own, assignment, task_forms, j), later in zip(history, [*history[1:], None]):
+        facts = [False, False]  # assigned, added, as ``meets`` orders them
+        for (own, assignment, meets, task_forms, j), later in zip(history, [*history[1:], None]):
             # Any later write reads a delta, and a later delta an assignment,
             # unless an own assignment, which replaces it everywhere, comes first.
             record = later is not None and (not assignment or later[:2] != (True, True))
-            if assignment:
-                task_forms[j] = assigned, added, record
-                assigned = own or assigned or None
-            else:
-                task_forms[j] = assigned, added if own else added or None, record or not own
-                added = own or added or None
+            assigned, added = (fact or None if met else fact for fact, met in zip(facts, meets))
+            task_forms[j] = assigned, added, record or meets[1]
+            facts[not assignment] = own or facts[not assignment] or None
     return forms
 
 
@@ -684,15 +686,14 @@ class _Compiler:
 
     def commit(self, a: str, text: str, assignment: bool, form: tuple, site: str) -> None:
         """``MemoryImage.write`` (``write_delta`` if not ``assignment``) of
-        ``text`` to address ``a``, inline, in the ``form`` ``_forms`` gives.
-        Where ``a`` holds an assignment, the base of a delta is that, else
-        the committed value; where it holds a delta, the text adds it.
-        During a task no block is new, so ``write_delta``'s branch for a
-        new block is never needed."""
+        ``text`` to address ``a``, inline, in the ``form`` ``_forms`` gives:
+        a delta's base is the assignment ``a`` holds, else the committed
+        value, and the text adds the delta ``a`` holds.  During a task no
+        block is new, so ``write_delta``'s new-block branch is never needed."""
         self.head["nxt"] = "image.next"
         assigned, added, record = form
-        if None in (assigned, added) and not a.isidentifier():
-            a = self.let(a)  # read more than once
+        if (added is None or assigned is None and not assignment) and not a.isidentifier():
+            a = self.let(a)  # read more than once; only a delta reads ``assigned``
         if added is not False:
             self.head["delta"] = "image.delta"
         # ``x`` plus the delta ``a`` holds, if it holds one.

@@ -7,7 +7,6 @@ down the entire remaining sequence; serialized as 16 hex digits.
 from __future__ import annotations
 
 import math
-import re
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -109,6 +108,6 @@ def format_state(state: int) -> str:
 def parse_state(text: str) -> int:
     """The state ``text`` spells in exactly 16 hex digits; a sign, ``0x``,
     ``_`` or blank, which ``int(text, 16)`` takes, raises ``ValueError``."""
-    if not re.fullmatch("[0-9a-fA-F]{16}", text):
+    if len(text) != 16 or text.strip("0123456789abcdefABCDEF"):
         raise ValueError(f"state must be 16 hex digits, got {text!r}")
     return int(text, 16)

@@ -968,8 +968,9 @@ POOL = ("p", "q")
 SCOPES = {"Bug": ("my", "here's", "world's"), "Patch": ("my", "here's", "world's"),
           "World": ("my", "world's")}
 DECORATORS = {"": Decorator.ASSIGN, "delta ": Decorator.DELTA, "d/dt ": Decorator.DIFFERENTIAL}
-# Signed zeros, and magnitudes whose sums and doubles overflow.
-LITERALS = ("0", "-0", "1.5", "-2.5", "1e308", "-1e308")
+# Signed zeros, and magnitudes whose sums and doubles overflow; 6e307, whose
+# double holds and whose sum with 1e308 overflows.
+LITERALS = ("0", "-0", "1.5", "-2.5", "6e307", "1e308", "-1e308")
 WRITES_CONFIG = ("delta_time = 2 s\nsteps = 3\nseed = {seed}\nworld_width = 2 km\n"
                  "world_height = 2 km\npatch_size = 1 km\npopulate 3 Bug\n")
 
@@ -1014,9 +1015,9 @@ def write_case(*tasks):
     return write_model(tasks), tasks, 1
 
 
-def on_one_patch(*tasks):
+def on_one_patch(*tasks, initials=None):
     """``write_case`` with the seed that sets all 3 Bugs on one patch."""
-    return write_model(tasks), tasks, 13
+    return write_model(tasks, initials), tasks, 13
 
 
 def replay_writes(engine: Engine, tasks) -> list | RuntimeAbort:
@@ -1080,6 +1081,13 @@ def replay_writes(engine: Engine, tasks) -> list | RuntimeAbort:
 @example(write_case(("Bug", [("here's", "delta ", "p", "1.5")]), ("Patch", [("my", "", "p", "-2.5")])))
 @example(write_case(("Bug", [("here's", "", "p", "1.5")]), ("Patch", [("my", "delta ", "p", "-2.5")])))
 @example(write_case(("Bug", [("world's", "", "q", "1.5")]), ("Bug", [("world's", "delta ", "q", "-2.5")])))
+# One task's here's writes of one attribute, which a later Bug on the patch
+# meets after all of an earlier one's: a delta, then an assignment, whose
+# base at the second Bug is the first Bug's assignment, as 1e308 plus the
+# deltas' sum overflows; an assignment, then a delta.
+@example(on_one_patch(("Bug", [("here's", "delta ", "p", "6e307"), ("here's", "", "p", "-1e308")]),
+                      initials={"Patch": "1e308"}))
+@example(on_one_patch(("Bug", [("here's", "", "p", "-1e308"), ("here's", "delta ", "p", "6e307")])))
 def test_inline_writes_commit_as_the_image_methods_do(case):
     """Each step's frame, values by repr in dict order, or its abort (text,
     tick, stage, base, attribute) equals a replay through the image's
@@ -1100,6 +1108,24 @@ def test_inline_writes_commit_as_the_image_methods_do(case):
                 expected.attribute)
             return
         assert got == expected
+
+
+def test_a_bug_meets_its_tasks_delta_at_its_own_assignment():
+    """One task's here's assignment, then delta, each of a value that
+    differs by Bug, by 3 Bugs on one patch (seed 13): the second Bug's
+    assignment adds the first Bug's delta, as ``MemoryImage.write`` does,
+    and aborts, though its own delta would bring the sum back."""
+    tasks = [("Bug", [("here's", "", "p", "(my x - 1400 [m]) / 1 [m] * 7e305"),
+                      ("here's", "delta ", "p", "(1400 [m] - my x) / 1 [m] * 7e305")])]
+    engine, _ = build(write_model(tasks), WRITES_CONFIG.format(seed=13))
+    engine.setup()
+    first, second, third = engine.image.performers["Bug"]
+    x = engine.image.vals.__getitem__
+    assert (x(second) - 1400) * 7e305 + (1400 - x(first)) * 7e305 == -math.inf
+    assert math.isfinite((x(second) - 1400) * 7e305) and math.isfinite((x(third) - 1400) * 7e305)
+    with pytest.raises(RuntimeAbort) as abort:
+        engine.step()
+    assert (abort.value.message, abort.value.base) == ("non-finite value -inf for 'p'", second)
 
 
 class TestDirection:
