@@ -459,12 +459,13 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
     World and patches in ``image.performers`` and the RNG state, which it
     returns.  Every write applies the image's commit rule inline, in the
     form ``_forms`` gives it.  A kind's first task that reads ``here``
-    or ``direction`` finds the cell under each performer and keeps it in
-    the kind's table for its later tasks of the tick.  A task fails only
+    or ``direction`` finds the cell under each performer, and its first
+    that reads ``direction`` of a slot builds the field; each is kept for
+    the kind's later tasks of the tick.  A task fails only
     by raising on a line that names its abort site, which ``Engine.step``
     turns into a ``RuntimeAbort``.  The code object is ``_code``'s, shared
     with the engines before and after this one whose source is the same
-    text; the sites, the constants, the cell tables and the grid's
+    text; the sites, the constants, the cell tables, the fields and the grid's
     dimensions and tables are in this engine's namespace, which keeps no
     engine and no task function: a dropped engine is freed, image and
     all, without the cycle collector."""
@@ -518,7 +519,7 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
         **_FUNCTIONS,
     }
     tasks = list(enumerate(zip(engine.model.tasks, _forms(engine.model))))
-    tables: dict[str, str] = {}  # by kind, the name of its table of cells
+    tables: dict = {}  # by kind, its table of cells; by (kind, slot), its field's holder
     lines = [line for i, (task, forms) in tasks
              for line in _Compiler(engine, task, namespace, i, forms, tables).lines]
     source = "\n".join(lines)
@@ -538,12 +539,10 @@ def _code(source: str) -> CodeType:
 
 def _scope(kind: str | None, qualifier: str | None) -> tuple[str, str | None]:
     """The scope (my, world or here) and block kind of an attribute with
-    ``qualifier`` (None, "world" or "here") read or written by a ``kind``."""
-    if qualifier == "world":
-        return "world", "World"
-    if qualifier is None or kind == "Patch":
-        return "my", kind
-    return "here", "Patch"
+    ``qualifier`` (None, "world" or "here") read or written by a ``kind``;
+    an attribute of the performer's own kind is ``my``."""
+    owner = {None: kind, "world": "World", "here": "Patch"}[qualifier]
+    return "my" if owner == kind else qualifier, owner
 
 
 def _forms(model: ast.Model) -> list[list[tuple[bool | None, bool | None, bool]]]:
@@ -587,20 +586,24 @@ def _forms(model: ast.Model) -> list[list[tuple[bool | None, bool | None, bool]]
 _GRID = "edge, columns, last_column, last_row, centre_x, centre_y"
 
 
-def _find_cell(xs: int, ys: int) -> list[str]:
+def _find_cell(x: str, y: str) -> list[str]:
     """The lines that set ``h`` to the index in ``patches`` of the patch
-    under the performer's committed position, in slots ``xs`` and ``ys``,
-    and keep it.  A position past an edge, however far, is on the edge
-    cell.  No operation raises: a committed position is finite and the
-    patch edge positive, and ``floor`` only takes a quotient inside the
+    under the performer's committed position, read into locals ``x`` and
+    ``y``, and keep it.  A position past an edge, however far, is on the
+    edge cell.  No operation raises: a committed position is finite and
+    the patch edge positive, and ``floor`` only takes a quotient inside the
     grid."""
     return [
-        f"qx = vals[b + {xs}] / edge",
-        f"qy = vals[b + {ys}] / edge",
+        f"qx = {x} / edge",
+        f"qy = {y} / edge",
         "h = ((0 if qy < 0.0 else last_row if qy >= last_row else floor(qy)) * columns"
         " + (0 if qx < 0.0 else last_column if qx >= last_column else floor(qx)))",
         "keep(h)",
     ]
+
+
+def _plus(base: str, slot: int) -> str:
+    return f"{base} + {slot}" if slot else base
 
 
 def _is_name_or_literal(text: str) -> bool:
@@ -616,18 +619,22 @@ class _Compiler:
     constant, else to a tuple tree of slots, utilities, functions and
     samplers; the task's bindings are resolved in the performer's scope,
     where no utility of the action is known, and a name that does not
-    resolve raises ``ConfigError``.  The text of an expression inlines reads
-    and operations that cannot fail, and puts each call that can on a line
-    of its own.  A utility is a local computed at first use; where that use
-    is conditional (a spawn count behind a guard), later uses test it for
-    ``None``.  The cell under the performer, ``h``, is found at the top of
-    the loop, whatever guards its uses, by the kind's first task that uses
-    it, which keeps it in the kind's table in ``tables``; the kind's later
-    tasks read it there, as ``bases`` is the same list for every task of
-    a kind in a tick."""
+    resolve raises ``ConfigError``.  The text of an expression inlines
+    operations that cannot fail and puts each call that can on a line of
+    its own.  A committed value cannot change in a step, so each is read
+    into a local once: an own one at the top of the loop, the World's in
+    the head, a patch's once per scope; the address of an own attribute
+    the task writes is a local there too.  A utility is a local computed at
+    first use; where that use is conditional (a spawn count behind a
+    guard), later uses test it for ``None``.  The cell under the
+    performer, ``h``, is found at the top of the loop, whatever guards its
+    uses, by the kind's first task that uses it, which keeps it in the
+    kind's table in ``tables``, as it keeps there the field of each
+    ``direction`` slot it reads; the kind's later tasks read them there,
+    as ``bases`` is the same list for every task of a kind in a tick."""
 
     def __init__(self, engine: Engine, task: ast.TaskDefinition, namespace: dict, i: int,
-                 forms: list, tables: dict[str, str]):
+                 forms: list, tables: dict):
         self.engine, self.namespace = engine, namespace
         self.kind = kind = task.agent
         action = engine.model.action_named(task.action)
@@ -644,23 +651,21 @@ class _Compiler:
         self.lines: list[str] = []
         self.depth, self.temps = 2, 0
         self.target = None  # the attribute of the definition being emitted
-        # The text of what this scope computed: the patch, utilities by index.
+        # The text of what this scope computed: the patch, its values by
+        # address, utilities by index.
         self.known: dict = {}
-        # By local name, what the head reads: the World's base, the patches
-        # and the field of each ``direction`` slot, built if there are bases.
+        # By local name, what the head reads: the World's base and values,
+        # the patches and the field of each ``direction`` slot.
         self.head: dict[str, str] = {}
         self.maybe, self.computing = set(), set()  # utilities perhaps computed, being computed
         self.located = None  # the position slots that find ``h``, once it is used
+        self.tables = tables
+        self.reads, self.writes = set(), set()  # own slots read, own slots past 0 written
         for definition, form in zip(action.definitions, forms):
             self.definition(definition, form)
         for directive in action.lifecycle:
             self.directive(directive)
-        # Utilities perhaps computed start as None; an empty loop gets ``pass``.
-        if self.maybe:
-            self.lines.insert(0, "        " + "".join(f"u{u} = " for u in sorted(self.maybe)) + "None")
-        elif not self.lines:
-            self.lines.append("        pass")
-        loop, clear = "    for b in bases:", []
+        loop, clear, cell = "    for b in bases:", [], []
         if self.located and kind in tables:
             loop = f"    for b, h in zip(bases, {tables[kind]}):"
         elif self.located:
@@ -668,7 +673,15 @@ class _Compiler:
             self.head[_GRID] = "grid"
             self.head["keep"] = f"{table}.append"
             clear = [f"    {table}.clear()"]
-            self.lines[:0] = [f"        {line}" for line in _find_cell(*self.located)]
+            cell = _find_cell(*(self.read(("my", slot)) for slot in self.located))
+        # Utilities perhaps computed start as None; an empty loop gets ``pass``.
+        if self.maybe:
+            cell.append("".join(f"u{u} = " for u in sorted(self.maybe)) + "None")
+        top = [f"a{s} = b + {s}" for s in sorted(self.writes)]
+        top += [f"r{s} = vals[{f'a{s}' if s in self.writes else _plus('b', s)}]" for s in sorted(self.reads)]
+        self.lines[:0] = [f"        {line}" for line in top + cell]
+        if not self.lines:
+            self.lines.append("        pass")
         head = (f"    {name} = {text}" for name, text in self.head.items())
         self.lines[:0] = [f"def task_{i}(vals, bases, events, state):", *head, *clear, loop]
         self.lines.append("    return state")
@@ -682,16 +695,18 @@ class _Compiler:
             value = self.call(("*", 2), [value, self.engine.config.delta_time], pos)
         address, text = self.address(variable, pos), self.value(value)
         site = self.site(f"non-finite value {{}} for {self.target!r}", pos)
-        self.commit(self.place(address), text, assignment, form, site)
+        self.commit(address, text, assignment, form, site)
 
-    def commit(self, a: str, text: str, assignment: bool, form: tuple, site: str) -> None:
+    def commit(self, address, text: str, assignment: bool, form: tuple, site: str) -> None:
         """``MemoryImage.write`` (``write_delta`` if not ``assignment``) of
-        ``text`` to address ``a``, inline, in the ``form`` ``_forms`` gives:
-        a delta's base is the assignment ``a`` holds, else the committed
-        value, and the text adds the delta ``a`` holds.  During a task no
-        block is new, so ``write_delta``'s new-block branch is never needed."""
+        ``text`` to ``address``, inline, in the ``form`` ``_forms`` gives:
+        a delta's base is the assignment the address holds, else the
+        committed value, and the text adds the delta it holds.  During a
+        task no block is new, so ``write_delta``'s new-block branch is never
+        needed."""
         self.head["nxt"] = "image.next"
         assigned, added, record = form
+        a = self.place(address)
         if (added is None or assigned is None and not assignment) and not a.isidentifier():
             a = self.let(a)  # read more than once; only a delta reads ``assigned``
         if added is not False:
@@ -709,8 +724,9 @@ class _Compiler:
                 value = text if not record or _is_name_or_literal(text) else self.let(text)
             if assigned is not False:
                 self.head["assigned"] = "image.assigned"
-            base = {True: f"assigned[{a}]", False: f"vals[{a}]",
-                    None: f"(assigned[{a}] if {a} in assigned else vals[{a}])"}[assigned]
+            read = None if assigned else self.read(address)
+            base = {True: f"assigned[{a}]", False: read,
+                    None: f"(assigned[{a}] if {a} in assigned else {read})"}[assigned]
             committed = self.let(f"{base} + {value}")
         # ``c - c`` is 0.0 for a finite ``c``, and NaN, which is true, for an
         # infinity or a NaN.
@@ -854,23 +870,28 @@ class _Compiler:
 
     def value(self, x) -> str:
         """Text of the value of ``x``, once the statements that compute its
-        parts are emitted.  Reads are inlined: they cannot change in a step."""
+        parts are emitted."""
         if type(x) is not tuple:  # a constant: a literal, or a name if not finite
             return repr(x) if math.isfinite(x) else self.bind(x)
         match x:
             case ("read", address):
-                return f"vals[{self.place(address)}]"
+                return self.read(address)
             case ("utility", index, name, pos):
                 return self.utility(index, name, pos)
             case ("direction", slot, xs, ys):
                 # The heading from the performer to the centre of the patch
-                # ``field`` gives for its cell, 0 if that is its own.
+                # ``field`` gives for its cell, 0 if that is its own.  The
+                # kind's first task that reads the field builds and keeps it.
                 self.head["patches"] = "image.performers['Patch']"
-                self.head[f"f{slot}"] = f"bases and field(vals, patches, {slot})"
+                if (key := (self.kind, slot)) not in self.tables:
+                    self.tables[key] = self.bind([None])
+                    self.head[f"f{slot}"] = f"{self.tables[key]}[0] = bases and field(vals, patches, {slot})"
+                self.head.setdefault(f"f{slot}", f"{self.tables[key]}[0]")
                 self.head[_GRID] = "grid"
                 target = self.let(f"f{slot}[{self.cell(xs, ys)}]")
-                return self.let(f"(0.0 if {target} < 0 else atan2(centre_y[{target}] - vals[b + {ys}], "
-                                f"centre_x[{target}] - vals[b + {xs}]))")
+                x, y = self.read(("my", xs)), self.read(("my", ys))
+                return self.let(f"(0.0 if {target} < 0 else atan2(centre_y[{target}] - {y}, "
+                                f"centre_x[{target}] - {x}))")
             case ("draw", sampler, operands, pos):
                 text = ", ".join(self.value(o) for o in operands)
                 target, prefix = "state, ", ""
@@ -920,16 +941,33 @@ class _Compiler:
         return "h"
 
     def place(self, address) -> str:
-        """Text of the address; for ``here``, emits first, once per scope,
-        the base of the patch in cell ``h``."""
+        """Text of the address, a local if an own one past slot 0; for
+        ``here``, emits first, once per scope, the base of the patch in
+        cell ``h``."""
         match address:
-            case ("my", slot):
-                return f"b + {slot}"
+            case ("my", slot) if slot:
+                self.writes.add(slot)
+                return f"a{slot}"
+            case ("my", _):
+                return "b"
             case ("world", slot):
                 self.head["world"] = "image.performers['World'][0]"
-                return f"world + {slot}"
+                return _plus("world", slot)
             case ("here", slot, xs, ys):
                 self.head["patches"] = "image.performers['Patch']"
                 if "patch" not in self.known:
                     self.known["patch"] = self.let(f"patches[{self.cell(xs, ys)}]")
-                return f"{self.known['patch']} + {slot}"
+                return _plus(self.known["patch"], slot)
+
+    def read(self, address) -> str:
+        """The local that holds the committed value at ``address``."""
+        match address:
+            case ("my", slot):
+                self.reads.add(slot)
+                return f"r{slot}"
+            case ("world", slot):
+                self.head[f"w{slot}"] = f"vals[{self.place(address)}]"
+                return f"w{slot}"
+        if address not in self.known:
+            self.known[address] = self.let(f"vals[{self.place(address)}]")
+        return self.known[address]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import re
 import textwrap
 import types
 import weakref
@@ -40,95 +41,109 @@ EGGS_SOURCE = textwrap.dedent("""\
     def task_0(vals, bases, events, state):
         nxt = image.next
         for b in bases:
-            t1 = vals[b + 2] + 86400.0
+            a2 = b + 2
+            r2 = vals[a2]
+            t1 = r2 + 86400.0
             if t1 - t1: raise ValueError(t1)  # c17
-            nxt[b + 2] = t1
+            nxt[a2] = t1
         return state
     def task_1(vals, bases, events, state):
         nxt = image.next
         for b in bases:
-            t1 = vals[b + 2] + 86400.0
+            a2 = b + 2
+            r2 = vals[a2]
+            t1 = r2 + 86400.0
             if t1 - t1: raise ValueError(t1)  # c18
-            nxt[b + 2] = t1
+            nxt[a2] = t1
         return state
     def task_2(vals, bases, events, state):
         for b in bases:
-            if (vals[b + 2] >= 864000.0):
+            r2 = vals[b + 2]
+            if (r2 >= 864000.0):
                 events.append(('become', b, 'Egg', 'Adult'))
         return state
     def task_3(vals, bases, events, state):
         nxt = image.next
         assigned = image.assigned
         for b in bases:
-            t1 = (vals[b + 0] + 0.2)
+            r0 = vals[b]
+            t1 = (r0 + 0.2)
             t2 = (5.0 if 5.0 < t1 else t1) + 0.0
             if t2 - t2: raise ValueError(t2)  # c19
-            nxt[b + 0] = t2
-            assigned[b + 0] = t2
+            nxt[b] = t2
+            assigned[b] = t2
         return state
     def task_4(vals, bases, events, state):
         patches = image.performers['Patch']
-        f0 = bases and field(vals, patches, 0)
+        f0 = c20[0] = bases and field(vals, patches, 0)
         edge, columns, last_column, last_row, centre_x, centre_y = grid
         nxt = image.next
-        keep = c25.append
-        c25.clear()
+        keep = c26.append
+        c26.clear()
         for b in bases:
-            qx = vals[b + 0] / edge
-            qy = vals[b + 1] / edge
+            a1 = b + 1
+            r0 = vals[b]
+            r1 = vals[a1]
+            qx = r0 / edge
+            qy = r1 / edge
             h = ((0 if qy < 0.0 else last_row if qy >= last_row else floor(qy)) * columns + (0 if qx < 0.0 else last_column if qx >= last_column else floor(qx)))
             keep(h)
             t1 = f0[h]
-            t2 = (0.0 if t1 < 0 else atan2(centre_y[t1] - vals[b + 1], centre_x[t1] - vals[b + 0]))
-            t3 = cos(t2)  # c20
-            state, t4 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c21
-            t5 = vals[b + 0] + ((t3 * t4) * 86400.0)
-            if t5 - t5: raise ValueError(t5)  # c22
-            nxt[b + 0] = t5
-            t6 = sin(t2)  # c23
-            t7 = vals[b + 1] + ((t6 * t4) * 86400.0)
-            if t7 - t7: raise ValueError(t7)  # c24
-            nxt[b + 1] = t7
+            t2 = (0.0 if t1 < 0 else atan2(centre_y[t1] - r1, centre_x[t1] - r0))
+            t3 = cos(t2)  # c21
+            state, t4 = rng.sample_uniform(state, 0.0, 0.005787037037037037)  # c22
+            t5 = r0 + ((t3 * t4) * 86400.0)
+            if t5 - t5: raise ValueError(t5)  # c23
+            nxt[b] = t5
+            t6 = sin(t2)  # c24
+            t7 = r1 + ((t6 * t4) * 86400.0)
+            if t7 - t7: raise ValueError(t7)  # c25
+            nxt[a1] = t7
         return state
     def task_5(vals, bases, events, state):
         patches = image.performers['Patch']
         nxt = image.next
         delta = image.delta
         assigned = image.assigned
-        for b, h in zip(bases, c25):
+        for b, h in zip(bases, c26):
+            a3 = b + 3
+            r3 = vals[a3]
             t1 = patches[h]
-            t2 = (vals[t1 + 0] * 0.25)
-            t3 = (t2 if t2 < 0.3 else 0.3)
-            u0 = (t3 if t3 > 0.0 else 0.0)
-            t4 = (u0 - 0.15)
-            t5 = vals[b + 3] + t4
-            if t5 - t5: raise ValueError(t5)  # c26
-            nxt[b + 3] = t5
-            delta[b + 3] = t4
-            t6 = t1 + 0
-            t7 = (-u0) + delta[t6] if t6 in delta else (-u0)
-            t8 = assigned[t6] + t7
-            if t8 - t8: raise ValueError(t8)  # c27
-            nxt[t6] = t8
-            delta[t6] = t7
+            t2 = vals[t1]
+            t3 = (t2 * 0.25)
+            t4 = (t3 if t3 < 0.3 else 0.3)
+            u0 = (t4 if t4 > 0.0 else 0.0)
+            t5 = (u0 - 0.15)
+            t6 = r3 + t5
+            if t6 - t6: raise ValueError(t6)  # c27
+            nxt[a3] = t6
+            delta[a3] = t5
+            t7 = (-u0) + delta[t1] if t1 in delta else (-u0)
+            t8 = assigned[t1] + t7
+            if t8 - t8: raise ValueError(t8)  # c28
+            nxt[t1] = t8
+            delta[t1] = t7
         return state
     def task_6(vals, bases, events, state):
         nxt = image.next
         delta = image.delta
         for b in bases:
-            t1 = float(floor((vals[b + 3] / 2.0)))  # c28
+            a3 = b + 3
+            r3 = vals[a3]
+            t1 = float(floor((r3 / 2.0)))  # c29
             t2 = (t1 if t1 < 1.0 else 1.0)
             u0 = (t2 if t2 > 0.0 else 0.0)
-            t3 = vals[b + 3] + ((-(u0 * 0.8)) + delta[b + 3])
-            if t3 - t3: raise ValueError(t3)  # c29
-            nxt[b + 3] = t3
+            t3 = r3 + ((-(u0 * 0.8)) + delta[a3])
+            if t3 - t3: raise ValueError(t3)  # c30
+            nxt[a3] = t3
             t4 = (u0 * 2.0)
-            if not 0.0 <= t4 < inf: raise ValueError(t4)  # c30
-            if t4 >= 1.0: events.append(('spawn', b, 'Adult', 'Egg', floor(t4), c31))
+            if not 0.0 <= t4 < inf: raise ValueError(t4)  # c31
+            if t4 >= 1.0: events.append(('spawn', b, 'Adult', 'Egg', floor(t4), c32))
         return state
     def task_7(vals, bases, events, state):
         for b in bases:
-            if (vals[b + 3] < 0.3):
+            r3 = vals[b + 3]
+            if (r3 < 0.3):
                 events.append(('die', b))
         return state
 """)
@@ -141,11 +156,11 @@ def test_eggs_source_is_pinned():
 # sha256 of every model's generated source; move.rmd and move_delta.rmd
 # compile to the same text.
 SOURCE_SHA256 = {
-    "age": "399ffd8b072fc748c6d1af4c77da50445f09f05d63fbb3b3e04dc6feef879ad8",
-    "eggs": "e455b9672a771d37eaf733668be1a3de219b45d311ccdbc2eaa81073eef6d738",
-    "memo": "9ad7175d612b85260a961ec3bd9cbb8063f559568e850b9050969f56de7db135",
-    "move": "2278eb0a4b8b953f8f1df6067e1b89c24fda0159a9c8b1c71c057bd30a5598d7",
-    "move_delta": "2278eb0a4b8b953f8f1df6067e1b89c24fda0159a9c8b1c71c057bd30a5598d7",
+    "age": "40f38ba03d50423c4c8b88bfdf91b6c07d3a5b3df1a83de5cc573226aa5718d6",
+    "eggs": "d7b777f0c866d3055193edae9d956a201e3e6c4f65169ded6a8ba7c1ef827e90",
+    "memo": "99ef1bcc826fcdd296342c4de76293adf028b772a1f19a00124262ff7bf508ca",
+    "move": "250bc9546c08a9caea282d21a9dd69de21d77833a5cbb7809b03bd5fe62b827e",
+    "move_delta": "250bc9546c08a9caea282d21a9dd69de21d77833a5cbb7809b03bd5fe62b827e",
 }
 
 
@@ -173,6 +188,54 @@ def test_compiled_module_holds_no_engine(name):
     for _, task in built.plan:
         for value in task.__globals__.values():
             assert not isinstance(value, (Engine, ast.Node, *weakref.ProxyTypes))
+
+
+def assert_each_value_read_once(source: str) -> None:
+    """No task's loop holds one ``vals[...]`` text twice, and no address in
+    the source ends in ``+ 0``: a committed value cannot change in a step,
+    so each is read into a local once, and slot 0 of a block is its base."""
+    for task in source.split("def task_")[1:]:
+        loop = "".join(line for line in task.splitlines(True) if line.startswith("        "))
+        reads = re.findall(r"vals\[[^]]*\]", loop)
+        assert len(reads) == len(set(reads)), task
+        assert not re.search(r"\+ 0(?![.\d])", task), task
+
+
+# Bugs that read their own, their patch's and the World's values several
+# times: first in a spawn count, behind its guard, then in a later guard.
+GUARDED_READS_MODEL = """\
+World with
+    q [] = 2 [].
+
+Patch with
+    p [] = 1 [].
+
+Bug is B with
+    e [] = 1 [].
+
+to breed is
+    my spawn Bug' = here's p + my e when world's q > my e
+    my die when here's p + my e > world's q * my e.
+
+Bug breed.
+"""
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))
+def test_each_committed_value_is_read_once(name):
+    assert_each_value_read_once(engine(name).source)
+
+
+def test_a_value_read_behind_a_guard_is_read_once():
+    """Each Bug's ``e`` is read once, at the top of the loop, and a step
+    commits the spawns: each of 3 Bugs spawns ``p + e`` = 2."""
+    config = "delta_time = 1 day\nsteps = 1\nseed = 3\npopulate 3 Bug\n"
+    built = Engine(parse_model(GUARDED_READS_MODEL), parse_config(config), InMemoryBackend())
+    assert_each_value_read_once(built.source)
+    assert built.source.count("vals[b + 2]") == 1
+    built.setup()
+    built.step()
+    assert len(built.image.performers["Bug"]) == 3 * (1 + 2)
 
 
 def codes(built: Engine) -> list[types.CodeType]:

@@ -1,8 +1,10 @@
 """Engine semantics: setup, stepping, lifecycle, evaluation."""
 import dataclasses
+import functools
 import gc
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -24,6 +26,7 @@ from remodyc.interp import (
 from remodyc.memory import FileBackend, InMemoryBackend, MemoryImage, TraceFrame
 from remodyc.parser import parse_model
 from remodyc.typecheck import check_model
+from test_generated_source import assert_each_value_read_once
 
 DAY = 86400.0
 
@@ -975,11 +978,16 @@ WRITES_CONFIG = ("delta_time = 2 s\nsteps = 3\nseed = {seed}\nworld_width = 2 km
                  "world_height = 2 km\npatch_size = 1 km\npopulate 3 Bug\n")
 
 
+# A World task's ``world's`` writes hit its one block once, as its own do:
+# each commits in the own form, with no test of ``delta``.
+WORLD_OWN_WRITES = ("World", [("world's", "delta ", "q", "1.5"), ("my", "delta ", "q", "1.5")])
+
+
 def write_model(tasks, initials: dict[str, str] | None = None) -> str:
     """The model of ``tasks``, each ``(kind, [(scope, decorator, attribute,
-    value)])``, a value being a literal or a committed ``(scope,
-    attribute)``; ``initials`` gives each kind's initial value of every
-    attribute of the pool, default 1."""
+    value)])``, a value being a literal or the sum of a tuple of one or two
+    committed ``(scope, attribute)``; ``initials`` gives each kind's initial
+    value of every attribute of the pool, default 1."""
     initials = initials or {}
     declarations = "".join(
         f"{head} with\n" + "\n".join(f"    {a} [] = {initials.get(kind, '1')} []" for a in POOL)
@@ -989,7 +997,7 @@ def write_model(tasks, initials: dict[str, str] | None = None) -> str:
     actions = "".join(
         f"to t{i} is\n" + "\n".join(
             f"    {scope} {decorator}{attribute}' = "
-            + (value if isinstance(value, str) else " ".join(value))
+            + (value if isinstance(value, str) else " + ".join(map(" ".join, value)))
             for scope, decorator, attribute, value in definitions
         ) + ".\n"
         for i, (_, definitions) in enumerate(tasks)
@@ -1004,7 +1012,8 @@ def write_cases(draw):
     for _ in range(draw(st.integers(2, 4))):
         kind = draw(st.sampled_from(sorted(SCOPES)))
         scope, attribute = st.sampled_from(SCOPES[kind]), st.sampled_from(POOL)
-        value = st.sampled_from(LITERALS) | st.tuples(scope, attribute)
+        reads = st.lists(st.tuples(scope, attribute), min_size=1, max_size=2).map(tuple)
+        value = st.sampled_from(LITERALS) | reads
         definition = st.tuples(scope, st.sampled_from(sorted(DECORATORS)), attribute, value)
         tasks.append((kind, draw(st.lists(definition, min_size=1, max_size=3))))
     initials = {kind: draw(st.sampled_from(("0", "1", "2.5", "1e308"))) for kind in SCOPES}
@@ -1045,8 +1054,11 @@ def replay_writes(engine: Engine, tasks) -> list | RuntimeAbort:
     for kind, definitions in tasks:
         for b in image.performers[kind]:
             for scope, decorator, attribute, value in definitions:
-                value = (float(value) if isinstance(value, str)
-                         else image.vals[address(kind, b, *value)])
+                if isinstance(value, str):
+                    value = float(value)
+                else:  # the committed values added left to right, as the source does
+                    value = functools.reduce(
+                        operator.add, (image.vals[address(kind, b, *read)] for read in value))
                 if DECORATORS[decorator] is Decorator.DIFFERENTIAL:
                     value *= config.delta_time
                 write = image.write if decorator == "" else image.write_delta
@@ -1081,6 +1093,13 @@ def replay_writes(engine: Engine, tasks) -> list | RuntimeAbort:
 @example(write_case(("Bug", [("here's", "delta ", "p", "1.5")]), ("Patch", [("my", "", "p", "-2.5")])))
 @example(write_case(("Bug", [("here's", "", "p", "1.5")]), ("Patch", [("my", "delta ", "p", "-2.5")])))
 @example(write_case(("Bug", [("world's", "", "q", "1.5")]), ("Bug", [("world's", "delta ", "q", "-2.5")])))
+# A World task's world's delta, which is its own, then its my delta.
+@example(write_case(WORLD_OWN_WRITES))
+# Values read twice in a definition, across definitions and across scopes.
+@example(on_one_patch(("Bug", [("my", "delta ", "p", (("my", "p"), ("here's", "p"))),
+                               ("here's", "delta ", "p", (("here's", "p"), ("here's", "p"))),
+                               ("world's", "", "q", (("world's", "q"), ("my", "p")))]),
+                      ("World", [("my", "delta ", "q", (("world's", "q"), ("my", "q")))])))
 # One task's here's writes of one attribute, which a later Bug on the patch
 # meets after all of an earlier one's: a delta, then an assignment, whose
 # base at the second Bug is the first Bug's assignment, as 1e308 plus the
@@ -1091,9 +1110,10 @@ def replay_writes(engine: Engine, tasks) -> list | RuntimeAbort:
 def test_inline_writes_commit_as_the_image_methods_do(case):
     """Each step's frame, values by repr in dict order, or its abort (text,
     tick, stage, base, attribute) equals a replay through the image's
-    methods."""
+    methods; the source reads each committed value once."""
     model, tasks, seed = case
     engine, _ = build(model, WRITES_CONFIG.format(seed=seed))
+    assert_each_value_read_once(engine.source)
     engine.setup()
     for _ in range(3):
         expected = replay_writes(engine, tasks)
@@ -1126,6 +1146,29 @@ def test_a_bug_meets_its_tasks_delta_at_its_own_assignment():
     with pytest.raises(RuntimeAbort) as abort:
         engine.step()
     assert (abort.value.message, abort.value.base) == ("non-finite value -inf for 'p'", second)
+
+
+WORLD_OWN_SOURCE = """\
+def task_0(vals, bases, events, state):
+    nxt = image.next
+    delta = image.delta
+    for b in bases:
+        a1 = b + 1
+        r1 = vals[a1]
+        t1 = r1 + 1.5
+        if t1 - t1: raise ValueError(t1)  # c17
+        nxt[a1] = t1
+        delta[a1] = 1.5
+        t2 = r1 + (1.5 + delta[a1])
+        if t2 - t2: raise ValueError(t2)  # c18
+        nxt[a1] = t2
+    return state"""
+
+
+def test_a_world_tasks_world_writes_are_its_own():
+    engine, _ = build(write_model([WORLD_OWN_WRITES]), WRITES_CONFIG.format(seed=1))
+    assert engine.source == WORLD_OWN_SOURCE
+    assert interp._forms(engine.model) == [[(False, False, True), (False, True, False)]]
 
 
 class TestDirection:
@@ -1445,11 +1488,14 @@ def test_direction_tasks_of_one_tick_read_the_committed_frame():
     assert [committed[b] - read[b] for b in patches] == [10, 0, 10, 0, 10, 0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("walkers, slots", [(0, []), (2, [0, 1])])
-def test_direction_fields_are_built_once_per_task_call_with_performers(walkers, slots):
-    """A task builds the field of each ``direction`` slot it reads once per
-    call, and none in a tick where it has no performers."""
-    engine, _ = build(TWO_FIELDS_MODEL, GRID_CONFIG + f"populate {walkers} Walker\n")
+@pytest.mark.parametrize("model, walkers, slots", [
+    (TWO_FIELDS_MODEL, 0, []), (TWO_FIELDS_MODEL, 2, [0, 1]), (TWO_SENSING_TASKS_MODEL, 2, [0]),
+], ids=["two-fields-no-walkers", "two-fields", "two-sensing-tasks"])
+def test_direction_fields_are_built_once_per_kind_and_tick_with_performers(model, walkers, slots):
+    """A kind's first task that reads the field of a ``direction`` slot
+    builds it once a tick, and its later tasks reuse it; none is built in
+    a tick where the kind has no performers."""
+    engine, _ = build(model, GRID_CONFIG + f"populate {walkers} Walker\n")
     engine.setup()
     namespace, calls = engine.plan[1][1].__globals__, []
     field = namespace["field"]
