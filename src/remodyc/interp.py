@@ -623,10 +623,12 @@ class _Compiler:
     operations that cannot fail and puts each call that can on a line of
     its own.  A committed value cannot change in a step, so each is read
     into a local once: an own one at the top of the loop, the World's in
-    the head, a patch's once per scope; the address of an own attribute
-    the task writes is a local there too.  A utility is a local computed at
-    first use; where that use is conditional (a spawn count behind a
-    guard), later uses test it for ``None``.  The cell under the
+    the head, a patch's at the top of the loop too, after the patch's base,
+    whatever guards its uses.  The address of an attribute past slot 0 the
+    task writes, its own or its patch's, is a local there as well; a patch
+    slot it only reads is read as ``vals[tN + s]``.  A utility is a local
+    computed at first use; where that use is conditional (a spawn count
+    behind a guard), later uses test it for ``None``.  The cell under the
     performer, ``h``, is found at the top of the loop, whatever guards its
     uses, by the kind's first task that uses it, which keeps it in the
     kind's table in ``tables``, as it keeps there the field of each
@@ -642,6 +644,13 @@ class _Compiler:
             raise _config_error(f"task names unknown agent {kind!r}", task.pos)
         if action is None:
             raise _config_error(f"task names unknown action {task.action!r}", task.pos)
+        # By key, the local that holds what the top of the loop finds: the
+        # base of the patch under the performer (by 0, as it is the address
+        # of slot 0), the address of each patch slot past 0 the task writes
+        # (by slot) and the patch's values (by address); and the attributes
+        # the task writes as ``here``'s.
+        self.found, self.here = {}, {d.variable.identifier for d in action.definitions
+                                     if d.variable.agent == "here"}
         # Each bound expression is resolved once, before any placeholder or
         # utility of the action is known: substitution is a single pass.
         self.index, self.bindings = {}, {}
@@ -651,8 +660,7 @@ class _Compiler:
         self.lines: list[str] = []
         self.depth, self.temps = 2, 0
         self.target = None  # the attribute of the definition being emitted
-        # The text of what this scope computed: the patch, its values by
-        # address, utilities by index.
+        # The text of each utility this scope computed, by index.
         self.known: dict = {}
         # By local name, what the head reads: the World's base and values,
         # the patches and the field of each ``direction`` slot.
@@ -707,8 +715,8 @@ class _Compiler:
         self.head["nxt"] = "image.next"
         assigned, added, record = form
         a = self.place(address)
-        if (added is None or assigned is None and not assignment) and not a.isidentifier():
-            a = self.let(a)  # read more than once; only a delta reads ``assigned``
+        if not a.isidentifier():  # only ``world + s``, written by another kind
+            a = self.let(a)
         if added is not False:
             self.head["delta"] = "image.delta"
         # ``x`` plus the delta ``a`` holds, if it holds one.
@@ -832,10 +840,12 @@ class _Compiler:
 
     def address(self, variable: ast.AttributeVariable, pos):
         """The attribute ``variable`` names, as ``("my" | "world", slot)`` or
-        ``("here", slot, x slot, y slot)``."""
+        ``("here", slot, x slot, y slot, whether the task writes it)``."""
         scope, kind = _scope(self.kind, variable.agent)
         slot = self.slot(kind, variable.identifier, pos)
-        return (scope, slot, *self.position(pos)) if scope == "here" else (scope, slot)
+        if scope == "here":
+            return scope, slot, *self.position(pos), variable.identifier in self.here
+        return scope, slot
 
     def position(self, pos) -> tuple[int, int]:
         """The performer's position slots, which find the patch under it."""
@@ -861,11 +871,11 @@ class _Compiler:
 
     def block(self, header: str, body: Callable[[], None]) -> None:
         """``header`` over what ``body`` emits; a utility computed there is
-        perhaps computed after it, and nothing else is known."""
+        perhaps computed after it, and no other utility is known."""
         self.emit(header)
         known, self.depth = dict(self.known), self.depth + 1
         body()
-        self.maybe.update(i for i in self.known if isinstance(i, int) and i not in known)
+        self.maybe.update(self.known.keys() - known)
         self.known, self.depth = known, self.depth - 1
 
     def value(self, x) -> str:
@@ -941,23 +951,22 @@ class _Compiler:
         return "h"
 
     def place(self, address) -> str:
-        """Text of the address, a local if an own one past slot 0; for
-        ``here``, emits first, once per scope, the base of the patch in
-        cell ``h``."""
+        """Text of the address, a local if past slot 0 and an own one or a
+        ``here`` one the task writes; for ``here``, finds first the base of
+        the patch in cell ``h``."""
         match address:
-            case ("my", slot) if slot:
+            case ("my", 0):
+                return "b"
+            case ("my", slot):
                 self.writes.add(slot)
                 return f"a{slot}"
-            case ("my", _):
-                return "b"
             case ("world", slot):
                 self.head["world"] = "image.performers['World'][0]"
                 return _plus("world", slot)
-            case ("here", slot, xs, ys):
+            case ("here", slot, xs, ys, written):
                 self.head["patches"] = "image.performers['Patch']"
-                if "patch" not in self.known:
-                    self.known["patch"] = self.let(f"patches[{self.cell(xs, ys)}]")
-                return _plus(self.known["patch"], slot)
+                text = _plus(self.find(0, f"patches[{self.cell(xs, ys)}]"), slot)
+                return self.find(slot, text) if written else text
 
     def read(self, address) -> str:
         """The local that holds the committed value at ``address``."""
@@ -968,6 +977,13 @@ class _Compiler:
             case ("world", slot):
                 self.head[f"w{slot}"] = f"vals[{self.place(address)}]"
                 return f"w{slot}"
-        if address not in self.known:
-            self.known[address] = self.let(f"vals[{self.place(address)}]")
-        return self.known[address]
+        return self.find(address, f"vals[{self.place(address)}]")
+
+    def find(self, key, text: str) -> str:
+        """The local that holds ``text``, which cannot fail, computed once at
+        the top of the loop, whatever guards its uses."""
+        if key not in self.found:  # the lines found so far open the body
+            self.temps += 1
+            self.lines.insert(len(self.found), f"        t{self.temps} = {text}")
+            self.found[key] = f"t{self.temps}"
+        return self.found[key]

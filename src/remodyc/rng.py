@@ -1,8 +1,16 @@
 """Deterministic random numbers.
 
-A single SplitMix64 stream drives every draw in a run.  State is one
-64-bit integer threaded through pure functions, so a stored state pins
-down the entire remaining sequence; serialized as 16 hex digits.
+A single SplitMix64 stream (Steele, Lea & Flood, "Fast Splittable
+Pseudorandom Number Generators", OOPSLA 2014) drives every draw in a run.
+State is one 64-bit integer threaded through pure functions, so a stored
+state pins down the entire remaining sequence; serialized as 16 hex digits.
+
+``next_raw`` and ``next_unit`` are the reference step and unit draw, and
+every sampler but ``sample_uniform`` draws through them.
+``sample_uniform``, the draw a run makes most, takes the same step inline
+in its own frame, one Python call per draw; it must return, bit for bit,
+the state and value ``next_unit`` gives, which ``tests/test_rng.py``
+checks.
 """
 from __future__ import annotations
 
@@ -34,21 +42,28 @@ def next_unit(state: int) -> tuple[int, float]:
     return state, (word >> 11) * 2.0**-53
 
 
+# The inverse of GAMMA modulo 2**64, which counts steps between states.
+_GAMMA_INVERSE = pow(GAMMA, -1, 1 << 64)
+
+
 def draws_between(before: int, after: int) -> int:
     """How many times the stream advanced from one state to the other.
 
     The state moves by a fixed odd increment, so the count is exact
     modular arithmetic, not an estimate.
     """
-    return (((after - before) & MASK) * pow(GAMMA, -1, 1 << 64)) & MASK
+    return (((after - before) & MASK) * _GAMMA_INVERSE) & MASK
 
 
 def sample_uniform(state: int, low: float, high: float) -> tuple[int, float]:
-    """Always consumes exactly one draw, even when low == high."""
+    """Always consumes exactly one draw, even when low == high: the
+    ``next_raw`` step and the ``next_unit`` scaling, inline."""
     if low > high:
         raise ValueError("uniform bounds must satisfy low <= high")
-    state, u = next_unit(state)
-    return state, low + u * (high - low)
+    state = (state + GAMMA) & MASK
+    z = ((state ^ (state >> 30)) * _MIX1) & MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK
+    return state, low + ((z ^ (z >> 31)) >> 11) * 2.0**-53 * (high - low)
 
 
 def sample_normal(state: int, mean: float, sigma: float) -> tuple[int, float]:

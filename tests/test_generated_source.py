@@ -191,13 +191,17 @@ def test_compiled_module_holds_no_engine(name):
 
 
 def assert_each_value_read_once(source: str) -> None:
-    """No task's loop holds one ``vals[...]`` text twice, and no address in
-    the source ends in ``+ 0``: a committed value cannot change in a step,
-    so each is read into a local once, and slot 0 of a block is its base."""
+    """No task's loop holds one ``vals[...]`` or ``patches[...]`` text
+    twice, nor one patch address past slot 0 (``tN + s``), and no address
+    in the source ends in ``+ 0``: a committed value cannot change in a
+    step, so each value, patch base and address is found once, and slot 0
+    of a block is its base."""
     for task in source.split("def task_")[1:]:
         loop = "".join(line for line in task.splitlines(True) if line.startswith("        "))
-        reads = re.findall(r"vals\[[^]]*\]", loop)
+        reads = re.findall(r"(?:vals|patches)\[[^]]*\]", loop)
         assert len(reads) == len(set(reads)), task
+        addresses = re.findall(r"\bt\d+ \+ \d+\b(?![.e])", loop)
+        assert len(addresses) == len(set(addresses)), task
         assert not re.search(r"\+ 0(?![.\d])", task), task
 
 
@@ -227,12 +231,15 @@ def test_each_committed_value_is_read_once(name):
 
 
 def test_a_value_read_behind_a_guard_is_read_once():
-    """Each Bug's ``e`` is read once, at the top of the loop, and a step
-    commits the spawns: each of 3 Bugs spawns ``p + e`` = 2."""
+    """Each Bug's ``e``, its patch's base and the patch's ``p`` are found
+    once, at the top of the loop, though a guard holds their first use,
+    and a step commits the spawns: each of 3 Bugs spawns ``p + e`` = 2."""
     config = "delta_time = 1 day\nsteps = 1\nseed = 3\npopulate 3 Bug\n"
     built = Engine(parse_model(GUARDED_READS_MODEL), parse_config(config), InMemoryBackend())
     assert_each_value_read_once(built.source)
     assert built.source.count("vals[b + 2]") == 1
+    loop = built.source.partition("keep(h)\n")[2]
+    assert loop.startswith("        t1 = patches[h]\n        t2 = vals[t1]\n        if ")
     built.setup()
     built.step()
     assert len(built.image.performers["Bug"]) == 3 * (1 + 2)

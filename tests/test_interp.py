@@ -1171,6 +1171,51 @@ def test_a_world_tasks_world_writes_are_its_own():
     assert interp._forms(engine.model) == [[(False, False, True), (False, True, False)]]
 
 
+# One task's here's read and delta of the Patch's ``q``, past slot 0, and a
+# later task's read of it alone.
+HERE_READ_WRITES = [("Bug", [("my", "delta ", "q", (("here's", "q"),)),
+                             ("here's", "delta ", "q", (("here's", "q"), ("here's", "p")))]),
+                    ("Bug", [("my", "", "p", (("here's", "q"),))])]
+HERE_READ_WRITES_LOOPS = """\
+        t1 = patches[h]
+        t2 = t1 + 1
+        t3 = vals[t2]
+        t5 = vals[t1]
+        t4 = r3 + t3
+        if t4 - t4: raise ValueError(t4)  # c17
+        nxt[a3] = t4
+        t6 = (t3 + t5) + delta[t2] if t2 in delta else (t3 + t5)
+        t7 = t3 + t6
+        if t7 - t7: raise ValueError(t7)  # c18
+        nxt[t2] = t7
+        delta[t2] = t6
+    return state
+def task_1(vals, bases, events, state):
+    patches = image.performers['Patch']
+    nxt = image.next
+    for b, h in zip(bases, c19):
+        a2 = b + 2
+        t1 = patches[h]
+        t2 = vals[t1 + 1]
+        t3 = t2 + 0.0
+        if t3 - t3: raise ValueError(t3)  # c20
+        nxt[a2] = t3
+    return state"""
+
+
+def test_a_here_address_read_and_written_is_found_once():
+    """A task that reads and writes a patch's slot past 0 finds its address
+    once, at the top of the loop, and reads the value there; a task that
+    only reads it reads ``vals[t1 + 1]``.  By 3 Bugs on one patch (seed
+    13), each step equals the replay through the image's methods."""
+    engine, _ = build(write_model(HERE_READ_WRITES), WRITES_CONFIG.format(seed=13))
+    assert engine.source.partition("keep(h)\n")[2] == HERE_READ_WRITES_LOOPS
+    engine.setup()
+    for _ in range(3):
+        expected = replay_writes(engine, HERE_READ_WRITES)
+        assert [(a, repr(v)) for a, v in engine.step().values.items()] == expected
+
+
 class TestDirection:
     def grid_engine(self):
         engine, _ = build(

@@ -3,7 +3,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from remodyc import rng
 
@@ -48,6 +48,35 @@ def test_unit_draws_are_53_bit(seed=7):
     _, units = take_units(rng.seed_state(seed), 1000)
     assert all(0.0 <= u < 1.0 for u in units)
     assert all(u == (w >> 11) * 2.0**-53 for u, w in zip(units, reference_words(seed, 1000)))
+
+
+# Bounds for the inline uniform draw: signed zeros, the least subnormal,
+# whose spans a reassociated scale loses, and spans up to one that
+# overflows to infinity, where a zero draw gives NaN.
+UNIFORM_BOUNDS = [0.0, -0.0, 5e-324, -5e-324, 0.1, 1.0, -2.5, 6.283185307179586, 1e308, -1e308]
+# The state whose next unit draw is exactly 0.0.
+ZERO_DRAW = (-rng.GAMMA) & rng.MASK
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.sampled_from(UNIFORM_BOUNDS), st.sampled_from(UNIFORM_BOUNDS))
+@example(ZERO_DRAW, -1e308, 1e308)
+@example(ZERO_DRAW, -0.0, 0.0)
+@example(ZERO_DRAW, 5e-324, 5e-324)
+@example(0, 0.0, 5e-324)  # a draw above one half rounds up to the least subnormal
+def test_inline_uniform_draw_equals_its_reference(state, low, high):
+    """``sample_uniform`` takes the SplitMix64 step inline; its state and
+    value are, bit for bit, ``next_unit``'s draw scaled onto the bounds,
+    in one draw, and inverted bounds raise."""
+    if low > high:
+        with pytest.raises(ValueError, match="^uniform bounds must satisfy low <= high$"):
+            rng.sample_uniform(state, low, high)
+        return
+    after, value = rng.sample_uniform(state, low, high)
+    reference, u = rng.next_unit(state)
+    assert after == reference
+    assert value.hex() == (low + u * (high - low)).hex()
+    assert rng.draws_between(state, after) == 1
 
 
 class TestDrawCounts:
@@ -151,7 +180,7 @@ class TestDistributions:
     def test_loglogistic_takes_a_zero_draw_as_the_least_one(self):
         """From this state the next unit draw is exactly 0.0, which the
         sampler replaces by 2**-53, the least draw above it, in one draw."""
-        state = (-rng.GAMMA) & rng.MASK
+        state = ZERO_DRAW
         assert rng.next_unit(state)[1] == 0.0
         after, value = rng.sample_loglogistic(state, 2.0, 3.0)
         assert value == (2**-53 / (1 - 2**-53)) ** (1 / 3.0) * 2.0
