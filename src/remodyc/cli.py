@@ -1,12 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 model or configuration errors (and a run
-directory that does not hold what it should, a tick that ``verify`` does
-not recompute as stored or finds in a form the writer does not write,
-and a recorded abort it does not recompute as recorded included), 2 I/O
-problems (a failed census stdout
-included: the run still keeps every frame), 3 a run aborted
-mid-simulation (completed frames are kept on disk).
+directory that does not hold what it should, a stored frame that does
+not fit its model, a tick that ``verify`` does not recompute as stored or
+finds in a form the writer does not write, and a recorded abort it does
+not recompute as recorded included), 2 I/O problems (a failed census
+stdout, after which the run still keeps every frame, and a trace file
+that cannot be read included), 3 a run aborted mid-simulation (completed
+frames are kept on disk).
 """
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ import argparse
 import math
 import os
 import sys
-from contextlib import closing, suppress
+from contextlib import closing, contextmanager, suppress
 from itertools import chain
 from pathlib import Path
 
 from . import TRACE_FORMAT_VERSION, ast
-from .interp import ConfigError, Engine, RuntimeAbort, parse_config
+from .interp import ConfigError, Engine, RuntimeAbort, SimulationConfig, frame_refusal, parse_config
 from .memory import CountingBackend, FileBackend, StorageBackend, TraceFrame
 from .parser import SourceError, format_number, parse_model, pretty_print
 from .typecheck import check_model, errors_only
@@ -142,9 +143,9 @@ def _run(args) -> int:
     meta_path, backend = None, CountingBackend()
     if args.out:
         run_dir = Path(args.out)
-        if run_dir.exists() and any(run_dir.iterdir()):
-            raise _Failure(2, f"run directory {run_dir} is not empty")
         try:
+            if run_dir.exists() and any(run_dir.iterdir()):
+                raise _Failure(2, f"run directory {run_dir} is not empty")
             run_dir.mkdir(parents=True, exist_ok=True)
             (run_dir / "model.rmd").write_text(model_text)
             meta_path = run_dir / "meta.txt"
@@ -191,13 +192,27 @@ def _abort_at(abort: RuntimeAbort) -> str:
     return " ".join(f"{key}={value}" for key, value in fields.items() if value is not None)
 
 
-def _open_run_dir(path: str) -> tuple[FileBackend, ast.Model, list[tuple[str, str]]]:
-    """The trace, the model and the ``meta.txt`` lines, as (key, value)
-    pairs, of the run directory at ``path``."""
+@contextmanager
+def _reading():
+    """A trace that the reader refuses (``ValueError``) exits 1 with its
+    text, and one that cannot be read (``OSError``) exits 2, naming it."""
+    try:
+        yield
+    except ValueError as err:
+        raise _Failure(1, str(err))
+    except OSError as err:
+        raise _Failure(2, f"cannot read {err.filename}: {err.strerror}")
+
+
+def _open_run_dir(path: str) -> tuple[FileBackend, ast.Model, SimulationConfig, dict[str, str]]:
+    """The trace, the model, the config and the ``meta.txt`` lines, by key,
+    of the run directory at ``path``; the config is read back from
+    ``meta.txt``, and one that does not parse is refused on its line."""
     run_dir = Path(path)
-    if not (run_dir / "meta.txt").exists():  # written before any trace file
+    meta_path = run_dir / "meta.txt"
+    if not meta_path.exists():  # written before any trace file
         raise _Failure(2, f"{path} is not a run directory")
-    lines = [line.partition("=")[::2] for line in _read_text(run_dir / "meta.txt").splitlines()]
+    lines = [line.partition("=")[::2] for line in _read_text(meta_path).splitlines()]
     meta = dict(lines)
     if meta.get("version") != TRACE_FORMAT_VERSION:
         raise _Failure(
@@ -206,38 +221,37 @@ def _open_run_dir(path: str) -> tuple[FileBackend, ast.Model, list[tuple[str, st
             f"(expected {TRACE_FORMAT_VERSION})",
         )
     _, model = _parse_model_file(str(run_dir / "model.rmd"))
+    # One config line per meta.txt line, so that a refusal names its line.
+    text = "\n".join(f"{key} = {value}" if key in _SETTINGS
+                     else f"populate {value}" if key == "populate" else ""
+                     for key, value in lines)
     try:
-        return FileBackend(run_dir), model, lines
-    except ValueError as err:  # the last rng.csv row, which counts the frames, is refused
-        raise _Failure(1, str(err))
+        config = parse_config(text)
+    except ConfigError as err:
+        raise _Failure(1, f"{meta_path}: {err}")
+    with _reading():  # the last rng.csv row, which counts the frames
+        return FileBackend(run_dir), model, config, meta
 
 
 def _replay(args) -> int:
-    backend, model, _ = _open_run_dir(args.run_dir)
-    try:
+    backend, model, config, _ = _open_run_dir(args.run_dir)
+    with _reading():
         frame = backend.load_frame(args.tick)
-    except ValueError as err:
-        raise _Failure(1, str(err))
     # The frame is checked against the model before anything is printed.
-    rows = []
-    for base, (kind, _) in frame.animats.items():
-        if (agent := model.agent_named(kind)) is None:
-            raise _Failure(1, f"tick {args.tick}: unknown stage {kind!r} at address {base}")
-        for slot, declaration in enumerate(agent.all_attributes):
-            if base + slot not in frame.values:
-                raise _Failure(1, f"tick {args.tick}: no value at address {base + slot}")
-            rows.append((base + slot, kind, declaration))
+    if refusal := frame_refusal(model, config, frame, args.tick):
+        raise _Failure(1, refusal)
     print("address,stage,attribute,value")
-    for address, kind, declaration in rows:
-        stored, unit = frame.values[address], declaration.unit
-        value, label = stored / unit.scale, unit.label or ""
-        # Past the declared unit's range (inf, or 0 from a stored nonzero): SI
-        if not math.isfinite(value) or (value == 0 and stored != 0):
-            value, label = stored, format_unit(unit)[1:-1]
-        rendered = format_number(value)
-        if label:
-            rendered += f" {label}"
-        print(f"{address},{kind},{declaration.identifier},{rendered}")
+    for base, (kind, _) in frame.animats.items():
+        for slot, declaration in enumerate(model.agent_named(kind).all_attributes):
+            stored, unit = frame.values[base + slot], declaration.unit
+            value, label = stored / unit.scale, unit.label or ""
+            # Past the declared unit's range (inf, or 0 from a stored nonzero): SI
+            if not math.isfinite(value) or (value == 0 and stored != 0):
+                value, label = stored, format_unit(unit)[1:-1]
+            rendered = format_number(value)
+            if label:
+                rendered += f" {label}"
+            print(f"{base + slot},{kind},{declaration.identifier},{rendered}")
     return 0
 
 
@@ -269,37 +283,30 @@ def _step(model: ast.Model, config, frame: TraceFrame, tick: int) -> TraceFrame:
 
 
 def _verify(args) -> int:
-    """Recompute each stored tick after the first from the stored one
-    before it, and check that each stored tick's rows are, byte for byte,
-    what the writer writes for the frame loaded.  An abort that
-    ``meta.txt`` records with a stage is recomputed too: a step of the
-    last stored tick must abort as ``abort=`` and ``abort_at=`` say.  One
-    without a stage (the set-up ceiling, an I/O or a memory failure) is
-    not."""
-    backend, model, meta = _open_run_dir(args.run_dir)
+    """Check each stored tick against the model (``frame_refusal``),
+    recompute each one after the first from the stored one before it, and
+    check that each stored tick's rows are, byte for byte, what the writer
+    writes for the frame loaded.  An abort that ``meta.txt`` records with
+    a stage is recomputed too: a step of the last stored tick must abort
+    as ``abort=`` and ``abort_at=`` say.  One without a stage (the set-up
+    ceiling, an I/O or a memory failure) is not."""
+    backend, model, config, recorded = _open_run_dir(args.run_dir)
     meta_path = Path(args.run_dir) / "meta.txt"
-    # One config line per meta.txt line, so that a refusal names its line.
-    text = "\n".join(f"{key} = {value}" if key in _SETTINGS
-                     else f"populate {value}" if key == "populate" else ""
-                     for key, value in meta)
-    try:
-        config = parse_config(text)
-    except ConfigError as err:
-        raise _Failure(1, f"{meta_path}: {err}")
     _diagnose(model, str(Path(args.run_dir) / "model.rmd"), config)
     frames = backend.frame_count()
-    try:
-        with closing(backend.written(map(backend.load_frame, range(1, frames + 1)))) as loaded:
-            stored = next(loaded, None)
-            for tick, following in enumerate(loaded, 1):
+    with _reading(), closing(backend.written(map(backend.load_frame, range(1, frames + 1)))) as loaded:
+        stored = None
+        for tick, frame in enumerate(loaded, 1):
+            if refusal := frame_refusal(model, config, frame, tick):
+                raise _Failure(1, refusal)
+            if tick > 1:
                 try:
-                    recomputed = _step(model, config, stored, tick)
+                    recomputed = _step(model, config, stored, tick - 1)
                 except RuntimeAbort as abort:
-                    raise _Failure(1, f"tick {tick + 1} is not recomputed: aborted: {abort.render()}")
-                if recomputed != following:
-                    raise _Failure(1, f"tick {tick + 1} differs from a step of tick {tick}")
-                stored = following
-        recorded = dict(meta)
+                    raise _Failure(1, f"tick {tick} is not recomputed: aborted: {abort.render()}")
+                if recomputed != frame:
+                    raise _Failure(1, f"tick {tick} differs from a step of tick {tick - 1}")
+            stored = frame
         at = dict(field.partition("=")[::2] for field in recorded.get("abort_at", "").split())
         if "stage" in at:
             if stored is None:
@@ -312,8 +319,6 @@ def _verify(args) -> int:
                         raise _Failure(1, f"{meta_path}: {key}= is not what a step of tick {frames} gives: {text}")
             else:
                 raise _Failure(1, f"{meta_path}: a step of tick {frames} does not abort")
-    except ValueError as err:
-        raise _Failure(1, str(err))
     print(f"{max(frames - 1, 0)} ticks recomputed as stored")
     if "stage" in at:
         print(f"the abort recomputed as recorded: {recorded['abort']}")
@@ -323,15 +328,13 @@ def _verify(args) -> int:
 
 
 def _chart(args) -> int:
-    backend, model, _ = _open_run_dir(args.run_dir)
+    backend, model, _, _ = _open_run_dir(args.run_dir)
     stage = model.agent_named(args.stage)
     if not isinstance(stage, ast.StageDefinition):
         raise _Failure(1, f"unknown stage {args.stage!r}")
-    try:
+    with _reading():  # a trace file without its header, or a row it cannot hold
         counts = [[kind for kind, _ in backend.load_animats(tick).values()].count(args.stage)
                   for tick in range(1, backend.frame_count() + 1)]
-    except ValueError as err:  # a trace file without its header, or a row it cannot hold
-        raise _Failure(1, str(err))
     print("tick,count")
     for tick, count in enumerate(counts, 1):
         print(f"{tick},{count}")

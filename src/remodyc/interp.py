@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, filterfalse, groupby, islice, product, repeat, starmap
+from itertools import chain, groupby, islice, product, repeat, starmap
 from types import CodeType
 from typing import Callable, Iterable, Iterator
 
 from . import ast, rng
-from .memory import MemoryImage, StorageBackend, TraceFrame
+from .memory import MemoryImage, StorageBackend, TraceFrame, layout_refusal
 from .units import UnitError, parse_unit, same_dimension
 
 SECONDS = parse_unit("s")
@@ -315,23 +314,11 @@ class Engine:
 
     def resume(self, tick: int) -> None:
         """Continue a stored run from the state after ``tick``; a frame that
-        does not hold the model's blocks, each with a value for every slot of
-        its kind, raises ``ValueError``, changing nothing."""
+        is not one of the model (``frame_refusal``) raises ``ValueError``
+        with its text, changing nothing."""
         frame = self.backend.load_frame(tick)
-        counts = Counter(kind for kind, _ in frame.animats.values())
-        if unknown := sorted(counts.keys() - self.slots.keys()):
-            raise ValueError(f"tick {tick}: unknown stage {unknown[0]!r}")
-        for kind, blocks in fixed_blocks(self.model, self.config).items():
-            if counts[kind] != blocks:
-                raise ValueError(f"tick {tick}: {counts[kind]} {kind} blocks, the model has {blocks}")
-        # Every block's slots in one pass in C; the lowest missing one is
-        # looked for only if there is one.
-        held, animats = frame.values.__contains__, frame.animats
-        sizes = map(len, map(self.slots.__getitem__, map(operator.itemgetter(0), animats.values())))
-        blocks = list(map(range, animats, map(operator.add, animats, sizes)))
-        if not all(map(held, chain.from_iterable(blocks))):
-            missing = min(filterfalse(held, chain.from_iterable(blocks)))
-            raise ValueError(f"tick {tick}: no value at address {missing}")
+        if refusal := frame_refusal(self.model, self.config, frame, tick):
+            raise ValueError(refusal)
         self.image.apply_frame(frame, tick)
         self.rng_state = frame.rng_state
 
@@ -450,6 +437,15 @@ def setup_refusal(model: ast.Model, config: SimulationConfig) -> str | None:
     blocks = sum(fixed_blocks(model, config).values()) + sum(n for n, _ in config.populations)
     message = f"setup needs {blocks} animats, over the ceiling of {MAX_ANIMATS}"
     return message if blocks > MAX_ANIMATS else None
+
+
+def frame_refusal(model: ast.Model, config: SimulationConfig, frame: TraceFrame, tick: int) -> str | None:
+    """Why ``frame``, stored as ``tick``, is not a frame of ``model`` run
+    with ``config``, as ``resume`` and ``remodyc replay`` refuse it; None
+    if it is one: ``layout_refusal`` with each kind's block size, its slot
+    count or one for a kind with none, and ``fixed_blocks``."""
+    sizes = {agent.name: max(len(agent.all_attributes), 1) for agent in model.agents}
+    return layout_refusal(frame, tick, sizes, fixed_blocks(model, config))
 
 
 def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tuple], str]:

@@ -11,7 +11,8 @@ Besides the values the image keeps only the animats
 and each kind's bases in order; two rules give the rest.  A block's values
 run from its base up to the next base in ``animats`` or the first address
 that holds no value; and a new animat takes the index after the one its
-stage's highest block holds.  A commit costs what changed plus one pass
+stage's highest block holds; ``layout_refusal`` checks a stored frame
+against the first.  A commit costs what changed plus one pass
 over the performers of each kind that lost a block: ``store`` drops the
 blocks killed during the tick from the animats and ``next``, once each,
 and from their kinds' performers in those passes, however few died;
@@ -46,11 +47,13 @@ refuses it.
 from __future__ import annotations
 
 import abc
+import operator
 import os
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import chain, count, cycle, filterfalse, repeat
-from math import inf
+from math import copysign, inf
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -651,3 +654,44 @@ class MemoryImage:
         frame = backend.load_frame(tick)
         self.apply_frame(frame, tick)
         return frame.rng_state
+
+
+def layout_refusal(frame: TraceFrame, tick: int, sizes: dict[str, int],
+                   fixed: dict[str, int]) -> str | None:
+    """Why ``frame``, stored as ``tick``, does not fit a model whose kinds
+    are those of ``sizes``, each block of a kind ``sizes[kind]`` slots, and
+    that has ``fixed[kind]`` blocks of each kind ``fixed`` names; None if
+    it fits.  Every block's kind is one of ``sizes``; each kind of
+    ``fixed`` numbers as it says; and the values are exactly the blocks'
+    slots, the layout rule ``MemoryImage.apply_frame`` reads a frame by:
+    each block holds its size from its base on, no address is in two
+    blocks and no value is in none.  Of the faults of the layout, the one
+    at the lowest address is named.  No value is -0.0, which no commit
+    writes."""
+    animats, values = frame.animats, frame.values
+    bases = sorted(animats)
+    kinds = [animats[base][0] for base in bases]
+    counts = Counter(kinds)
+    if unknown := counts.keys() - sizes.keys():
+        base = next(base for base, kind in zip(bases, kinds) if kind in unknown)
+        return f"tick {tick}: unknown stage {animats[base][0]!r} at address {base}"
+    for kind, blocks in fixed.items():
+        if counts[kind] != blocks:
+            return f"tick {tick}: {counts[kind]} {kind} blocks, the model has {blocks}"
+    # Every block's slots, in base order, against the addresses in one
+    # compare in C; a fault is looked for only if there is one.
+    ends = list(map(operator.add, bases, map(sizes.__getitem__, kinds)))
+    slots = list(chain.from_iterable(map(range, bases, ends)))
+    if slots != sorted(values):
+        held, kept = values.keys(), set(slots)
+        faults = [(base, f"the block at address {base} overlaps the one at address {before}")
+                  for before, base, end in zip(bases, bases[1:], ends) if base < end]
+        faults += [(address, f"no value at address {address}") for address in kept - held]
+        faults += [(address, f"the value at address {address} is in no block")
+                   for address in held - kept]
+        return f"tick {tick}: {min(faults)[1]}"
+    # Only a zero can be -0.0, and ``==`` does not tell it from 0.0.
+    if -1.0 in map(copysign, repeat(1.0), filter(operator.not_, values.values())):
+        address = min(a for a, value in values.items() if not value and copysign(1.0, value) < 0)
+        return f"tick {tick}: the value at address {address} is -0"
+    return None

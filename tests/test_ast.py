@@ -140,3 +140,17 @@ Adult is Grasshopper with
     assert model.agent_named("Adult") is model.stages[0]
     assert model.agent_named("World") is model.world
     assert model.action_named("nope") is None
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda one: ast.Arithmetics("%", (one, one)), "bad operator '%'"),
+    (lambda one: ast.Arithmetics("+", (one,)), "bad arity for '+'"),
+    (lambda one: ast.Arithmetics("-", (one, one, one)), "bad arity for '-'"),
+    (lambda one: ast.Comparison(one, "==", one), "bad relational operator '=='"),
+], ids=["operator", "unary plus", "three operands", "relation"])
+def test_a_node_the_grammar_cannot_give_is_refused(build, message):
+    """An operator node is checked when built, so one built in code that no
+    source could spell raises ``ValueError``."""
+    with pytest.raises(ValueError) as refused:
+        build(parse_expression("1"))
+    assert str(refused.value) == message

@@ -1,13 +1,14 @@
 """The command line: exit codes, run directories, replay output."""
 import errno
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from remodyc import cli, interp
+from remodyc import cli, interp, rng
 from remodyc.cli import main
 from remodyc.interp import parse_config
 from remodyc.memory import FileBackend
@@ -183,6 +184,12 @@ class TestRun:
         out = tree / "run.cfg" / "sub"
         assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out) == 2
         assert capsys.readouterr().err == f"cannot prepare {out}: Not a directory\n"
+
+    def test_out_a_regular_file_exits_2(self, tree, capsys):
+        out = tree / "run.cfg"
+        assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out) == 2
+        assert capsys.readouterr() == ("", f"cannot prepare {out}: Not a directory\n")
+        assert out.read_text() == CONFIG
 
     def test_type_errors_block_run(self, tree):
         bad = tree / "bad.rmd"
@@ -488,20 +495,48 @@ class TestReplay:
     def test_rejects_non_run_dir(self, tree):
         assert invoke("replay", tree, 1) == 2
 
+    # Each fault as a row of a trace file of tick {t}, what replaces it and
+    # the text naming it, on a run of ``MODEL`` with a World and one Patch:
+    # the World at address 1, the Patch at 2 and Eggs at 3 and 6, each of x,
+    # y and age.
     @pytest.mark.parametrize("name, row, replacement, message", [
-        ("frames.csv", "3,3,", "", "tick 3: no value at address 3"),
-        ("animats.csv", "3,3,Egg,", "3,3,Larva,1\n", "tick 3: unknown stage 'Larva' at address 3"),
-    ], ids=["missing address", "unknown stage"])
+        ("frames.csv", "{t},3,", "", "tick {t}: no value at address 3"),
+        ("animats.csv", "{t},3,Egg,", "{t},3,Larva,1\n", "tick {t}: unknown stage 'Larva' at address 3"),
+        ("animats.csv", "{t},1,World,", "", "tick {t}: 0 World blocks, the model has 1"),
+        ("animats.csv", "{t},2,Patch,", "", "tick {t}: 0 Patch blocks, the model has 1"),
+        ("animats.csv", "{t},6,Egg,", "{t},5,Egg,2\n",
+         "tick {t}: the block at address 5 overlaps the one at address 3"),
+        ("animats.csv", "{t},6,Egg,", "", "tick {t}: the value at address 6 is in no block"),
+        ("frames.csv", "{t},5,", "{t},5,-0\n", "tick {t}: the value at address 5 is -0"),
+    ], ids=["missing address", "unknown stage", "no World", "a Patch missing", "overlapping blocks",
+            "a value in no block", "negative zero"])
     def test_frame_the_model_does_not_fit_prints_nothing(
-            self, run_dir, capsys, name, row, replacement, message):
+            self, tree, capsys, name, row, replacement, message):
         """A frame is checked against ``model.rmd`` before its first row is
-        printed; one that does not fit exits 1 with one line naming it."""
-        path = run_dir / name
-        lines = path.read_text().splitlines(keepends=True)
-        assert sum(line.startswith(row) for line in lines) == 1
-        path.write_text("".join(replacement if line.startswith(row) else line for line in lines))
-        assert invoke("replay", run_dir, 3) == 1
-        assert capsys.readouterr() == ("", message + "\n")
+        printed; one that does not fit exits 1 with one line naming it.
+        ``verify`` exits 1 with that line, for a fault in the first tick and
+        in the last, and ``resume`` raises it, changing nothing."""
+        model = "World with\n    warmth [] = 1 [].\n\n" + MODEL
+        (tree / "world.rmd").write_text(model)
+        config = CONFIG.replace("steps = 3", "steps = 2").replace("world_width = 2 km", "world_width = 1 km")
+        (tree / "world.cfg").write_text(config)
+        clean = tree / "clean"
+        assert invoke("run", tree / "world.rmd", tree / "world.cfg", "--out", clean) == 0
+        capsys.readouterr()
+        for tick in (1, 3):
+            out = tree / f"tick{tick}"
+            shutil.copytree(clean, out)
+            TestVerify.edit(out / name, row.format(t=tick), replacement.format(t=tick))
+            text = message.format(t=tick)
+            assert invoke("replay", out, tick) == 1
+            assert capsys.readouterr() == ("", text + "\n")
+            assert invoke("verify", out) == 1
+            assert capsys.readouterr() == ("", text + "\n")
+            engine = interp.Engine(parse_model(model), parse_config(config), FileBackend(out))
+            with pytest.raises(ValueError) as refused:
+                engine.resume(tick)
+            assert str(refused.value) == text
+            assert (engine.image.vals, engine.image.ticks, engine.rng_state) == ({}, 0, rng.seed_state(1))
 
 
 # The abort entries that ``remodyc run`` runs to their abort: all but the
@@ -551,14 +586,16 @@ class TestVerify:
 
     def test_the_config_is_read_from_meta(self, run_dir, capsys):
         """A delta_time edited in meta.txt recomputes tick 2 otherwise; one
-        that is not a number is refused on its meta.txt line."""
+        that is not a number is refused on its meta.txt line, by ``verify``,
+        ``replay`` and ``chart`` alike."""
         meta = run_dir / "meta.txt"
         self.edit(meta, "delta_time=", "delta_time=3600\n")
         assert invoke("verify", run_dir) == 1
         assert capsys.readouterr() == ("", "tick 2 differs from a step of tick 1\n")
         self.edit(meta, "delta_time=", "delta_time=x\n")
-        assert invoke("verify", run_dir) == 1
-        assert capsys.readouterr() == ("", f"{meta}: line 3: bad number 'x'\n")
+        for command in (("verify",), ("replay", 1), ("chart", "Egg")):
+            assert invoke(command[0], run_dir, *command[1:]) == 1
+            assert capsys.readouterr() == ("", f"{meta}: line 3: bad number 'x'\n")
 
     def test_a_recomputation_that_aborts_is_named_by_its_tick(self, run_dir, capsys):
         model = run_dir / "model.rmd"
@@ -876,6 +913,19 @@ class TestFmt:
         assert invoke("check", path) == 1
         assert capsys.readouterr().err == pinned
 
+    def test_a_failed_write_exits_2_and_leaves_the_file(self, tree, capsys, monkeypatch):
+        messy = tree / "messy.rmd"
+        messy.write_text("Egg is Grasshopper with\n      age   [day].\n")
+
+        def read_only(path, *args, **kwargs):
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+
+        monkeypatch.setattr(Path, "write_text", read_only)
+        assert invoke("fmt", messy) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", f"cannot write {messy}: {os.strerror(errno.EROFS)}\n")
+        assert messy.read_text() == "Egg is Grasshopper with\n      age   [day].\n"
+
     def test_unparseable_left_untouched(self, tree, capsys):
         broken = tree / "broken.rmd"
         original = "Egg is\n"
@@ -963,6 +1013,22 @@ class TestRunFailures:
         assert invoke("replay", out, 1) == 1
         assert invoke("chart", out, "Egg") == 1
         assert capsys.readouterr().err.count("does not start with 'tick,base_address") == 2
+
+    @pytest.mark.parametrize("name, command", [
+        ("frames.csv", ("replay", 1)), ("frames.csv", ("verify",)),
+        ("rng.csv", ("replay", 1)), ("rng.csv", ("verify",)), ("rng.csv", ("chart", "Egg")),
+    ], ids=["frames-replay", "frames-verify", "rng-replay", "rng-verify", "rng-chart"])
+    def test_a_trace_file_that_cannot_be_read_exits_2(self, tree, capsys, name, command):
+        """A trace file that is a directory: ``frames.csv`` fails a load on
+        its ``open``, and ``rng.csv`` opening the run directory, which reads
+        its last row."""
+        out = tree / "run"
+        assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out) == 0
+        (out / name).unlink()
+        (out / name).mkdir()
+        capsys.readouterr()
+        assert invoke(command[0], out, *command[1:]) == 2
+        assert capsys.readouterr() == ("", f"cannot read {out / name}: {os.strerror(errno.EISDIR)}\n")
 
     @pytest.mark.parametrize(
         "name, row, text",

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from remodyc import cli, interp, rng
-from remodyc.ast import ActionDefinition, Decorator, TaskDefinition
+from remodyc.ast import ActionDefinition, Decorator, PatchDefinition, TaskDefinition
 from remodyc.interp import (
     ConfigError,
     Engine,
@@ -1345,7 +1345,9 @@ def two_fields(draw):
 def test_direction_field_matches_the_scan(case):
     """Each committed heading equals the scan's, bit for bit, on two steps
     from a frame of any patch values and positions, and on a step after
-    ``resume`` loads the last frame again."""
+    the last frame is loaded again.  A position may be -0.0, which no
+    commit writes and so ``resume`` refuses: the frames are loaded by
+    ``MemoryImage.load``, the load ``resume`` makes once a frame fits."""
     columns, rows, edge, grass, water, walkers = case
     config = parse_config(
         "delta_time = 1 day\nsteps = 3\nseed = 1\n"
@@ -1364,7 +1366,7 @@ def test_direction_field_matches_the_scan(case):
     backend = InMemoryBackend()
     backend.append_frame(TraceFrame(values, laid_out.animats, laid_out.rng_state))
     engine = Engine(model, config, backend)
-    engine.resume(1)
+    engine.rng_state = engine.image.load(backend, 1)
     assert engine.image.performers["Patch"] == patches
 
     def step_matches_scan():
@@ -1378,7 +1380,7 @@ def test_direction_field_matches_the_scan(case):
 
     step_matches_scan()
     step_matches_scan()
-    engine.resume(3)
+    engine.rng_state = engine.image.load(backend, 3)
     step_matches_scan()
 
 
@@ -1648,17 +1650,23 @@ class TestResume:
         engine.backend.frames[1] = TraceFrame(values, animats, frame.rng_state)
         return engine
 
+    # Frame 2 holds the World at address 1, Patches at 2-101 and Eggs of
+    # x, y and age from 102 on, every 3 addresses, the last at 198.
     @pytest.mark.parametrize("change, message", [
         (lambda animats, _: animats.update({max(animats): ("Larva", 1)}),
-         "tick 2: unknown stage 'Larva'"),
+         "tick 2: unknown stage 'Larva' at address 198"),
         (lambda animats, _: animats.pop(1), "tick 2: 0 World blocks, the model has 1"),
         (lambda animats, _: animats.pop(min(b for b, (k, _) in animats.items() if k == "Patch")),
          "tick 2: 99 Patch blocks, the model has 100"),
         # Address 104 is the age of Egg 1, whose block starts at 102.
         (lambda _, values: values.pop(104), "tick 2: no value at address 104"),
         (_two_slots_missing, "tick 2: no value at address 104"),
+        (lambda animats, _: animats.update({104: animats.pop(105)}),
+         "tick 2: the block at address 104 overlaps the one at address 102"),
+        (lambda animats, _: animats.pop(105), "tick 2: the value at address 105 is in no block"),
+        (lambda _, values: values.update({104: -0.0}), "tick 2: the value at address 104 is -0"),
     ], ids=["undeclared stage", "no World", "a Patch missing", "a slot without a value",
-            "two slots without a value"])
+            "two slots without a value", "overlapping blocks", "a value in no block", "negative zero"])
     def test_resume_refuses_a_frame_without_the_models_blocks(self, change, message):
         engine = self.doctored(change)
         vals, state = engine.image.vals, engine.rng_state
@@ -1666,6 +1674,28 @@ class TestResume:
             engine.resume(2)
         assert str(refused.value) == message
         assert engine.image.vals is vals and (engine.image.ticks, engine.rng_state) == (2, state)
+
+    def test_a_kind_without_attributes_holds_one_slot(self):
+        """A Patch declared in code with no attribute takes one slot a
+        block, holding 0, and a frame of such blocks fits the model:
+        a replica resumed from tick 1 rewrites the run."""
+        model = parse_model(self.model())
+        model = dataclasses.replace(model, agents=tuple(
+            PatchDefinition(()) if isinstance(agent, PatchDefinition) else agent
+            for agent in model.agents))
+        config = parse_config(self.config())
+        backend = InMemoryBackend()
+        Engine(model, config, backend).run()
+        first = backend.load_frame(1)
+        assert [first.values[base] for base in range(1, 5)] == [0.0] * 4
+        assert [first.animats[base][0] for base in range(1, 6)] == ["Patch"] * 4 + ["Egg"]
+        assert all(interp.frame_refusal(model, config, frame, tick) is None
+                   for tick, frame in enumerate(backend.frames, 1))
+        replica = Engine(model, config, InMemoryBackend())
+        replica.backend.append_frame(first)
+        replica.resume(1)
+        for tick in range(2, 7):
+            assert replica.step() == backend.load_frame(tick)
 
     def model(self):
         return (

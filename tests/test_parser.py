@@ -11,7 +11,7 @@ from remodyc.parser import (
     pretty_print,
     tokenize,
 )
-from remodyc.units import parse_unit
+from remodyc.units import div_units, parse_unit
 
 STAGES = """\
 Adult is Grasshopper with
@@ -411,3 +411,13 @@ def test_format_expression_examples():
         format_expression(parse_expression("uniform 0 [km/day] to 0.5 [km/day]"))
         == "uniform 0 [km/day] to 0.5 [km/day]"
     )
+
+
+def test_a_unit_without_a_label_prints_in_si():
+    """A unit built in code, not read from source, has no spelling to keep:
+    it prints as its SI form, which reads back as the same unit."""
+    speed = div_units(parse_unit("m"), parse_unit("s"))
+    assert speed.label is None
+    literal = ast.Literal(3.0, speed)
+    assert format_expression(literal) == "3 [m.s^-1]"
+    assert parse_expression(format_expression(literal)) == literal
