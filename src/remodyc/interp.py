@@ -340,6 +340,7 @@ class Engine:
                 raise  # not reached: a line without a site only does float arithmetic, finds a cell, calls field or atan2 or appends an event; none raises
             message, stage, pos, attribute = site
             base = task.tb_frame.f_locals["b"]  # the performer
+            del task  # else a cycle: its frame's f_back is this frame
             raise RuntimeAbort(message.format(err), self.image.ticks + 1, stage, pos,
                                base=base, index=self.image.animats[base][1],
                                attribute=attribute)
@@ -384,7 +385,7 @@ class Engine:
             abort: list[RuntimeAbort] = []
             self._allocate(stage[0], chain.from_iterable(starmap(repeat, self._births(run, abort))))
             if abort:
-                raise abort[0]
+                raise abort.pop()  # its traceback holds this frame, which then holds no abort
 
     def _births(self, run: Iterable[tuple], abort: list) -> Iterator[tuple[list[float], int]]:
         """``(row, count)`` for each birth of ``run``, a run of births of one
@@ -464,7 +465,7 @@ def _compile(engine: Engine) -> tuple[list[tuple[str, Callable]], dict[int, tupl
     text; the sites, the constants, the cell tables, the fields and the grid's
     dimensions and tables are in this engine's namespace, which keeps no
     engine and no task function: a dropped engine is freed, image and
-    all, without the cycle collector."""
+    all, without the cycle collector, whether or not it aborted."""
     image, config, inf = engine.image, engine.config, math.inf
     columns, rows, edge = config.patches_x, config.patches_y, config.patch_size
     # By padded cell, in row order on the grid with a border of one cell

@@ -12,6 +12,11 @@ the one a rule expects; an exponent overflow from a unit rule becomes a
 diagnostic at the expression being typed, in ``infer_type`` alone; and
 ``_ARITY``, the builtin functions and their operand counts, is read off
 ``interp._CALLS``, the one table of them.
+
+A raised diagnostic is caught and recorded in ``_record`` alone, which
+drops its traceback, and none is raised while another exception is
+handled, so none chains one.  Each diagnostic is a plain value, and
+checking builds no reference cycle: its garbage is freed as it goes.
 """
 from __future__ import annotations
 
@@ -152,7 +157,8 @@ def infer_type(e: ast.Expression, scope: Scope) -> Unit:
     try:
         return rule(e, scope)
     except DimensionOverflowError as err:
-        raise TypeCheckError(str(err), e.pos)
+        message = str(err)
+    raise TypeCheckError(message, e.pos)  # outside the handler: chains no error
 
 
 def _placeholder_type(e: ast.PlaceholderRef, scope: Scope) -> Unit:
@@ -238,9 +244,8 @@ def _apply_type(e: ast.Apply, scope: Scope) -> Unit:
             try:
                 return sqrt_unit(argument)
             except UnitError:
-                raise TypeCheckError(
-                    "'sqrt' needs even exponents in its argument's dimension", e.pos
-                )
+                pass  # raised below, outside the handler: chains no UnitError
+            raise TypeCheckError("'sqrt' needs even exponents in its argument's dimension", e.pos)
         case "abs" | "floor" | "ceiling", argument:
             return argument
         case "min" | "max", left, right:
@@ -265,32 +270,26 @@ _RULES = {
 }
 
 
+def _record(diagnostics: list[TypeCheckError], judge, *args):
+    """What ``judge(*args)`` returns, or None if it raises a
+    ``TypeCheckError``: that diagnostic goes to ``diagnostics`` without
+    its traceback, whose frames hold ``diagnostics``, a reference cycle."""
+    try:
+        return judge(*args)
+    except TypeCheckError as err:
+        diagnostics.append(err.with_traceback(None))
+    return None
+
+
 def check_action(action: ast.ActionDefinition, scope: Scope) -> list[TypeCheckError]:
     """Check one action in an already-resolved scope."""
     diagnostics: list[TypeCheckError] = []
-
-    def attempt(run):
-        try:
-            run()
-        except TypeCheckError as err:
-            diagnostics.append(err)
-
     for utility in action.utilities:
-        attempt(lambda u=utility: scope.utility_unit(u.identifier, u.pos))
-
+        _record(diagnostics, scope.utility_unit, utility.identifier, utility.pos)
     for definition in action.definitions:
-        attempt(lambda d=definition: _check_definition(d, scope))
-
-    performer_is_stage = isinstance(scope.performer, ast.StageDefinition)
+        _record(diagnostics, _check_definition, definition, scope)
     for directive in action.lifecycle:
-        if not performer_is_stage:
-            diagnostics.append(
-                TypeCheckError(
-                    "lifecycle directives need a stage performer", directive.pos
-                )
-            )
-            continue
-        attempt(lambda d=directive: _check_directive(d, scope))
+        _record(diagnostics, _check_directive, directive, scope)
     return diagnostics
 
 
@@ -308,6 +307,8 @@ def _check_definition(definition: ast.AttributeDefinition, scope: Scope) -> None
 
 
 def _check_directive(directive: ast.LifecycleDirective, scope: Scope) -> None:
+    if not isinstance(scope.performer, ast.StageDefinition):
+        raise TypeCheckError("lifecycle directives need a stage performer", directive.pos)
     if isinstance(directive, (ast.StageTransition, ast.Spawn)):
         name = directive.target if isinstance(directive, ast.StageTransition) else directive.stage
         target = scope.model.agent_named(name) if scope.model else None
@@ -347,26 +348,30 @@ def _utility_cycle(uses: dict[str, list[str]]) -> str | None:
     each utility to the names its expression uses."""
     done: set[str] = set()
     path: set[str] = set()
-
-    def visit(name: str) -> str | None:
-        if name in path:
-            return name
-        if name in done:
-            return None
-        path.add(name)
-        for successor in uses[name]:
-            if successor in uses:
-                found = visit(successor)
-                if found is not None:
-                    return found
-        path.discard(name)
-        done.add(name)
-        return None
-
     for name in uses:
-        found = visit(name)
+        found = _visit(name, uses, path, done)
         if found is not None:
             return found
+    return None
+
+
+def _visit(name: str, uses: dict[str, list[str]], path: set[str], done: set[str]) -> str | None:
+    """A utility on a cycle through ``name`` or a utility it reaches, by a
+    depth-first walk from ``name`` along ``path``; ``done`` holds those
+    walked from and found on no cycle.  Not a closure of
+    ``_utility_cycle``, which would refer to itself through its cell."""
+    if name in path:
+        return name
+    if name in done:
+        return None
+    path.add(name)
+    for successor in uses[name]:
+        if successor in uses:
+            found = _visit(successor, uses, path, done)
+            if found is not None:
+                return found
+    path.discard(name)
+    done.add(name)
     return None
 
 
@@ -449,11 +454,11 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
         performer_scope = Scope(model, performer)
         placeholder_units: dict[str, Unit] = {}
         for name, expression in task.bindings:
-            try:
-                placeholder_units[name] = infer_type(expression, performer_scope)
-            except TypeCheckError as err:
-                diagnostics.append(err)
+            unit = _record(diagnostics, infer_type, expression, performer_scope)
+            if unit is None:
                 usable = False
+            else:
+                placeholder_units[name] = unit
         if not usable:
             continue
 

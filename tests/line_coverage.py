@@ -18,6 +18,7 @@ import os
 import sys
 import threading
 import types
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
@@ -53,23 +54,26 @@ def listed_lines() -> dict[tuple[str, str], str]:
 def traced_run(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
     """pytest's exit code, and by source file the lines that ran."""
     ran: dict[Path, set[int]] = {path: set() for path in SOURCE.glob("*.py")}
-    # By code file name as the interpreter gives it, its set in ``ran``, or
-    # None for a file outside ``src/remodyc``.
-    by_name: dict[str, set[int] | None] = {}
+    # By code file name as the interpreter gives it, the local trace
+    # function that adds each line run to its set in ``ran``, or None for a
+    # file outside ``src/remodyc``.  One per file: a local trace function
+    # returns itself, so one made per call would be a reference cycle, and
+    # a test that counts what the cycle collector finds would count it.
+    by_name: dict[str, Callable | None] = {}
 
-    def trace(frame, event, arg):
-        name = frame.f_code.co_filename
-        if (lines := by_name.get(name, ...)) is ...:
-            lines = by_name[name] = ran.get(Path(os.path.realpath(name)))
-        if lines is None:
-            return None
-        lines.add(frame.f_lineno)
-
+    def recorder(lines: set[int]) -> Callable:
         def local(frame, event, arg):
             lines.add(frame.f_lineno)
             return local
 
         return local
+
+    def trace(frame, event, arg):
+        name = frame.f_code.co_filename
+        if (local := by_name.get(name, ...)) is ...:
+            lines = ran.get(Path(os.path.realpath(name)))
+            local = by_name[name] = None if lines is None else recorder(lines)
+        return None if local is None else local(frame, event, arg)
 
     threading.settrace(trace)
     sys.settrace(trace)

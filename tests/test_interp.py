@@ -26,6 +26,7 @@ from remodyc.interp import (
 from remodyc.memory import FileBackend, InMemoryBackend, MemoryImage, TraceFrame
 from remodyc.parser import parse_model
 from remodyc.typecheck import check_model
+from test_abort_texts import ABORTS, CONFIG as ABORT_CONFIG
 from test_generated_source import assert_each_value_read_once
 
 DAY = 86400.0
@@ -949,13 +950,37 @@ class TestCompiledTasks:
         engine.step()
         assert calls == {"write": 0, "write_delta": 0}
 
-    def test_dropped_engine_is_freed_without_the_cycle_collector(self):
+    @pytest.mark.parametrize("case, abort_tick", [
+        ("clean run", None), ("model failure in run", 2), ("model failure in step", 2),
+        ("spawn over the ceiling", 9),
+    ])
+    def test_dropped_engine_is_freed_without_the_cycle_collector(self, monkeypatch, case,
+                                                                 abort_tick):
+        """An engine dropped after a clean run, or with its abort after a
+        division by zero (through ``run`` or ``step``) or a spawn over the
+        ceiling, is freed by reference counting, image and all."""
         models = Path(__file__).resolve().parent.parent / "models"
-        config = (models / "eggs.cfg").read_text().replace("steps = 200", "steps = 12")
+        model, config = (models / "eggs.rmd").read_text(), (models / "eggs.cfg").read_text()
+        if case == "clean run":
+            config = config.replace("steps = 200", "steps = 12")
+        elif case == "spawn over the ceiling":
+            monkeypatch.setattr(interp, "MAX_ANIMATS", 140)
+        else:
+            model, config = ABORTS["division-by-zero"][0], ABORT_CONFIG
+        gc.collect()
         gc.disable()
         try:
-            engine, _ = build((models / "eggs.rmd").read_text(), config)
-            engine.run()
+            engine, _ = build(model, config)
+            tick = None
+            try:
+                if case == "model failure in step":
+                    engine.setup()
+                    engine.step()
+                else:
+                    engine.run()
+            except RuntimeAbort as abort:
+                tick = abort.tick
+            assert tick == abort_tick
             dropped = weakref.ref(engine), weakref.ref(engine.image)
             del engine
             assert [ref() for ref in dropped] == [None, None]

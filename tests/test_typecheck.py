@@ -1,4 +1,5 @@
 """Unit inference and model checking."""
+import gc
 import math
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 import remodyc.ast as ast
 from remodyc import interp, typecheck
-from remodyc.parser import parse_expression, parse_model
+from remodyc.parser import parse_expression, parse_model, pretty_print
 from remodyc.typecheck import (
     RADIANS,
     SECONDS,
@@ -17,6 +18,8 @@ from remodyc.typecheck import (
     infer_type,
 )
 from remodyc.units import DIMENSIONLESS, SIBaseUnit, parse_unit, same_dimension
+
+from modelgen import generate_model
 
 M = SIBaseUnit.M
 S = SIBaseUnit.S
@@ -432,3 +435,54 @@ def test_repository_model_checks_clean_on_its_config(name):
     config = interp.parse_config((MODELS / f"{name.removesuffix('_delta')}.cfg").read_text())
     model = parse_model((MODELS / f"{name}.rmd").read_text())
     assert [d.render(f"{name}.rmd") for d in check_model(model, config)] == []
+
+
+# A model for each site that makes a diagnostic, with a text of that
+# diagnostic: an error from a utility, from a definition and from a
+# directive (an ill-typed guard and one of a non-stage performer) in
+# ``check_action``, a bad binding, an exponent overflow, ``sqrt`` of [m],
+# an unknown utility named like an attribute, and a cycle of utilities.
+DIAGNOSTIC_SITES = [
+    (AGENTS + "to f is\n    my energy' = u\nwhere\n    u = 1 [kg] + 1 [s].\nAdult f.",
+     "incompatible dimensions in '+'"),
+    (AGENTS + "to f is\n    my energy' = my age.\nAdult f.",
+     "incompatible dimensions in definition of 'energy'"),
+    (AGENTS + "to f is\n    my die when my energy < 1 [day].\nAdult f.",
+     "incompatible dimensions in '<'"),
+    (AGENTS + "to f is\n    my die when my grass < 1 [kg].\nPatch f.",
+     "lifecycle directives need a stage performer"),
+    (AGENTS + "to f is\n    my age' = the step.\nAdult f where the step -> my wings.",
+     "Adult has no attribute 'wings'"),
+    (AGENTS + "to f is\n    my d/dt energy' = 0.1 [s^32].\nAdult f.",
+     "exponent 33 on s exceeds |32|"),
+    (AGENTS + "to f is\n    my energy' = sqrt(1 [m]) * 1 [kg].\nAdult f.",
+     "'sqrt' needs even exponents in its argument's dimension"),
+    (AGENTS + "to f is\n    my energy' = energy.\nAdult f.",
+     "unknown utility 'energy' (did you mean 'my energy'?)"),
+    (AGENTS + "to f is\n    my age' = a\nwhere\n    a = b + 1 [day]\n    b = a * 2.\nAdult f.",
+     "utility definitions of action 'f' form a cycle through 'a'"),
+]
+
+
+def test_checking_leaves_no_cyclic_garbage():
+    """Parsing, checking and printing the repository models, 200 generated
+    models and a model for each diagnostic site leave nothing to the cycle
+    collector, and every diagnostic is a plain value: no traceback and no
+    chained exception, which would keep the frames that raised it."""
+    texts = [path.read_text() for path in sorted(MODELS.glob("*.rmd"))]
+    texts += [pretty_print(generate_model(seed)) for seed in range(200)]
+    texts += [text for text, _ in DIAGNOSTIC_SITES]
+    found = []
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            model = parse_model(text)
+            found += check_model(model)
+            pretty_print(model)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    messages = {d.message for d in found}
+    assert [m for _, m in DIAGNOSTIC_SITES if m not in messages] == []
+    assert [d for d in found if d.__traceback__ or d.__context__ or d.__cause__] == []
