@@ -87,18 +87,22 @@ class Apply(Node):
     args: tuple[Expression, ...]
 
 
+# By distribution, the position of the operand that must be a dimensionless
+# shape; None where both operands take the draw's unit.
+DISTRIBUTIONS = {"uniform": None, "normal": None, "gamma": 0, "loglogistic": 1}
+
+
 @dataclass(frozen=True)
 class Draw(Node):
-    """A draw from ``distribution`` with its two parameters in source order:
-    ``uniform <low> to <high>``, ``normal(<mean>, <sigma>)``,
-    ``gamma(<shape>, <scale>)`` or ``loglogistic(<scale>, <shape>)``; a
-    gamma or loglogistic shape is dimensionless."""
+    """A draw from one of ``DISTRIBUTIONS`` with its two parameters in
+    source order: ``uniform <low> to <high>``, ``normal(<mean>, <sigma>)``,
+    ``gamma(<shape>, <scale>)`` or ``loglogistic(<scale>, <shape>)``."""
 
     distribution: str
     args: tuple[Expression, ...]
 
     def __post_init__(self):
-        if self.distribution not in ("uniform", "normal", "gamma", "loglogistic"):
+        if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"bad distribution {self.distribution!r}")
         if len(self.args) != 2:
             raise ValueError(f"bad arity for {self.distribution!r}")

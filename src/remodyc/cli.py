@@ -256,13 +256,12 @@ def _replay(args) -> int:
 
 
 class _OneTick(StorageBackend):
-    """Serves one stored frame to ``Engine.resume`` and answers its tick
-    as the frame count, so that the engine may commit the next tick, which
-    ``step`` returns and nothing keeps."""
+    """Serves the stored frame it is pointed at to ``Engine.resume`` and
+    answers that frame's tick as the frame count, so that the engine may
+    commit the next tick, which ``step`` returns and nothing keeps."""
 
-    def __init__(self, frame: TraceFrame, tick: int):
-        self.frame = frame
-        self.tick = tick
+    frame: TraceFrame
+    tick = 0
 
     def load_frame(self, tick: int) -> TraceFrame:
         return self.frame
@@ -274,45 +273,42 @@ class _OneTick(StorageBackend):
         pass
 
 
-def _step(model: ast.Model, config, frame: TraceFrame, tick: int) -> TraceFrame:
-    """A step of ``frame``, stored as ``tick``, in an engine of its own, so
-    that what the step gives depends on that frame alone."""
-    engine = Engine(model, config, _OneTick(frame, tick))
-    engine.resume(tick)
-    return engine.step()
-
-
 def _verify(args) -> int:
-    """Check each stored tick against the model (``frame_refusal``),
-    recompute each one after the first from the stored one before it, and
-    check that each stored tick's rows are, byte for byte, what the writer
-    writes for the frame loaded.  An abort that ``meta.txt`` records with
-    a stage is recomputed too: a step of the last stored tick must abort
-    as ``abort=`` and ``abort_at=`` say.  One without a stage (the set-up
+    """Resume one engine from each stored tick in turn, which checks it
+    against the model (``frame_refusal``), after stepping it from the
+    stored tick before, if any: each tick after the first must be that
+    step.  A step depends on the frame it resumed from alone, as
+    ``resume`` loads the whole image and the RNG state.  Each stored
+    tick's rows must also be, byte for byte, what the writer writes for
+    the frame loaded.  An abort that ``meta.txt`` records with a stage is
+    recomputed too: a step of the last stored tick must abort as
+    ``abort=`` and ``abort_at=`` say.  One without a stage (the set-up
     ceiling, an I/O or a memory failure) is not."""
     backend, model, config, recorded = _open_run_dir(args.run_dir)
     meta_path = Path(args.run_dir) / "meta.txt"
     _diagnose(model, str(Path(args.run_dir) / "model.rmd"), config)
     frames = backend.frame_count()
+    stored = _OneTick()
+    engine = Engine(model, config, stored)
     with _reading(), closing(backend.written(map(backend.load_frame, range(1, frames + 1)))) as loaded:
-        stored = None
         for tick, frame in enumerate(loaded, 1):
-            if refusal := frame_refusal(model, config, frame, tick):
-                raise _Failure(1, refusal)
-            if tick > 1:
-                try:
-                    recomputed = _step(model, config, stored, tick - 1)
-                except RuntimeAbort as abort:
-                    raise _Failure(1, f"tick {tick} is not recomputed: aborted: {abort.render()}")
-                if recomputed != frame:
-                    raise _Failure(1, f"tick {tick} differs from a step of tick {tick - 1}")
-            stored = frame
+            aborted = None  # a step of the tick before, reported once this tick is checked
+            try:
+                recomputed = engine.step() if tick > 1 else frame
+            except RuntimeAbort as abort:
+                aborted = abort.render()
+            stored.frame, stored.tick = frame, tick
+            engine.resume(tick)
+            if aborted:
+                raise _Failure(1, f"tick {tick} is not recomputed: aborted: {aborted}")
+            if recomputed != frame:
+                raise _Failure(1, f"tick {tick} differs from a step of tick {tick - 1}")
         at = dict(field.partition("=")[::2] for field in recorded.get("abort_at", "").split())
         if "stage" in at:
-            if stored is None:
+            if not frames:
                 raise _Failure(1, f"{meta_path}: abort_at= names a stage, but no frame is stored")
             try:
-                _step(model, config, stored, frames)
+                engine.step()
             except RuntimeAbort as abort:
                 for key, text in (("abort", abort.render()), ("abort_at", _abort_at(abort))):
                     if recorded.get(key) != text:

@@ -7,9 +7,8 @@ performs it for all its performers.  Each engine generates the source
 of all its tasks as one module.  A process keeps the code object of the
 last source text it compiled, so of engines built one after another from
 one model and the same folded constants (seeds, populations and the grid
-never reach the text), as ``remodyc verify`` builds one per stored tick,
-only the first compiles; the others run the shared code into a namespace
-of their own.
+never reach the text), as a caller builds one per seed, only the first
+compiles; the others run the shared code into a namespace of their own.
 Every tick runs the tasks in declaration order, with reads served from
 the last committed frame and writes held back, then commits once.
 Lifecycle events (die, become, spawn) are recorded while evaluating and

@@ -433,7 +433,7 @@ class _Parser:
             self.expect("'s")
             name = self.expect_ident("a patch attribute name")
             return ast.Direction(name.value, pos=token.pos)
-        if token.value in ("normal", "gamma", "loglogistic"):
+        if token.value in ast.DISTRIBUTIONS and token.value != "uniform":
             self.advance()
             self.expect("(")
             first = self.expression()

@@ -195,18 +195,17 @@ def _arithmetics_type(e: ast.Arithmetics, scope: Scope) -> Unit:
 
 
 def _draw_type(e: ast.Draw, scope: Scope) -> Unit:
-    name = e.distribution
-    if name in ("uniform", "normal"):
+    name, shape = e.distribution, ast.DISTRIBUTIONS[e.distribution]
+    if shape is None:
         first, second = e.args
         first_unit = infer_type(first, scope)
         second_unit = infer_type(second, scope)
         _require_same_dimension(f"'{name}'", first_unit, second_unit, e.pos)
         return first_unit
-    # gamma(shape, scale), loglogistic(scale, shape): the shape first
-    shape, scale = e.args if name == "gamma" else e.args[::-1]
-    shape_unit = infer_type(shape, scope)
+    # The shape first, then the other operand, whose unit the draw takes.
+    shape_unit = infer_type(e.args[shape], scope)
     _require_dimensionless(f"{name} shape must be dimensionless", shape_unit, e.pos)
-    return infer_type(scale, scope)
+    return infer_type(e.args[1 - shape], scope)
 
 
 def _cast_type(e: ast.Cast, scope: Scope) -> Unit:

@@ -561,22 +561,37 @@ class TestVerify:
         assert sum(line.startswith(row) for line in lines) == 1
         path.write_text("".join(replacement if line.startswith(row) else line for line in lines))
 
+    @staticmethod
+    def count_refusals(monkeypatch) -> list:
+        """The ticks ``frame_refusal`` is asked about from here on, in order,
+        by ``interp`` and ``cli`` alike."""
+        ticks, refusal = [], interp.frame_refusal
+        def counting(model, config, frame, tick):
+            ticks.append(tick)
+            return refusal(model, config, frame, tick)
+        for module in (interp, cli):
+            monkeypatch.setattr(module, "frame_refusal", counting)
+        return ticks
+
     @pytest.mark.parametrize("name, config", [
         ("age", "age"), ("eggs", "eggs"), ("memo", "memo"), ("move", "move"), ("move_delta", "move"),
     ])
-    def test_every_model_recomputes_as_stored_from_one_compile(self, tmp_path, capsys, name, config):
-        """An engine per recomputed tick, all of them on the code object of
-        the first; the run directory is only read."""
+    def test_every_model_recomputes_as_stored_from_one_compile(self, tmp_path, capsys, monkeypatch,
+                                                               name, config):
+        """One engine, compiled once, checks each stored frame once; the
+        run directory is only read."""
         out = tmp_path / name
         assert invoke("run", MODELS / f"{name}.rmd", MODELS / f"{config}.cfg", "--out", out) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         frames = FileBackend(out).frame_count()
         capsys.readouterr()
         interp._code.cache_clear()
+        checked = self.count_refusals(monkeypatch)
         assert invoke("verify", out) == 0
         assert capsys.readouterr() == (f"{frames - 1} ticks recomputed as stored\n", "")
         info = interp._code.cache_info()
-        assert (info.misses, info.hits) == (1, frames - 2)
+        assert (info.misses, info.hits) == (1, 0)
+        assert checked == list(range(1, frames + 1))
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_a_changed_value_is_named_by_its_tick(self, run_dir, capsys):
@@ -611,10 +626,10 @@ class TestVerify:
         assert capsys.readouterr() == ("", "frame 3 missing from rng.csv\n")
 
     @pytest.mark.parametrize("name", RUN_ABORTS)
-    def test_a_recorded_abort_is_recomputed(self, tmp_path, capsys, name):
+    def test_a_recorded_abort_is_recomputed(self, tmp_path, capsys, monkeypatch, name):
         """A step of the last stored tick aborts as ``abort=`` and
-        ``abort_at=`` say; either edited, ``verify`` names it and what the
-        step gives, and exits 1."""
+        ``abort_at=`` say, each stored frame checked once; either edited,
+        ``verify`` names it and what the step gives, and exits 1."""
         model, message, frames = RUN_ABORTS[name]
         (tmp_path / "m.rmd").write_text(model)
         (tmp_path / "run.cfg").write_text(test_abort_texts.CONFIG)
@@ -623,9 +638,11 @@ class TestVerify:
         capsys.readouterr()
         meta = out / "meta.txt"
         at = meta.read_text().splitlines()[-1].partition("=")[2]
+        checked = self.count_refusals(monkeypatch)
         assert invoke("verify", out) == 0
         assert capsys.readouterr() == (
             f"{frames - 1} ticks recomputed as stored\nthe abort recomputed as recorded: {message}\n", "")
+        assert checked == list(range(1, frames + 1))
         self.edit(meta, "abort=", "abort=nonsense\n")
         assert invoke("verify", out) == 1
         assert capsys.readouterr() == ("", f"{meta}: abort= is not what a step of tick {frames} gives: {message}\n")
