@@ -1,10 +1,11 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 model or configuration errors (and a run
-directory that does not hold what it should, a stored frame that does
-not fit its model, a tick that ``verify`` does not recompute as stored or
-finds in a form the writer does not write, and a recorded abort it does
-not recompute as recorded included), 2 I/O problems (a failed census
+Exit codes: 0 success, 1 model or configuration errors (and a file read
+whose bytes are not UTF-8 text, a run directory that does not hold what
+it should, a stored frame that does not fit its model, a tick that
+``verify`` does not recompute as stored or finds in a form the writer
+does not write, and a recorded abort it does not recompute as recorded
+included), 2 I/O problems (a failed census
 stdout, after which the run still keeps every frame, and a trace file
 that cannot be read included), 3 a run aborted mid-simulation (completed
 frames are kept on disk).
@@ -12,6 +13,7 @@ frames are kept on disk).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -35,6 +37,19 @@ class _Failure(Exception):
 
 
 def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except _Failure as failure:
+        if failure.message:
+            print(failure.message, file=sys.stderr)
+        return failure.code
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call, not at import,
+    and kept: each command names its handler."""
     parser = argparse.ArgumentParser(
         prog="remodyc",
         description="Agent-based models with measurement units and full-trace replay.",
@@ -42,51 +57,45 @@ def main(argv=None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
 
     check = commands.add_parser("check", help="parse and unit-check a model")
+    check.set_defaults(handler=_check)
     check.add_argument("model")
     check.add_argument("--config", help="also validate a run configuration")
 
     run = commands.add_parser("run", help="simulate a model deterministically")
+    run.set_defaults(handler=_run)
     run.add_argument("model")
     run.add_argument("config")
     run.add_argument("--out", help="run directory for the trace; without it no frame is kept")
 
     replay = commands.add_parser("replay", help="print one stored tick")
+    replay.set_defaults(handler=_replay)
     replay.add_argument("run_dir")
     replay.add_argument("tick", type=int)
 
     verify = commands.add_parser(
         "verify", help="recompute each stored tick from the one before it, and a recorded abort")
+    verify.set_defaults(handler=_verify)
     verify.add_argument("run_dir")
 
     chart = commands.add_parser("chart", help="population counts per tick")
+    chart.set_defaults(handler=_chart)
     chart.add_argument("run_dir")
     chart.add_argument("stage")
 
     fmt = commands.add_parser("fmt", help="rewrite a model canonically")
+    fmt.set_defaults(handler=_fmt)
     fmt.add_argument("model")
-
-    args = parser.parse_args(argv)
-    handler = {
-        "check": _check,
-        "run": _run,
-        "replay": _replay,
-        "verify": _verify,
-        "chart": _chart,
-        "fmt": _fmt,
-    }[args.command]
-    try:
-        return handler(args)
-    except _Failure as failure:
-        if failure.message:
-            print(failure.message, file=sys.stderr)
-        return failure.code
+    return parser
 
 
 def _read_text(path: str) -> str:
+    """The text of the file at ``path``, which must be UTF-8."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _Failure(2, f"cannot read {path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise _Failure(1, f"{path}: byte {err.start} is not UTF-8 text")
 
 
 def _parse_model_file(path: str) -> tuple[str, ast.Model]:
@@ -147,7 +156,7 @@ def _run(args) -> int:
             if run_dir.exists() and any(run_dir.iterdir()):
                 raise _Failure(2, f"run directory {run_dir} is not empty")
             run_dir.mkdir(parents=True, exist_ok=True)
-            (run_dir / "model.rmd").write_text(model_text)
+            (run_dir / "model.rmd").write_text(model_text, encoding="utf-8")
             meta_path = run_dir / "meta.txt"
             meta_path.write_text("\n".join(_meta_lines(config)) + "\n")
             backend = FileBackend(run_dir)
@@ -290,7 +299,7 @@ def _verify(args) -> int:
     frames = backend.frame_count()
     stored = _OneTick()
     engine = Engine(model, config, stored)
-    with _reading(), closing(backend.written(map(backend.load_frame, range(1, frames + 1)))) as loaded:
+    with _reading(), closing(backend.canonical_frames()) as loaded:
         for tick, frame in enumerate(loaded, 1):
             aborted = None  # a step of the tick before, reported once this tick is checked
             try:
@@ -329,8 +338,8 @@ def _chart(args) -> int:
     if not isinstance(stage, ast.StageDefinition):
         raise _Failure(1, f"unknown stage {args.stage!r}")
     with _reading():  # a trace file without its header, or a row it cannot hold
-        counts = [[kind for kind, _ in backend.load_animats(tick).values()].count(args.stage)
-                  for tick in range(1, backend.frame_count() + 1)]
+        counts = [[kind for kind, _ in animats.values()].count(args.stage)
+                  for animats, _ in backend.walk("animats.csv")]
     print("tick,count")
     for tick, count in enumerate(counts, 1):
         print(f"{tick},{count}")
@@ -342,7 +351,7 @@ def _fmt(args) -> int:
     canonical = pretty_print(model)
     if canonical != text:
         try:
-            Path(args.model).write_text(canonical)
+            Path(args.model).write_text(canonical, encoding="utf-8")
         except OSError as err:
             raise _Failure(2, f"cannot write {args.model}: {err.strerror}")
     return 0

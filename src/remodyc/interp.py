@@ -911,7 +911,10 @@ class _Compiler:
                     # An operand the form uses twice is computed once.
                     texts = [t if form.count(f"{{{i}}}") < 2 or _is_name_or_literal(t)
                              else self.let(t) for i, t in enumerate(texts)]
-                    return form.format(*texts)
+                    # A local holds a text of many parentheses: Python's
+                    # parser refuses more than 200 nested ones.
+                    text = form.format(*texts)
+                    return self.let(text) if text.count("(") > 50 else text
                 target, call = "", form.format(*texts)
         # A call that can fail, on a line of its own that names its abort
         # site: ``Engine.step`` aborts with ``prefix`` and the failure's text.

@@ -29,20 +29,24 @@ the frame by ``_frame_bytes``, and flushes it to the operating system
 before returning (it does not ``fsync``); a value's text is the one
 ``parser.format_number`` gives.  A frame is committed once its
 ``rng.csv`` row is complete, and that row is written last.  Every trace
-file keeps its rows sorted by tick, so a load makes one binary search
-over byte offsets per file, then one reader takes the frame's rows in
-chunks of at most ``_CHUNK_BYTES``, each converted a column at a time:
-never rows past the last committed tick or a torn last line;
-``load_animats`` reads ``animats.csv`` alone.
+file keeps its rows sorted by tick.  One reader, ``_read_tick``, takes a
+tick's rows from where an open file stands, in chunks of at most
+``_CHUNK_BYTES``, each converted a column at a time, and leaves the file
+just past them: never rows past the last committed tick or a torn last
+line.  A load (``load_frame``, or ``load_animats``, which reads
+``animats.csv`` alone) makes one binary search over byte offsets per file
+for its tick, then calls it once; a walk (``FileBackend.walk`` over one
+file, ``FileBackend.canonical_frames`` over all three) searches each file
+once, for tick 1, then calls it tick after tick.
 It checks every row's tick: a row of another tick or of the wrong number
 of fields is refused, as is a field its column cannot hold, such as a
 value that is not finite, a second row of one address or base in a tick,
 addresses or bases out of order, a second ``rng.csv`` row of a tick, and
 an ``rng.csv`` whose last row's tick, the frame count, is below 1.  A
 field spelled otherwise than the writer writes it, such as ``01`` or
-``1_0``, loads; ``FileBackend.written``, which reads each file forward
-and compares its bytes with ``_frame_bytes`` of each loaded frame,
-refuses it.
+``1_0``, loads; ``FileBackend.canonical_frames``, which compares the
+bytes each tick's rows were read from with ``_frame_bytes`` of the frame
+they make, refuses it.
 """
 from __future__ import annotations
 
@@ -50,7 +54,6 @@ import abc
 import operator
 import os
 from collections import Counter
-from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import chain, count, cycle, filterfalse, repeat
 from math import copysign, inf
@@ -218,41 +221,76 @@ def _row_error(name: str, tick: int, block: bytes) -> ValueError:
     return ValueError(f"{name}: tick {tick} has a row whose tick is {row[0].decode(errors='replace')!r}")
 
 
-def _columns(path: Path, tick: int) -> Iterator[list[bytes]]:
-    """The fields of ``tick``'s complete rows in one trace CSV, in order, a
-    chunk of rows at a time.  A row among them not as wide as the header or
-    whose tick is not written as ``tick``, or a complete row after them
-    whose tick is not later, raises ``ValueError``.  A row's first field,
-    its tick, may lead with a newline."""
-    width, lead = len(_FIELDS[path.name]), b"\n%d" % tick
-    with open(path, "rb") as handle:
-        handle.seek(_first_row_at(handle, tick, path.name))
-        # A newline, then what is read and not yet taken; rows are sorted, so
-        # the tick's last complete row starts at its last ``lead`` there and a
-        # comma (or a newline: a row of one field).
-        data, size = b"\n", _SCAN_BYTES
-        while True:
-            data += (chunk := handle.read(size))
-            stop = data.rfind(b"\n")
-            start = max(data.rfind(lead + b",", 0, stop), data.rfind(lead + b"\n", 0, stop + 1))
-            if start >= 0:
-                end = data.index(b"\n", start + 1)
-                block, data, stop = data[1:end], data[end:], stop - end
-                # A newline starts a field, so each row is ``width`` wide and leads
-                # with ``tick`` iff the fields fill the rows and each ``width``-th is it.
-                text = block.replace(b"\n", b",\n")
-                fields, rows = text.split(b","), len(text) - len(block) + 1
-                ticks = fields[::width]
-                if len(fields) != rows * width or ticks[0] != lead[1:] or ticks.count(lead) != rows - 1:
-                    raise _row_error(path.name, tick, block)
-                yield fields
-            if stop:  # a complete row after the tick's, which must be of a later tick
-                if _tick(line := data[1:data.index(b"\n", 1)], path.name) <= tick:
-                    raise _row_error(path.name, tick, line)
-                return
-            if not chunk:  # the end of the file
-                return
-            size = min(2 * size, _CHUNK_BYTES)
+def _columns(handle: BinaryIO, tick: int, name: str) -> Iterator[tuple[bytes, list[bytes]]]:
+    """From ``handle``'s position in the trace CSV ``name``, the complete
+    rows of ``tick`` there, in order, a chunk of rows at a time: their
+    bytes, without the last newline, and their fields; the handle is left
+    just past them.  A row among them not as wide as the header or whose
+    tick is not written as ``tick``, or a complete row after them whose
+    tick is not later, raises ``ValueError``.  A row's first field, its
+    tick, may lead with a newline."""
+    width, lead = len(_FIELDS[name]), b"\n%d" % tick
+    # A newline, then what is read and not yet taken; rows are sorted, so
+    # the tick's last complete row starts at its last ``lead`` there and a
+    # comma (or a newline: a row of one field).
+    data, size = b"\n", _SCAN_BYTES
+    while True:
+        data += (chunk := handle.read(size))
+        stop = data.rfind(b"\n")
+        start = max(data.rfind(lead + b",", 0, stop), data.rfind(lead + b"\n", 0, stop + 1))
+        if start >= 0:
+            end = data.index(b"\n", start + 1)
+            block, data, stop = data[1:end], data[end:], stop - end
+            # A newline starts a field, so each row is ``width`` wide and leads
+            # with ``tick`` iff the fields fill the rows and each ``width``-th is it.
+            text = block.replace(b"\n", b",\n")
+            fields, rows = text.split(b","), len(text) - len(block) + 1
+            ticks = fields[::width]
+            if len(fields) != rows * width or ticks[0] != lead[1:] or ticks.count(lead) != rows - 1:
+                raise _row_error(name, tick, block)
+            yield block, fields
+        # A complete row after the tick's must be of a later tick.
+        if stop and _tick(line := data[1:data.index(b"\n", 1)], name) <= tick:
+            raise _row_error(name, tick, line)
+        if stop or not chunk:  # or the end of the file
+            break
+        size = min(2 * size, _CHUNK_BYTES)
+    handle.seek(1 - len(data), os.SEEK_CUR)
+
+
+def _read_tick(handle: BinaryIO, name: str, tick: int, blocks: list[bytes] | None = None):
+    """What ``tick``'s complete rows in the trace file ``name``, read from
+    ``handle``'s position on, hold of its frame: the values by address, the
+    animats by base or the RNG state; the handle is left just past them.
+    Each field is converted as ``_FIELDS`` says; one that does not convert,
+    a key on two rows or keys out of order, and no ``rng.csv`` row or a
+    second one raise ``ValueError``.  ``blocks``, if given, gets the rows'
+    bytes, each newline included."""
+    reads, start = _FIELDS[name], handle.tell()
+    columns: list[list] = [[] for _ in reads]
+    for block, fields in _columns(handle, tick, name):
+        if blocks is not None:
+            blocks += (block, b"\n")
+        try:
+            for at, column in enumerate(columns[1:], 1):
+                column += map(reads[at][0], fields[at::len(reads)])
+        except ValueError:
+            raise _field_error(name, tick, fields) from None
+    if name == "rng.csv":  # the tick's one row
+        if len(states := columns[1]) != 1:
+            raise ValueError(f"rng.csv: tick {tick} has a second row" if states
+                             else f"frame {tick} missing from rng.csv")
+        return states[0]
+    if name == "animats.csv":
+        return _by_key(name, tick, columns[1], zip(*columns[2:]), "base")
+    # One pass in C checks every value; they are read again one by one, from
+    # the tick's first row, only if their sum is not finite, which finite
+    # values may also make.
+    if not -inf < sum(columns[2]) < inf:
+        handle.seek(start)
+        if error := _field_error(name, tick, chain.from_iterable(f for _, f in _columns(handle, tick, name))):
+            raise error
+    return _by_key(name, tick, columns[1], columns[2], "address")
 
 
 def _by_key(name: str, tick: int, keys: list[int], values: Iterable, what: str) -> dict:
@@ -337,13 +375,16 @@ class FileBackend(StorageBackend):
     it.  ``frames.csv`` and ``animats.csv`` rows of a tick are written
     first, its ``rng.csv`` row last: that row is the commit record.  A
     load reads each file's rows of the tick, ``load_animats`` those of
-    ``animats.csv`` alone: O(log n) lines plus the frame's own rows.  It
-    refuses a row of another tick or of the wrong number of fields, a
-    field its column cannot hold, such as a value that is not finite, a
-    second row of one address (or base) in the tick, addresses (or bases)
-    out of order, or a second ``rng.csv`` row (``ValueError``, naming file
-    and tick).  ``written`` checks loaded frames against the files byte
-    for byte.
+    ``animats.csv`` alone: a search of O(log n) lines plus the frame's own
+    rows.  It refuses a row of another tick or of the wrong number of
+    fields, a field its column cannot hold, such as a value that is not
+    finite, a second row of one address (or base) in the tick, addresses
+    (or bases) out of order, or a second ``rng.csv`` row (``ValueError``,
+    naming file and tick).  ``walk`` reads one file's committed ticks in
+    order, and ``canonical_frames`` all three files', each file opened
+    once, searched once, for tick 1, and read forward, refusing a tick as a
+    load does; ``canonical_frames`` also checks each tick's rows against
+    the frame byte for byte.
     """
 
     def __init__(self, run_dir):
@@ -383,66 +424,52 @@ class FileBackend(StorageBackend):
         self._cut_pending = False
         self._count = tick
 
-    def _load(self, name: str, tick: int) -> list[list]:
-        """The columns after the tick of committed ``tick``'s rows in the
-        trace file ``name``, each field converted as ``_FIELDS`` says; a
-        tick not committed, or a field that does not convert, raises
+    def _read(self, name: str, tick: int):
+        """What committed ``tick``'s rows in the trace file ``name`` hold of
+        its frame, found by one search; a tick not committed raises
         ``ValueError``."""
         if not 1 <= tick <= self._count:
             raise ValueError(f"no frame {tick} (have {self._count})")
-        reads = _FIELDS[name]
-        columns: list[list] = [[] for _ in reads[1:]]
-        for fields in _columns(self.run_dir / name, tick):
-            try:
-                for at, column in enumerate(columns, 1):
-                    column += map(reads[at][0], fields[at::len(reads)])
-            except ValueError:
-                raise _field_error(name, tick, fields) from None
-        return columns
+        with open(self.run_dir / name, "rb") as handle:
+            handle.seek(_first_row_at(handle, tick, name))
+            return _read_tick(handle, name, tick)
 
     def load_frame(self, tick: int) -> TraceFrame:
-        addresses, values = self._load("frames.csv", tick)
-        # One pass in C checks every value; they are read one by one only if
-        # their sum is not finite, which finite values may also make.
-        if not -inf < sum(values) < inf:
-            fields = chain.from_iterable(_columns(self.run_dir / "frames.csv", tick))
-            if error := _field_error("frames.csv", tick, fields):
-                raise error
-        by_address = _by_key("frames.csv", tick, addresses, values, "address")
-        animats = self.load_animats(tick)
-        (states,) = self._load("rng.csv", tick)
-        if not states:
-            raise ValueError(f"frame {tick} missing from rng.csv")
-        if len(states) > 1:
-            raise ValueError(f"rng.csv: tick {tick} has a second row")
-        return TraceFrame(by_address, animats, states[0])
-
-    def written(self, frames: Iterable[TraceFrame]) -> Iterator[TraceFrame]:
-        """Each of ``frames``, the frames of ticks 1, 2, ... in order, once
-        each trace file's next bytes, read forward from its header, are its
-        rows as ``append_frame`` writes them.  A file that does not start
-        with its header, or the first tick whose rows differ in a file,
-        raises ``ValueError``, the latter naming the file and the tick.
-        No file is opened before the first frame: a run directory that
-        holds no frame may hold no trace file."""
-        with ExitStack() as files:
-            handles: list[BinaryIO] = []
-            for tick, frame in enumerate(frames, 1):
-                if not handles:
-                    handles = [files.enter_context(open(path, "rb")) for path in self._paths]
-                    for handle, header in zip(handles, _HEADERS.values()):
-                        if handle.read(len(header)) != header:
-                            raise ValueError(f"{handle.name} does not start with {header.decode()[:-1]!r}")
-                for handle, name, text in zip(handles, _HEADERS, _frame_bytes(tick, frame)):
-                    if handle.read(len(text)) != text:
-                        raise ValueError(f"{name}: tick {tick} is not in its canonical form")
-                yield frame
+        return TraceFrame(*(self._read(name, tick) for name in _HEADERS))
 
     def load_animats(self, tick: int) -> dict[int, tuple[str, int]]:
         """The animats of committed ``tick`` by base, as ``load_frame``
         gives them, read from ``animats.csv`` alone."""
-        bases, stages, indices = self._load("animats.csv", tick)
-        return _by_key("animats.csv", tick, bases, zip(stages, indices), "base")
+        return self._read("animats.csv", tick)
+
+    def walk(self, name: str) -> Iterator[tuple[object, bytes]]:
+        """For each committed tick in order, what its rows in the trace file
+        ``name`` hold of its frame, refused as ``load_frame`` refuses it,
+        and the bytes of those rows, tick 1's led by any rows before it,
+        which no load reads.  The file is opened once, on the first tick,
+        and read forward from its header: one search, for tick 1."""
+        if not self._count:
+            return
+        with open(self.run_dir / name, "rb") as handle:
+            first = _first_row_at(handle, 1, name)
+            # The bytes from the header to tick 1's first row lead its own.
+            blocks = [handle.read(first - handle.seek(len(_HEADERS[name])))]
+            for tick in range(1, self._count + 1):
+                # The tick's part first: reading it fills ``blocks``.
+                yield _read_tick(handle, name, tick, blocks), b"".join(blocks)
+                blocks.clear()
+
+    def canonical_frames(self) -> Iterator[TraceFrame]:
+        """The committed frames in tick order, each once every trace file's
+        rows of its tick, walked as ``walk`` does, are byte for byte what
+        ``append_frame`` writes for it; the first file whose rows differ
+        raises ``ValueError``, naming it and the tick."""
+        for tick, parts in enumerate(zip(*map(self.walk, _HEADERS)), 1):
+            frame = TraceFrame(*(part for part, _ in parts))
+            for name, (_, data), text in zip(_HEADERS, parts, _frame_bytes(tick, frame)):
+                if data != text:
+                    raise ValueError(f"{name}: tick {tick} is not in its canonical form")
+            yield frame
 
     def frame_count(self) -> int:
         return self._count

@@ -27,7 +27,7 @@ from .units import DIMENSIONLESS, Unit, UnitError, UnitParseError, format_unit, 
 
 KEYWORDS = frozenset(
     """to is with where my the delta when spawn die become world here
-    neighbor uniform normal gamma loglogistic direction as in""".split()
+    neighbor direction as in""".split() + [*ast.DISTRIBUTIONS]
 )
 
 

@@ -1,5 +1,8 @@
 """The command line: exit codes, run directories, replay output."""
 import errno
+import functools
+import gc
+import operator
 import os
 import shutil
 import subprocess
@@ -8,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from remodyc import cli, interp, rng
+from remodyc import cli, interp, memory, rng
 from remodyc.cli import main
 from remodyc.interp import parse_config
-from remodyc.memory import FileBackend
-from remodyc.parser import parse_model
+from remodyc.memory import FileBackend, InMemoryBackend
+from remodyc.parser import format_number, parse_model
 from remodyc.typecheck import check_model, errors_only
 
 import test_abort_texts
@@ -425,6 +428,48 @@ def test_a_run_without_out_keeps_no_frame(tmp_path):
         assert done.returncode == 0, done.stderr
         peaks.append(int(done.stderr))
     assert peaks[1] - peaks[0] < 4096, peaks  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.parametrize("terms", [202, 400])
+@pytest.mark.parametrize("op", ["+", "-", "*", "unary -"])
+def test_a_long_chain_that_check_accepts_runs(tmp_path, capsys, op, terms):
+    """A left-deep chain of ``terms`` operands nests a parenthesis per
+    operation in the source an engine compiles, where Python refuses more
+    than 200; ``check`` accepts the model, an engine builds, and ``run``
+    commits the chain's left fold, its operations in their order."""
+    size = 1.001
+    if op == "unary -":
+        chain, value = "- " * terms + "my size", functools.reduce(lambda x, _: -x, range(terms), size)
+    else:
+        chain = f" {op} ".join(["my size"] * terms)
+        value = functools.reduce({"+": operator.add, "-": operator.sub, "*": operator.mul}[op], [size] * terms)
+    model = f"Egg is Grasshopper with\n    size [] = {size} [].\n\nto grow is\n    my size' = {chain}.\n\nEgg grow.\n"
+    config = CONFIG.replace("steps = 3", "steps = 1").replace("populate 2", "populate 1")
+    (tmp_path / "chain.rmd").write_text(model)
+    (tmp_path / "run.cfg").write_text(config)
+    assert invoke("check", tmp_path / "chain.rmd") == 0
+    interp.Engine(parse_model(model), parse_config(config), InMemoryBackend())
+    assert invoke("run", tmp_path / "chain.rmd", tmp_path / "run.cfg", "--out", tmp_path / "run") == 0
+    capsys.readouterr()
+    assert invoke("replay", tmp_path / "run", 2) == 0
+    (row,) = [line for line in capsys.readouterr().out.splitlines() if ",Egg,size," in line]
+    assert row.endswith(f",Egg,size,{format_number(value)}")
+
+
+def test_a_second_call_of_main_leaves_no_cyclic_garbage(capsys):
+    """The command line's parser is built once per process, so a call of
+    ``main`` after the first leaves nothing for the cycle collector."""
+    argv = ["check", str(MODELS / "eggs.rmd")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_python_dash_m_runs_the_cli():
@@ -867,6 +912,37 @@ def test_chart_counts_what_the_census_counts(tmp_path, capsys):
         assert charted == ["tick,count"] + [f"{t},{count}" for t, kind, count in census if kind == stage]
 
 
+def test_verify_and_chart_read_each_trace_file_once_forward(tmp_path, capsys, monkeypatch):
+    """On the eggs reference run, ``verify`` opens each trace file once and
+    searches it once, for tick 1, as ``chart`` does ``animats.csv``; each
+    also opens ``rng.csv`` once to count the frames, reading it from the
+    end."""
+    out = tmp_path / "eggs"
+    assert invoke("run", MODELS / "eggs.rmd", MODELS / "eggs.cfg", "--out", out) == 0
+    opened, searched = [], []
+
+    def counting_open(path, mode="r"):
+        opened.append(Path(path).name)
+        return open(path, mode)
+
+    def counting_search(handle, tick, name):
+        searched.append((name, tick))
+        return first_row_at(handle, tick, name)
+
+    first_row_at = memory._first_row_at
+    monkeypatch.setattr(memory, "open", counting_open, raising=False)
+    monkeypatch.setattr(memory, "_first_row_at", counting_search)
+    capsys.readouterr()
+    for command, files in ((("verify",), ["frames.csv", "animats.csv", "rng.csv"]),
+                           (("chart", "Adult"), ["animats.csv"])):
+        opened.clear()
+        searched.clear()
+        assert invoke(command[0], out, *command[1:]) == 0
+        assert capsys.readouterr().err == ""
+        assert opened == ["rng.csv"] + files
+        assert searched == [(name, 1) for name in files]
+
+
 @pytest.mark.parametrize("state", ["finished", "torn rng.csv header", "set-up aborted"])
 def test_replay_and_chart_write_nothing(tree, capsys, monkeypatch, state):
     """Each only reads, whatever the run directory holds; a directory with
@@ -892,6 +968,31 @@ def test_replay_and_chart_write_nothing(tree, capsys, monkeypatch, state):
         assert captured.out == "tick,count\n"
     if state == "set-up aborted":
         assert sorted(before) == ["meta.txt", "model.rmd"]
+
+
+@pytest.mark.parametrize("command", ["check", "run", "fmt", "replay", "chart", "verify"])
+def test_a_file_that_is_not_utf8_exits_1_in_one_line(tree, capsys, command):
+    """A model, a config or a run directory's ``model.rmd`` or ``meta.txt``
+    whose bytes are not UTF-8 is read, and refused on one line that names
+    it and the first byte that is not, with exit 1; ``fmt`` leaves it as
+    it was."""
+    out = tree / "run1"
+    assert invoke("run", tree / "model.rmd", tree / "run.cfg", "--out", out) == 0
+    argv = {
+        "check": [tree / "model.rmd", "--config", tree / "run.cfg"],
+        "run": [tree / "model.rmd", tree / "run.cfg"],
+        "fmt": [tree / "model.rmd"],
+        "replay": [out, 1], "chart": [out, "Egg"], "verify": [out],
+    }[command]
+    files = [arg for arg in argv if isinstance(arg, Path) and arg.is_file()]
+    for path in files or [out / "meta.txt", out / "model.rmd"]:
+        text = path.read_bytes()
+        path.write_bytes(text + b"# caf\xe9\n")
+        capsys.readouterr()
+        assert invoke(command, *argv) == 1
+        assert capsys.readouterr() == ("", f"{path}: byte {len(text) + 5} is not UTF-8 text\n")
+        assert path.read_bytes() == text + b"# caf\xe9\n"
+        path.write_bytes(text)
 
 
 class TestFmt:

@@ -712,6 +712,17 @@ def test_finite_values_whose_sum_is_not_finite_load(tmp_path):
     assert FileBackend(tmp_path).load_frame(1) == frame
 
 
+def test_canonical_frames_go_on_past_a_tick_whose_values_are_read_twice(tmp_path):
+    """The walk, too, reads a tick whose finite values sum past the largest
+    float a second time, from its first row, then goes on to the next."""
+    frames = [TraceFrame({1: 1e308, 2: 1e308, 3: -1e308, 4: -1e308}, {1: ("S", 1), 3: ("S", 2)}, 5),
+              TraceFrame({1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}, {1: ("S", 1), 3: ("S", 2)}, 6)]
+    backend = FileBackend(tmp_path)
+    for frame in frames:
+        backend.append_frame(frame)
+    assert list(FileBackend(tmp_path).canonical_frames()) == frames
+
+
 @pytest.mark.parametrize("name", ["frames.csv", "animats.csv", "rng.csv"])
 def test_a_tick_that_is_not_an_integer_is_refused(tmp_path, name):
     """Loads whose search reads the row refuse it, naming the file, as does
@@ -840,37 +851,39 @@ NON_CANONICAL = [
 
 
 @pytest.mark.parametrize("name, row, spelled", NON_CANONICAL)
-def test_written_checks_each_tick_byte_for_byte(tmp_path, name, row, spelled):
-    """``written`` passes on every frame of a run, loaded or kept in
-    memory, and the rows of a tick spelled otherwise than as the writer
-    writes them load as before but are refused by it, which names the
-    file and the tick; a directory without a frame needs no trace file."""
+def test_canonical_frames_checks_each_tick_byte_for_byte(tmp_path, name, row, spelled):
+    """``canonical_frames`` gives every frame of a run, as ``load_frame``
+    loads it and as it was kept in memory.  The rows of a tick spelled
+    otherwise than as the writer writes them load as before, but it refuses
+    them once it has given the ticks before, naming the file and the tick,
+    as it refuses rows before tick 1's, which no load reads.  A directory
+    without a frame needs no trace file."""
     kept = InMemoryBackend()
     age_engine(kept).run()
     age_engine(FileBackend(tmp_path)).run()
     backend = FileBackend(tmp_path)
     loaded = [backend.load_frame(tick) for tick in range(1, 6)]
-    assert loaded == kept.frames
-    assert list(backend.written(loaded)) == loaded
-    assert list(backend.written(kept.frames)) == kept.frames
+    assert loaded == kept.frames == list(backend.canonical_frames())
     path = tmp_path / name
     text = path.read_text()
     assert f"\n{row}\n" in text
     path.write_text(text.replace(f"\n{row}\n", f"\n{spelled}\n"))
     assert [backend.load_frame(tick) for tick in range(1, 6)] == loaded
-    checked = backend.written(loaded)
+    checked = backend.canonical_frames()
     assert [next(checked), next(checked)] == loaded[:2]
     with pytest.raises(ValueError) as refused:
         next(checked)
     assert str(refused.value) == f"{name}: tick 3 is not in its canonical form"
-    # The rows of another frame are not tick 3's, nor is another header.
-    path.write_text(text)
-    with pytest.raises(ValueError, match=r"^rng\.csv: tick 3 is not in its canonical form$"):
-        list(backend.written(loaded[:2] + [TraceFrame(loaded[2].values, loaded[2].animats, 1)]))
+    header = memory._HEADERS[name].decode()
+    path.write_text(text.replace(header, f"{header}0,{row[2:]}\n"))
+    assert [backend.load_frame(tick) for tick in range(1, 6)] == loaded
+    with pytest.raises(ValueError, match=f"^{name}: tick 1 is not in its canonical form$"):
+        list(backend.canonical_frames())
     path.write_text(text.replace(",", ";", 1))
-    with pytest.raises(ValueError, match=f" does not start with {memory._HEADERS[name].decode()[:-1]!r}$"):
-        list(backend.written(kept.frames))
-    assert list(FileBackend(tmp_path / "empty").written([])) == []
+    with pytest.raises(ValueError, match=f" does not start with {header[:-1]!r}$"):
+        list(backend.canonical_frames())
+    empty = FileBackend(tmp_path / "empty")
+    assert list(empty.canonical_frames()) == list(empty.walk(name)) == []
     assert not (tmp_path / "empty").exists()
 
 
