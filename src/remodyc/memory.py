@@ -33,9 +33,8 @@ file keeps its rows sorted by tick.  One reader, ``_read_tick``, takes a
 tick's rows from where an open file stands, in chunks of at most
 ``_CHUNK_BYTES``, each converted a column at a time, and leaves the file
 just past them: never rows past the last committed tick or a torn last
-line.  A load (``load_frame``, or ``load_animats``, which reads
-``animats.csv`` alone) makes one binary search over byte offsets per file
-for its tick, then calls it once; a walk (``FileBackend.walk`` over one
+line.  A load (``load_frame``) makes one binary search over byte offsets
+per file for its tick, then calls it once; a walk (``FileBackend.walk`` over one
 file, ``FileBackend.canonical_frames`` over all three) searches each file
 once, for tick 1, then calls it tick after tick.
 It checks every row's tick: a row of another tick or of the wrong number
@@ -374,9 +373,8 @@ class FileBackend(StorageBackend):
     kept between appends.  A value is written as ``format_number`` gives
     it.  ``frames.csv`` and ``animats.csv`` rows of a tick are written
     first, its ``rng.csv`` row last: that row is the commit record.  A
-    load reads each file's rows of the tick, ``load_animats`` those of
-    ``animats.csv`` alone: a search of O(log n) lines plus the frame's own
-    rows.  It refuses a row of another tick or of the wrong number of
+    load reads each file's rows of the tick: a search of O(log n) lines
+    plus the frame's own rows.  It refuses a row of another tick or of the wrong number of
     fields, a field its column cannot hold, such as a value that is not
     finite, a second row of one address (or base) in the tick, addresses
     (or bases) out of order, or a second ``rng.csv`` row (``ValueError``,
@@ -436,11 +434,6 @@ class FileBackend(StorageBackend):
 
     def load_frame(self, tick: int) -> TraceFrame:
         return TraceFrame(*(self._read(name, tick) for name in _HEADERS))
-
-    def load_animats(self, tick: int) -> dict[int, tuple[str, int]]:
-        """The animats of committed ``tick`` by base, as ``load_frame``
-        gives them, read from ``animats.csv`` alone."""
-        return self._read("animats.csv", tick)
 
     def walk(self, name: str) -> Iterator[tuple[object, bytes]]:
         """For each committed tick in order, what its rows in the trace file

@@ -9,9 +9,10 @@ inferred from its binding.
 Each judgement is written once: ``_require_same_dimension`` and
 ``_require_dimensionless`` raise the diagnostics that compare a unit with
 the one a rule expects; an exponent overflow from a unit rule becomes a
-diagnostic at the expression being typed, in ``infer_type`` alone; and
+diagnostic at the expression being typed, in ``infer_type`` alone;
 ``_ARITY``, the builtin functions and their operand counts, is read off
-``interp._CALLS``, the one table of them.
+``compiler._CALLS``, the one table of them; and an attribute's owner is
+found by ``compiler._scope``, the rule the compiled tasks follow.
 
 A raised diagnostic is caught and recorded in ``_record`` alone, which
 drops its traceback, and none is raised while another exception is
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 
-from . import ast, interp
+from . import ast, compiler, interp
 from .parser import format_number
 from .units import (
     DIMENSIONLESS,
@@ -42,7 +43,7 @@ from .units import (
 SECONDS = parse_unit("s")
 RADIANS = parse_unit("rad")
 
-_ARITY = {name: n for name, n in interp._CALLS if name.isalpha()}
+_ARITY = {name: n for name, n in compiler._CALLS if name.isalpha()}
 
 
 class TypeCheckError(Exception):
@@ -88,9 +89,9 @@ class Scope:
         self._inferring: set[str] = set()
 
     def attribute_unit(self, qualifier: str | None, identifier: str, pos) -> Unit:
-        """The unit of ``identifier`` of the agent ``qualifier`` names, by ``interp._scope``."""
+        """The unit of ``identifier`` of the agent ``qualifier`` names, by ``compiler._scope``."""
         performer = self.performer
-        scope, kind = interp._scope(performer and performer.name, qualifier)
+        scope, kind = compiler._scope(performer and performer.name, qualifier)
         if scope == "here" and isinstance(performer, ast.WorldDefinition):
             raise TypeCheckError("'here' is not available to the World", pos)
         agent = performer if scope == "my" else self.model and self.model.agent_named(kind)
@@ -392,7 +393,7 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
                         actual=initial.unit,
                     )
                 )
-            if not math.isfinite(interp.initial_value(declaration)):
+            if not math.isfinite(compiler.initial_value(declaration)):
                 message = f"initializer of {declaration.identifier!r} is not finite"
                 diagnostics.append(TypeCheckError(message, declaration.pos))
 
@@ -473,7 +474,7 @@ def check_model(model: ast.Model, config=None) -> list[TypeCheckError]:
             if definition.decorator is not ast.Decorator.ASSIGN:
                 continue
             variable = definition.variable
-            kind = interp._scope(task.agent, variable.agent)[1]
+            kind = compiler._scope(task.agent, variable.agent)[1]
             assign_targets.setdefault((kind, variable.identifier), []).append(definition.pos)
 
     for (kind, attribute), sites in assign_targets.items():

@@ -48,6 +48,8 @@ VALUES = (0.0, 1.0, 2.0, 3.0, 0.5, 0.25, 0.125, 10.0, 42.0, 86400.0, 6.02, 1e-05
 
 UNARY_FUNCTIONS = ("cos", "sin", "tan", "exp", "ln", "log", "sqrt", "abs", "floor", "ceiling")
 RELOPS = ("<", "<=", ">", ">=")
+# The draws spelled ``name(<a>, <b>)``; ``uniform <low> to <high>`` is rolled apart.
+PARAMETER_DRAWS = tuple(name for name in ast.DISTRIBUTIONS if name != "uniform")
 
 
 def generate_model(seed: int) -> ast.Model:
@@ -164,7 +166,7 @@ class _Generator:
         if roll == 7:
             return ast.Draw("uniform", (sub(), sub()))
         if roll == 8:
-            distribution = rng.choice(("normal", "gamma", "loglogistic"))
+            distribution = rng.choice(PARAMETER_DRAWS)
             return ast.Draw(distribution, (sub(), sub()))
         return ast.Direction(rng.choice(PATCH_ATTRS))
 

@@ -230,7 +230,7 @@ def test_a_shared_code_object_aborts_at_each_engines_own_line(name):
     model, message, frames = ABORTS[name]
     moved, moved_backend = build("# two lines more\n\n" + model)
     engine, backend = build(model)
-    assert moved.source == engine.source
+    assert moved.program.source == engine.program.source
     pairs = zip(moved.plan, engine.plan, strict=True)
     assert all(a.__code__ is b.__code__ for (_, a), (_, b) in pairs)
     index, attribute = FAILED[name]
@@ -264,7 +264,7 @@ def test_abort_names_the_animat_that_failed(name, value):
     engine, _ = build(model)
     engine.setup()
     first, second = engine.image.performers["Egg"]
-    engine.image.vals[first + engine.slots["Egg"]["w"]] = value
+    engine.image.vals[first + engine.program.slots["Egg"]["w"]] = value
     with pytest.raises(RuntimeAbort) as err:
         for _ in range(4):
             engine.step()
@@ -353,6 +353,16 @@ def test_unknown_populate_stage_text():
     with pytest.raises(ConfigError) as err:
         Engine(model, config, InMemoryBackend())
     assert str(err.value) == "populate names unknown stage 'Larva'"
+
+
+def test_seed_past_64_bits_text():
+    """The generator keeps a seed's low 64 bits, so a seed of 2^64 would
+    run as seed 0 while the run records it as given; it is refused, and
+    2^64 - 1 is not."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(CONFIG.replace("seed = 11", f"seed = {2 ** 64}"))
+    assert str(err.value) == "seed must be below 2^64"
+    assert parse_config(CONFIG.replace("seed = 11", f"seed = {2 ** 64 - 1}")).seed == 2 ** 64 - 1
 
 
 def test_non_finite_initializer_text():

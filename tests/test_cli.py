@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from remodyc import cli, interp, memory, rng
+from remodyc import cli, compiler, interp, memory, rng
 from remodyc.cli import main
 from remodyc.interp import parse_config
 from remodyc.memory import FileBackend, InMemoryBackend
@@ -630,11 +630,11 @@ class TestVerify:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         frames = FileBackend(out).frame_count()
         capsys.readouterr()
-        interp._code.cache_clear()
+        compiler._code.cache_clear()
         checked = self.count_refusals(monkeypatch)
         assert invoke("verify", out) == 0
         assert capsys.readouterr() == (f"{frames - 1} ticks recomputed as stored\n", "")
-        info = interp._code.cache_info()
+        info = compiler._code.cache_info()
         assert (info.misses, info.hits) == (1, 0)
         assert checked == list(range(1, frames + 1))
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before

@@ -1,5 +1,5 @@
-"""The Python source ``Engine()`` generates, pinned as text for the eggs
-model and as a sha256 digest for every model in ``models/``, and the
+"""The Python source ``compile_model`` generates, pinned as text for the
+eggs model and as a sha256 digest for every model in ``models/``, and the
 code objects that engines of one source share.
 
 A change to how tasks are compiled shows here as a text diff, to be read
@@ -18,21 +18,24 @@ from pathlib import Path
 
 import pytest
 
-from remodyc import ast, interp
-from remodyc.interp import Engine, parse_config
-from remodyc.memory import InMemoryBackend
+from remodyc import ast, compiler
+from remodyc.interp import Engine, SimulationConfig, parse_config
+from remodyc.memory import InMemoryBackend, MemoryImage, StorageBackend
 from remodyc.parser import parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 LARGE_CONFIG = MODELS.parent / "bench" / "data" / "large.cfg"
 
 
-def engine(name: str) -> Engine:
-    """An engine for ``models/<name>.rmd`` on its config; move_delta.rmd
-    runs on move.cfg."""
+def model_and_config(name: str) -> tuple[ast.Model, SimulationConfig]:
+    """``models/<name>.rmd`` and its config; move_delta.rmd runs on move.cfg."""
     config = (MODELS / f"{name.removesuffix('_delta')}.cfg").read_text()
-    model = parse_model((MODELS / f"{name}.rmd").read_text())
-    return Engine(model, parse_config(config), InMemoryBackend())
+    return parse_model((MODELS / f"{name}.rmd").read_text()), parse_config(config)
+
+
+def engine(name: str) -> Engine:
+    """An engine for ``models/<name>.rmd`` on its config."""
+    return Engine(*model_and_config(name), InMemoryBackend())
 
 
 # ``# cN`` ends a line that can fail and names its abort site; the other
@@ -150,7 +153,7 @@ EGGS_SOURCE = textwrap.dedent("""\
 
 
 def test_eggs_source_is_pinned():
-    assert engine("eggs").source == EGGS_SOURCE.rstrip("\n")
+    assert engine("eggs").program.source == EGGS_SOURCE.rstrip("\n")
 
 
 # sha256 of every model's generated source; move.rmd and move_delta.rmd
@@ -167,8 +170,22 @@ SOURCE_SHA256 = {
 @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))
 def test_source_digest_is_pinned(name):
     """A model added to ``models/`` needs its digest here."""
-    digest = hashlib.sha256(engine(name).source.encode()).hexdigest()
+    digest = hashlib.sha256(engine(name).program.source.encode()).hexdigest()
     assert digest == SOURCE_SHA256.get(name)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))
+def test_compiling_builds_no_image_engine_or_backend(name, monkeypatch):
+    """A ``Program`` is what the model compiles to, whatever runs it:
+    ``compile_model`` builds no image, engine or backend, and its source
+    is the one an engine of the model runs."""
+    source = engine(name).program.source
+    made = []
+    for kind in (MemoryImage, Engine, *StorageBackend.__subclasses__()):
+        monkeypatch.setattr(kind, "__init__", lambda self, *args: made.append(type(self)))
+    program = compiler.compile_model(*model_and_config(name))
+    assert made == []
+    assert program.source == source
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))
@@ -184,7 +201,7 @@ def test_compiled_module_holds_no_engine(name):
     its module holds no engine, not even a weak proxy of one, and no node
     of the model, as a stage is its name."""
     built = engine(name)
-    assert "engine." not in built.source
+    assert "engine." not in built.program.source
     for _, task in built.plan:
         for value in task.__globals__.values():
             assert not isinstance(value, (Engine, ast.Node, *weakref.ProxyTypes))
@@ -227,7 +244,7 @@ Bug breed.
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.rmd")))
 def test_each_committed_value_is_read_once(name):
-    assert_each_value_read_once(engine(name).source)
+    assert_each_value_read_once(engine(name).program.source)
 
 
 def test_a_value_read_behind_a_guard_is_read_once():
@@ -236,9 +253,9 @@ def test_a_value_read_behind_a_guard_is_read_once():
     and a step commits the spawns: each of 3 Bugs spawns ``p + e`` = 2."""
     config = "delta_time = 1 day\nsteps = 1\nseed = 3\npopulate 3 Bug\n"
     built = Engine(parse_model(GUARDED_READS_MODEL), parse_config(config), InMemoryBackend())
-    assert_each_value_read_once(built.source)
-    assert built.source.count("vals[b + 2]") == 1
-    loop = built.source.partition("keep(h)\n")[2]
+    assert_each_value_read_once(built.program.source)
+    assert built.program.source.count("vals[b + 2]") == 1
+    loop = built.program.source.partition("keep(h)\n")[2]
     assert loop.startswith("        t1 = patches[h]\n        t2 = vals[t1]\n        if ")
     built.setup()
     built.step()
@@ -272,7 +289,7 @@ def test_engines_of_one_source_share_each_task_code():
     others = [on("eggs", config, seed="0"), on("eggs", config, seed="19"),
               on("eggs", LARGE_CONFIG.read_text())]
     for other in others:
-        assert other.source == first.source
+        assert other.program.source == first.program.source
         assert shared(other, first) == [True] * 8
         assert other.plan[0][1].__globals__ is not first.plan[0][1].__globals__
     other.setup()
@@ -283,23 +300,23 @@ def test_engines_of_one_source_share_each_task_code():
 def test_a_different_delta_time_compiles_its_own_code():
     config = (MODELS / "eggs.cfg").read_text()
     daily, hourly = on("eggs", config), on("eggs", config, delta_time="1 h")
-    assert hourly.source != daily.source
+    assert hourly.program.source != daily.program.source
     assert shared(hourly, daily) == [False] * 8
 
 
 def test_the_code_cache_is_bounded_and_drops_the_least_recent_source():
     """Past ``_CODE_CACHE_SIZE`` distinct sources the first one's code is
     dropped: an engine of it compiles again, and the latest is still kept."""
-    config, size = (MODELS / "age.cfg").read_text(), interp._CODE_CACHE_SIZE
-    interp._code.cache_clear()
+    config, size = (MODELS / "age.cfg").read_text(), compiler._CODE_CACHE_SIZE
+    compiler._code.cache_clear()
     first = on("age", config, delta_time="1 s")
     for seconds in range(2, size + 2):
         latest = on("age", config, delta_time=f"{seconds} s")
-    info = interp._code.cache_info()
+    info = compiler._code.cache_info()
     assert (info.maxsize, info.currsize, info.misses, info.hits) == (size, size, size + 1, 0)
     assert shared(on("age", config, delta_time=f"{size + 1} s"), latest) == [True]
     assert shared(on("age", config, delta_time="1 s"), first) == [False]
-    assert interp._code.cache_info().misses == size + 2
+    assert compiler._code.cache_info().misses == size + 2
 
 
 # What a cached code object may reach: constants and code only.
@@ -312,7 +329,7 @@ def test_the_code_cache_keeps_nothing_of_a_dropped_engine():
     try:
         built = on("eggs", (MODELS / "eggs.cfg").read_text(), steps="12")
         built.run()
-        code = interp._code(built.source)
+        code = compiler._code(built.program.source)
         assert any(task is codes(built)[0] for task in code.co_consts)
         dropped = weakref.ref(built), weakref.ref(built.image)
         del built
@@ -336,14 +353,14 @@ def test_eggs_tasks_call_no_bookkeeping_helper():
     ``float(math.floor(x))``.  Over a step each Adult's cell is found once,
     by move, and kept for graze."""
     built = engine("eggs")
-    fold_floor = interp._CALLS[("floor", 1)][0]
+    fold_floor = compiler._CALLS[("floor", 1)][0]
     for _, task in built.plan:
         names = set(task.__code__.co_names)
         assert not {"write", "write_delta", "spawn", "cell", "heading"} & names
         assert all(task.__globals__[name] is not fold_floor for name in names
                    if name in task.__globals__)
-    assert built.source.count("keep(h)") == 1
-    (table,) = {line.rpartition("zip(bases, ")[2][:-2] for line in built.source.splitlines()
+    assert built.program.source.count("keep(h)") == 1
+    (table,) = {line.rpartition("zip(bases, ")[2][:-2] for line in built.program.source.splitlines()
                 if "zip(bases, " in line}
     found = []
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from remodyc import cli, interp, rng
+from remodyc import cli, compiler, interp, rng
 from remodyc.ast import ActionDefinition, Decorator, PatchDefinition, TaskDefinition
 from remodyc.interp import (
     ConfigError,
@@ -689,9 +689,9 @@ class TestLifecycle:
                 name, base, kind, stage, *spawn = event
                 if name == "become":
                     image.kill(base)
-                slots, parent = single.slots[stage], single.slots[kind]
+                slots, parent = single.program.slots[stage], single.program.slots[kind]
                 names = slots if name == "become" else ("x", "y")
-                row = single.templates[stage].copy()
+                row = single.program.templates[stage].copy()
                 for attribute in names:
                     if attribute in parent:
                         row[slots[attribute]] = image.next[base + parent[attribute]] + 0.0
@@ -854,22 +854,22 @@ class TestCompiledTasks:
         and text of what it raises."""
         try:
             value = compute()
-        except interp._FAILURES as err:
+        except compiler._FAILURES as err:
             return type(err), str(err)
         return type(value), repr(value)
 
-    @pytest.mark.parametrize("key", interp._CALLS)
+    @pytest.mark.parametrize("key", compiler._CALLS)
     def test_text_form_matches_its_folding_function(self, key):
         """Run time computes what constant folding computes, bit for bit and
         of the same type, on every tuple of grid operands, and an operation
         that may fail fails alike; one that may not never does."""
-        fold, form, fails = interp._CALLS[key]
+        fold, form, fails = compiler._CALLS[key]
         for operands in itertools.product(GRID, repeat=key[1]):
             # As the compiler writes operands: a finite one by its repr, a
             # non-finite one by a name.
             names = {f"c{i}": x for i, x in enumerate(operands) if not math.isfinite(x)}
             texts = [repr(x) if math.isfinite(x) else f"c{i}" for i, x in enumerate(operands)]
-            value = self.outcome(lambda: eval(form.format(*texts), {**interp._FUNCTIONS, **names}))
+            value = self.outcome(lambda: eval(form.format(*texts), {**compiler._FUNCTIONS, **names}))
             assert value == self.outcome(lambda: fold(*operands)), operands
             assert fails or not issubclass(value[0], Exception), operands
 
@@ -905,7 +905,7 @@ class TestCompiledTasks:
                                     tasks=model.tasks + (TaskDefinition("Adult", "idle"),))
         assert check_model(model, config) == []
         engine = Engine(model, config, InMemoryBackend())
-        assert engine.source.endswith(
+        assert engine.program.source.endswith(
             "def task_1(vals, bases, events, state):\n"
             "    for b in bases:\n        pass\n    return state"
         )
@@ -943,9 +943,9 @@ class TestCompiledTasks:
             engine, _ = build((models / "eggs.rmd").read_text(), (models / "eggs.cfg").read_text())
         else:
             engine, _ = build(write_model(self.METHOD_WRITES), WRITES_CONFIG.format(seed=1))
-        assert "write(" not in engine.source and "write_delta(" not in engine.source
+        assert "write(" not in engine.program.source and "write_delta(" not in engine.program.source
         assert not {"write", "write_delta"} & engine.plan[0][1].__globals__.keys()
-        assert all(None not in forms for forms in interp._forms(engine.model))
+        assert all(None not in forms for forms in compiler._forms(engine.model))
         engine.setup()
         engine.step()
         assert calls == {"write": 0, "write_delta": 0}
@@ -1074,7 +1074,7 @@ def replay_writes(engine: Engine, tasks) -> list | RuntimeAbort:
             column = min(math.floor(x / config.patch_size), config.patches_x - 1)
             row = min(math.floor(y / config.patch_size), config.patches_y - 1)
             block = patches[row * config.patches_x + column]
-        return block + engine.slots[owner][attribute]
+        return block + engine.program.slots[owner][attribute]
 
     for kind, definitions in tasks:
         for b in image.performers[kind]:
@@ -1138,7 +1138,7 @@ def test_inline_writes_commit_as_the_image_methods_do(case):
     methods; the source reads each committed value once."""
     model, tasks, seed = case
     engine, _ = build(model, WRITES_CONFIG.format(seed=seed))
-    assert_each_value_read_once(engine.source)
+    assert_each_value_read_once(engine.program.source)
     engine.setup()
     for _ in range(3):
         expected = replay_writes(engine, tasks)
@@ -1192,8 +1192,8 @@ def task_0(vals, bases, events, state):
 
 def test_a_world_tasks_world_writes_are_its_own():
     engine, _ = build(write_model([WORLD_OWN_WRITES]), WRITES_CONFIG.format(seed=1))
-    assert engine.source == WORLD_OWN_SOURCE
-    assert interp._forms(engine.model) == [[(False, False, True), (False, True, False)]]
+    assert engine.program.source == WORLD_OWN_SOURCE
+    assert compiler._forms(engine.model) == [[(False, False, True), (False, True, False)]]
 
 
 # One task's here's read and delta of the Patch's ``q``, past slot 0, and a
@@ -1234,7 +1234,7 @@ def test_a_here_address_read_and_written_is_found_once():
     only reads it reads ``vals[t1 + 1]``.  By 3 Bugs on one patch (seed
     13), each step equals the replay through the image's methods."""
     engine, _ = build(write_model(HERE_READ_WRITES), WRITES_CONFIG.format(seed=13))
-    assert engine.source.partition("keep(h)\n")[2] == HERE_READ_WRITES_LOOPS
+    assert engine.program.source.partition("keep(h)\n")[2] == HERE_READ_WRITES_LOOPS
     engine.setup()
     for _ in range(3):
         expected = replay_writes(engine, HERE_READ_WRITES)

@@ -6,7 +6,7 @@ import math
 import os
 import tempfile
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -747,6 +747,19 @@ def test_a_last_row_of_one_field_is_refused(tmp_path):
         FileBackend(tmp_path).load_frame(2)
 
 
+def walked(backend: FileBackend, name: str):
+    """A load of a tick's part of the frame from ``name`` alone, by
+    ``walk`` from tick 1 to it, as ``chart`` reads ``animats.csv``."""
+    return lambda tick: list(islice(backend.walk(name), tick))[-1][0]
+
+
+# The cases where ``walk``, reading forward from tick 1, refuses at tick 1,
+# with this text: a row of tick 1 among tick 2's makes tick 2's first row
+# one of tick 1's.
+WALKED = {("2,2,", "1"): "tick 1 has a row whose tick is '2'",
+          ("2,3,", "1"): "tick 1 has a row whose tick is '2'"}
+
+
 @pytest.mark.parametrize("name", ["frames.csv", "animats.csv"])
 @pytest.mark.parametrize("row, tick, text", [
     ("2,1,", "3", "tick 2 has a row whose tick is '3'"),
@@ -760,18 +773,19 @@ def test_a_row_of_another_tick_among_a_ticks_rows_is_refused(tmp_path, name, row
     """Every row a load reads carries the tick it loads, the rows between
     its first and last ones too, and the row after its last one carries a
     later tick; a row that does not is refused, naming the file and the
-    tick, by ``load_frame`` and ``load_animats`` alike.  ``row`` is the
-    first, the middle or the last of tick 2's three rows."""
+    tick, by ``load_frame`` and, as ``WALKED`` says, by ``walk``.  ``row``
+    is the first, the middle or the last of tick 2's three rows."""
     backend = FileBackend(tmp_path)
     for t in range(1, 4):
         backend.append_frame(TraceFrame({1: t, 2: 0.5, 3: 2.0}, {1: ("S", 1), 2: ("S", 2), 3: ("T", 1)}, t))
     path = tmp_path / name
     path.write_text(path.read_text().replace(f"\n{row}", f"\n{tick}{row[1:]}"))
     reopened = FileBackend(tmp_path)
-    loads = [reopened.load_frame] + [reopened.load_animats] * (name == "animats.csv")
-    for load in loads:
-        with pytest.raises(ValueError, match=f"^{name}: {text}$"):
-            load(2)
+    with pytest.raises(ValueError, match=f"^{name}: {text}$"):
+        reopened.load_frame(2)
+    if name == "animats.csv":
+        with pytest.raises(ValueError, match=f"^{name}: {WALKED.get((row, tick), text)}$"):
+            walked(reopened, name)(2)
 
 
 @pytest.mark.parametrize("name, key", [("frames.csv", "address"), ("animats.csv", "base")])
@@ -779,8 +793,8 @@ def test_a_row_of_another_tick_among_a_ticks_rows_is_refused(tmp_path, name, row
 def test_a_second_row_of_one_address_or_base_is_refused(tmp_path, name, key, at, to, twice):
     """A tick's rows hold each address of ``frames.csv``, and each base of
     ``animats.csv``, once: with row ``at`` of tick 2's three written again
-    as the address (or base) ``to``, ``load_frame`` and ``load_animats``
-    refuse tick 2, naming the file, the tick and the key on two rows, and
+    as the address (or base) ``to``, ``load_frame`` and ``walk`` refuse
+    tick 2, naming the file, the tick and the key on two rows, and
     the ticks around it still load."""
     backend = FileBackend(tmp_path)
     for t in range(1, 4):
@@ -793,7 +807,7 @@ def test_a_second_row_of_one_address_or_base_is_refused(tmp_path, name, key, at,
     lines.insert(row + 1, ",".join(again))
     path.write_text("".join(lines))
     reopened = FileBackend(tmp_path)
-    loads = [reopened.load_frame] + [reopened.load_animats] * (name == "animats.csv")
+    loads = [reopened.load_frame] + [walked(reopened, name)] * (name == "animats.csv")
     for load in loads:
         with pytest.raises(ValueError, match=f"^{name}: tick 2 has two rows of {key} {twice}$"):
             load(2)
@@ -805,7 +819,7 @@ def test_a_second_row_of_one_address_or_base_is_refused(tmp_path, name, key, at,
 def test_rows_out_of_order_are_refused(tmp_path, name, key, first, second, after, late):
     """The writer writes a tick's rows by increasing address (or base):
     with rows ``first`` and ``second`` of tick 2's three swapped,
-    ``load_frame`` and ``load_animats`` refuse tick 2, naming the file, the
+    ``load_frame`` and ``walk`` refuse tick 2, naming the file, the
     tick, the first key that comes ``late`` and the one it comes after;
     the ticks around it still load."""
     backend = FileBackend(tmp_path)
@@ -817,7 +831,7 @@ def test_rows_out_of_order_are_refused(tmp_path, name, key, first, second, after
     lines[start + first], lines[start + second] = lines[start + second], lines[start + first]
     path.write_text("".join(lines))
     reopened = FileBackend(tmp_path)
-    loads = [reopened.load_frame] + [reopened.load_animats] * (name == "animats.csv")
+    loads = [reopened.load_frame] + [walked(reopened, name)] * (name == "animats.csv")
     for load in loads:
         with pytest.raises(ValueError) as refused:
             load(2)
@@ -1123,15 +1137,14 @@ def files_in(run: Path) -> dict[str, bytes] | None:
 
 
 def read_all(run: Path) -> FileBackend:
-    """Open ``run`` and read every committed frame and each one's animats
+    """Open ``run`` and read every committed frame, and walk its animats
     alone, which writes nothing; returns the backend."""
     before = files_in(run)
     backend = FileBackend(run)
-    for tick in range(1, backend.frame_count() + 1):
-        assert backend.load_animats(tick) == backend.load_frame(tick).animats
-    for load in (backend.load_frame, backend.load_animats):
-        with pytest.raises(ValueError, match=f"no frame {backend.frame_count() + 1} "):
-            load(backend.frame_count() + 1)
+    frames = [backend.load_frame(tick) for tick in range(1, backend.frame_count() + 1)]
+    assert [animats for animats, _ in backend.walk("animats.csv")] == [f.animats for f in frames]
+    with pytest.raises(ValueError, match=f"no frame {backend.frame_count() + 1} "):
+        backend.load_frame(backend.frame_count() + 1)
     assert files_in(run) == before
     return backend
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import remodyc.ast as ast
-from remodyc import interp, typecheck
+from remodyc import compiler, interp, typecheck
 from remodyc.parser import parse_expression, parse_model, pretty_print
 from remodyc.typecheck import (
     RADIANS,
@@ -421,7 +421,7 @@ class TestCheckModel:
 def test_function_table_agrees_with_the_interpreter():
     """Every builtin the checker accepts, the engine compiles, with the
     same number of operands, and the reverse."""
-    words = {name: arity for name, arity in interp._CALLS if name.isalpha()}
+    words = {name: arity for name, arity in compiler._CALLS if name.isalpha()}
     assert typecheck._ARITY == words
 
 
